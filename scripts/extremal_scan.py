@@ -11,12 +11,9 @@ Usage:
 import argparse
 import sys
 
-from unikirch.enumeration import enumerate_with_codes, graph_from_code
+from unikirch.enumeration import enumerate_codes, graph_from_code, invariants_from_code
 from unikirch.families import recognize_family
-from unikirch.graph import wiener_index
-from unikirch.matching import matching_number
 from unikirch.rational import format_rational
-from unikirch.resistance import kirchhoff_index
 
 
 def main() -> int:
@@ -24,16 +21,16 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=12)
     ap.add_argument("--invariant", choices=("kirchhoff", "wiener"), default="kirchhoff")
     args = ap.parse_args()
-    fn = kirchhoff_index if args.invariant == "kirchhoff" else wiener_index
+    kirchhoff = args.invariant == "kirchhoff"
 
     print("n,m,classes,minimum,minimizers")
     for n in range(3, args.max_n + 1):
         cells: dict[int, dict] = {}
-        for code, g in enumerate_with_codes(n):
-            m = matching_number(g).size
-            cell = cells.setdefault(m, {"count": 0, "best": None, "argmin": []})
+        for code in enumerate_codes(n):
+            inv = invariants_from_code(code)
+            cell = cells.setdefault(inv.matching, {"count": 0, "best": None, "argmin": []})
             cell["count"] += 1
-            val = fn(g)
+            val = inv.kf if kirchhoff else inv.wiener
             if cell["best"] is None or val < cell["best"]:
                 cell["best"], cell["argmin"] = val, [code]
             elif val == cell["best"]:

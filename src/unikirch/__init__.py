@@ -5,10 +5,12 @@ suites for the extremal families."""
 from .enumeration import (
     CanonicalCode,
     canonical_code,
+    enumerate_codes,
     enumerate_unicyclic,
     enumerate_with_codes,
     extremal_search,
     free_trees,
+    invariants_from_code,
     rooted_tree_code,
     rooted_tree_codes,
 )
@@ -59,7 +61,9 @@ from .matching import (
 )
 from .rational import Rational, format_rational, parse_rational
 from .resistance import (
+    Invariants,
     ResistanceMatrix,
+    graph_invariants,
     kf_cycle,
     kf_identified,
     kfv_cycle,

@@ -8,9 +8,9 @@ import os
 import sys
 from pathlib import Path
 
-from .enumeration import counts_by_matching, enumerate_with_codes, extremal_search
+from .enumeration import counts_by_matching, enumerate_codes, extremal_search, graph_from_code
 from .families import parse_family_spec, recognize_family
-from .graph import DisconnectedError, GraphParseError, read_graph, write_graph, wiener_index
+from .graph import GraphParseError, is_connected, read_graph, write_graph, wiener_index
 from .rational import format_rational
 from .resistance import (
     format_resistance_matrix,
@@ -20,9 +20,13 @@ from .resistance import (
 )
 from .verification import SUITE_NAMES, run_suite
 
+# Graphs that are neither trees nor unicyclic take the dense route, whose
+# rational Gauss-Jordan elimination is cubic: about 5 s at n = 100.
+DENSE_MAX_N = 100
+
 
 def _default_threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return args.threads
     env = os.environ.get("UNIKIRCH_THREADS")
     if env and env.isdigit() and int(env) > 0:
@@ -45,11 +49,19 @@ def _cmd_compute(args) -> int:
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        kf = kirchhoff_index(g)
-    except DisconnectedError:
+    # fewer than n - 1 edges cannot connect n vertices; checking that first
+    # keeps a huge vertex count from allocating anything of size n
+    if g.edge_count < g.n - 1 or not is_connected(g):
         print("error: input graph is disconnected", file=sys.stderr)
         return 1
+    if g.edge_count > g.n and g.n > DENSE_MAX_N:
+        print(
+            f"error: {g.n} vertices and {g.edge_count} edges: graphs that are neither "
+            f"trees nor unicyclic are limited to {DENSE_MAX_N} vertices",
+            file=sys.stderr,
+        )
+        return 2
+    kf = kirchhoff_index(g)
     suffix = f" (~ {_decimal(kf)})" if args.decimal else ""
     print(f"Kf = {format_rational(kf)}{suffix}")
     if args.wiener:
@@ -84,7 +96,7 @@ def _cmd_enumerate(args) -> int:
     try:
         if args.count_only and not args.emit:
             if args.m is not None:
-                count = sum(1 for _ in enumerate_with_codes(args.n, args.m))
+                count = sum(1 for _ in enumerate_codes(args.n, args.m))
                 print(f"{args.n},{args.m},{count}")
             else:
                 by_m = counts_by_matching(args.n)
@@ -93,11 +105,12 @@ def _cmd_enumerate(args) -> int:
                 print(f"{args.n},*,{sum(by_m.values())}")
             return 0
         total = 0
-        for code, g in enumerate_with_codes(args.n, args.m):
+        for code in enumerate_codes(args.n, args.m):
             total += 1
             if args.emit:
                 out = Path(args.emit)
                 out.mkdir(parents=True, exist_ok=True)
+                g = graph_from_code(code)
                 (out / f"{code.stable_hash()}.graph").write_text(write_graph(g))
             else:
                 print(code)
@@ -115,8 +128,6 @@ def _cmd_extremal(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .enumeration import graph_from_code
-
     for code in codes:
         fam = recognize_family(graph_from_code(code))
         label = fam.text() if fam is not None else str(code)
@@ -184,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="filter by matching number")
     p.add_argument("--count-only", action="store_true", help="print CSV rows n,m,count")
     p.add_argument("--emit", help="write one graph file per class into this directory")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("extremal", help="exact argmin over an (n, m) class")
@@ -192,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--invariant", choices=("kirchhoff", "wiener"), default="kirchhoff")
     p.add_argument("--decimal", action="store_true")
-    p.add_argument("--threads", type=int)
     p.set_defaults(fn=_cmd_extremal)
 
     p = sub.add_parser("verify", help="run a verification suite")

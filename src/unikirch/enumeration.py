@@ -11,8 +11,9 @@ Generation walks cycle lengths in ascending order, distributes the
 remaining vertices as rooted trees over the cycle positions from a
 memoized table of rooted trees by size, keeps only dihedral-minimal
 sequences, and emits each cycle length's classes in sorted order.
-Graphs are built lazily, so consumers stream with constant memory per
-class.
+Sweeps read Kf, W and the matching number straight off the codes with
+``invariants_from_code``; graphs are built only for consumers that need
+vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph import Graph, is_connected
-from .matching import matching_number
-from .resistance import kirchhoff_index
-from .graph import wiener_index
+from .resistance import BranchSummary, Invariants, cycle_invariants, tree_summary
 
 _codes_by_size: dict[int, tuple[str, ...]] = {1: ("()",)}
 
@@ -74,20 +74,25 @@ def rooted_tree_code(g: Graph, root: int) -> str:
     return enc(root, -1)
 
 
+def code_parents(code: str) -> list[int]:
+    """Parent of every vertex of a rooted code, vertices numbered in
+    depth-first order from the root 0, whose parent is -1."""
+    parents = [-1]
+    stack = [0]
+    for ch in code[1:-1]:
+        if ch == "(":
+            stack.append(len(parents))
+            parents.append(stack[-2])
+        else:
+            stack.pop()
+    return parents
+
+
 def tree_from_code(code: str) -> Graph:
     """Rebuild a tree from a rooted code; the root gets label 0 and the
     remaining vertices are numbered in depth-first order."""
-    edges = []
-    stack = [0]
-    nxt = 1
-    for ch in code[1:-1]:
-        if ch == "(":
-            edges.append((stack[-1], nxt))
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
-    return Graph(nxt, frozenset(edges))
+    parents = code_parents(code)
+    return Graph(len(parents), frozenset((p, v) for v, p in enumerate(parents) if v))
 
 
 @dataclass(frozen=True, order=True)
@@ -161,6 +166,18 @@ def graph_from_code(code: CanonicalCode) -> Graph:
     return Graph(nxt, frozenset(edges))
 
 
+# Keyed by branch code; the default windows use about 1200 distinct codes.
+@lru_cache(maxsize=4096)
+def _branch_summary(code: str) -> BranchSummary:
+    return tree_summary(code_parents(code))
+
+
+def invariants_from_code(code: CanonicalCode) -> Invariants:
+    """(k, m, Kf, W) of the class, read off its branch codes without
+    building a graph."""
+    return cycle_invariants([_branch_summary(c) for c in code.branch_codes])
+
+
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` non-negative integers summing to `total`."""
     if parts == 1:
@@ -171,14 +188,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_with_codes(
+def enumerate_codes(
     n: int,
     m: int | None = None,
     cycle_length: int | None = None,
-) -> Iterator[tuple[CanonicalCode, Graph]]:
-    """Stream (code, graph) pairs, one per isomorphism class, in
-    ascending CanonicalCode order; optionally filter by matching number
-    or by cycle length."""
+) -> Iterator[CanonicalCode]:
+    """Stream one code per isomorphism class, in ascending order;
+    optionally filter by matching number or by cycle length."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
     if cycle_length is not None and not 3 <= cycle_length <= n:
@@ -196,9 +212,18 @@ def enumerate_with_codes(
         minimal.sort()
         for seq in minimal:
             code = CanonicalCode(k, seq)
-            g = graph_from_code(code)
-            if m is None or matching_number(g).size == m:
-                yield code, g
+            if m is None or invariants_from_code(code).matching == m:
+                yield code
+
+
+def enumerate_with_codes(
+    n: int,
+    m: int | None = None,
+    cycle_length: int | None = None,
+) -> Iterator[tuple[CanonicalCode, Graph]]:
+    """``enumerate_codes`` with each class's graph built alongside."""
+    for code in enumerate_codes(n, m, cycle_length):
+        yield code, graph_from_code(code)
 
 
 def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
@@ -211,16 +236,13 @@ def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
 def counts_by_matching(n: int) -> dict[int, int]:
     """Class counts per matching number at fixed vertex count."""
     out: dict[int, int] = {}
-    for _, g in enumerate_with_codes(n):
-        sz = matching_number(g).size
+    for code in enumerate_codes(n):
+        sz = invariants_from_code(code).matching
         out[sz] = out.get(sz, 0) + 1
     return dict(sorted(out.items()))
 
 
-_INVARIANTS: dict[str, Callable[[Graph], Fraction]] = {
-    "kirchhoff": kirchhoff_index,
-    "wiener": wiener_index,
-}
+_INVARIANTS = ("kirchhoff", "wiener")
 
 
 def extremal_search(
@@ -230,11 +252,14 @@ def extremal_search(
     n vertices and matching number m."""
     if invariant not in _INVARIANTS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    fn = _INVARIANTS[invariant]
+    kirchhoff = invariant == "kirchhoff"
     best: Fraction | None = None
     argmin: list[CanonicalCode] = []
-    for code, g in enumerate_with_codes(n, m):
-        val = fn(g)
+    for code in enumerate_codes(n):
+        inv = invariants_from_code(code)
+        if inv.matching != m:
+            continue
+        val = inv.kf if kirchhoff else inv.wiener
         if best is None or val < best:
             best = val
             argmin = [code]

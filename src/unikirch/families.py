@@ -78,11 +78,6 @@ def make_unm(n: int, m: int) -> Graph:
     return make_ukt(5, 1, n - 2 * m, m - 3)
 
 
-def hub_vertex_unm() -> int:
-    """The maximum-degree vertex of Unm(n,m) under the canonical labels."""
-    return 0
-
-
 def arc_pair_resistance_sum(k: int, t: int) -> Fraction:
     """Sum of pairwise cycle resistances over t consecutive vertices of
     C_k: t(t-1)(t+1)(2k-t) / (12k)."""

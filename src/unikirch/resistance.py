@@ -1,14 +1,20 @@
 """Exact effective resistances and Kirchhoff indices.
 
-Three independent routes are provided and cross-checked by the test
-suite:
+Three independent routes give the resistance between two vertices, and
+the test suite cross-checks them:
 
 * a grounded-Laplacian linear solve over rationals,
 * spanning-tree / separating-forest counting via integer determinants,
 * the series closed form on a unicyclic decomposition (tree distance
   into the cycle, cycle resistance d(k-d)/k, tree distance out).
 
-The unicyclic route is the hot path for enumeration sweeps; the two
+Whole-graph invariants of trees and unicyclic graphs come from one
+integer kernel, ``cycle_invariants``, which reads a short summary of
+each branch tree and needs no n x n matrix: Kf, W and the matching
+number in O(n + k^2), and the vertex-sum row by rerooting inside each
+branch.  ``kirchhoff_index``, ``vertex_sums`` and
+``kirchhoff_vertex_sum`` take it for trees and unicyclic graphs; only
+``resistance_matrix`` and other graphs build a matrix, and the two
 matrix routes serve as oracles and as the general-graph fallback.
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .graph import (
     DisconnectedError,
@@ -285,18 +292,203 @@ def resistance_matrix_unicyclic(dec: UnicyclicDecomposition) -> ResistanceMatrix
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
     """All-pairs resistances; unicyclic graphs take the closed-form route."""
-    if g.edge_count == g.n and is_connected(g):
+    if g.n >= 3 and g.edge_count == g.n and is_connected(g):
         return resistance_matrix_unicyclic(decompose_unicyclic(g))
     return resistance_matrix_dense(g)
 
 
+class BranchSummary(NamedTuple):
+    """What the invariant kernel needs of one branch tree, rooted at its
+    cycle vertex."""
+
+    size: int
+    depth_sum: int  # hop distances to the root, summed
+    wiener: int  # hop distances over unordered vertex pairs, summed
+    matching: int  # maximum matching of the branch tree
+    root_free: int  # maximum matching that leaves the root unmatched
+
+
+class Invariants(NamedTuple):
+    cycle_length: int
+    matching: int
+    kf: Fraction
+    wiener: Fraction
+
+
+def _subtree_sizes(parents: Sequence[int]) -> list[int]:
+    """Subtree sizes of a rooted tree given as parent positions, where
+    every vertex comes after its parent and the root (position 0) has
+    parent -1."""
+    sub = [1] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        sub[parents[v]] += sub[v]
+    return sub
+
+
+def tree_summary(parents: Sequence[int]) -> BranchSummary:
+    """Summary of a rooted tree in the parent form of ``_subtree_sizes``.
+
+    Every non-root vertex v adds its subtree size to the depth sum and
+    sub(v)(s - sub(v)) to the Wiener number, the pairs its parent edge
+    separates.  The matching comes from the leaf-up recurrence
+    best(v) = free(v) + [some child c has best(c) = free(c)], where
+    free(v), the best with v unmatched, is the sum of best(c).
+    """
+    s = len(parents)
+    sub = _subtree_sizes(parents)
+    free = [0] * s
+    spare = [0] * s  # best(v) - free(v)
+    for v in range(s - 1, 0, -1):
+        p = parents[v]
+        free[p] += free[v] + spare[v]
+        if not spare[v]:
+            spare[p] = 1
+    depth_sum = wiener = 0
+    for x in sub[1:]:
+        depth_sum += x
+        wiener += x * (s - x)
+    return BranchSummary(s, depth_sum, wiener, free[0] + spare[0], free[0])
+
+
+def _cycle_matching_gain(free_roots: list[bool]) -> int:
+    """Maximum matching of the cycle restricted to roots that can be left
+    unmatched at no loss in their branch.
+
+    A cycle edge adds one to the matching exactly when both of its roots
+    are such, so this is the gain the cycle edges bring: k // 2 on a
+    fully free cycle, otherwise half of each free run, rounded down.
+    """
+    k = len(free_roots)
+    if all(free_roots):
+        return k // 2
+    start = free_roots.index(False)
+    gain = run = 0
+    for i in range(start + 1, start + k + 1):
+        if free_roots[i % k]:
+            run += 1
+        else:
+            gain += run // 2
+            run = 0
+    return gain
+
+
+def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
+    """Exact (k, m, Kf, W) of the cycle C_k carrying branch i on its i-th
+    vertex; a single branch (k = 1) is a tree.
+
+    With branch sizes s_i, depth sums D_i, Wiener numbers W_i and n
+    vertices, the resistance of two vertices in branches i and j is
+    their depths plus d(k - d)/k for the cycle gap d (Klein and Randic,
+    "Resistance distance", J. Math. Chem. 12, 1993), so
+
+        Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
+
+    and W is the same sum with min(d, k - d) as the cycle term.  Integer
+    arithmetic throughout, one Fraction at the end; O(n + k^2).
+    """
+    k = len(branches)
+    n = 0
+    for b in branches:
+        n += b.size
+    trees = 0
+    matching = 0
+    for s, d, w, best, _ in branches:
+        trees += w + d * (n - s)
+        matching += best
+    if k == 1:
+        return Invariants(1, matching, Fraction(trees), Fraction(trees))
+    sizes = [b.size for b in branches]
+    cycle = hops = 0
+    for i in range(k - 1):
+        si = sizes[i]
+        for d in range(1, k - i):
+            pair = si * sizes[i + d]
+            cycle += pair * d * (k - d)
+            hops += pair * (d if 2 * d <= k else k - d)
+    matching += _cycle_matching_gain([b.matching == b.root_free for b in branches])
+    return Invariants(k, matching, Fraction(k * trees + cycle, k), Fraction(trees + hops))
+
+
+def _is_tree_or_unicyclic(g: Graph) -> bool:
+    return g.n > 0 and g.edge_count in (g.n - 1, g.n) and is_connected(g)
+
+
+def _bfs_tree(adj, root: int) -> tuple[list[int], list[int]]:
+    """(vertices in BFS order from root, parent position of each)."""
+    order = [root]
+    parents = [-1]
+    seen = {root}
+    for pos, u in enumerate(order):  # order grows while it is scanned
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                parents.append(pos)
+    return order, parents
+
+
+def _branch_trees(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """The branch trees of a tree or unicyclic graph in cycle order, each
+    as ``_bfs_tree`` gives it; a tree is one branch rooted at vertex 0."""
+    if g.edge_count == g.n - 1:
+        return [_bfs_tree(g.adjacency, 0)]
+    dec = decompose_unicyclic(g)
+    return [_bfs_tree(adj, br.root) for br, adj in zip(dec.branches, dec.branch_adjacency)]
+
+
+def graph_invariants(g: Graph) -> Invariants:
+    """``cycle_invariants`` of a tree or a connected unicyclic graph."""
+    if not _is_tree_or_unicyclic(g):
+        raise ValueError("expected a tree or a connected unicyclic graph")
+    return cycle_invariants([tree_summary(parents) for _, parents in _branch_trees(g)])
+
+
+def _kernel_vertex_sums(g: Graph) -> list[Fraction]:
+    """Resistance row sums of a tree or unicyclic graph in O(n + k^2).
+
+    For u at depth h in branch i, Kf_G(u) = S_i(u) + h (n - s_i)
+    + (D - D_i) + sum_{j != i} s_j d(k - d)/k, where D is the total
+    depth sum and S_i(u), u's distance sum inside its branch, follows by
+    rerooting: S(child) = S(parent) + s_i - 2 sub(child).
+    """
+    trees = _branch_trees(g)
+    summaries = [tree_summary(parents) for _, parents in trees]
+    k = len(trees)
+    n = g.n
+    depth_total = sum(b.depth_sum for b in summaries)
+    sums: list[Fraction] = [Fraction(0)] * n
+    for i, ((order, parents), b) in enumerate(zip(trees, summaries)):
+        s = b.size
+        cycle = 0
+        for j, other in enumerate(summaries):
+            d = abs(i - j)
+            cycle += other.size * d * (k - d)
+        base = k * (depth_total - b.depth_sum) + cycle
+        sub = _subtree_sizes(parents)
+        depth = [0] * s
+        within = [b.depth_sum] * s
+        for v in range(1, s):
+            p = parents[v]
+            depth[v] = depth[p] + 1
+            within[v] = within[p] + s - 2 * sub[v]
+        for v, u in enumerate(order):
+            sums[u] = Fraction(k * (within[v] + depth[v] * (n - s)) + base, k)
+    return sums
+
+
 def vertex_sums(g: Graph) -> list[Fraction]:
+    """Resistance row sum of every vertex; linear for trees and unicyclic
+    graphs, a matrix otherwise."""
+    if _is_tree_or_unicyclic(g):
+        return _kernel_vertex_sums(g)
     mat = resistance_matrix(g)
     return [mat.row_sum(u) for u in range(g.n)]
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
     """Sum of effective resistances over unordered vertex pairs."""
+    if _is_tree_or_unicyclic(g):
+        return graph_invariants(g).kf
     mat = resistance_matrix(g)
     total = Fraction(0)
     for u in range(g.n):
@@ -319,6 +511,8 @@ def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:
     """Sum of resistances from u to every vertex."""
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
+    if _is_tree_or_unicyclic(g):
+        return _kernel_vertex_sums(g)[u]
     return resistance_matrix(g).row_sum(u)
 
 

@@ -24,8 +24,10 @@ from importlib import resources
 from .enumeration import (
     CanonicalCode,
     canonical_code,
+    enumerate_codes,
     enumerate_with_codes,
     free_trees,
+    invariants_from_code,
 )
 from .families import (
     FamilySpec,
@@ -38,8 +40,7 @@ from .families import (
     recognize_family,
     unm_kf_closed_form,
 )
-from .graph import Graph, identify_vertices, wiener_index, without_vertices
-from .matching import matching_number
+from .graph import Graph, identify_vertices, without_vertices
 from .rational import format_rational, parse_rational
 from .resistance import (
     kf_identified,
@@ -181,7 +182,7 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as ex:
         return list(ex.map(fn, items))
 
 
@@ -316,8 +317,11 @@ def _perfect_cell(m: int) -> tuple[int, frozenset[CanonicalCode], Fraction]:
 def _argmin_kf(n: int, m: int) -> tuple[frozenset[CanonicalCode], Fraction]:
     best = None
     argmin: list[CanonicalCode] = []
-    for code, g in enumerate_with_codes(n, m):
-        val = kirchhoff_index(g)
+    for code in enumerate_codes(n):
+        inv = invariants_from_code(code)
+        if inv.matching != m:
+            continue
+        val = inv.kf
         if best is None or val < best:
             best, argmin = val, [code]
         elif val == best:
@@ -363,9 +367,8 @@ def suite_extremal_perfect(
 
 def _extremal_cells_at_n(n: int) -> list[tuple[int, int, frozenset[CanonicalCode], Fraction]]:
     per_m: dict[int, tuple[Fraction, list[CanonicalCode]]] = {}
-    for code, g in enumerate_with_codes(n):
-        m = matching_number(g).size
-        val = kirchhoff_index(g)
+    for code in enumerate_codes(n):
+        _, m, val, _ = invariants_from_code(code)
         cur = per_m.get(m)
         if cur is None or val < cur[0]:
             per_m[m] = (val, [code])
@@ -417,7 +420,7 @@ def suite_extremal(
 def _vertex_sum_cells_at_n(n: int) -> list[dict]:
     cells: dict[int, dict] = {}
     for code, g in enumerate_with_codes(n):
-        m = matching_number(g).size
+        m = invariants_from_code(code).matching
         if m < 3:
             continue
         cell = cells.setdefault(
@@ -476,7 +479,7 @@ def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationRep
 def _deletion_cells_at_n(n: int) -> list[dict]:
     cells: dict[int, dict] = {}
     for code, g in enumerate_with_codes(n):
-        m = matching_number(g).size
+        _, m, kf_g, _ = invariants_from_code(code)
         if m < 3:
             continue
         cell = cells.setdefault(
@@ -490,7 +493,6 @@ def _deletion_cells_at_n(n: int) -> list[dict]:
                 "checked": 0,
             },
         )
-        kf_g = kirchhoff_index(g)
         bound1 = Fraction(2 * n + m - 6)
         bound2 = Fraction(5 * n + 2 * m - 19)
         max_deg = max(g.degree(v) for v in range(g.n))
@@ -551,8 +553,8 @@ def _girth_cells_at_n(n: int) -> list[dict]:
     for k in range(3, n):
         best = None
         argmin: list[CanonicalCode] = []
-        for code, g in enumerate_with_codes(n, cycle_length=k):
-            val = kirchhoff_index(g)
+        for code in enumerate_codes(n, cycle_length=k):
+            val = invariants_from_code(code).kf
             if best is None or val < best:
                 best, argmin = val, [code]
             elif val == best:
@@ -734,11 +736,10 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
 
 def _divergence_cells_at_n(n: int) -> list[dict]:
     per_m: dict[int, dict] = {}
-    for code, g in enumerate_with_codes(n):
-        m = matching_number(g).size
+    for code in enumerate_codes(n):
+        _, m, kf, w = invariants_from_code(code)
         cell = per_m.setdefault(m, {"n": n, "m": m})
-        for key, fn in (("kf", kirchhoff_index), ("wiener", wiener_index)):
-            val = fn(g)
+        for key, val in (("kf", kf), ("wiener", w)):
             if key not in cell or val < cell[key][0]:
                 cell[key] = (val, [code])
             elif val == cell[key][0]:

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from unikirch.cli import main
+from unikirch.cli import DENSE_MAX_N, main
 from unikirch.enumeration import canonical_code
-from unikirch.families import make_cycle, make_ukt
+from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import read_graph, write_graph
 
 
@@ -65,6 +66,48 @@ def test_compute_errors(tmp_path, capsys):
     disconnected.write_text("2\n")
     code, _, err = run_cli(capsys, "compute", "--input", str(disconnected))
     assert code == 1 and err
+
+
+def test_compute_huge_vertex_count_without_edges(tmp_path, capsys):
+    # too few edges to connect: refused before anything of size n exists
+    path = tmp_path / "huge.graph"
+    path.write_text("10000000\n")
+    tracemalloc.start()
+    try:
+        code = main(["compute", "--input", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1_000_000
+    assert "disconnected" in capsys.readouterr().err
+
+
+def test_compute_refuses_large_dense_input(tmp_path, capsys):
+    n = DENSE_MAX_N + 1
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
+    path = tmp_path / "bicyclic.graph"
+    path.write_text("\n".join([str(n)] + [f"{u} {v}" for u, v in edges]) + "\n")
+    code, out, err = run_cli(capsys, "compute", "--input", str(path))
+    assert code == 2 and out == ""
+    assert str(DENSE_MAX_N) in err
+
+
+def test_compute_small_bicyclic(tmp_path, capsys):
+    # K4 minus an edge: Laplacian spectrum 0, 2, 4, 4, so Kf = 4 (1/2 + 1/4 + 1/4)
+    path = tmp_path / "diamond.graph"
+    path.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+    assert code == 0
+    assert out == "Kf = 4\n"
+
+
+def test_compute_large_unicyclic(tmp_path, capsys):
+    path = tmp_path / "unm.graph"
+    path.write_text(write_graph(make_unm(10_000, 10)))
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+    assert code == 0
+    assert out == f"Kf = {unm_kf_closed_form(10_000, 10)}\n"
 
 
 def test_construct_to_stdout(capsys):
@@ -166,6 +209,13 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--nope"])
     assert exc.value.code == 2
+
+
+def test_threads_only_on_verify(capsys):
+    for argv in (["enumerate", "--n", "5"], ["extremal", "--n", "8", "--m", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_module_entry_point(tmp_path):

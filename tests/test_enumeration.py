@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,20 +11,28 @@ from oracles import (
 from unikirch.enumeration import (
     CanonicalCode,
     canonical_code,
+    code_parents,
     counts_by_matching,
+    enumerate_codes,
     enumerate_unicyclic,
     enumerate_with_codes,
     extremal_search,
     free_tree_codes,
     free_trees,
     graph_from_code,
+    invariants_from_code,
     rooted_tree_code,
     rooted_tree_codes,
     tree_from_code,
 )
 from unikirch.families import make_cycle, make_ukt
-from unikirch.graph import Graph, make_graph
+from unikirch.graph import Graph, decompose_unicyclic, make_graph, wiener_index
 from unikirch.matching import matching_number
+from unikirch.resistance import (
+    kirchhoff_index_dense,
+    resistance_matrix_unicyclic,
+    vertex_sums,
+)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -132,6 +141,38 @@ def test_enumerate_no_duplicates_and_sorted():
         assert codes == sorted(codes)
 
 
+def test_class_counts_a001429():
+    # connected unicyclic graphs, OEIS A001429; the labelled oracle stops at n = 8
+    for n, count in zip(range(10, 14), (657, 1806, 5026, 13999)):
+        assert sum(1 for _ in enumerate_codes(n)) == count
+
+
+def test_invariants_from_code_match_graph_routes():
+    # every class for n <= 11 (2846 classes) against the independent routes
+    for n in range(3, 12):
+        for code, g in enumerate_with_codes(n):
+            inv = invariants_from_code(code)
+            assert inv.cycle_length == code.cycle_length
+            assert inv.kf == kirchhoff_index_dense(g), code
+            assert inv.wiener == wiener_index(g), code
+            assert inv.matching == matching_number(g).size, code
+            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+            assert vertex_sums(g) == [mat.row_sum(u) for u in range(n)], code
+
+
+def test_invariants_from_code_deep_branch():
+    # C3 with a path of s vertices hanging from one cycle vertex; Kf from
+    # the vertex-identification identity, W and m by hand
+    s = 10_000
+    path = "(" * s + ")" * s
+    inv = invariants_from_code(CanonicalCode(3, (path, "()", "()")))
+    kf_path, w_path = Fraction(s**3 - s, 6), s * (s - 1) * (s + 1) // 6
+    assert inv.kf == 2 + kf_path + (s - 1) * Fraction(4, 3) + s * (s - 1)
+    assert inv.wiener == 3 + w_path + (s - 1) * 2 + s * (s - 1)
+    assert inv.matching == (s + 2) // 2
+    assert code_parents(path) == [-1] + list(range(s - 1))
+
+
 def test_enumerate_partition_over_matching():
     for n in range(3, 10):
         total = sum(1 for _ in enumerate_unicyclic(n))
@@ -163,8 +204,6 @@ def test_enumerated_graphs_are_unicyclic(unicyclic_corpus):
 
 
 def test_extremal_search_examples():
-    from fractions import Fraction
-
     codes, value = extremal_search(8, 4)
     assert value == 42
     assert codes == (canonical_code(make_cycle(8)),)

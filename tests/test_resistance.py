@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_tree_edges
 from unikirch.families import make_cycle, make_path, make_ukt
 from unikirch.graph import (
     DisconnectedError,
@@ -11,9 +13,12 @@ from unikirch.graph import (
     bfs_distances,
     decompose_unicyclic,
     identify_vertices,
+    wiener_index,
 )
+from unikirch.matching import matching_number
 from unikirch.resistance import (
     format_resistance_matrix,
+    graph_invariants,
     kf_cycle,
     kf_identified,
     kfv_cycle,
@@ -186,3 +191,37 @@ def test_disconnected_errors():
         resistance_laplacian(g, 0, 2)
     with pytest.raises(DisconnectedError):
         resistance_forest(g, 0, 2)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 40), st.booleans())
+def test_kernel_matches_dense_on_labelled_graphs(seed, n, tree):
+    rng = random.Random(seed)
+    if tree:
+        g = Graph(n, frozenset(random_tree_edges(rng, n)))
+    else:
+        g = random_connected_graph(rng, max(n, 3), 1)
+    assert kirchhoff_index(g) == kirchhoff_index_dense(g)
+    dense = resistance_matrix_dense(g)
+    assert vertex_sums(g) == [dense.row_sum(u) for u in range(g.n)]
+    inv = graph_invariants(g)
+    assert inv.wiener == wiener_index(g)
+    assert inv.matching == matching_number(g).size
+
+
+def test_kernel_on_a_deep_branch():
+    # C3 with a path of s vertices glued at one end: the merge identity
+    # gives Kf = Kf(C3) + Kf(P_s) + (s - 1) Kf_C3(u) + 2 Kf_P(end)
+    s = 10_000
+    g = identify_vertices(make_cycle(3), 0, make_path(s), 0)
+    expected = 2 + Fraction(s**3 - s, 6) + (s - 1) * Fraction(4, 3) + s * (s - 1)
+    assert kirchhoff_index(g) == expected
+    assert sum(vertex_sums(g)) == 2 * expected
+    assert kirchhoff_vertex_sum(g, g.n - 1) == Fraction(s * (s - 1), 2) + 2 * (s - 1) + Fraction(4, 3)
+    assert kirchhoff_index(make_path(s)) == Fraction(s**3 - s, 6)
+
+
+def test_graph_invariants_rejects_other_graphs():
+    with pytest.raises(ValueError):
+        graph_invariants(Graph(4, frozenset({(0, 1), (2, 3)})))
+    with pytest.raises(ValueError):
+        graph_invariants(Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)})))

@@ -157,6 +157,30 @@ def _square(x):
     return x * x
 
 
+def test_parallel_map_caps_workers_at_items(monkeypatch):
+    import unikirch.verification as verification
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakePool)
+    assert parallel_map(_square, range(3), threads=64) == [0, 1, 4]
+    assert parallel_map(_square, range(9), threads=4) == [x * x for x in range(9)]
+    assert requested == [3, 4]
+
+
 def test_parallel_suite_matches_sequential():
     seq = suite_extremal(n_max=7, identity_n=())
     par = suite_extremal(n_max=7, threads=2, identity_n=())
