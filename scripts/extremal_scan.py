@@ -11,8 +11,8 @@ Usage:
 import argparse
 import sys
 
-from unikirch.enumeration import enumerate_codes, graph_from_code, invariants_from_code
-from unikirch.families import recognize_family
+from unikirch.enumeration import sweep_minima
+from unikirch.families import family_label
 from unikirch.rational import format_rational
 
 
@@ -25,26 +25,11 @@ def main() -> int:
 
     print("n,m,classes,minimum,minimizers")
     for n in range(3, args.max_n + 1):
-        cells: dict[int, dict] = {}
-        for code in enumerate_codes(n):
-            inv = invariants_from_code(code)
-            cell = cells.setdefault(inv.matching, {"count": 0, "best": None, "argmin": []})
-            cell["count"] += 1
-            val = inv.kf if kirchhoff else inv.wiener
-            if cell["best"] is None or val < cell["best"]:
-                cell["best"], cell["argmin"] = val, [code]
-            elif val == cell["best"]:
-                cell["argmin"].append(code)
-        for m in sorted(cells):
-            cell = cells[m]
-            names = []
-            for code in cell["argmin"]:
-                fam = recognize_family(graph_from_code(code))
-                names.append(fam.text() if fam is not None else str(code))
-            print(
-                f"{n},{m},{cell['count']},{format_rational(cell['best'])},"
-                f"{'|'.join(sorted(names))}"
-            )
+        sweep = sweep_minima(n)
+        for m, count in sweep.counts.items():
+            best = (sweep.kf if kirchhoff else sweep.wiener)[m]
+            names = "|".join(sorted(family_label(code) for code in best.codes))
+            print(f"{n},{m},{count},{format_rational(best.value)},{names}")
     return 0
 
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .enumeration import counts_by_matching, enumerate_codes, extremal_search, graph_from_code
-from .families import parse_family_spec, recognize_family
+from .families import family_label, parse_family_spec
 from .graph import GraphParseError, is_connected, read_graph, write_graph, wiener_index
 from .rational import format_rational
 from .resistance import (
@@ -23,6 +23,9 @@ from .verification import SUITE_NAMES, run_suite
 # Graphs that are neither trees nor unicyclic take the dense route, whose
 # rational Gauss-Jordan elimination is cubic: about 5 s at n = 100.
 DENSE_MAX_N = 100
+# --resistance-matrix holds n^2 rationals: about 86 MB and 2 s at
+# n = 1000, so 10^4 vertices would need some 9 GB.
+MATRIX_MAX_N = 1000
 
 
 def _default_threads(args) -> int:
@@ -58,6 +61,13 @@ def _cmd_compute(args) -> int:
         print(
             f"error: {g.n} vertices and {g.edge_count} edges: graphs that are neither "
             f"trees nor unicyclic are limited to {DENSE_MAX_N} vertices",
+            file=sys.stderr,
+        )
+        return 2
+    if args.resistance_matrix and g.n > MATRIX_MAX_N:
+        print(
+            f"error: {g.n} vertices: --resistance-matrix is limited to "
+            f"{MATRIX_MAX_N} vertices",
             file=sys.stderr,
         )
         return 2
@@ -129,10 +139,8 @@ def _cmd_extremal(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for code in codes:
-        fam = recognize_family(graph_from_code(code))
-        label = fam.text() if fam is not None else str(code)
         suffix = f" (~ {_decimal(value)})" if args.decimal else ""
-        print(f"{label}  {format_rational(value)}{suffix}")
+        print(f"{family_label(code)}  {format_rational(value)}{suffix}")
     return 0
 
 

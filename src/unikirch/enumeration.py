@@ -12,7 +12,9 @@ remaining vertices as rooted trees over the cycle positions from a
 memoized table of rooted trees by size, keeps only dihedral-minimal
 sequences, and emits each cycle length's classes in sorted order.
 Sweeps read Kf, W and the matching number straight off the codes with
-``invariants_from_code``; graphs are built only for consumers that need
+``invariants_from_code`` and the vertex-sum row with
+``vertex_sums_from_code``; ``sweep_minima`` caches the per-cell minima
+of one pass per n.  Graphs are built only for consumers that need
 vertex-level data, one class at a time.
 """
 
@@ -23,10 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .graph import Graph, is_connected
-from .resistance import BranchSummary, Invariants, cycle_invariants, tree_summary
+from .graph import Graph, decompose_unicyclic, is_connected
+from .resistance import (
+    BranchSummary,
+    Invariants,
+    bfs_tree,
+    cycle_invariants,
+    cycle_vertex_sums,
+    tree_summary,
+)
 
 _codes_by_size: dict[int, tuple[str, ...]] = {1: ("()",)}
 
@@ -62,16 +71,22 @@ def rooted_tree_codes(size: int) -> tuple[str, ...]:
     return _codes_by_size[size]
 
 
+def _tree_code(adj, root: int) -> str:
+    """Canonical code of the tree on ``adj`` rooted at ``root``, encoded
+    bottom-up over a BFS order, so that depth costs no recursion."""
+    _, parents = bfs_tree(adj, root)
+    kids: list[list[str]] = [[] for _ in parents]
+    for v in range(len(parents) - 1, 0, -1):
+        kids[parents[v]].append("(" + "".join(sorted(kids[v])) + ")")
+        kids[v].clear()  # a long path would otherwise keep every prefix
+    return "(" + "".join(sorted(kids[0])) + ")"
+
+
 def rooted_tree_code(g: Graph, root: int) -> str:
     """Canonical code of a tree rooted at the given vertex."""
     if g.edge_count != g.n - 1 or not is_connected(g):
         raise ValueError("expected a tree")
-
-    def enc(v: int, parent: int) -> str:
-        kids = sorted(enc(w, v) for w in g.adjacency[v] if w != parent)
-        return "(" + "".join(kids) + ")"
-
-    return enc(root, -1)
+    return _tree_code(g.adjacency, root)
 
 
 def code_parents(code: str) -> list[int]:
@@ -134,16 +149,9 @@ def _is_dihedral_min(seq: tuple[str, ...]) -> bool:
 
 def canonical_code(g: Graph) -> CanonicalCode:
     """Canonical code of a unicyclic graph."""
-    from .graph import decompose_unicyclic
-
     dec = decompose_unicyclic(g)
     adjs = dec.branch_adjacency
-
-    def enc(i: int, v: int, parent: int) -> str:
-        kids = sorted(enc(i, w, v) for w in adjs[i][v] if w != parent)
-        return "(" + "".join(kids) + ")"
-
-    seq = tuple(enc(i, br.root, -1) for i, br in enumerate(dec.branches))
+    seq = tuple(_tree_code(adj, br.root) for br, adj in zip(dec.branches, adjs))
     return CanonicalCode(len(dec.cycle), _dihedral_min(seq))
 
 
@@ -176,6 +184,19 @@ def invariants_from_code(code: CanonicalCode) -> Invariants:
     """(k, m, Kf, W) of the class, read off its branch codes without
     building a graph."""
     return cycle_invariants([_branch_summary(c) for c in code.branch_codes])
+
+
+def vertex_sums_from_code(code: CanonicalCode) -> list[Fraction]:
+    """Resistance row sums of ``graph_from_code(code)``, vertex by vertex,
+    without building the graph: cycle vertex i has label i and branch
+    vertices follow in depth-first order, as there."""
+    trees = []
+    nxt = code.cycle_length
+    for i, bc in enumerate(code.branch_codes):
+        parents = code_parents(bc)
+        trees.append(([i, *range(nxt, nxt + len(parents) - 1)], parents))
+        nxt += len(parents) - 1
+    return cycle_vertex_sums(trees, nxt)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -233,13 +254,53 @@ def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
         yield g
 
 
+class Minimum(NamedTuple):
+    """An exact minimum and its argmin classes, in enumeration order."""
+
+    value: Fraction
+    codes: tuple[CanonicalCode, ...]
+
+
+class SweepMinima(NamedTuple):
+    """The classes on n vertices: per matching number the class count and
+    the Kf and W minima, per cycle length the Kf minimum, each keyed in
+    ascending order.  Cached results are shared: do not modify them."""
+
+    n: int
+    counts: dict[int, int]
+    kf: dict[int, Minimum]
+    wiener: dict[int, Minimum]
+    kf_by_cycle: dict[int, Minimum]
+
+
+def _offer(best: dict[int, Minimum], key: int, value: Fraction, code: CanonicalCode) -> None:
+    cur = best.get(key)
+    if cur is None or value < cur.value:
+        best[key] = Minimum(value, (code,))
+    elif value == cur.value:
+        best[key] = Minimum(value, cur.codes + (code,))
+
+
+@lru_cache(maxsize=64)
+def sweep_minima(n: int) -> SweepMinima:
+    """Reduce one pass over the classes on n vertices to their minima.
+    Cached per n; the cache holds the minima only, never a per-class record."""
+    counts: dict[int, int] = {}
+    kf: dict[int, Minimum] = {}
+    wiener: dict[int, Minimum] = {}
+    girth: dict[int, Minimum] = {}
+    for code in enumerate_codes(n):
+        k, m, kf_value, w_value = invariants_from_code(code)
+        counts[m] = counts.get(m, 0) + 1
+        _offer(kf, m, kf_value, code)
+        _offer(wiener, m, w_value, code)
+        _offer(girth, k, kf_value, code)
+    return SweepMinima(n, *(dict(sorted(d.items())) for d in (counts, kf, wiener, girth)))
+
+
 def counts_by_matching(n: int) -> dict[int, int]:
     """Class counts per matching number at fixed vertex count."""
-    out: dict[int, int] = {}
-    for code in enumerate_codes(n):
-        sz = invariants_from_code(code).matching
-        out[sz] = out.get(sz, 0) + 1
-    return dict(sorted(out.items()))
+    return dict(sweep_minima(n).counts)
 
 
 _INVARIANTS = ("kirchhoff", "wiener")
@@ -252,22 +313,11 @@ def extremal_search(
     n vertices and matching number m."""
     if invariant not in _INVARIANTS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    kirchhoff = invariant == "kirchhoff"
-    best: Fraction | None = None
-    argmin: list[CanonicalCode] = []
-    for code in enumerate_codes(n):
-        inv = invariants_from_code(code)
-        if inv.matching != m:
-            continue
-        val = inv.kf if kirchhoff else inv.wiener
-        if best is None or val < best:
-            best = val
-            argmin = [code]
-        elif val == best:
-            argmin.append(code)
+    sweep = sweep_minima(n)
+    best = (sweep.kf if invariant == "kirchhoff" else sweep.wiener).get(m)
     if best is None:
         raise ValueError(f"no unicyclic graphs with n={n}, m={m}")
-    return tuple(argmin), best
+    return best.codes, best.value
 
 
 def free_tree_codes(n: int) -> tuple[str, ...]:

@@ -21,7 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from .enumeration import CanonicalCode, canonical_code, graph_from_code
 from .graph import Graph
 from .rational import format_rational
 from .resistance import kf_cycle, kirchhoff_index, vertex_sums
@@ -293,14 +295,22 @@ def attach_pendants_at_min_vertex(g0: Graph, count: int) -> AttachResult:
     return AttachResult(Graph(g0.n + count, frozenset(edges)), target, argmins)
 
 
+@lru_cache(maxsize=4096)
+def family_label(code: CanonicalCode) -> str:
+    """The family name of a class given by its canonical code, or the code
+    itself when no family fits; memoized, as reports repeat classes."""
+    fam = recognize_family(graph_from_code(code))
+    return fam.text() if fam is not None else str(code)
+
+
 def recognize_family(g: Graph) -> FamilySpec | None:
     """Match a graph against the named families (up to isomorphism).
 
     Candidates are tried in deterministic order: cycle, path, then
     U(k,t,i,j) for ascending (k, t, j).  Returns None when nothing fits.
+    Only U(k,t,i,j) with the graph's cycle length and leaf count are
+    built: it has t + i + j leaves on k + t + i + 2j vertices.
     """
-    from .enumeration import canonical_code
-
     n = g.n
     degs = [g.degree(v) for v in range(n)]
     if g.edge_count == n - 1:
@@ -312,14 +322,13 @@ def recognize_family(g: Graph) -> FamilySpec | None:
     if all(d == 2 for d in degs):
         return FamilySpec("C", (n,))
     code = canonical_code(g)
-    for k in range(3, n + 1):
-        # t = 0 goes last: U(k,0,i,j) with i >= 1 duplicates U(k,1,i-1,j),
-        # and the t >= 1 form is the conventional one
-        for t in (*range(1, min(k, n - k) + 1), 0):
-            rest = n - k - t
-            for j in range(0, rest // 2 + 1):
-                i = rest - 2 * j
-                cand = FamilySpec("U", (k, t, i, j))
-                if canonical_code(cand.build()) == code:
-                    return cand
+    k = code.cycle_length
+    j = n - k - degs.count(1)
+    # t = 0 goes last: U(k,0,i,j) with i >= 1 duplicates U(k,1,i-1,j),
+    # and the t >= 1 form is the conventional one
+    for t in (*range(1, min(k, n - k) + 1), 0):
+        i = n - k - t - 2 * j
+        cand = FamilySpec("U", (k, t, i, j))
+        if i >= 0 and canonical_code(cand.build()) == code:
+            return cand
     return None

@@ -11,11 +11,12 @@ the test suite cross-checks them:
 Whole-graph invariants of trees and unicyclic graphs come from one
 integer kernel, ``cycle_invariants``, which reads a short summary of
 each branch tree and needs no n x n matrix: Kf, W and the matching
-number in O(n + k^2), and the vertex-sum row by rerooting inside each
-branch.  ``kirchhoff_index``, ``vertex_sums`` and
-``kirchhoff_vertex_sum`` take it for trees and unicyclic graphs; only
-``resistance_matrix`` and other graphs build a matrix, and the two
-matrix routes serve as oracles and as the general-graph fallback.
+number in O(n + k) for cycle length k; ``cycle_vertex_sums`` gives the
+vertex-sum row by rerooting inside each branch.  ``kirchhoff_index``,
+``vertex_sums`` and ``kirchhoff_vertex_sum`` take them for trees and
+unicyclic graphs; only ``resistance_matrix`` and other graphs build a
+matrix, and the two matrix routes serve as oracles and as the
+general-graph fallback.
 """
 
 from __future__ import annotations
@@ -383,28 +384,34 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
 
         Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
 
-    and W is the same sum with min(d, k - d) as the cycle term.  Integer
-    arithmetic throughout, one Fraction at the end; O(n + k^2).
+    and W is the same sum with min(d, k - d) as the cycle term.  The cycle
+    terms expand d(k - d) = k d - d^2 over running sums of s_i, i s_i and
+    i^2 s_i; W splits them at d = k/2 with a sliding window.  Integer
+    arithmetic throughout, one Fraction at the end; O(n + k).
     """
     k = len(branches)
-    n = 0
-    for b in branches:
-        n += b.size
-    trees = 0
-    matching = 0
+    sizes = [b.size for b in branches]
+    n = sum(sizes)
+    trees = matching = 0
     for s, d, w, best, _ in branches:
         trees += w + d * (n - s)
         matching += best
     if k == 1:
         return Invariants(1, matching, Fraction(trees), Fraction(trees))
-    sizes = [b.size for b in branches]
+    half = k // 2
     cycle = hops = 0
-    for i in range(k - 1):
-        si = sizes[i]
-        for d in range(1, k - i):
-            pair = si * sizes[i + d]
-            cycle += pair * d * (k - d)
-            hops += pair * (d if 2 * d <= k else k - d)
+    a = b = c = 0  # sums of s_i, i s_i and i^2 s_i over i < j
+    lo = far_a = far_b = 0  # the same two over i < lo, more than k/2 before j
+    for j, s in enumerate(sizes):
+        while j - lo > half:
+            far_a += sizes[lo]
+            far_b += lo * sizes[lo]
+            lo += 1
+        cycle += s * (k * (j * a - b) - (j * j * a - 2 * j * b + c))
+        hops += s * (j * (a - far_a) - b + far_b + (k - j) * far_a + far_b)
+        a += s
+        b += j * s
+        c += j * j * s
     matching += _cycle_matching_gain([b.matching == b.root_free for b in branches])
     return Invariants(k, matching, Fraction(k * trees + cycle, k), Fraction(trees + hops))
 
@@ -413,7 +420,7 @@ def _is_tree_or_unicyclic(g: Graph) -> bool:
     return g.n > 0 and g.edge_count in (g.n - 1, g.n) and is_connected(g)
 
 
-def _bfs_tree(adj, root: int) -> tuple[list[int], list[int]]:
+def bfs_tree(adj, root: int) -> tuple[list[int], list[int]]:
     """(vertices in BFS order from root, parent position of each)."""
     order = [root]
     parents = [-1]
@@ -429,11 +436,11 @@ def _bfs_tree(adj, root: int) -> tuple[list[int], list[int]]:
 
 def _branch_trees(g: Graph) -> list[tuple[list[int], list[int]]]:
     """The branch trees of a tree or unicyclic graph in cycle order, each
-    as ``_bfs_tree`` gives it; a tree is one branch rooted at vertex 0."""
+    as ``bfs_tree`` gives it; a tree is one branch rooted at vertex 0."""
     if g.edge_count == g.n - 1:
-        return [_bfs_tree(g.adjacency, 0)]
+        return [bfs_tree(g.adjacency, 0)]
     dec = decompose_unicyclic(g)
-    return [_bfs_tree(adj, br.root) for br, adj in zip(dec.branches, dec.branch_adjacency)]
+    return [bfs_tree(adj, br.root) for br, adj in zip(dec.branches, dec.branch_adjacency)]
 
 
 def graph_invariants(g: Graph) -> Invariants:
@@ -443,35 +450,44 @@ def graph_invariants(g: Graph) -> Invariants:
     return cycle_invariants([tree_summary(parents) for _, parents in _branch_trees(g)])
 
 
-def _kernel_vertex_sums(g: Graph) -> list[Fraction]:
-    """Resistance row sums of a tree or unicyclic graph in O(n + k^2).
+def cycle_vertex_sums(
+    trees: Sequence[tuple[Sequence[int], Sequence[int]]], n: int
+) -> list[Fraction]:
+    """Resistance row sums, in O(n + k), of the n-vertex cycle C_k that
+    carries tree i on its i-th vertex; one tree (k = 1) is a tree graph.
+    Each tree is (labels, parents): its vertices' row positions and the
+    parent form of ``_subtree_sizes``.
 
-    For u at depth h in branch i, Kf_G(u) = S_i(u) + h (n - s_i)
+    For u at depth h in tree i, Kf_G(u) = S_i(u) + h (n - s_i)
     + (D - D_i) + sum_{j != i} s_j d(k - d)/k, where D is the total
-    depth sum and S_i(u), u's distance sum inside its branch, follows by
-    rerooting: S(child) = S(parent) + s_i - 2 sub(child).
+    depth sum and S_i(u), u's distance sum inside its tree, follows by
+    rerooting: S(child) = S(parent) + s_i - 2 sub(child).  With running
+    sums a and b of s_j and j s_j over j < i, sum_j s_j |i - j| is
+    2(i a - b) + sum_j j s_j - i n.
     """
-    trees = _branch_trees(g)
-    summaries = [tree_summary(parents) for _, parents in trees]
     k = len(trees)
-    n = g.n
-    depth_total = sum(b.depth_sum for b in summaries)
+    subs = [_subtree_sizes(parents) for _, parents in trees]
+    sizes = [len(sub) for sub in subs]
+    depth_sums = [sum(sub) - len(sub) for sub in subs]
+    depth_total = sum(depth_sums)
+    s1 = sum(i * s for i, s in enumerate(sizes))
+    s2 = sum(i * i * s for i, s in enumerate(sizes))
     sums: list[Fraction] = [Fraction(0)] * n
-    for i, ((order, parents), b) in enumerate(zip(trees, summaries)):
-        s = b.size
-        cycle = 0
-        for j, other in enumerate(summaries):
-            d = abs(i - j)
-            cycle += other.size * d * (k - d)
-        base = k * (depth_total - b.depth_sum) + cycle
-        sub = _subtree_sizes(parents)
+    a = b = 0
+    for i, ((labels, parents), sub) in enumerate(zip(trees, subs)):
+        s = sizes[i]
+        gaps = 2 * (i * a - b) + s1 - i * n  # sum_j s_j |i - j|
+        squares = i * i * n - 2 * i * s1 + s2  # sum_j s_j (i - j)^2
+        base = k * (depth_total - depth_sums[i] + gaps) - squares
+        a += s
+        b += i * s
         depth = [0] * s
-        within = [b.depth_sum] * s
+        within = [depth_sums[i]] * s
         for v in range(1, s):
             p = parents[v]
             depth[v] = depth[p] + 1
             within[v] = within[p] + s - 2 * sub[v]
-        for v, u in enumerate(order):
+        for v, u in enumerate(labels):
             sums[u] = Fraction(k * (within[v] + depth[v] * (n - s)) + base, k)
     return sums
 
@@ -480,7 +496,7 @@ def vertex_sums(g: Graph) -> list[Fraction]:
     """Resistance row sum of every vertex; linear for trees and unicyclic
     graphs, a matrix otherwise."""
     if _is_tree_or_unicyclic(g):
-        return _kernel_vertex_sums(g)
+        return cycle_vertex_sums(_branch_trees(g), g.n)
     mat = resistance_matrix(g)
     return [mat.row_sum(u) for u in range(g.n)]
 
@@ -511,9 +527,7 @@ def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:
     """Sum of resistances from u to every vertex."""
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
-    if _is_tree_or_unicyclic(g):
-        return _kernel_vertex_sums(g)[u]
-    return resistance_matrix(g).row_sum(u)
+    return vertex_sums(g)[u]
 
 
 def kf_identified(

@@ -20,6 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
+from typing import Iterator
 
 from .enumeration import (
     CanonicalCode,
@@ -27,27 +29,30 @@ from .enumeration import (
     enumerate_codes,
     enumerate_with_codes,
     free_trees,
+    graph_from_code,
     invariants_from_code,
+    sweep_minima,
+    vertex_sums_from_code,
 )
 from .families import (
     FamilySpec,
+    family_label,
     girth_min_kf,
     make_cycle,
     make_ukt,
     make_unm,
     predicted_min,
     predicted_min_perfect,
-    recognize_family,
     unm_kf_closed_form,
 )
-from .graph import Graph, identify_vertices, without_vertices
+from .graph import Graph, identify_vertices
+from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
     kf_identified,
     kirchhoff_index,
     kirchhoff_vertex_sum,
     resistance_matrix,
-    vertex_sums,
 )
 
 IDENTITY_NOTE = (
@@ -165,17 +170,7 @@ def _spec_codes(specs: tuple[FamilySpec, ...]) -> frozenset[CanonicalCode]:
 
 
 def _pretty_codes(codes) -> str:
-    names = []
-    for c in sorted(codes):
-        fam = recognize_family(_build_code(c))
-        names.append(fam.text() if fam is not None else str(c))
-    return "{" + ", ".join(sorted(names)) + "}"
-
-
-def _build_code(code: CanonicalCode) -> Graph:
-    from .enumeration import graph_from_code
-
-    return graph_from_code(code)
+    return "{" + ", ".join(sorted(family_label(c) for c in codes)) + "}"
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -309,28 +304,6 @@ def suite_tables_nm() -> VerificationReport:
     return report
 
 
-def _perfect_cell(m: int) -> tuple[int, frozenset[CanonicalCode], Fraction]:
-    codes, value = _argmin_kf(2 * m, m)
-    return m, codes, value
-
-
-def _argmin_kf(n: int, m: int) -> tuple[frozenset[CanonicalCode], Fraction]:
-    best = None
-    argmin: list[CanonicalCode] = []
-    for code in enumerate_codes(n):
-        inv = invariants_from_code(code)
-        if inv.matching != m:
-            continue
-        val = inv.kf
-        if best is None or val < best:
-            best, argmin = val, [code]
-        elif val == best:
-            argmin.append(code)
-    if best is None:
-        raise ValueError(f"no unicyclic graphs with n={n}, m={m}")
-    return frozenset(argmin), best
-
-
 def suite_extremal_perfect(
     m_max: int = 6,
     threads: int = 1,
@@ -340,8 +313,9 @@ def suite_extremal_perfect(
     the predicted minimizer, which must also be unique."""
     report = VerificationReport("extremal-perfect", 0)
     rec = _Recorder(report)
-    results = parallel_map(_perfect_cell, range(2, m_max + 1), threads)
-    for m, codes, value in results:
+    for sweep in parallel_map(sweep_minima, range(4, 2 * m_max + 1, 2), threads):
+        m = sweep.n // 2
+        codes, value = frozenset(sweep.kf[m].codes), sweep.kf[m].value
         pred = predicted_min_perfect(m)
         expected_codes = _spec_codes(pred.minimizers)
         ok = codes == expected_codes and value == pred.value and len(codes) == 1
@@ -365,20 +339,6 @@ def suite_extremal_perfect(
     return report
 
 
-def _extremal_cells_at_n(n: int) -> list[tuple[int, int, frozenset[CanonicalCode], Fraction]]:
-    per_m: dict[int, tuple[Fraction, list[CanonicalCode]]] = {}
-    for code in enumerate_codes(n):
-        _, m, val, _ = invariants_from_code(code)
-        cur = per_m.get(m)
-        if cur is None or val < cur[0]:
-            per_m[m] = (val, [code])
-        elif val == cur[0]:
-            cur[1].append(code)
-    return [
-        (n, m, frozenset(codes), value) for m, (value, codes) in sorted(per_m.items())
-    ]
-
-
 def suite_extremal(
     n_max: int = 12,
     threads: int = 1,
@@ -388,10 +348,12 @@ def suite_extremal(
     versus the predicted minimizer set, compared as isomorphism classes."""
     report = VerificationReport("extremal", 0)
     rec = _Recorder(report)
-    for cells in parallel_map(_extremal_cells_at_n, range(4, n_max + 1), threads):
-        for n, m, codes, value in cells:
+    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+        n = sweep.n
+        for m, best in sweep.kf.items():
             if m < 2:
                 continue
+            codes, value = frozenset(best.codes), best.value
             pred = predicted_min(n, m)
             expected_codes = _spec_codes(pred.minimizers)
             ok = codes == expected_codes and value == pred.value
@@ -419,7 +381,7 @@ def suite_extremal(
 
 def _vertex_sum_cells_at_n(n: int) -> list[dict]:
     cells: dict[int, dict] = {}
-    for code, g in enumerate_with_codes(n):
+    for code in enumerate_codes(n):
         m = invariants_from_code(code).matching
         if m < 3:
             continue
@@ -428,10 +390,11 @@ def _vertex_sum_cells_at_n(n: int) -> list[dict]:
         )
         cell["graphs"] += 1
         bound = Fraction(n + m - 4)
-        for u, s in enumerate(vertex_sums(g)):
+        for u, s in enumerate(vertex_sums_from_code(code)):
             if s < bound:
                 cell["violations"] += 1
             elif s == bound:
+                g = graph_from_code(code)
                 degs = [g.degree(v) for v in range(g.n)]
                 cell["equalities"].append(
                     {
@@ -476,10 +439,27 @@ def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationRep
     return report
 
 
+def _pendant_differences(
+    g: Graph, row: list[Fraction]
+) -> Iterator[tuple[int, int, Fraction, Fraction | None]]:
+    """(x, y, Kf(G) - Kf(G-x), Kf(G) - Kf(G-x-y) or None unless y has
+    degree 2) for every pendant vertex x of G and its neighbour y.
+
+    Deleting a pendant vertex or path leaves the other resistances as they
+    were (Klein and Randic 1993), so the differences come from G's row
+    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
+    """
+    for x in range(g.n):
+        if g.degree(x) == 1:
+            y = g.adjacency[x][0]
+            pair = row[x] + row[y] - 1 if g.degree(y) == 2 else None
+            yield x, y, row[x], pair
+
+
 def _deletion_cells_at_n(n: int) -> list[dict]:
     cells: dict[int, dict] = {}
-    for code, g in enumerate_with_codes(n):
-        _, m, kf_g, _ = invariants_from_code(code)
+    for code in enumerate_codes(n):
+        m = invariants_from_code(code).matching
         if m < 3:
             continue
         cell = cells.setdefault(
@@ -495,21 +475,17 @@ def _deletion_cells_at_n(n: int) -> list[dict]:
         )
         bound1 = Fraction(2 * n + m - 6)
         bound2 = Fraction(5 * n + 2 * m - 19)
+        g = graph_from_code(code)
         max_deg = max(g.degree(v) for v in range(g.n))
-        for x in range(g.n):
-            if g.degree(x) != 1:
-                continue
-            y = g.adjacency[x][0]
+        for _, y, diff1, diff2 in _pendant_differences(g, vertex_sums_from_code(code)):
             cell["checked"] += 1
-            diff1 = kf_g - kirchhoff_index(without_vertices(g, [x]))
             if diff1 < bound1:
                 cell["violations"] += 1
             elif diff1 == bound1:
                 cell["eq_single"].append(
                     {"code": code, "x_at_max_degree": g.degree(y) == max_deg}
                 )
-            if g.degree(y) == 2:
-                diff2 = kf_g - kirchhoff_index(without_vertices(g, [x, y]))
+            if diff2 is not None:
                 if diff2 < bound2:
                     cell["violations"] += 1
                 elif diff2 == bound2:
@@ -548,38 +524,26 @@ def suite_deletion_bounds(n_max: int = 10, threads: int = 1) -> VerificationRepo
     return report
 
 
-def _girth_cells_at_n(n: int) -> list[dict]:
-    out = []
-    for k in range(3, n):
-        best = None
-        argmin: list[CanonicalCode] = []
-        for code in enumerate_codes(n, cycle_length=k):
-            val = invariants_from_code(code).kf
-            if best is None or val < best:
-                best, argmin = val, [code]
-            elif val == best:
-                argmin.append(code)
-        out.append({"n": n, "k": k, "value": best, "codes": frozenset(argmin)})
-    return out
-
-
 def suite_girth_minima(n_max: int = 9, threads: int = 1) -> VerificationReport:
     """Per (n, k): the minimum Kf over n-vertex unicyclic graphs with
     cycle length k must be the closed-form bound, attained uniquely at
     U(k,1,n-k-1,0)."""
     report = VerificationReport("girth-minima", 0)
     rec = _Recorder(report)
-    for cells in parallel_map(_girth_cells_at_n, range(4, n_max + 1), threads):
-        for cell in cells:
-            n, k = cell["n"], cell["k"]
+    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+        n = sweep.n
+        for k, best in sweep.kf_by_cycle.items():
+            if k == n:  # the claim is for k < n; k = n is C_n alone
+                continue
+            codes = frozenset(best.codes)
             expected_value = girth_min_kf(n, k)
             expected_codes = frozenset([canonical_code(make_ukt(k, 1, n - k - 1, 0))])
-            ok = cell["value"] == expected_value and cell["codes"] == expected_codes
+            ok = best.value == expected_value and codes == expected_codes
             rec.add(
                 f"cell:n={n},k={k}",
                 {"n": n, "k": k},
                 f"U({k},1,{n - k - 1},0) = {format_rational(expected_value)} (unique)",
-                f"{_pretty_codes(cell['codes'])} = {format_rational(cell['value'])}",
+                f"{_pretty_codes(codes)} = {format_rational(best.value)}",
                 ok,
             )
     return report
@@ -652,16 +616,14 @@ def suite_cycle_placements() -> VerificationReport:
             sigma,
         )
         by_kt.setdefault((k, len(positions)), set()).add(_placement_canon(k, positions))
-    from itertools import combinations
-
-    from .matching import has_perfect_matching
-
     for (k, t), expected_count in _PLACEMENT_CLASS_COUNTS.items():
+        seen: set[tuple[int, ...]] = set()
         feasible: set[tuple[int, ...]] = set()
         for subset in combinations(range(k), t):
             canon = _placement_canon(k, subset)
-            if canon in feasible:
+            if canon in seen:
                 continue
+            seen.add(canon)
             if has_perfect_matching(_pendant_placement_graph(k, canon)):
                 feasible.add(canon)
         rec.add(
@@ -734,36 +696,23 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     return report
 
 
-def _divergence_cells_at_n(n: int) -> list[dict]:
-    per_m: dict[int, dict] = {}
-    for code in enumerate_codes(n):
-        _, m, kf, w = invariants_from_code(code)
-        cell = per_m.setdefault(m, {"n": n, "m": m})
-        for key, val in (("kf", kf), ("wiener", w)):
-            if key not in cell or val < cell[key][0]:
-                cell[key] = (val, [code])
-            elif val == cell[key][0]:
-                cell[key][1].append(code)
-    return [per_m[m] for m in sorted(per_m)]
-
-
 def suite_wiener_divergence(n_max: int = 12, threads: int = 1) -> VerificationReport:
     """Compare the Kirchhoff and Wiener argmin sets cell by cell; the
     sweep must contain at least one cell where they differ."""
     report = VerificationReport("wiener-divergence", 0)
     rec = _Recorder(report)
     any_differ = False
-    for cells in parallel_map(_divergence_cells_at_n, range(4, n_max + 1), threads):
-        for cell in cells:
-            if cell["m"] < 2:
+    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+        for m, best in sweep.kf.items():
+            if m < 2:
                 continue
-            kf_codes = frozenset(cell["kf"][1])
-            w_codes = frozenset(cell["wiener"][1])
+            kf_codes = frozenset(best.codes)
+            w_codes = frozenset(sweep.wiener[m].codes)
             differ = kf_codes != w_codes
             any_differ = any_differ or differ
             rec.add(
-                f"cell:n={cell['n']},m={cell['m']}",
-                {"n": cell["n"], "m": cell["m"]},
+                f"cell:n={sweep.n},m={m}",
+                {"n": sweep.n, "m": m},
                 "recorded",
                 f"kirchhoff {_pretty_codes(kf_codes)} vs wiener "
                 f"{_pretty_codes(w_codes)}: {'differ' if differ else 'same'}",

@@ -156,3 +156,30 @@ def rooted_tree_classes_bruteforce(n: int) -> int:
                     best = cand
             classes.add(best)
     return len(classes)
+
+
+def argmin_by_cell(records) -> dict:
+    """{cell: (minimum, items attaining it in input order)} over a list of
+    (cell, value, item) records, keyed in ascending cell order: the
+    minimum of each cell first, then a filter over every record."""
+    values: dict = {}
+    for cell, value, _ in records:
+        values.setdefault(cell, []).append(value)
+    out = {}
+    for cell in sorted(values):
+        best = min(values[cell])
+        out[cell] = (best, [item for c, v, item in records if c == cell and v == best])
+    return out
+
+
+def cycle_terms_pairwise(sizes) -> tuple[int, int]:
+    """k Kf and W cycle terms of branches of the given sizes on C_k, pair by
+    pair: sum_{i<j} s_i s_j d(k - d) and sum_{i<j} s_i s_j min(d, k - d)."""
+    k = len(sizes)
+    cycle = hops = 0
+    for i in range(k - 1):
+        for d in range(1, k - i):
+            pair = sizes[i] * sizes[i + d]
+            cycle += pair * d * (k - d)
+            hops += pair * min(d, k - d)
+    return cycle, hops

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from unikirch.cli import DENSE_MAX_N, main
+from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import read_graph, write_graph
@@ -91,6 +91,17 @@ def test_compute_refuses_large_dense_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", "--input", str(path))
     assert code == 2 and out == ""
     assert str(DENSE_MAX_N) in err
+
+
+def test_compute_refuses_large_resistance_matrix(tmp_path, capsys):
+    n = MATRIX_MAX_N + 1
+    path = tmp_path / "cycle.graph"
+    path.write_text(write_graph(make_cycle(n)))
+    code, out, err = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
+    assert code == 2 and out == ""
+    assert str(MATRIX_MAX_N) in err
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+    assert code == 0 and out == f"Kf = {(n**3 - n) // 12}\n"
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     all_labeled_trees,
+    argmin_by_cell,
     labeled_unicyclic_classes,
     rooted_tree_classes_bruteforce,
 )
@@ -23,12 +24,21 @@ from unikirch.enumeration import (
     invariants_from_code,
     rooted_tree_code,
     rooted_tree_codes,
+    sweep_minima,
     tree_from_code,
+    vertex_sums_from_code,
 )
-from unikirch.families import make_cycle, make_ukt
-from unikirch.graph import Graph, decompose_unicyclic, make_graph, wiener_index
+from unikirch.families import make_cycle, make_path, make_ukt, recognize_family
+from unikirch.graph import (
+    Graph,
+    decompose_unicyclic,
+    identify_vertices,
+    make_graph,
+    wiener_index,
+)
 from unikirch.matching import matching_number
 from unikirch.resistance import (
+    graph_invariants,
     kirchhoff_index_dense,
     resistance_matrix_unicyclic,
     vertex_sums,
@@ -171,6 +181,43 @@ def test_invariants_from_code_deep_branch():
     assert inv.wiener == 3 + w_path + (s - 1) * 2 + s * (s - 1)
     assert inv.matching == (s + 2) // 2
     assert code_parents(path) == [-1] + list(range(s - 1))
+
+
+def test_codes_of_a_deep_branch():
+    # a branch deeper than the interpreter's recursion limit
+    s = 2000
+    g = identify_vertices(make_cycle(3), 0, make_path(s), 0)
+    path = "(" * s + ")" * s
+    code = canonical_code(g)
+    assert code == CanonicalCode(3, (path, "()", "()"))
+    assert invariants_from_code(code) == graph_invariants(g)
+    assert recognize_family(g) is None
+    assert rooted_tree_code(make_path(s), 0) == path
+
+
+def test_sweep_minima_matches_bruteforce_argmin():
+    for n in range(3, 12):
+        records = [(code, invariants_from_code(code)) for code in enumerate_codes(n)]
+        sweep = sweep_minima(n)
+        assert sweep.n == n
+        by_m = sorted(inv.matching for _, inv in records)
+        assert sweep.counts == {m: by_m.count(m) for m in sorted(set(by_m))}
+        assert list(sweep.counts) == sorted(sweep.counts)
+        cells = (
+            (sweep.kf, [(inv.matching, inv.kf, code) for code, inv in records]),
+            (sweep.wiener, [(inv.matching, inv.wiener, code) for code, inv in records]),
+            (sweep.kf_by_cycle, [(inv.cycle_length, inv.kf, code) for code, inv in records]),
+        )
+        for table, cell_records in cells:
+            got = {key: (best.value, list(best.codes)) for key, best in table.items()}
+            expected = argmin_by_cell(cell_records)
+            assert list(got.items()) == list(expected.items()), n
+
+
+def test_vertex_sums_from_code_match_graph_route():
+    for n in range(3, 12):
+        for code, g in enumerate_with_codes(n):
+            assert vertex_sums_from_code(code) == vertex_sums(g), code
 
 
 def test_enumerate_partition_over_matching():

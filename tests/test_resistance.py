@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_tree_edges
-from unikirch.families import make_cycle, make_path, make_ukt
+from oracles import cycle_terms_pairwise
+from unikirch.families import (
+    central_vertex,
+    make_cycle,
+    make_path,
+    make_ukt,
+    ukt_central_vertex_sum,
+    ukt_kf_closed_form,
+)
 from unikirch.graph import (
     DisconnectedError,
     Graph,
@@ -17,6 +25,8 @@ from unikirch.graph import (
 )
 from unikirch.matching import matching_number
 from unikirch.resistance import (
+    BranchSummary,
+    cycle_invariants,
     format_resistance_matrix,
     graph_invariants,
     kf_cycle,
@@ -30,6 +40,7 @@ from unikirch.resistance import (
     resistance_laplacian,
     resistance_matrix,
     resistance_matrix_dense,
+    resistance_matrix_unicyclic,
     resistance_unicyclic,
     separating_forest_count,
     spanning_tree_count,
@@ -225,3 +236,34 @@ def test_graph_invariants_rejects_other_graphs():
         graph_invariants(Graph(4, frozenset({(0, 1), (2, 3)})))
     with pytest.raises(ValueError):
         graph_invariants(Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)})))
+
+
+def test_cycle_terms_match_pairwise_formula():
+    rng = random.Random(7)
+    for _ in range(300):
+        sizes = [rng.randint(1, 9) for _ in range(rng.randint(2, 60))]
+        cycle, hops = cycle_terms_pairwise(sizes)
+        inv = cycle_invariants([BranchSummary(s, 0, 0, 0, 0) for s in sizes])
+        assert inv.kf == Fraction(cycle, len(sizes)) and inv.wiener == hops, sizes
+    for _ in range(8):
+        # a star of random size on each cycle vertex; the unicyclic matrix
+        # route sums every pair's resistance
+        k = rng.randint(3, 60)
+        edges = set(make_cycle(k).edges)
+        n = k
+        for i in range(k):
+            for _ in range(rng.randint(0, 3)):
+                edges.add((i, n))
+                n += 1
+        g = Graph(n, frozenset(edges))
+        mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+        assert vertex_sums(g) == [mat.row_sum(u) for u in range(n)]
+
+
+def test_long_cycles_match_closed_forms():
+    k = 3000
+    for t in (0, 1, 2, 7):
+        g = make_ukt(k, t, 0, 0)
+        assert kirchhoff_index(g) == ukt_kf_closed_form(k, t)
+        if t:
+            assert vertex_sums(g)[central_vertex(k, t)] == ukt_central_vertex_sum(k, t)

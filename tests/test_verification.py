@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from unikirch.enumeration import enumerate_with_codes, vertex_sums_from_code
+from unikirch.graph import without_vertices
+from unikirch.resistance import kirchhoff_index
 from unikirch.verification import (
     VerificationReport,
+    _pendant_differences,
     candidate_rows,
     load_nm_tables,
     load_table_rows,
@@ -212,3 +216,19 @@ def test_run_all_contains_every_suite():
         "merge-identity",
         "wiener-divergence",
     ]
+
+
+def test_pendant_differences_match_deletions():
+    # every pendant vertex and every pendant path of every class, n <= 10
+    for n in range(3, 11):
+        for code, g in enumerate_with_codes(n):
+            kf = kirchhoff_index(g)
+            found = []
+            for x, y, single, pair in _pendant_differences(g, vertex_sums_from_code(code)):
+                found.append(x)
+                assert single == kf - kirchhoff_index(without_vertices(g, [x])), code
+                if g.degree(y) == 2:
+                    assert pair == kf - kirchhoff_index(without_vertices(g, [x, y])), code
+                else:
+                    assert pair is None
+            assert found == [v for v in range(n) if g.degree(v) == 1]
