@@ -3,8 +3,7 @@
 Fraction already guarantees the representation we rely on everywhere:
 lowest terms, strictly positive denominator, zero stored as 0/1.  This
 module adds the strict text format used in all reports and CLI output
-("p/q" in lowest terms, or just "p" when the denominator is 1) and a
-small explicit functional surface for the four field operations.
+("p/q" in lowest terms, or just "p" when the denominator is 1).
 """
 
 from __future__ import annotations
@@ -37,20 +36,3 @@ def format_rational(x: Fraction) -> str:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def sub(a: Fraction, b: Fraction) -> Fraction:
-    return a - b
-
-
-def mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
-def div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise ZeroDivisionError("division of a rational by zero")
-    return a / b

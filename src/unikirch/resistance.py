@@ -3,7 +3,9 @@
 Three independent routes give the resistance between two vertices, and
 the test suite cross-checks them:
 
-* a grounded-Laplacian linear solve over rationals,
+* a grounded-Laplacian linear solve: one fraction-free (Bareiss)
+  Gauss-Jordan elimination over the integers, ``_fraction_free_solve``,
+  with a single division into a Fraction per output value,
 * spanning-tree / separating-forest counting via integer determinants,
 * the series closed form on a unicyclic decomposition (tree distance
   into the cycle, cycle resistance d(k-d)/k, tree distance out).
@@ -14,9 +16,10 @@ each branch tree and needs no n x n matrix: Kf, W and the matching
 number in O(n + k) for cycle length k; ``cycle_vertex_sums`` gives the
 vertex-sum row by rerooting inside each branch.  ``kirchhoff_index``,
 ``vertex_sums`` and ``kirchhoff_vertex_sum`` take them for trees and
-unicyclic graphs; only ``resistance_matrix`` and other graphs build a
-matrix, and the two matrix routes serve as oracles and as the
-general-graph fallback.
+unicyclic graphs.  Other graphs take the Laplacian route: the same
+elimination gives Kf and the vertex sums from traces and row sums of the
+integer inverse, and only ``resistance_matrix`` builds an n x n matrix.
+The Laplacian and forest routes also serve as oracles.
 """
 
 from __future__ import annotations
@@ -122,33 +125,55 @@ def resistance_forest(g: Graph, u: int, v: int) -> Fraction:
     return Fraction(separating_forest_count(g, u, v), trees)
 
 
-def _solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over rationals; raises on a singular system."""
-    n = len(a)
-    a = [row[:] for row in a]
-    b = b[:]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _fraction_free_solve(
+    a: list[list[int]], b: list[list[int]]
+) -> tuple[int, list[list[int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [A | B] over
+    the integers: (d, X) with A X = d B, where d, the last pivot, is
+    +-det A.  Raises on a singular A.
+
+    Step k replaces every row r other than the pivot row by
+    (p_k r - r_k row_k) / p_{k-1}, an exact division, so A becomes d I
+    and B becomes X; the eliminated columns are dropped as it goes.
+    """
+    m = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if rows[r][0] != 0), None)
         if pivot is None:
             raise DisconnectedError("singular Laplacian system")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        p, *top = rows[k]
+        for r in range(m):
+            if r == k:
+                rows[r] = top
                 continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-            b[r] -= f * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = b[r]
-        for c in range(r + 1, n):
-            s -= a[r][c] * x[c]
-        x[r] = s / a[r][r]
-    return x
+            f, *row = rows[r]
+            if f:
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                rows[r] = [p * x // prev for x in row]
+        prev = p
+    return prev, rows
+
+
+def _grounded_laplacian(g: Graph, ground: int) -> tuple[list[int], list[list[int]]]:
+    """(the other vertices, the Laplacian with ground's row and column dropped)."""
+    idx = [w for w in range(g.n) if w != ground]
+    lap = _laplacian_int(g)
+    return idx, [[lap[r][c] for c in idx] for r in idx]
+
+
+def _grounded_inverse(g: Graph, ground: int = 0) -> tuple[list[int], int, list[list[int]]]:
+    """(the other vertices, d, X) with X / d the inverse of the grounded
+    Laplacian; d is the number of spanning trees."""
+    if not is_connected(g):
+        raise DisconnectedError("resistance of a disconnected graph")
+    idx, a = _grounded_laplacian(g, ground)
+    m = len(idx)
+    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
+    return idx, d, x
 
 
 def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
@@ -164,19 +189,17 @@ def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
         return Fraction(0)
     if not is_connected(g):
         raise DisconnectedError("resistance of a disconnected graph")
-    idx = [w for w in range(g.n) if w != ground]
+    idx, a = _grounded_laplacian(g, ground)
+    b = [[0] for _ in idx]
     pos = {w: i for i, w in enumerate(idx)}
-    lap = _laplacian_int(g)
-    a = [[Fraction(lap[r][c]) for c in idx] for r in idx]
-    b = [Fraction(0)] * len(idx)
     if u != ground:
-        b[pos[u]] = Fraction(1)
+        b[pos[u]][0] = 1
     if v != ground:
-        b[pos[v]] = Fraction(-1)
-    x = _solve(a, b)
-    pot_u = x[pos[u]] if u != ground else Fraction(0)
-    pot_v = x[pos[v]] if v != ground else Fraction(0)
-    return pot_u - pot_v
+        b[pos[v]][0] = -1
+    d, x = _fraction_free_solve(a, b)
+    pot_u = x[pos[u]][0] if u != ground else 0
+    pot_v = x[pos[v]][0] if v != ground else 0
+    return Fraction(pot_u - pot_v, d)
 
 
 def resistance_unicyclic(dec: UnicyclicDecomposition, u: int, v: int) -> Fraction:
@@ -219,38 +242,16 @@ def format_resistance_matrix(mat: ResistanceMatrix) -> str:
 
 
 def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
-    """All-pairs resistances from the inverse of the grounded Laplacian."""
-    if not is_connected(g):
-        raise DisconnectedError("resistance matrix of a disconnected graph")
+    """All-pairs resistances from the inverse M of the grounded Laplacian:
+    R(u, v) = M_uu + M_vv - 2 M_uv (Klein and Randic 1993)."""
     n = g.n
-    if n == 1:
-        return ResistanceMatrix(1, ((Fraction(0),),))
-    idx = [w for w in range(n) if w != ground]
-    lap = _laplacian_int(g)
-    a = [[Fraction(lap[r][c]) for c in idx] for r in idx]
-    m = len(idx)
-    inv = [[Fraction(i == j) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    full = [[Fraction(0)] * n for _ in range(n)]
-    for i, w in enumerate(idx):
-        for j, x in enumerate(idx):
-            full[w][x] = inv[i][j]
+    _, d, x = _grounded_inverse(g, ground)
+    full = [row[:ground] + [0] + row[ground:] for row in x]
+    full.insert(ground, [0] * n)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            r = full[u][u] + full[v][v] - 2 * full[u][v]
+            r = Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)
             rows[u][v] = r
             rows[v][u] = r
     return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
@@ -494,33 +495,32 @@ def cycle_vertex_sums(
 
 def vertex_sums(g: Graph) -> list[Fraction]:
     """Resistance row sum of every vertex; linear for trees and unicyclic
-    graphs, a matrix otherwise."""
+    graphs.  Otherwise, from M = X / d, the row sum at u is
+    n M_uu + tr M - 2 (M 1)_u."""
     if _is_tree_or_unicyclic(g):
         return cycle_vertex_sums(_branch_trees(g), g.n)
-    mat = resistance_matrix(g)
-    return [mat.row_sum(u) for u in range(g.n)]
+    idx, d, x = _grounded_inverse(g)
+    trace = sum(row[i] for i, row in enumerate(x))
+    sums = [Fraction(trace, d)] * g.n  # the ground vertex has M_uu = 0
+    for i, (u, row) in enumerate(zip(idx, x)):
+        sums[u] = Fraction(g.n * row[i] + trace - 2 * sum(row), d)
+    return sums
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
     """Sum of effective resistances over unordered vertex pairs."""
     if _is_tree_or_unicyclic(g):
         return graph_invariants(g).kf
-    mat = resistance_matrix(g)
-    total = Fraction(0)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            total += mat.rows[u][v]
-    return total
+    return kirchhoff_index_dense(g)
 
 
 def kirchhoff_index_dense(g: Graph) -> Fraction:
-    """Kirchhoff index forced through the matrix route (oracle use)."""
-    mat = resistance_matrix_dense(g)
-    total = Fraction(0)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            total += mat.rows[u][v]
-    return total
+    """Kirchhoff index by the Laplacian route, for any graph (and as an
+    oracle): summing M_uu + M_vv - 2 M_uv over pairs, with M = X / d the
+    grounded inverse, gives (n tr X - sum X) / d."""
+    _, d, x = _grounded_inverse(g)
+    trace = sum(row[i] for i, row in enumerate(x))
+    return Fraction(g.n * trace - sum(map(sum, x)), d)
 
 
 def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:

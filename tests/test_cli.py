@@ -1,14 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, main
+from unikirch import cli, graph
+from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, build_parser, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
-from unikirch.graph import read_graph, write_graph
+from unikirch.graph import Graph, read_graph, wiener_index, write_graph
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +104,26 @@ def test_compute_refuses_large_resistance_matrix(tmp_path, capsys):
     assert str(MATRIX_MAX_N) in err
     code, out, _ = run_cli(capsys, "compute", "--input", str(path))
     assert code == 0 and out == f"Kf = {(n**3 - n) // 12}\n"
+
+
+def test_compute_wiener_reads_the_kernel(tmp_path, capsys, monkeypatch):
+    rng = random.Random(400)
+    n, k = 400, 30
+    edges = {(c, c + 1) for c in range(k - 1)} | {(0, k - 1)}
+    edges |= {(rng.randrange(v), v) for v in range(k, n)}
+    g = Graph(n, frozenset(edges))
+    path = tmp_path / "unicyclic.graph"
+    path.write_text(write_graph(g))
+    expected = wiener_index(g)
+
+    def no_bfs(_):
+        raise AssertionError("compute --wiener ran the BFS route")
+
+    monkeypatch.setattr(graph, "wiener_index", no_bfs)
+    monkeypatch.setattr(cli, "wiener_index", no_bfs)
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--wiener")
+    assert code == 0
+    assert out.splitlines()[1] == f"W = {expected}"
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):
@@ -246,3 +268,13 @@ def test_threads_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "girth-minima", "--max-n", "6")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_verify_defaults_to_one_worker(monkeypatch):
+    monkeypatch.delenv("UNIKIRCH_THREADS", raising=False)
+    parser = build_parser()
+    assert cli._default_threads(parser.parse_args(["verify", "--suite", "tables"])) == 1
+    args = parser.parse_args(["verify", "--suite", "tables", "--threads", "3"])
+    assert cli._default_threads(args) == 3
+    monkeypatch.setenv("UNIKIRCH_THREADS", "2")
+    assert cli._default_threads(parser.parse_args(["verify", "--suite", "tables"])) == 2

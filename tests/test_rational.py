@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unikirch.rational import add, div, format_rational, mul, parse_rational, sub
+from unikirch.rational import format_rational, parse_rational
 
 rationals = st.fractions(
     min_value=-(10**9), max_value=10**9, max_denominator=10**6
@@ -32,34 +32,6 @@ def test_format_examples():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
-
-
-def test_arithmetic_examples():
-    assert add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert sub(Fraction(655, 8), Fraction(81)) == Fraction(7, 8)
-    n = 6
-    assert Fraction(n**3 - n, 12) == Fraction(35, 2)
-
-
-def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        div(Fraction(1), Fraction(0))
-
-
-@given(rationals, rationals, rationals)
-def test_field_axioms(a, b, c):
-    assert add(a, b) == add(b, a)
-    assert mul(a, b) == mul(b, a)
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-
-
-@given(rationals, rationals)
-def test_sub_div_invert(a, b):
-    assert add(sub(a, b), b) == a
-    if b != 0:
-        assert mul(div(a, b), b) == a
 
 
 @given(rationals)

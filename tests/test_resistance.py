@@ -196,12 +196,48 @@ def test_matrix_serialization():
     assert text == "3\n2/3 2/3\n2/3\n"
 
 
+@given(st.integers(0, 10**6), st.integers(2, 12), st.integers(0, 6))
+def test_laplacian_routes_match_forest_counts(seed, n, chords):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, chords)
+    forest = [[resistance_forest(g, u, v) for v in range(n)] for u in range(n)]
+    dense = resistance_matrix_dense(g, ground=rng.randrange(n))
+    for u in range(n):
+        for v in range(n):
+            assert resistance_laplacian(g, u, v, ground=rng.randrange(n)) == forest[u][v]
+            assert dense.r(u, v) == forest[u][v]
+    assert kirchhoff_index(g) == sum(sum(row, Fraction(0)) for row in forest) / 2
+    assert kirchhoff_index_dense(g) == kirchhoff_index(g)
+    assert vertex_sums(g) == [sum(row, Fraction(0)) for row in forest]
+
+
+def test_complete_graph_closed_forms():
+    # every pair of K_n is at resistance 2/n
+    for n in range(1, 31):
+        g = Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+        assert kirchhoff_index(g) == n - 1
+        assert kirchhoff_index_dense(g) == n - 1
+        assert vertex_sums(g) == [Fraction(2 * (n - 1), n)] * n
+
+
+def test_dense_kf_of_a_bicyclic_path():
+    n = 80
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
+    g = Graph(n, frozenset(edges))
+    assert kirchhoff_index(g) == Fraction(1799555, 24)
+    assert sum(vertex_sums(g)) == Fraction(1799555, 12)
+
+
 def test_disconnected_errors():
     g = Graph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(DisconnectedError):
         resistance_laplacian(g, 0, 2)
     with pytest.raises(DisconnectedError):
         resistance_forest(g, 0, 2)
+    with pytest.raises(DisconnectedError):
+        resistance_matrix_dense(g)
+    with pytest.raises(DisconnectedError):
+        kirchhoff_index_dense(g)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 40), st.booleans())
