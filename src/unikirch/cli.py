@@ -15,7 +15,7 @@ from .rational import format_rational
 from .resistance import (
     format_resistance_matrix,
     graph_invariants,
-    kirchhoff_index,
+    grounded_inverse,
     resistance_matrix,
     vertex_sums,
 )
@@ -23,23 +23,40 @@ from .verification import SUITE_NAMES, run_suite
 
 # Graphs that are neither trees nor unicyclic take the dense route, a
 # fraction-free integer Gauss-Jordan elimination, cubic in n with integers
-# that grow with the spanning-tree count: at n = 100, about 0.15 s for a
-# path with two chords and 1.6 s for K_100.
+# that grow with the spanning-tree count: at n = 100, about 0.13 s for a
+# path with two chords and 1.2 s for K_100.
 DENSE_MAX_N = 100
 # --resistance-matrix holds n^2 rationals: about 86 MB and 2 s at
 # n = 1000, so 10^4 vertices would need some 9 GB.
 MATRIX_MAX_N = 1000
+# The classes on n vertices roughly triple with each vertex, and so does the
+# time to enumerate them.  At n = 16 (311,465 classes), `extremal` takes
+# 3.9 s, the `enumerate` listing 1.7 s and `verify --suite all --max-n 16`
+# 30 s, each in under 40 MB (2-vCPU VM, Python 3.11.7); n = 20 would take
+# some 80 times as long.
+ENUMERATION_MAX_N = 16
 
 
 def _default_threads(args) -> int:
     if args.threads:
         return args.threads
     env = os.environ.get("UNIKIRCH_THREADS")
-    if env and env.isdigit() and int(env) > 0:
+    if env and env.isascii() and env.isdigit() and int(env) > 0:
         return int(env)
-    # one worker: each pool worker refills its own sweep cache, so more
-    # workers make `verify` slower, not faster
+    # one worker: the sweeps of `verify --suite all` take about 0.1 s in all,
+    # less than starting a process pool costs
     return 1
+
+
+def _refuse_n(flag: str, n: int | None) -> bool:
+    """Report, and return True, when n is beyond the enumeration ceiling."""
+    if n is None or n <= ENUMERATION_MAX_N:
+        return False
+    print(
+        f"error: {flag} {n}: enumeration is limited to {ENUMERATION_MAX_N} vertices",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _decimal(x) -> str:
@@ -49,7 +66,7 @@ def _decimal(x) -> str:
 def _cmd_compute(args) -> int:
     try:
         text = Path(args.input).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -76,11 +93,13 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
+    dense = None
     if g.n and g.edge_count <= g.n:  # connected, so a tree or unicyclic
         inv = graph_invariants(g)
         kf, w = inv.kf, inv.wiener
     else:
-        kf = kirchhoff_index(g)
+        dense = grounded_inverse(g)  # Kf, the sums and the matrix all read it
+        kf = dense.kirchhoff_index()
         w = wiener_index(g) if args.wiener else None
     suffix = f" (~ {_decimal(kf)})" if args.decimal else ""
     print(f"Kf = {format_rational(kf)}{suffix}")
@@ -88,11 +107,12 @@ def _cmd_compute(args) -> int:
         suffix = f" (~ {_decimal(w)})" if args.decimal else ""
         print(f"W = {format_rational(w)}{suffix}")
     if args.vertex_sums:
-        for v, s in enumerate(vertex_sums(g)):
+        for v, s in enumerate(vertex_sums(g) if dense is None else dense.vertex_sums()):
             suffix = f" (~ {_decimal(s)})" if args.decimal else ""
             print(f"Kf[{v}] = {format_rational(s)}{suffix}")
     if args.resistance_matrix:
-        sys.stdout.write(format_resistance_matrix(resistance_matrix(g)))
+        mat = resistance_matrix(g) if dense is None else dense.matrix()
+        sys.stdout.write(format_resistance_matrix(mat))
     return 0
 
 
@@ -112,6 +132,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if _refuse_n("--n", args.n):
+        return 2
     try:
         if args.count_only and not args.emit:
             if args.m is not None:
@@ -142,6 +164,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    if _refuse_n("--n", args.n):
+        return 2
     try:
         codes, value = extremal_search(args.n, args.m, args.invariant)
     except ValueError as exc:
@@ -154,6 +178,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if _refuse_n("--max-n", args.max_n):
+        return 2
     try:
         reports = run_suite(
             args.suite,

@@ -7,32 +7,45 @@ symmetries.  Rooted trees use the classical bottom-up encoding
 code = "(" + sorted(children codes) + ")"; the class representative is
 the lexicographically minimal branch-code sequence.
 
-Generation walks cycle lengths in ascending order, distributes the
-remaining vertices as rooted trees over the cycle positions from a
-memoized table of rooted trees by size, keeps only dihedral-minimal
-sequences, and emits each cycle length's classes in sorted order.
-Sweeps read Kf, W and the matching number straight off the codes with
-``invariants_from_code`` and the vertex-sum row with
-``vertex_sums_from_code``; ``sweep_minima`` caches the per-cell minima
-of one pass per n.  Graphs are built only for consumers that need
-vertex-level data, one class at a time.
+Generation walks cycle lengths in ascending order and distributes the
+remaining vertices over the cycle positions, one composition of branch
+sizes at a time, from a memoized table of rooted trees by size
+(``minimal_sequences``).  It prunes before it builds, in the manner of
+constant-time tree generators (Beyer and Hedetniemi, SIAM J. Comput. 9,
+1980): a dihedral-minimal sequence starts with its least code, so the
+first code only ranges up to the least greatest code of the other
+positions, and each choice of it cuts their sorted pools down to the
+codes not below it before the product is formed.  The survivors are
+tested for dihedral minimality only against the rotations and
+reflections that start with the same code.  ``enumerate_codes`` emits
+each cycle length's classes in sorted order.
+
+Sweeps read Kf, W and the matching number straight off the codes, in
+integers: ``sweep_minima`` computes the cycle terms once per
+composition, adds each code's branch term, compares Kf as numerators
+over k by cross-multiplication, and makes one Fraction per cell
+minimum; it caches the minima of one pass per n.  Graphs are built only
+for consumers that need vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
     BranchSummary,
     Invariants,
-    bfs_tree,
+    branch_term,
     cycle_invariants,
+    cycle_matching,
+    cycle_terms,
     cycle_vertex_sums,
     tree_summary,
 )
@@ -74,7 +87,15 @@ def rooted_tree_codes(size: int) -> tuple[str, ...]:
 def _tree_code(adj, root: int) -> str:
     """Canonical code of the tree on ``adj`` rooted at ``root``, encoded
     bottom-up over a BFS order, so that depth costs no recursion."""
-    _, parents = bfs_tree(adj, root)
+    order = [root]
+    parents = [-1]  # BFS position of each vertex's parent
+    seen = {root}
+    for pos, u in enumerate(order):  # order grows while it is scanned
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                parents.append(pos)
     kids: list[list[str]] = [[] for _ in parents]
     for v in range(len(parents) - 1, 0, -1):
         kids[parents[v]].append("(" + "".join(sorted(kids[v])) + ")")
@@ -139,10 +160,13 @@ def _dihedral_min(seq: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _is_dihedral_min(seq: tuple[str, ...]) -> bool:
-    k = len(seq)
+    """Whether seq, whose first code is its least, is the least of its
+    rotations and reflections; only those that start with that code can
+    be smaller."""
+    head = seq[0]
     for base in (seq, seq[::-1]):
-        for r in range(k):
-            if base[r:] + base[:r] < seq:
+        for r, c in enumerate(base):
+            if c == head and base[r:] + base[:r] < seq:
                 return False
     return True
 
@@ -176,14 +200,15 @@ def graph_from_code(code: CanonicalCode) -> Graph:
 
 # Keyed by branch code; the default windows use about 1200 distinct codes.
 @lru_cache(maxsize=4096)
-def _branch_summary(code: str) -> BranchSummary:
+def branch_summary(code: str) -> BranchSummary:
+    """``tree_summary`` of a rooted code."""
     return tree_summary(code_parents(code))
 
 
 def invariants_from_code(code: CanonicalCode) -> Invariants:
     """(k, m, Kf, W) of the class, read off its branch codes without
     building a graph."""
-    return cycle_invariants([_branch_summary(c) for c in code.branch_codes])
+    return cycle_invariants([branch_summary(c) for c in code.branch_codes])
 
 
 def vertex_sums_from_code(code: CanonicalCode) -> list[Fraction]:
@@ -196,7 +221,7 @@ def vertex_sums_from_code(code: CanonicalCode) -> list[Fraction]:
         parents = code_parents(bc)
         trees.append(([i, *range(nxt, nxt + len(parents) - 1)], parents))
         nxt += len(parents) - 1
-    return cycle_vertex_sums(trees, nxt)
+    return cycle_vertex_sums(trees)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -207,6 +232,31 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def minimal_sequences(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[str, ...]]]]:
+    """The classes on n vertices with cycle length k, one composition of
+    the branch sizes at a time: (sizes, the dihedral-minimal branch-code
+    sequences with those sizes), the sequences in generation order.
+
+    A minimal sequence starts with its least code.  So the first code
+    ranges only up to the least of the other positions' greatest codes,
+    each choice of it cuts their sorted pools down to the codes not below
+    it before their product is formed, and no sequence whose first code
+    is not its least is built.
+    """
+    by_size = [()] + [rooted_tree_codes(s) for s in range(1, n - k + 2)]
+    for extra in _compositions(n - k, k):
+        sizes = tuple(1 + e for e in extra)
+        first, *pools = [by_size[s] for s in sizes]
+        top = min(pool[-1] for pool in pools)
+        found = []
+        for head in first[: bisect_right(first, top)]:
+            for tail in product(*[pool[bisect_left(pool, head) :] for pool in pools]):
+                seq = (head, *tail)
+                if _is_dihedral_min(seq):
+                    found.append(seq)
+        yield sizes, found
 
 
 def enumerate_codes(
@@ -222,19 +272,9 @@ def enumerate_codes(
         raise ValueError(f"cycle length {cycle_length} out of range for n={n}")
     ks = (cycle_length,) if cycle_length is not None else range(3, n + 1)
     for k in ks:
-        minimal: list[tuple[str, ...]] = []
-        for extra in _compositions(n - k, k):
-            pools = [rooted_tree_codes(1 + e) for e in extra]
-            for seq in product(*pools):
-                if seq[0] != min(seq):
-                    continue
-                if _is_dihedral_min(seq):
-                    minimal.append(seq)
-        minimal.sort()
-        for seq in minimal:
-            code = CanonicalCode(k, seq)
-            if m is None or invariants_from_code(code).matching == m:
-                yield code
+        for seq in sorted(seq for _, found in minimal_sequences(n, k) for seq in found):
+            if m is None or cycle_matching([branch_summary(c) for c in seq]) == m:
+                yield CanonicalCode(k, seq)
 
 
 def enumerate_with_codes(
@@ -252,6 +292,22 @@ def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
     graphs on n vertices, optionally filtered by matching number."""
     for _, g in enumerate_with_codes(n, m):
         yield g
+
+
+class CachedByN:
+    """A function of the vertex count, cached per n for the life of the
+    process.  Pool workers run ``compute``, the uncached function, and
+    what they return can be stored in ``results``."""
+
+    def __init__(self, compute: Callable[[int], Any]):
+        self.compute = compute
+        self.results: dict[int, Any] = {}
+        self.__doc__ = compute.__doc__
+
+    def __call__(self, n: int) -> Any:
+        if n not in self.results:
+            self.results[n] = self.compute(n)
+        return self.results[n]
 
 
 class Minimum(NamedTuple):
@@ -273,29 +329,64 @@ class SweepMinima(NamedTuple):
     kf_by_cycle: dict[int, Minimum]
 
 
-def _offer(best: dict[int, Minimum], key: int, value: Fraction, code: CanonicalCode) -> None:
+def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
+    """Keep in best[key] the least num / den offered and the items that
+    attain it, comparing by cross-multiplication."""
     cur = best.get(key)
-    if cur is None or value < cur.value:
-        best[key] = Minimum(value, (code,))
-    elif value == cur.value:
-        best[key] = Minimum(value, cur.codes + (code,))
+    if cur is None or num * cur[1] < cur[0] * den:
+        best[key] = (num, den, [item])
+    elif num * cur[1] == cur[0] * den:
+        cur[2].append(item)
 
 
-@lru_cache(maxsize=64)
-def sweep_minima(n: int) -> SweepMinima:
+def _minima(best: dict) -> dict[int, Minimum]:
+    """The offers as Minimum records: one Fraction per cell, and the
+    argmin (k, sequence) pairs sorted, which is enumeration order."""
+    return {
+        key: Minimum(Fraction(num, den), tuple(CanonicalCode(*item) for item in sorted(items)))
+        for key, (num, den, items) in sorted(best.items())
+    }
+
+
+def _sweep_minima(n: int) -> SweepMinima:
     """Reduce one pass over the classes on n vertices to their minima.
-    Cached per n; the cache holds the minima only, never a per-class record."""
+    Cached per n; the cache holds the minima only, never a per-class record.
+
+    Kf = (k T + C) / k and W = T + H, where T sums the ``branch_term`` of
+    the class's codes and C and H are the ``cycle_terms`` of its
+    composition, shared by all the sequences of that composition.  Keys
+    stay integers until each cell's minimum is known."""
+    if n < 3:
+        raise ValueError("unicyclic graphs need at least 3 vertices")
     counts: dict[int, int] = {}
-    kf: dict[int, Minimum] = {}
-    wiener: dict[int, Minimum] = {}
-    girth: dict[int, Minimum] = {}
-    for code in enumerate_codes(n):
-        k, m, kf_value, w_value = invariants_from_code(code)
-        counts[m] = counts.get(m, 0) + 1
-        _offer(kf, m, kf_value, code)
-        _offer(wiener, m, w_value, code)
-        _offer(girth, k, kf_value, code)
-    return SweepMinima(n, *(dict(sorted(d.items())) for d in (counts, kf, wiener, girth)))
+    kf: dict = {}
+    wiener: dict = {}
+    girth: dict = {}
+    terms: dict[str, int] = {}
+    for k in range(3, n + 1):
+        for sizes, found in minimal_sequences(n, k):
+            if not found:
+                continue
+            cycle, hops = cycle_terms(sizes)
+            for seq in found:
+                branches = [branch_summary(c) for c in seq]
+                trees = 0
+                for c, b in zip(seq, branches):
+                    t = terms.get(c)
+                    if t is None:
+                        t = terms[c] = branch_term(b, n)
+                    trees += t
+                m = cycle_matching(branches)
+                counts[m] = counts.get(m, 0) + 1
+                item = (k, seq)
+                _offer(kf, m, k * trees + cycle, k, item)
+                _offer(wiener, m, trees + hops, 1, item)
+                _offer(girth, k, k * trees + cycle, k, item)
+    counts = dict(sorted(counts.items()))
+    return SweepMinima(n, counts, _minima(kf), _minima(wiener), _minima(girth))
+
+
+sweep_minima = CachedByN(_sweep_minima)
 
 
 def counts_by_matching(n: int) -> dict[int, int]:

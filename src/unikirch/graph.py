@@ -71,6 +71,18 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(normalized))
 
 
+def _natural(token: str) -> int | None:
+    """The value of a token of ASCII digits, else None.  ``str.isdigit``
+    alone also accepts characters such as '²' that ``int`` rejects, and
+    ``int`` also rejects more digits than ``sys.get_int_max_str_digits()``."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def read_graph(text: str) -> Graph:
     """Parse the graph file format.
 
@@ -86,14 +98,14 @@ def read_graph(text: str) -> Graph:
         if line.startswith("#"):
             continue
         if n is None:
-            if not line.isdigit():
+            n = _natural(line)
+            if n is None:
                 raise GraphParseError(f"line {lineno}: expected vertex count, got {raw!r}")
-            n = int(line)
             continue
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        ends = [_natural(p) for p in line.split()]
+        if len(ends) != 2 or None in ends:
             raise GraphParseError(f"line {lineno}: expected edge 'u v', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = ends
         if u == v:
             raise GraphParseError(f"line {lineno}: loop at vertex {u}")
         if not u < v:

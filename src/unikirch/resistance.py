@@ -13,12 +13,17 @@ the test suite cross-checks them:
 Whole-graph invariants of trees and unicyclic graphs come from one
 integer kernel, ``cycle_invariants``, which reads a short summary of
 each branch tree and needs no n x n matrix: Kf, W and the matching
-number in O(n + k) for cycle length k; ``cycle_vertex_sums`` gives the
-vertex-sum row by rerooting inside each branch.  ``kirchhoff_index``,
-``vertex_sums`` and ``kirchhoff_vertex_sum`` take them for trees and
-unicyclic graphs.  Other graphs take the Laplacian route: the same
-elimination gives Kf and the vertex sums from traces and row sums of the
-integer inverse, and only ``resistance_matrix`` builds an n x n matrix.
+number in O(n + k) for cycle length k, with the cycle terms in
+``cycle_terms``; ``cycle_row_numerators`` gives the vertex-sum row, as
+integers over k, by rerooting inside each branch.  Codes feed the kernel
+directly.  A graph is peeled leaf by leaf once: the peel order gives
+every branch tree in parent form, the 2-core is the cycle, and a graph
+that is not a connected tree or unicyclic graph shows itself on the way
+(``_peel``).  ``graph_invariants``, ``kirchhoff_index``, ``vertex_sums``
+and ``kirchhoff_vertex_sum`` read it.  Other graphs take the Laplacian
+route: one elimination (``grounded_inverse``) gives Kf and the vertex
+sums from traces and row sums of the integer inverse, and the matrix
+from its entries; only ``resistance_matrix`` builds an n x n matrix.
 The Laplacian and forest routes also serve as oracles.
 """
 
@@ -165,17 +170,6 @@ def _grounded_laplacian(g: Graph, ground: int) -> tuple[list[int], list[list[int
     return idx, [[lap[r][c] for c in idx] for r in idx]
 
 
-def _grounded_inverse(g: Graph, ground: int = 0) -> tuple[list[int], int, list[list[int]]]:
-    """(the other vertices, d, X) with X / d the inverse of the grounded
-    Laplacian; d is the number of spanning trees."""
-    if not is_connected(g):
-        raise DisconnectedError("resistance of a disconnected graph")
-    idx, a = _grounded_laplacian(g, ground)
-    m = len(idx)
-    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
-    return idx, d, x
-
-
 def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
     """Effective resistance by a grounded-Laplacian solve.
 
@@ -241,20 +235,59 @@ def format_resistance_matrix(mat: ResistanceMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+class GroundedInverse(NamedTuple):
+    """M = X / d, the inverse of a graph's Laplacian with the ground
+    vertex's row and column dropped; d is the number of spanning trees.
+    Row i of X belongs to vertex idx[i].  Kf, the vertex sums and the
+    resistance matrix all follow from one elimination."""
+
+    n: int
+    ground: int
+    idx: list[int]
+    d: int
+    x: list[list[int]]
+
+    def kirchhoff_index(self) -> Fraction:
+        """Summing M_uu + M_vv - 2 M_uv over pairs gives (n tr X - sum X) / d."""
+        trace = sum(row[i] for i, row in enumerate(self.x))
+        return Fraction(self.n * trace - sum(map(sum, self.x)), self.d)
+
+    def vertex_sums(self) -> list[Fraction]:
+        """The row sum at u is n M_uu + tr M - 2 (M 1)_u."""
+        trace = sum(row[i] for i, row in enumerate(self.x))
+        sums = [Fraction(trace, self.d)] * self.n  # the ground vertex has M_uu = 0
+        for i, (u, row) in enumerate(zip(self.idx, self.x)):
+            sums[u] = Fraction(self.n * row[i] + trace - 2 * sum(row), self.d)
+        return sums
+
+    def matrix(self) -> ResistanceMatrix:
+        """All-pairs resistances, R(u, v) = M_uu + M_vv - 2 M_uv (Klein and
+        Randic 1993)."""
+        n, ground, d = self.n, self.ground, self.d
+        full = [row[:ground] + [0] + row[ground:] for row in self.x]
+        full.insert(ground, [0] * n)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                r = Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)
+                rows[u][v] = r
+                rows[v][u] = r
+        return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
+
+
+def grounded_inverse(g: Graph, ground: int = 0) -> GroundedInverse:
+    """The Laplacian route's one elimination, for any connected graph."""
+    if not is_connected(g):
+        raise DisconnectedError("resistance of a disconnected graph")
+    idx, a = _grounded_laplacian(g, ground)
+    m = len(idx)
+    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
+    return GroundedInverse(g.n, ground, idx, d, x)
+
+
 def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
-    """All-pairs resistances from the inverse M of the grounded Laplacian:
-    R(u, v) = M_uu + M_vv - 2 M_uv (Klein and Randic 1993)."""
-    n = g.n
-    _, d, x = _grounded_inverse(g, ground)
-    full = [row[:ground] + [0] + row[ground:] for row in x]
-    full.insert(ground, [0] * n)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            r = Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)
-            rows[u][v] = r
-            rows[v][u] = r
-    return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
+    """All-pairs resistances by the Laplacian route."""
+    return grounded_inverse(g, ground).matrix()
 
 
 def resistance_matrix_unicyclic(dec: UnicyclicDecomposition) -> ResistanceMatrix:
@@ -352,6 +385,13 @@ def tree_summary(parents: Sequence[int]) -> BranchSummary:
     return BranchSummary(s, depth_sum, wiener, free[0] + spare[0], free[0])
 
 
+def cycle_matching(branches: Sequence[BranchSummary]) -> int:
+    """Matching number of the cycle carrying branch i on its i-th vertex:
+    the branch matchings plus what the cycle edges gain."""
+    gain = _cycle_matching_gain([b.matching == b.root_free for b in branches])
+    return sum(b.matching for b in branches) + gain
+
+
 def _cycle_matching_gain(free_roots: list[bool]) -> int:
     """Maximum matching of the cycle restricted to roots that can be left
     unmatched at no loss in their branch.
@@ -359,6 +399,7 @@ def _cycle_matching_gain(free_roots: list[bool]) -> int:
     A cycle edge adds one to the matching exactly when both of its roots
     are such, so this is the gain the cycle edges bring: k // 2 on a
     fully free cycle, otherwise half of each free run, rounded down.
+    A single root (k = 1, a tree) gains nothing.
     """
     k = len(free_roots)
     if all(free_roots):
@@ -374,31 +415,24 @@ def _cycle_matching_gain(free_roots: list[bool]) -> int:
     return gain
 
 
-def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
-    """Exact (k, m, Kf, W) of the cycle C_k carrying branch i on its i-th
-    vertex; a single branch (k = 1) is a tree.
+def branch_term(b: BranchSummary, n: int) -> int:
+    """What branch b adds to Kf and to W, besides the cycle terms, in an
+    n-vertex graph: its own pairs, W_b, and the depth of each of its
+    vertices once per vertex outside it, D_b (n - s_b)."""
+    return b.wiener + b.depth_sum * (n - b.size)
 
-    With branch sizes s_i, depth sums D_i, Wiener numbers W_i and n
-    vertices, the resistance of two vertices in branches i and j is
-    their depths plus d(k - d)/k for the cycle gap d (Klein and Randic,
-    "Resistance distance", J. Math. Chem. 12, 1993), so
 
-        Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
+def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
+    """The cycle terms of branches of the given sizes on C_k, with d the
+    cycle gap of branches i and j: sum_{i<j} s_i s_j d(k - d), which is k
+    times their share of Kf, and sum_{i<j} s_i s_j min(d, k - d), their
+    share of W.
 
-    and W is the same sum with min(d, k - d) as the cycle term.  The cycle
-    terms expand d(k - d) = k d - d^2 over running sums of s_i, i s_i and
-    i^2 s_i; W splits them at d = k/2 with a sliding window.  Integer
-    arithmetic throughout, one Fraction at the end; O(n + k).
+    d(k - d) = k d - d^2 expands over running sums of s_i, i s_i and
+    i^2 s_i; min(d, k - d) splits at d = k/2 with a sliding window.  O(k),
+    in integers.
     """
-    k = len(branches)
-    sizes = [b.size for b in branches]
-    n = sum(sizes)
-    trees = matching = 0
-    for s, d, w, best, _ in branches:
-        trees += w + d * (n - s)
-        matching += best
-    if k == 1:
-        return Invariants(1, matching, Fraction(trees), Fraction(trees))
+    k = len(sizes)
     half = k // 2
     cycle = hops = 0
     a = b = c = 0  # sums of s_i, i s_i and i^2 s_i over i < j
@@ -413,51 +447,114 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
         a += s
         b += j * s
         c += j * j * s
-    matching += _cycle_matching_gain([b.matching == b.root_free for b in branches])
-    return Invariants(k, matching, Fraction(k * trees + cycle, k), Fraction(trees + hops))
+    return cycle, hops
 
 
-def _is_tree_or_unicyclic(g: Graph) -> bool:
-    return g.n > 0 and g.edge_count in (g.n - 1, g.n) and is_connected(g)
+def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
+    """Exact (k, m, Kf, W) of the cycle C_k carrying branch i on its i-th
+    vertex; a single branch (k = 1) is a tree.
+
+    With branch sizes s_i, depth sums D_i, Wiener numbers W_i and n
+    vertices, the resistance of two vertices in branches i and j is
+    their depths plus d(k - d)/k for the cycle gap d (Klein and Randic,
+    "Resistance distance", J. Math. Chem. 12, 1993), so
+
+        Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
+
+    and W is the same sum with min(d, k - d) as the cycle term
+    (``branch_term`` and ``cycle_terms``).  Integer arithmetic
+    throughout, one Fraction at the end; O(n + k).
+    """
+    k = len(branches)
+    n = sum(b.size for b in branches)
+    trees = sum(branch_term(b, n) for b in branches)
+    cycle, hops = cycle_terms([b.size for b in branches])
+    return Invariants(
+        k, cycle_matching(branches), Fraction(k * trees + cycle, k), Fraction(trees + hops)
+    )
 
 
-def bfs_tree(adj, root: int) -> tuple[list[int], list[int]]:
-    """(vertices in BFS order from root, parent position of each)."""
-    order = [root]
-    parents = [-1]
-    seen = {root}
-    for pos, u in enumerate(order):  # order grows while it is scanned
+def _peel(g: Graph) -> list[tuple[list[int], list[int]]] | None:
+    """The branch trees of a tree or a connected unicyclic graph, in cycle
+    order, each as (labels, parents): its vertices, root first, and the
+    parent form of ``_subtree_sizes``.  None for any other graph.
+
+    One leaf-peeling pass: a vertex is peeled once at most one of its
+    neighbours is left, and that neighbour is its parent, so every vertex
+    is peeled after its children.  A tree peels completely and its last
+    vertex, left without a neighbour, is the root of its one branch.  A
+    connected unicyclic graph has no such root, and what remains, its
+    2-core, is the cycle.  Anything else leaves a second root or a core
+    that is not one cycle.
+    """
+    n = g.n
+    if n == 0 or g.edge_count not in (n - 1, n):
+        return None
+    adj = g.adjacency
+    left = [len(a) for a in adj]  # neighbours not yet peeled
+    parent = [-1] * n
+    alive = [True] * n
+    order = [v for v in range(n) if left[v] <= 1]
+    for u in order:  # order grows while it is scanned
+        alive[u] = False
         for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                parents.append(pos)
-    return order, parents
+            if alive[w]:
+                parent[u] = w
+                left[w] -= 1
+                if left[w] == 1:
+                    order.append(w)
+                break
+    if g.edge_count == n - 1:
+        if len(order) < n:
+            return None
+        cycle = [order.pop()]
+    else:
+        if -1 in (parent[u] for u in order):
+            return None
+        # every core vertex has two core neighbours; walk one cycle
+        cycle = [alive.index(True)]
+        prev = -1
+        while True:
+            cur = cycle[-1]
+            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
+            if nxt == cycle[0]:
+                break
+            cycle.append(nxt)
+            prev = cur
+        if len(cycle) + len(order) < n:
+            return None
+    trees = [([c], [-1]) for c in cycle]
+    branch = [0] * n
+    pos = [0] * n
+    for i, c in enumerate(cycle):
+        branch[c] = i
+    for u in reversed(order):
+        p = parent[u]
+        labels, parents = trees[branch[p]]
+        branch[u] = branch[p]
+        pos[u] = len(labels)
+        labels.append(u)
+        parents.append(pos[p])
+    return trees
 
 
-def _branch_trees(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """The branch trees of a tree or unicyclic graph in cycle order, each
-    as ``bfs_tree`` gives it; a tree is one branch rooted at vertex 0."""
-    if g.edge_count == g.n - 1:
-        return [bfs_tree(g.adjacency, 0)]
-    dec = decompose_unicyclic(g)
-    return [bfs_tree(adj, br.root) for br, adj in zip(dec.branches, dec.branch_adjacency)]
+def _invariants(trees: list[tuple[list[int], list[int]]]) -> Invariants:
+    return cycle_invariants([tree_summary(parents) for _, parents in trees])
 
 
 def graph_invariants(g: Graph) -> Invariants:
     """``cycle_invariants`` of a tree or a connected unicyclic graph."""
-    if not _is_tree_or_unicyclic(g):
+    trees = _peel(g)
+    if trees is None:
         raise ValueError("expected a tree or a connected unicyclic graph")
-    return cycle_invariants([tree_summary(parents) for _, parents in _branch_trees(g)])
+    return _invariants(trees)
 
 
-def cycle_vertex_sums(
-    trees: Sequence[tuple[Sequence[int], Sequence[int]]], n: int
-) -> list[Fraction]:
-    """Resistance row sums, in O(n + k), of the n-vertex cycle C_k that
-    carries tree i on its i-th vertex; one tree (k = 1) is a tree graph.
-    Each tree is (labels, parents): its vertices' row positions and the
-    parent form of ``_subtree_sizes``.
+def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
+    """k Kf_G(u), an integer, for every vertex u of the graph C_k that
+    carries tree i on its i-th vertex, tree by tree, each tree's vertices
+    in its parent form (``_subtree_sizes``); one tree (k = 1) is a tree
+    graph.  O(n + k).
 
     For u at depth h in tree i, Kf_G(u) = S_i(u) + h (n - s_i)
     + (D - D_i) + sum_{j != i} s_j d(k - d)/k, where D is the total
@@ -467,15 +564,16 @@ def cycle_vertex_sums(
     2(i a - b) + sum_j j s_j - i n.
     """
     k = len(trees)
-    subs = [_subtree_sizes(parents) for _, parents in trees]
+    subs = [_subtree_sizes(parents) for parents in trees]
     sizes = [len(sub) for sub in subs]
+    n = sum(sizes)
     depth_sums = [sum(sub) - len(sub) for sub in subs]
     depth_total = sum(depth_sums)
     s1 = sum(i * s for i, s in enumerate(sizes))
     s2 = sum(i * i * s for i, s in enumerate(sizes))
-    sums: list[Fraction] = [Fraction(0)] * n
+    rows = []
     a = b = 0
-    for i, ((labels, parents), sub) in enumerate(zip(trees, subs)):
+    for i, (parents, sub) in enumerate(zip(trees, subs)):
         s = sizes[i]
         gaps = 2 * (i * a - b) + s1 - i * n  # sum_j s_j |i - j|
         squares = i * i * n - 2 * i * s1 + s2  # sum_j s_j (i - j)^2
@@ -488,39 +586,43 @@ def cycle_vertex_sums(
             p = parents[v]
             depth[v] = depth[p] + 1
             within[v] = within[p] + s - 2 * sub[v]
-        for v, u in enumerate(labels):
-            sums[u] = Fraction(k * (within[v] + depth[v] * (n - s)) + base, k)
+        rows.append([k * (w + h * (n - s)) + base for w, h in zip(within, depth)])
+    return rows
+
+
+def cycle_vertex_sums(trees: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[Fraction]:
+    """Resistance row sums of the ``cycle_row_numerators`` graph, each tree
+    given as (labels, parents): its vertices' row positions and its
+    parent form."""
+    k = len(trees)
+    sums = [Fraction(0)] * sum(len(labels) for labels, _ in trees)
+    for (labels, _), nums in zip(trees, cycle_row_numerators([p for _, p in trees])):
+        for u, x in zip(labels, nums):
+            sums[u] = Fraction(x, k)
     return sums
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:
     """Resistance row sum of every vertex; linear for trees and unicyclic
-    graphs.  Otherwise, from M = X / d, the row sum at u is
-    n M_uu + tr M - 2 (M 1)_u."""
-    if _is_tree_or_unicyclic(g):
-        return cycle_vertex_sums(_branch_trees(g), g.n)
-    idx, d, x = _grounded_inverse(g)
-    trace = sum(row[i] for i, row in enumerate(x))
-    sums = [Fraction(trace, d)] * g.n  # the ground vertex has M_uu = 0
-    for i, (u, row) in enumerate(zip(idx, x)):
-        sums[u] = Fraction(g.n * row[i] + trace - 2 * sum(row), d)
-    return sums
+    graphs, by the Laplacian route otherwise."""
+    trees = _peel(g)
+    if trees is None:
+        return grounded_inverse(g).vertex_sums()
+    return cycle_vertex_sums(trees)
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
     """Sum of effective resistances over unordered vertex pairs."""
-    if _is_tree_or_unicyclic(g):
-        return graph_invariants(g).kf
-    return kirchhoff_index_dense(g)
+    trees = _peel(g)
+    if trees is None:
+        return kirchhoff_index_dense(g)
+    return _invariants(trees).kf
 
 
 def kirchhoff_index_dense(g: Graph) -> Fraction:
     """Kirchhoff index by the Laplacian route, for any graph (and as an
-    oracle): summing M_uu + M_vv - 2 M_uv over pairs, with M = X / d the
-    grounded inverse, gives (n tr X - sum X) / d."""
-    _, d, x = _grounded_inverse(g)
-    trace = sum(row[i] for i, row in enumerate(x))
-    return Fraction(g.n * trace - sum(map(sum, x)), d)
+    oracle)."""
+    return grounded_inverse(g).kirchhoff_index()
 
 
 def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:

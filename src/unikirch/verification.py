@@ -19,20 +19,21 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .enumeration import (
+    CachedByN,
     CanonicalCode,
+    branch_summary,
     canonical_code,
-    enumerate_codes,
+    code_parents,
     enumerate_with_codes,
     free_trees,
-    graph_from_code,
-    invariants_from_code,
+    minimal_sequences,
     sweep_minima,
-    vertex_sums_from_code,
 )
 from .families import (
     FamilySpec,
@@ -49,6 +50,8 @@ from .graph import Graph, identify_vertices
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
+    cycle_matching,
+    cycle_row_numerators,
     kf_identified,
     kirchhoff_index,
     kirchhoff_vertex_sum,
@@ -179,6 +182,17 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as ex:
         return list(ex.map(fn, items))
+
+
+def _per_n(fn: CachedByN, ns, threads: int) -> list:
+    """fn(n) for every n.  The n that fn's cache lacks are computed, in a
+    pool when threads > 1, and stored in this process's cache, so each n
+    is computed once per process at any thread count."""
+    ns = list(ns)
+    missing = [n for n in ns if n not in fn.results]
+    for n, result in zip(missing, parallel_map(fn.compute, missing, threads)):
+        fn.results[n] = result
+    return [fn.results[n] for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +327,7 @@ def suite_extremal_perfect(
     the predicted minimizer, which must also be unique."""
     report = VerificationReport("extremal-perfect", 0)
     rec = _Recorder(report)
-    for sweep in parallel_map(sweep_minima, range(4, 2 * m_max + 1, 2), threads):
+    for sweep in _per_n(sweep_minima, range(4, 2 * m_max + 1, 2), threads):
         m = sweep.n // 2
         codes, value = frozenset(sweep.kf[m].codes), sweep.kf[m].value
         pred = predicted_min_perfect(m)
@@ -348,7 +362,7 @@ def suite_extremal(
     versus the predicted minimizer set, compared as isomorphism classes."""
     report = VerificationReport("extremal", 0)
     rec = _Recorder(report)
-    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
         n = sweep.n
         for m, best in sweep.kf.items():
             if m < 2:
@@ -379,32 +393,115 @@ def suite_extremal(
     return report
 
 
-def _vertex_sum_cells_at_n(n: int) -> list[dict]:
-    cells: dict[int, dict] = {}
-    for code in enumerate_codes(n):
-        m = invariants_from_code(code).matching
-        if m < 3:
-            continue
-        cell = cells.setdefault(
-            m, {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
-        )
-        cell["graphs"] += 1
-        bound = Fraction(n + m - 4)
-        for u, s in enumerate(vertex_sums_from_code(code)):
-            if s < bound:
-                cell["violations"] += 1
-            elif s == bound:
-                g = graph_from_code(code)
-                degs = [g.degree(v) for v in range(g.n)]
-                cell["equalities"].append(
-                    {
-                        "code": code,
-                        "vertex": u,
-                        "is_max_degree": g.degree(u) == max(degs)
-                        and degs.count(max(degs)) == 1,
+@lru_cache(maxsize=4096)
+def _branch_shape(code: str) -> tuple[list[int], list[int]]:
+    """(parents, degrees) of the vertices of a branch code, in the order of
+    ``code_parents``, with degrees as in the graph: the root also has its
+    two cycle edges."""
+    parents = code_parents(code)
+    degrees = [1] * len(parents)
+    degrees[0] = 2
+    for p in parents[1:]:
+        degrees[p] += 1
+    return parents, degrees
+
+
+def _pendant_differences(
+    seq: tuple[str, ...], rows: list[list[int]]
+) -> Iterator[tuple[int, int, int, int, int | None]]:
+    """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
+    None unless y has degree 2) for every pendant vertex x of the class
+    with branch codes seq and its neighbour y, labelled as in
+    ``graph_from_code``, from the rows k Kf_G(u) of
+    ``cycle_row_numerators``.
+
+    Deleting a pendant vertex or path leaves the other resistances as they
+    were (Klein and Randic 1993), so the differences come from G's row
+    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
+    """
+    k = len(seq)
+    offset = k - 1  # the label of branch vertex v > 0 is offset + v
+    for i, (code, row) in enumerate(zip(seq, rows)):
+        parents, degrees = _branch_shape(code)
+        for v in range(1, len(parents)):
+            if degrees[v] == 1:
+                p = parents[v]
+                pair = row[v] + row[p] - k if degrees[p] == 2 else None
+                yield offset + v, offset + p if p else i, degrees[p], row[v], pair
+        offset += len(parents) - 1
+
+
+class RowCells(NamedTuple):
+    """The vertex-sum and deletion cells of the classes on n vertices,
+    one per matching number m >= 3, in ascending m.  Cached results are
+    shared: do not modify them."""
+
+    vertex_sum: list[dict]
+    deletion: list[dict]
+
+
+def _row_cells(n: int) -> RowCells:
+    """One pass over the classes on n vertices with m >= 3, each class's
+    resistance row read as the integers k Kf_G(u) and compared with k
+    times each bound: Kf_G(u) >= n + m - 4 at every vertex, and the
+    pendant-deletion bounds at every pendant vertex.  Degrees come from
+    the codes."""
+    sums: dict[int, dict] = {}
+    deletions: dict[int, dict] = {}
+    for k in range(3, n + 1):
+        for _, found in minimal_sequences(n, k):
+            for seq in found:
+                m = cycle_matching([branch_summary(c) for c in seq])
+                if m < 3:
+                    continue
+                if m not in sums:
+                    sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
+                    deletions[m] = {
+                        "n": n,
+                        "m": m,
+                        "violations": 0,
+                        "eq_single": [],
+                        "eq_pair": [],
+                        "checked": 0,
                     }
-                )
-    return [cells[m] for m in sorted(cells)]
+                cell, deletion = sums[m], deletions[m]
+                cell["graphs"] += 1
+                shapes = [_branch_shape(c) for c in seq]
+                rows = cycle_row_numerators([parents for parents, _ in shapes])
+                degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
+                max_deg = max(degrees)
+                unique_max = degrees.count(max_deg) == 1
+                bound = k * (n + m - 4)
+                for (_, branch_degrees), row in zip(shapes, rows):
+                    for deg, num in zip(branch_degrees, row):
+                        if num < bound:
+                            cell["violations"] += 1
+                        elif num == bound:
+                            cell["equalities"].append(
+                                {
+                                    "code": CanonicalCode(k, seq),
+                                    "is_max_degree": deg == max_deg and unique_max,
+                                }
+                            )
+                bound1 = k * (2 * n + m - 6)
+                bound2 = k * (5 * n + 2 * m - 19)
+                for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
+                    deletion["checked"] += 1
+                    if diff1 < bound1:
+                        deletion["violations"] += 1
+                    elif diff1 == bound1:
+                        deletion["eq_single"].append(
+                            {"code": CanonicalCode(k, seq), "x_at_max_degree": y_degree == max_deg}
+                        )
+                    if diff2 is not None:
+                        if diff2 < bound2:
+                            deletion["violations"] += 1
+                        elif diff2 == bound2:
+                            deletion["eq_pair"].append({"code": CanonicalCode(k, seq)})
+    return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
+
+
+row_cells = CachedByN(_row_cells)
 
 
 def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationReport:
@@ -412,8 +509,8 @@ def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationRep
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
     report = VerificationReport("vertex-sum-bound", 0)
     rec = _Recorder(report)
-    for cells in parallel_map(_vertex_sum_cells_at_n, range(6, n_max + 1), threads):
-        for cell in cells:
+    for cells in _per_n(row_cells, range(6, n_max + 1), threads):
+        for cell in cells.vertex_sum:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
             eq_ok = (
@@ -439,68 +536,14 @@ def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationRep
     return report
 
 
-def _pendant_differences(
-    g: Graph, row: list[Fraction]
-) -> Iterator[tuple[int, int, Fraction, Fraction | None]]:
-    """(x, y, Kf(G) - Kf(G-x), Kf(G) - Kf(G-x-y) or None unless y has
-    degree 2) for every pendant vertex x of G and its neighbour y.
-
-    Deleting a pendant vertex or path leaves the other resistances as they
-    were (Klein and Randic 1993), so the differences come from G's row
-    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
-    """
-    for x in range(g.n):
-        if g.degree(x) == 1:
-            y = g.adjacency[x][0]
-            pair = row[x] + row[y] - 1 if g.degree(y) == 2 else None
-            yield x, y, row[x], pair
-
-
-def _deletion_cells_at_n(n: int) -> list[dict]:
-    cells: dict[int, dict] = {}
-    for code in enumerate_codes(n):
-        m = invariants_from_code(code).matching
-        if m < 3:
-            continue
-        cell = cells.setdefault(
-            m,
-            {
-                "n": n,
-                "m": m,
-                "violations": 0,
-                "eq_single": [],
-                "eq_pair": [],
-                "checked": 0,
-            },
-        )
-        bound1 = Fraction(2 * n + m - 6)
-        bound2 = Fraction(5 * n + 2 * m - 19)
-        g = graph_from_code(code)
-        max_deg = max(g.degree(v) for v in range(g.n))
-        for _, y, diff1, diff2 in _pendant_differences(g, vertex_sums_from_code(code)):
-            cell["checked"] += 1
-            if diff1 < bound1:
-                cell["violations"] += 1
-            elif diff1 == bound1:
-                cell["eq_single"].append(
-                    {"code": code, "x_at_max_degree": g.degree(y) == max_deg}
-                )
-            if diff2 is not None:
-                if diff2 < bound2:
-                    cell["violations"] += 1
-                elif diff2 == bound2:
-                    cell["eq_pair"].append({"code": code})
-    return [cells[m] for m in sorted(cells)]
-
-
 def suite_deletion_bounds(n_max: int = 10, threads: int = 1) -> VerificationReport:
     """Sweep the pendant-deletion inequalities Kf(G) - Kf(G-x) >= 2n+m-6
     and (for a degree-2 neighbor y) Kf(G) - Kf(G-x-y) >= 5n+2m-19, and
     check the equality instances are exactly the ones on Unm(n,m)."""
     report = VerificationReport("deletion-bounds", 0)
     rec = _Recorder(report)
-    for cells in parallel_map(_deletion_cells_at_n, range(6, n_max + 1), threads):
-        for cell in cells:
+    for cells in _per_n(row_cells, range(6, n_max + 1), threads):
+        for cell in cells.deletion:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
             single_ok = (
@@ -530,7 +573,7 @@ def suite_girth_minima(n_max: int = 9, threads: int = 1) -> VerificationReport:
     U(k,1,n-k-1,0)."""
     report = VerificationReport("girth-minima", 0)
     rec = _Recorder(report)
-    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
         n = sweep.n
         for k, best in sweep.kf_by_cycle.items():
             if k == n:  # the claim is for k < n; k = n is C_n alone
@@ -702,7 +745,7 @@ def suite_wiener_divergence(n_max: int = 12, threads: int = 1) -> VerificationRe
     report = VerificationReport("wiener-divergence", 0)
     rec = _Recorder(report)
     any_differ = False
-    for sweep in parallel_map(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
         for m, best in sweep.kf.items():
             if m < 2:
                 continue

@@ -8,7 +8,7 @@ trees by Prufer decoding.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def floyd_warshall(n: int, edges) -> list[list[float]]:
@@ -183,3 +183,20 @@ def cycle_terms_pairwise(sizes) -> tuple[int, int]:
             cycle += pair * d * (k - d)
             hops += pair * min(d, k - d)
     return cycle, hops
+
+
+def unicyclic_codes_bruteforce(n: int, rooted_codes) -> list[tuple[int, tuple[str, ...]]]:
+    """(k, branch codes) of every unicyclic class on n vertices in
+    ascending order: every product of the rooted-tree pools of every
+    composition, kept when it equals the least of its 2k rotations and
+    reflections.  ``rooted_codes(size)`` lists the rooted-tree codes."""
+    out = []
+    for k in range(3, n + 1):
+        for bars in combinations(range(n - 1), k - 1):
+            sizes = [b - a for a, b in zip((-1,) + bars, bars + (n - 1,))]
+            for seq in product(*(rooted_codes(s) for s in sizes)):
+                turns = [seq[r:] + seq[:r] for r in range(k)]
+                turns += [t[::-1] for t in turns]
+                if min(turns) == seq:
+                    out.append((k, seq))
+    return sorted(out)

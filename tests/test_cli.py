@@ -6,8 +6,10 @@ import tracemalloc
 
 import pytest
 
-from unikirch import cli, graph
-from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, build_parser, main
+from fractions import Fraction
+
+from unikirch import cli, graph, resistance
+from unikirch.cli import DENSE_MAX_N, ENUMERATION_MAX_N, MATRIX_MAX_N, build_parser, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
@@ -124,6 +126,54 @@ def test_compute_wiener_reads_the_kernel(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--wiener")
     assert code == 0
     assert out.splitlines()[1] == f"W = {expected}"
+
+
+def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypatch):
+    n = 80
+    edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
+    path = tmp_path / "bicyclic.graph"
+    path.write_text("\n".join([str(n)] + [f"{u} {v}" for u, v in sorted(edges)]) + "\n")
+    solve = resistance._fraction_free_solve
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(resistance, "_fraction_free_solve", counting_solve)
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--vertex-sums")
+    assert code == 0 and calls == [n - 1]
+    lines = out.splitlines()
+    assert lines[0] == "Kf = 1799555/24"
+    assert sum(Fraction(line.split(" = ")[1]) for line in lines[1:]) == Fraction(1799555, 12)
+    calls.clear()
+    code, out, _ = run_cli(
+        capsys, "compute", "--input", str(path), "--vertex-sums", "--resistance-matrix"
+    )
+    assert code == 0 and calls == [n - 1]
+    assert out.splitlines()[n + 1] == str(n)
+
+
+def test_compute_rejects_unreadable_text(tmp_path, capsys):
+    # '²' passes str.isdigit but not int(); 0xff is not UTF-8
+    for name, data in (("digits", "3\n0 1\n1 ²\n".encode()), ("bytes", b"3\n0 1\n\xff\n")):
+        path = tmp_path / f"{name}.graph"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 2 and out == "" and err.startswith("error:"), name
+
+
+def test_enumeration_ceiling(capsys):
+    too_big = str(ENUMERATION_MAX_N + 1)
+    for argv in (
+        ["enumerate", "--n", "1000000"],
+        ["enumerate", "--n", too_big, "--count-only"],
+        ["extremal", "--n", too_big, "--m", "3"],
+        ["verify", "--suite", "extremal", "--max-n", too_big],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"limited to {ENUMERATION_MAX_N} vertices" in err
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):

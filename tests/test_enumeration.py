@@ -8,6 +8,7 @@ from oracles import (
     argmin_by_cell,
     labeled_unicyclic_classes,
     rooted_tree_classes_bruteforce,
+    unicyclic_codes_bruteforce,
 )
 from unikirch.enumeration import (
     CanonicalCode,
@@ -153,8 +154,15 @@ def test_enumerate_no_duplicates_and_sorted():
 
 def test_class_counts_a001429():
     # connected unicyclic graphs, OEIS A001429; the labelled oracle stops at n = 8
-    for n, count in zip(range(10, 14), (657, 1806, 5026, 13999)):
+    for n, count in zip(range(10, 15), (657, 1806, 5026, 13999, 39260)):
         assert sum(1 for _ in enumerate_codes(n)) == count
+
+
+def test_pruned_generator_matches_bruteforce():
+    # every product of the branch pools, filtered afterwards, for n <= 12
+    for n in range(3, 13):
+        codes = [(c.cycle_length, c.branch_codes) for c in enumerate_codes(n)]
+        assert codes == unicyclic_codes_bruteforce(n, rooted_tree_codes), n
 
 
 def test_invariants_from_code_match_graph_routes():

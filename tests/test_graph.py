@@ -52,11 +52,39 @@ def test_round_trip_with_comments():
         "3\n0 1 2\n",         # malformed line
         "x\n0 1\n",           # bad count
         "",                   # empty
+        "²\n",                # a digit to str.isdigit, not to int()
+        "3\n0 1\n1 ²\n",
+        "4\n0 \u0663\n",         # an Arabic-Indic digit, which int() reads as 3
+        "1" * 5000 + "\n",    # more digits than int() converts
     ],
 )
 def test_read_rejects(bad):
     with pytest.raises(GraphParseError):
         read_graph(bad)
+
+
+_LINE = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.text(alphabet="0123456789 #\t\u00b2\u0663x+-", max_size=6),
+)
+_GRAPH_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, lines: "\n".join([head, *lines]) + "\n",
+        st.one_of(st.integers(0, 9).map(str), _LINE),
+        st.lists(_LINE, max_size=10),
+    ),
+)
+
+
+@given(_GRAPH_TEXT)
+def test_read_graph_parses_or_rejects(text):
+    # any text either raises GraphParseError or round-trips
+    try:
+        g = read_graph(text)
+    except GraphParseError:
+        return
+    assert read_graph(write_graph(g)) == g
 
 
 def test_make_graph_rejects():

@@ -268,10 +268,28 @@ def test_kernel_on_a_deep_branch():
 
 
 def test_graph_invariants_rejects_other_graphs():
-    with pytest.raises(ValueError):
-        graph_invariants(Graph(4, frozenset({(0, 1), (2, 3)})))
-    with pytest.raises(ValueError):
-        graph_invariants(Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)})))
+    triangle = {(0, 1), (1, 2), (0, 2)}
+    disconnected = [
+        Graph(4, frozenset({(0, 1), (2, 3)})),
+        Graph(6, frozenset(triangle | {(3, 4), (4, 5), (3, 5)})),  # two triangles
+        Graph(5, frozenset(triangle | {(3, 4)})),  # a triangle and an edge
+        Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})),  # C4 and a vertex
+        # a diamond and a vertex, labelled so that a walk round its core
+        # meets every core vertex
+        Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)})),
+        Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)})),  # the same, relabelled
+    ]
+    bicyclic = Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)}))
+    for g in disconnected + [bicyclic, Graph(0, frozenset())]:
+        with pytest.raises(ValueError):
+            graph_invariants(g)
+    for g in disconnected:
+        with pytest.raises(DisconnectedError):
+            kirchhoff_index(g)
+        with pytest.raises(DisconnectedError):
+            vertex_sums(g)
+    assert graph_invariants(Graph(1, frozenset())) == (1, 0, 0, 0)
+    assert graph_invariants(Graph(2, frozenset({(0, 1)}))) == (1, 1, 1, 1)
 
 
 def test_cycle_terms_match_pairwise_formula():

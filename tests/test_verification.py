@@ -1,17 +1,20 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from unikirch.enumeration import enumerate_with_codes, vertex_sums_from_code
+from unikirch.enumeration import code_parents, enumerate_with_codes, sweep_minima
 from unikirch.graph import without_vertices
-from unikirch.resistance import kirchhoff_index
+from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
     VerificationReport,
+    _branch_shape,
     _pendant_differences,
     candidate_rows,
     load_nm_tables,
     load_table_rows,
     parallel_map,
+    row_cells,
     run_suite,
     suite_cycle_placements,
     suite_deletion_bounds,
@@ -223,12 +226,69 @@ def test_pendant_differences_match_deletions():
     for n in range(3, 11):
         for code, g in enumerate_with_codes(n):
             kf = kirchhoff_index(g)
+            k = code.cycle_length
+            rows = cycle_row_numerators([code_parents(c) for c in code.branch_codes])
             found = []
-            for x, y, single, pair in _pendant_differences(g, vertex_sums_from_code(code)):
+            for x, y, y_degree, single, pair in _pendant_differences(code.branch_codes, rows):
                 found.append(x)
-                assert single == kf - kirchhoff_index(without_vertices(g, [x])), code
+                assert g.adjacency[x] == (y,) and y_degree == g.degree(y), code
+                assert Fraction(single, k) == kf - kirchhoff_index(without_vertices(g, [x])), code
                 if g.degree(y) == 2:
-                    assert pair == kf - kirchhoff_index(without_vertices(g, [x, y])), code
+                    deleted = kirchhoff_index(without_vertices(g, [x, y]))
+                    assert Fraction(pair, k) == kf - deleted, code
                 else:
                     assert pair is None
             assert found == [v for v in range(n) if g.degree(v) == 1]
+
+
+def _in_label_order(per_branch):
+    """Per-branch lists as ``graph_from_code`` labels them: the roots,
+    then every branch's other vertices."""
+    return [b[0] for b in per_branch] + [x for b in per_branch for x in b[1:]]
+
+
+def test_code_rows_and_degrees_match_graphs():
+    # every class for n <= 11: the integer rows over k are the vertex sums
+    # of the class's graph, and the degrees read from the codes its degrees
+    for n in range(3, 12):
+        for code, g in enumerate_with_codes(n):
+            shapes = [_branch_shape(c) for c in code.branch_codes]
+            rows = cycle_row_numerators([parents for parents, _ in shapes])
+            sums = [Fraction(x, code.cycle_length) for x in _in_label_order(rows)]
+            assert sums == vertex_sums(g), code
+            degrees = _in_label_order([d for _, d in shapes])
+            assert degrees == [g.degree(v) for v in range(n)], code
+
+
+def test_each_n_is_swept_once_at_any_thread_count(monkeypatch):
+    import unikirch.verification as verification
+
+    submitted = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            submitted.extend((fn.__name__, n) for n in items)
+            return map(fn, items)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep_minima, "results", {})
+    monkeypatch.setattr(row_cells, "results", {})
+    reports = run_suite("all", max_n=9, trials=3, threads=2)
+    assert all(r.ok for r in reports)
+    # extremal-perfect submits n = 4, 6, 8 and extremal only 5, 7, 9; the
+    # vertex-sum suite submits the row pass, and no later suite submits
+    assert sorted(submitted) == [("_row_cells", n) for n in range(6, 10)] + [
+        ("_sweep_minima", n) for n in range(4, 10)
+    ]
+    assert sorted(sweep_minima.results) == list(range(4, 10))
+    assert sorted(row_cells.results) == list(range(6, 10))
