@@ -33,11 +33,9 @@ from .families import (
     unm_kf_closed_form,
 )
 from .graph import (
-    Branch,
     DisconnectedError,
     Graph,
     GraphParseError,
-    UnicyclicDecomposition,
     bfs_distances,
     decompose_unicyclic,
     identify_vertices,
@@ -74,7 +72,6 @@ from .resistance import (
     resistance_forest,
     resistance_laplacian,
     resistance_matrix,
-    resistance_unicyclic,
     vertex_sums,
 )
 from .verification import VerificationReport, run_suite

@@ -26,8 +26,8 @@ from .verification import SUITE_NAMES, run_suite
 # that grow with the spanning-tree count: at n = 100, about 0.13 s for a
 # path with two chords and 1.2 s for K_100.
 DENSE_MAX_N = 100
-# --resistance-matrix holds n^2 rationals: about 86 MB and 2 s at
-# n = 1000, so 10^4 vertices would need some 9 GB.
+# --resistance-matrix holds n^2 rationals: up to about 80 MB and 1.7 s at
+# n = 1000, so 10^4 vertices would need some 8 GB.
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex, and so does the
 # time to enumerate them.  At n = 16 (311,465 classes), `extremal` takes

@@ -34,9 +34,9 @@ import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import product
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
@@ -84,9 +84,20 @@ def rooted_tree_codes(size: int) -> tuple[str, ...]:
     return _codes_by_size[size]
 
 
+def _parents_code(parents: Sequence[int]) -> str:
+    """Canonical code of a rooted tree given as parent positions, where
+    every vertex comes after its parent and the root (position 0) has
+    parent -1; encoded bottom-up, so that depth costs no recursion."""
+    kids: list[list[str]] = [[] for _ in parents]
+    for v in range(len(parents) - 1, 0, -1):
+        kids[parents[v]].append("(" + "".join(sorted(kids[v])) + ")")
+        kids[v].clear()  # a long path would otherwise keep every prefix
+    return "(" + "".join(sorted(kids[0])) + ")"
+
+
 def _tree_code(adj, root: int) -> str:
-    """Canonical code of the tree on ``adj`` rooted at ``root``, encoded
-    bottom-up over a BFS order, so that depth costs no recursion."""
+    """Canonical code of the tree on ``adj`` rooted at ``root``, from the
+    parent positions of a BFS order."""
     order = [root]
     parents = [-1]  # BFS position of each vertex's parent
     seen = {root}
@@ -96,11 +107,7 @@ def _tree_code(adj, root: int) -> str:
                 seen.add(w)
                 order.append(w)
                 parents.append(pos)
-    kids: list[list[str]] = [[] for _ in parents]
-    for v in range(len(parents) - 1, 0, -1):
-        kids[parents[v]].append("(" + "".join(sorted(kids[v])) + ")")
-        kids[v].clear()  # a long path would otherwise keep every prefix
-    return "(" + "".join(sorted(kids[0])) + ")"
+    return _parents_code(parents)
 
 
 def rooted_tree_code(g: Graph, root: int) -> str:
@@ -148,7 +155,8 @@ class CanonicalCode:
         return hashlib.sha256(str(self).encode()).hexdigest()[:16]
 
 
-def _dihedral_min(seq: tuple[str, ...]) -> tuple[str, ...]:
+def _dihedral_min(seq: tuple) -> tuple:
+    """The least of the rotations and reflections of seq."""
     k = len(seq)
     best = seq
     for base in (seq, seq[::-1]):
@@ -172,11 +180,12 @@ def _is_dihedral_min(seq: tuple[str, ...]) -> bool:
 
 
 def canonical_code(g: Graph) -> CanonicalCode:
-    """Canonical code of a unicyclic graph."""
-    dec = decompose_unicyclic(g)
-    adjs = dec.branch_adjacency
-    seq = tuple(_tree_code(adj, br.root) for br, adj in zip(dec.branches, adjs))
-    return CanonicalCode(len(dec.cycle), _dihedral_min(seq))
+    """Canonical code of a connected unicyclic graph."""
+    trees = decompose_unicyclic(g)
+    if trees is None or len(trees) == 1:
+        raise ValueError("expected a connected unicyclic graph")
+    seq = tuple(_parents_code(parents) for _, parents in trees)
+    return CanonicalCode(len(trees), _dihedral_min(seq))
 
 
 def graph_from_code(code: CanonicalCode) -> Graph:
@@ -198,8 +207,9 @@ def graph_from_code(code: CanonicalCode) -> Graph:
     return Graph(nxt, frozenset(edges))
 
 
-# Keyed by branch code; the default windows use about 1200 distinct codes.
-@lru_cache(maxsize=4096)
+# Keyed by branch code, unbounded: the default windows use about 1,200
+# codes, and cli.ENUMERATION_MAX_N = 16 bounds a sweep at about 53,000.
+@cache
 def branch_summary(code: str) -> BranchSummary:
     """``tree_summary`` of a rooted code."""
     return tree_summary(code_parents(code))

@@ -3,6 +3,12 @@
 Vertices are 0..n-1; edges are stored as (u, v) pairs with u < v.  All
 operations are pure: they take Graph values and return new ones, so
 instances can be shared freely.
+
+A tree or unicyclic graph is a cycle of k vertices (k = 1 for a tree)
+with a rooted branch tree on each.  ``decompose_unicyclic`` finds that
+structure in one leaf-peeling pass, and it is the only routine that
+does: the invariant kernel, the closed-form resistance matrix and the
+canonical codes all read its branch trees.
 """
 
 from __future__ import annotations
@@ -167,162 +173,71 @@ def wiener_index(g: Graph) -> Fraction:
     return Fraction(total)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """A branch tree of a unicyclic graph, rooted at a cycle vertex."""
+def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
+    """The branch trees of a tree or a connected unicyclic graph, in cycle
+    order, each as (labels, parents): its vertices, root first, and the
+    parent position of every vertex, where every vertex comes after its
+    parent and the root (position 0) has parent -1.  A tree is one branch
+    (k = 1).  None for any other graph.
 
-    root: int
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class UnicyclicDecomposition:
-    """The unique cycle plus one rooted branch tree per cycle vertex.
-
-    The branches are vertex-disjoint and partition V(G); cycle edges
-    plus branch edges reproduce the original edge set exactly.
+    One leaf-peeling pass: a vertex is peeled once at most one of its
+    neighbours is left, and that neighbour is its parent, so every vertex
+    is peeled after its children.  A tree peels completely and its last
+    vertex, left without a neighbour, is the root of its one branch.  A
+    connected unicyclic graph has no such root, and what remains, its
+    2-core, is the cycle, walked from its lowest vertex toward the lower
+    of that vertex's two cycle neighbours.  Anything else leaves a second
+    root or a core that is not one cycle.
     """
-
-    cycle: tuple[int, ...]
-    branches: tuple[Branch, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(b.vertices) for b in self.branches)
-
-    @cached_property
-    def cycle_edges(self) -> frozenset[tuple[int, int]]:
-        k = len(self.cycle)
-        pairs = []
-        for i in range(k):
-            a, b = self.cycle[i], self.cycle[(i + 1) % k]
-            pairs.append((a, b) if a < b else (b, a))
-        return frozenset(pairs)
-
-    @cached_property
-    def branch_adjacency(self) -> tuple[dict[int, list[int]], ...]:
-        out = []
-        for br in self.branches:
-            adj: dict[int, list[int]] = {v: [] for v in br.vertices}
-            for u, v in br.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            out.append(adj)
-        return tuple(out)
-
-    @cached_property
-    def branch_index(self) -> dict[int, int]:
-        """Map each vertex to the cycle position of its branch."""
-        idx = {}
-        for i, br in enumerate(self.branches):
-            for v in br.vertices:
-                idx[v] = i
-        return idx
-
-    @cached_property
-    def depths(self) -> dict[int, int]:
-        """Hop distance from each vertex to its branch root."""
-        depth = {}
-        for i, br in enumerate(self.branches):
-            adj = self.branch_adjacency[i]
-            depth[br.root] = 0
-            queue = deque([br.root])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in depth:
-                        depth[w] = depth[u] + 1
-                        queue.append(w)
-        return depth
-
-    def branch_distance(self, u: int, v: int) -> int:
-        """Hop distance between two vertices of the same branch."""
-        i = self.branch_index[u]
-        if self.branch_index[v] != i:
-            raise ValueError("vertices lie in different branches")
-        adj = self.branch_adjacency[i]
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                return dist[x]
-            for w in adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        return dist[v]
-
-    def reassembled_edges(self) -> frozenset[tuple[int, int]]:
-        out = set(self.cycle_edges)
-        for br in self.branches:
-            out |= br.edges
-        return frozenset(out)
-
-
-def _cycle_vertices(g: Graph) -> set[int]:
-    """Leaf-prune to a fixpoint; the 2-regular remainder is the cycle."""
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    while queue:
-        u = queue.popleft()
-        if not alive[u]:
-            continue
+    n = g.n
+    if n == 0 or g.edge_count not in (n - 1, n):
+        return None
+    adj = g.adjacency
+    left = [len(a) for a in adj]  # neighbours not yet peeled
+    parent = [-1] * n
+    alive = [True] * n
+    order = [v for v in range(n) if left[v] <= 1]
+    for u in order:  # order grows while it is scanned
         alive[u] = False
-        for w in g.adjacency[u]:
+        for w in adj[u]:
             if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    return {v for v in range(g.n) if alive[v]}
-
-
-def decompose_unicyclic(g: Graph) -> UnicyclicDecomposition:
-    """Extract the unique cycle and the branch forest of a unicyclic graph.
-
-    The cycle starts at its lowest vertex id and proceeds toward the
-    lower-id neighbor, so the orientation is deterministic.
-    """
-    if g.edge_count != g.n:
-        raise ValueError(f"not unicyclic: {g.edge_count} edges on {g.n} vertices")
-    if not is_connected(g):
-        raise ValueError("not unicyclic: graph is disconnected")
-    cyc_set = _cycle_vertices(g)
-    start = min(cyc_set)
-    first = min(w for w in g.adjacency[start] if w in cyc_set)
-    cycle = [start, first]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = next(w for w in g.adjacency[cur] if w in cyc_set and w != prev)
-        if nxt == start:
-            break
-        cycle.append(nxt)
-    cycle_edges = set()
-    k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        cycle_edges.add((a, b) if a < b else (b, a))
-    tree_edges = g.edges - cycle_edges
-    tree_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in tree_edges:
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    branches = []
-    for root in cycle:
-        verts = {root}
-        edges = set()
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in tree_adj[u]:
-                if w not in verts:
-                    verts.add(w)
-                    edges.add((u, w) if u < w else (w, u))
-                    queue.append(w)
-        branches.append(Branch(root, frozenset(verts), frozenset(edges)))
-    return UnicyclicDecomposition(tuple(cycle), tuple(branches))
+                parent[u] = w
+                left[w] -= 1
+                if left[w] == 1:
+                    order.append(w)
+                break
+    if g.edge_count == n - 1:
+        if len(order) < n:
+            return None
+        cycle = [order.pop()]
+    else:
+        if -1 in (parent[u] for u in order):
+            return None
+        # every core vertex has two core neighbours; walk one cycle
+        cycle = [alive.index(True)]
+        prev = -1
+        while True:
+            cur = cycle[-1]
+            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
+            if nxt == cycle[0]:
+                break
+            cycle.append(nxt)
+            prev = cur
+        if len(cycle) + len(order) < n:
+            return None
+    trees = [([c], [-1]) for c in cycle]
+    branch = [0] * n
+    pos = [0] * n
+    for i, c in enumerate(cycle):
+        branch[c] = i
+    for u in reversed(order):
+        p = parent[u]
+        labels, parents = trees[branch[p]]
+        branch[u] = branch[p]
+        pos[u] = len(labels)
+        labels.append(u)
+        parents.append(pos[p])
+    return trees
 
 
 def identify_vertices(g: Graph, u: int, h: Graph, w: int) -> Graph:

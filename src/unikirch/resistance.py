@@ -7,8 +7,9 @@ the test suite cross-checks them:
   Gauss-Jordan elimination over the integers, ``_fraction_free_solve``,
   with a single division into a Fraction per output value,
 * spanning-tree / separating-forest counting via integer determinants,
-* the series closed form on a unicyclic decomposition (tree distance
-  into the cycle, cycle resistance d(k-d)/k, tree distance out).
+* the series closed form on the branch trees of a tree or unicyclic
+  graph (tree distance into the cycle, cycle resistance d(k-d)/k, tree
+  distance out), ``resistance_matrix_unicyclic``.
 
 Whole-graph invariants of trees and unicyclic graphs come from one
 integer kernel, ``cycle_invariants``, which reads a short summary of
@@ -16,15 +17,16 @@ each branch tree and needs no n x n matrix: Kf, W and the matching
 number in O(n + k) for cycle length k, with the cycle terms in
 ``cycle_terms``; ``cycle_row_numerators`` gives the vertex-sum row, as
 integers over k, by rerooting inside each branch.  Codes feed the kernel
-directly.  A graph is peeled leaf by leaf once: the peel order gives
-every branch tree in parent form, the 2-core is the cycle, and a graph
-that is not a connected tree or unicyclic graph shows itself on the way
-(``_peel``).  ``graph_invariants``, ``kirchhoff_index``, ``vertex_sums``
-and ``kirchhoff_vertex_sum`` read it.  Other graphs take the Laplacian
-route: one elimination (``grounded_inverse``) gives Kf and the vertex
-sums from traces and row sums of the integer inverse, and the matrix
-from its entries; only ``resistance_matrix`` builds an n x n matrix.
-The Laplacian and forest routes also serve as oracles.
+directly.  A graph is peeled leaf by leaf once, by
+``graph.decompose_unicyclic``: the peel gives every branch tree in
+parent form, and a graph that is not a connected tree or unicyclic
+graph shows itself on the way.  ``graph_invariants``,
+``kirchhoff_index``, ``vertex_sums``, ``kirchhoff_vertex_sum`` and
+``resistance_matrix`` read it.  Other graphs take the Laplacian route:
+one elimination (``grounded_inverse``) gives Kf and the vertex sums from
+traces and row sums of the integer inverse, and the matrix from its
+entries.  Only ``resistance_matrix`` builds an n x n matrix.  The
+Laplacian and forest routes also serve as oracles.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .graph import (
-    DisconnectedError,
-    Graph,
-    UnicyclicDecomposition,
-    decompose_unicyclic,
-    is_connected,
-)
+from .graph import DisconnectedError, Graph, decompose_unicyclic, is_connected
 
 
 def r_cycle(n: int, d: int) -> Fraction:
@@ -196,25 +192,6 @@ def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
     return Fraction(pot_u - pot_v, d)
 
 
-def resistance_unicyclic(dec: UnicyclicDecomposition, u: int, v: int) -> Fraction:
-    """Effective resistance from a unicyclic decomposition.
-
-    Same branch: the connecting path is unique, so the resistance is
-    the hop distance.  Different branches: tree distance to the first
-    root, plus the cycle resistance between the roots, plus tree
-    distance from the second root.
-    """
-    if u == v:
-        return Fraction(0)
-    bu = dec.branch_index[u]
-    bv = dec.branch_index[v]
-    if bu == bv:
-        return Fraction(dec.branch_distance(u, v))
-    k = len(dec.cycle)
-    gap = abs(bu - bv)
-    return Fraction(dec.depths[u] + dec.depths[v]) + r_cycle(k, gap)
-
-
 @dataclass(frozen=True)
 class ResistanceMatrix:
     n: int
@@ -290,46 +267,56 @@ def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
     return grounded_inverse(g, ground).matrix()
 
 
-def resistance_matrix_unicyclic(dec: UnicyclicDecomposition) -> ResistanceMatrix:
-    n = dec.n
-    k = len(dec.cycle)
-    gap_r = [r_cycle(k, d) for d in range(k)]
-    depths = dec.depths
-    bidx = dec.branch_index
-    branch_dist: list[dict[int, dict[int, int]]] = []
-    for i, br in enumerate(dec.branches):
-        adj = dec.branch_adjacency[i]
-        table: dict[int, dict[int, int]] = {}
-        for s in br.vertices:
-            dist = {s: 0}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for w in adj[x]:
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        stack.append(w)
-            table[s] = dist
-        branch_dist.append(table)
+def resistance_matrix_unicyclic(
+    trees: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> ResistanceMatrix:
+    """All-pairs resistances of the graph C_k that carries the i-th of
+    ``trees`` on its i-th vertex, each tree as (labels, parents) as
+    ``decompose_unicyclic`` gives it; one tree (k = 1) is a tree graph.
+
+    Inside a branch the path is unique, so the resistance is the hop
+    distance; between branches i < j it is the two depths plus d(k - d)/k
+    for the cycle gap d = j - i.  At most one Fraction per unordered pair,
+    shared by both of its entries.
+    """
+    k = len(trees)
+    n = sum(len(labels) for labels, _ in trees)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for u in range(n):
-        bu = bidx[u]
-        for v in range(u + 1, n):
-            bv = bidx[v]
-            if bu == bv:
-                r = Fraction(branch_dist[bu][u][v])
-            else:
-                r = Fraction(depths[u] + depths[v]) + gap_r[abs(bu - bv)]
-            rows[u][v] = r
-            rows[v][u] = r
+    depths = []
+    for labels, parents in trees:
+        s = len(labels)
+        # hops[v][x] = hops[parent][x] + 1 for x < v, which lies outside
+        # v's subtree; the symmetric entry fills the rows still to come
+        hops = [[0] * s for _ in range(s)]
+        for v in range(1, s):
+            own, up = hops[v], hops[parents[v]]
+            for x in range(v):
+                own[x] = hops[x][v] = up[x] + 1
+        values = [Fraction(h) for h in range(s)]
+        for a, u in enumerate(labels):
+            row, own = rows[u], hops[a]
+            for b in range(a):
+                v = labels[b]
+                row[v] = rows[v][u] = values[own[b]]
+        depths.append(hops[0])  # the root's hops are the depths
+    gaps = [Fraction(d * (k - d), k) for d in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            gap = gaps[j - i]  # two roots share it
+            for u, du in zip(trees[i][0], depths[i]):
+                row = rows[u]
+                for v, dv in zip(trees[j][0], depths[j]):
+                    row[v] = rows[v][u] = gap + (du + dv) if du or dv else gap
     return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
 
 
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
-    """All-pairs resistances; unicyclic graphs take the closed-form route."""
-    if g.n >= 3 and g.edge_count == g.n and is_connected(g):
-        return resistance_matrix_unicyclic(decompose_unicyclic(g))
-    return resistance_matrix_dense(g)
+    """All-pairs resistances; trees and unicyclic graphs take the closed
+    form, other graphs the Laplacian route."""
+    trees = decompose_unicyclic(g)
+    if trees is None:
+        return resistance_matrix_dense(g)
+    return resistance_matrix_unicyclic(trees)
 
 
 class BranchSummary(NamedTuple):
@@ -474,77 +461,13 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
     )
 
 
-def _peel(g: Graph) -> list[tuple[list[int], list[int]]] | None:
-    """The branch trees of a tree or a connected unicyclic graph, in cycle
-    order, each as (labels, parents): its vertices, root first, and the
-    parent form of ``_subtree_sizes``.  None for any other graph.
-
-    One leaf-peeling pass: a vertex is peeled once at most one of its
-    neighbours is left, and that neighbour is its parent, so every vertex
-    is peeled after its children.  A tree peels completely and its last
-    vertex, left without a neighbour, is the root of its one branch.  A
-    connected unicyclic graph has no such root, and what remains, its
-    2-core, is the cycle.  Anything else leaves a second root or a core
-    that is not one cycle.
-    """
-    n = g.n
-    if n == 0 or g.edge_count not in (n - 1, n):
-        return None
-    adj = g.adjacency
-    left = [len(a) for a in adj]  # neighbours not yet peeled
-    parent = [-1] * n
-    alive = [True] * n
-    order = [v for v in range(n) if left[v] <= 1]
-    for u in order:  # order grows while it is scanned
-        alive[u] = False
-        for w in adj[u]:
-            if alive[w]:
-                parent[u] = w
-                left[w] -= 1
-                if left[w] == 1:
-                    order.append(w)
-                break
-    if g.edge_count == n - 1:
-        if len(order) < n:
-            return None
-        cycle = [order.pop()]
-    else:
-        if -1 in (parent[u] for u in order):
-            return None
-        # every core vertex has two core neighbours; walk one cycle
-        cycle = [alive.index(True)]
-        prev = -1
-        while True:
-            cur = cycle[-1]
-            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
-            if nxt == cycle[0]:
-                break
-            cycle.append(nxt)
-            prev = cur
-        if len(cycle) + len(order) < n:
-            return None
-    trees = [([c], [-1]) for c in cycle]
-    branch = [0] * n
-    pos = [0] * n
-    for i, c in enumerate(cycle):
-        branch[c] = i
-    for u in reversed(order):
-        p = parent[u]
-        labels, parents = trees[branch[p]]
-        branch[u] = branch[p]
-        pos[u] = len(labels)
-        labels.append(u)
-        parents.append(pos[p])
-    return trees
-
-
 def _invariants(trees: list[tuple[list[int], list[int]]]) -> Invariants:
     return cycle_invariants([tree_summary(parents) for _, parents in trees])
 
 
 def graph_invariants(g: Graph) -> Invariants:
     """``cycle_invariants`` of a tree or a connected unicyclic graph."""
-    trees = _peel(g)
+    trees = decompose_unicyclic(g)
     if trees is None:
         raise ValueError("expected a tree or a connected unicyclic graph")
     return _invariants(trees)
@@ -605,7 +528,7 @@ def cycle_vertex_sums(trees: Sequence[tuple[Sequence[int], Sequence[int]]]) -> l
 def vertex_sums(g: Graph) -> list[Fraction]:
     """Resistance row sum of every vertex; linear for trees and unicyclic
     graphs, by the Laplacian route otherwise."""
-    trees = _peel(g)
+    trees = decompose_unicyclic(g)
     if trees is None:
         return grounded_inverse(g).vertex_sums()
     return cycle_vertex_sums(trees)
@@ -613,7 +536,7 @@ def vertex_sums(g: Graph) -> list[Fraction]:
 
 def kirchhoff_index(g: Graph) -> Fraction:
     """Sum of effective resistances over unordered vertex pairs."""
-    trees = _peel(g)
+    trees = decompose_unicyclic(g)
     if trees is None:
         return kirchhoff_index_dense(g)
     return _invariants(trees).kf

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 from itertools import combinations
 from typing import Iterator, NamedTuple
@@ -27,6 +27,7 @@ from typing import Iterator, NamedTuple
 from .enumeration import (
     CachedByN,
     CanonicalCode,
+    _dihedral_min,
     branch_summary,
     canonical_code,
     code_parents,
@@ -393,7 +394,7 @@ def suite_extremal(
     return report
 
 
-@lru_cache(maxsize=4096)
+@cache  # unbounded, like enumeration.branch_summary
 def _branch_shape(code: str) -> tuple[list[int], list[int]]:
     """(parents, degrees) of the vertices of a branch code, in the order of
     ``code_parents``, with degrees as in the graph: the root also has its
@@ -625,15 +626,11 @@ def _pendant_placement_graph(k: int, positions: tuple[int, ...]) -> Graph:
 
 
 def _placement_canon(k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """Dihedral-canonical form of a subset of cycle positions."""
-    best = None
-    pts = sorted(positions)
-    for sign in (1, -1):
-        for shift in range(k):
-            cand = tuple(sorted((sign * p + shift) % k for p in pts))
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Dihedral-canonical form of a subset of cycle positions: the least
+    of its sorted images.  Marking the positions 0 and the rest 1, the
+    least sorted image is the least image of the marks."""
+    marks = _dihedral_min(tuple(0 if i in positions else 1 for i in range(k)))
+    return tuple(i for i, mark in enumerate(marks) if mark == 0)
 
 
 def suite_cycle_placements() -> VerificationReport:

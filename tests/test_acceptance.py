@@ -37,7 +37,7 @@ from unikirch.resistance import (
     kirchhoff_vertex_sum,
     resistance_forest,
     resistance_laplacian,
-    resistance_unicyclic,
+    resistance_matrix_unicyclic,
 )
 from unikirch.verification import (
     suite_cycle_placements,
@@ -173,23 +173,20 @@ def test_criterion_09_cross_method_resistance():
     checked = 0
     for n in range(3, 9):
         for _, g in enumerate_with_codes(n):
-            dec = decompose_unicyclic(g)
+            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     r1 = resistance_laplacian(g, u, v)
                     r2 = resistance_forest(g, u, v)
-                    r3 = resistance_unicyclic(dec, u, v)
+                    r3 = mat.r(u, v)
                     assert r1 == r2 == r3
                     checked += 1
     for n in range(3, 51):
         g = make_cycle(n)
-        dec = decompose_unicyclic(g)
-        kf = sum(
-            (resistance_unicyclic(dec, u, v) for u in range(n) for v in range(u + 1, n)),
-            Fraction(0),
-        )
+        mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+        kf = sum((mat.r(u, v) for u in range(n) for v in range(u + 1, n)), Fraction(0))
         assert kf == kf_cycle(n) == Fraction(n**3 - n, 12)
-        row = sum((resistance_unicyclic(dec, 0, v) for v in range(n)), Fraction(0))
+        row = sum((mat.r(0, v) for v in range(n)), Fraction(0))
         assert row == kfv_cycle(n) == Fraction(n * n - 1, 6)
     finish("9 three-method agreement + cycle closed forms", t0, 120, f"{checked} pairs")
 

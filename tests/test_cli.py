@@ -128,6 +128,26 @@ def test_compute_wiener_reads_the_kernel(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1] == f"W = {expected}"
 
 
+def test_compute_tree_matrix_is_the_closed_form(tmp_path, capsys, monkeypatch):
+    rng = random.Random(200)
+    n = 200
+    g = Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
+    path = tmp_path / "tree.graph"
+    path.write_text(write_graph(g))
+    expected = [str(n)]
+    for u in range(n - 1):
+        expected.append(" ".join(map(str, graph.bfs_distances(g, u)[u + 1 :])))
+
+    def no_elimination(*_):
+        raise AssertionError("compute --resistance-matrix ran the Laplacian route")
+
+    monkeypatch.setattr(resistance, "grounded_inverse", no_elimination)
+    monkeypatch.setattr(cli, "grounded_inverse", no_elimination)
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
+    assert code == 0
+    assert out.splitlines()[1:] == expected
+
+
 def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypatch):
     n = 80
     edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]

@@ -12,6 +12,7 @@ from oracles import (
 )
 from unikirch.enumeration import (
     CanonicalCode,
+    branch_summary,
     canonical_code,
     code_parents,
     counts_by_matching,
@@ -104,6 +105,9 @@ def test_canonical_code_examples():
     code = canonical_code(make_ukt(3, 1, 0, 0))
     assert code.cycle_length == 3
     assert sorted(code.branch_codes) == ["(())", "()", "()"]
+    for not_unicyclic in (make_path(4), Graph(4, make_cycle(4).edges | {(0, 2)})):
+        with pytest.raises(ValueError):
+            canonical_code(not_unicyclic)
 
 
 def test_canonical_code_invariant_under_relabeling(unicyclic_corpus):
@@ -220,6 +224,15 @@ def test_sweep_minima_matches_bruteforce_argmin():
             got = {key: (best.value, list(best.codes)) for key, best in table.items()}
             expected = argmin_by_cell(cell_records)
             assert list(got.items()) == list(expected.items()), n
+
+
+def test_sweep_keeps_every_branch_summary_cached():
+    # a sweep at n = 14 reads 7,813 rooted trees; a second pass finds
+    # every one of them in the cache
+    sweep_minima.compute(14)
+    misses = branch_summary.cache_info().misses
+    sweep_minima.compute(14)
+    assert branch_summary.cache_info().misses == misses
 
 
 def test_vertex_sums_from_code_match_graph_route():

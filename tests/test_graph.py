@@ -114,38 +114,45 @@ def test_distances_against_floyd_warshall():
 
 
 def test_decompose_forced_structure():
-    dec = decompose_unicyclic(make_ukt(3, 1, 0, 0))
-    assert dec.cycle == (0, 1, 2)
-    sizes = sorted(len(b.vertices) for b in dec.branches)
-    assert sizes == [1, 1, 2]
+    trees = decompose_unicyclic(make_ukt(3, 1, 0, 0))
+    assert [labels[0] for labels, _ in trees] == [0, 1, 2]
+    assert sorted(len(labels) for labels, _ in trees) == [1, 1, 2]
 
 
 def test_decompose_cycle_trivial_branches():
-    dec = decompose_unicyclic(make_cycle(8))
-    assert dec.cycle == tuple(range(8))
-    assert all(len(b.vertices) == 1 and not b.edges for b in dec.branches)
+    trees = decompose_unicyclic(make_cycle(8))
+    assert trees == [([c], [-1]) for c in range(8)]
 
 
 def test_decompose_hub_family():
     # one branch holds the root plus the 11 off-cycle vertices
-    dec = decompose_unicyclic(make_ukt(5, 1, 0, 5))
-    assert len(dec.cycle) == 5
-    assert sorted(len(b.vertices) for b in dec.branches) == [1, 1, 1, 1, 12]
+    trees = decompose_unicyclic(make_ukt(5, 1, 0, 5))
+    assert len(trees) == 5
+    assert sorted(len(labels) for labels, _ in trees) == [1, 1, 1, 1, 12]
 
 
 def test_decompose_rejects():
-    with pytest.raises(ValueError):
-        decompose_unicyclic(make_path(4))
-    with pytest.raises(ValueError):
-        decompose_unicyclic(Graph(6, make_cycle(3).edges | {(3, 4), (4, 5), (3, 5)}))
+    # a tree is one branch; a disconnected or bicyclic graph has no branches
+    ((labels, parents),) = decompose_unicyclic(make_path(4))
+    assert sorted(labels) == [0, 1, 2, 3] and parents[0] == -1
+    assert decompose_unicyclic(Graph(6, make_cycle(3).edges | {(3, 4), (4, 5), (3, 5)})) is None
+    assert decompose_unicyclic(Graph(4, make_cycle(4).edges | {(0, 2)})) is None
+    assert decompose_unicyclic(Graph(0, frozenset())) is None
 
 
 def test_decompose_reassembly(unicyclic_corpus):
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
-            dec = decompose_unicyclic(g)
-            assert dec.reassembled_edges() == g.edges
-            assert set(dec.branch_index) == set(range(g.n))
+            trees = decompose_unicyclic(g)
+            k = len(trees)
+            roots = [labels[0] for labels, _ in trees]
+            edges = {tuple(sorted((roots[i], roots[(i + 1) % k]))) for i in range(k)}
+            for labels, parents in trees:
+                for v in range(1, len(labels)):
+                    assert parents[v] < v
+                    edges.add(tuple(sorted((labels[parents[v]], labels[v]))))
+            assert edges == g.edges
+            assert sorted(u for labels, _ in trees for u in labels) == list(range(g.n))
 
 
 def test_identify_paths():

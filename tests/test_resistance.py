@@ -41,7 +41,6 @@ from unikirch.resistance import (
     resistance_matrix,
     resistance_matrix_dense,
     resistance_matrix_unicyclic,
-    resistance_unicyclic,
     separating_forest_count,
     spanning_tree_count,
     vertex_sums,
@@ -65,8 +64,7 @@ def test_triangle_adjacent_pair():
     assert separating_forest_count(g, 0, 1) == 2
     assert resistance_forest(g, 0, 1) == Fraction(2, 3)
     assert resistance_laplacian(g, 0, 1) == Fraction(2, 3)
-    dec = decompose_unicyclic(g)
-    assert resistance_unicyclic(dec, 0, 1) == Fraction(2, 3)
+    assert resistance_matrix_unicyclic(decompose_unicyclic(g)).r(0, 1) == Fraction(2, 3)
 
 
 def test_path_resistance_is_hop_distance():
@@ -86,7 +84,7 @@ def test_c4_antipodal():
 def test_self_resistance_is_zero():
     g = make_cycle(5)
     assert resistance_laplacian(g, 2, 2) == 0
-    assert resistance_unicyclic(decompose_unicyclic(g), 2, 2) == 0
+    assert resistance_matrix_unicyclic(decompose_unicyclic(g)).r(2, 2) == 0
 
 
 def test_ground_independence():
@@ -101,13 +99,22 @@ def test_ground_independence():
 def test_three_way_agreement(unicyclic_corpus):
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
-            dec = decompose_unicyclic(g)
+            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     r1 = resistance_laplacian(g, u, v)
                     r2 = resistance_forest(g, u, v)
-                    r3 = resistance_unicyclic(dec, u, v)
+                    r3 = mat.r(u, v)
                     assert r1 == r2 == r3
+
+
+def test_tree_matrix_matches_laplacian_route():
+    rng = random.Random(5)
+    for n in [1, 2] + [rng.randrange(3, 13) for _ in range(30)]:
+        g = Graph(n, frozenset(random_tree_edges(rng, n)))
+        assert resistance_matrix(g) == resistance_matrix_dense(g)
+        for u in range(n):
+            assert list(resistance_matrix(g).rows[u]) == bfs_distances(g, u)
 
 
 def test_resistance_is_a_metric(unicyclic_corpus):
@@ -126,14 +133,15 @@ def test_resistance_is_a_metric(unicyclic_corpus):
 def test_resistance_below_distance_equality_iff_unique_path(unicyclic_corpus):
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
-            dec = decompose_unicyclic(g)
+            trees = decompose_unicyclic(g)
+            branch = {u: i for i, (labels, _) in enumerate(trees) for u in labels}
             mat = resistance_matrix(g)
             for u in range(g.n):
                 dist = bfs_distances(g, u)
                 for v in range(u + 1, g.n):
                     r = mat.r(u, v)
                     assert r <= dist[v]
-                    unique_path = dec.branch_index[u] == dec.branch_index[v]
+                    unique_path = branch[u] == branch[v]
                     assert (r == dist[v]) == unique_path
 
 
