@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,8 +25,9 @@ from .verification import SUITE_NAMES, run_suite
 # that grow with the spanning-tree count: at n = 100, about 0.13 s for a
 # path with two chords and 1.2 s for K_100.
 DENSE_MAX_N = 100
-# --resistance-matrix holds n^2 rationals: up to about 80 MB and 1.7 s at
-# n = 1000, so 10^4 vertices would need some 8 GB.
+# --resistance-matrix holds and prints n^2 entries: at n = 1000, about 47 MB,
+# 5 MB of output and 0.6 s for U(500,500,0,0), 0.75 s for C_1000 (2-vCPU VM,
+# Python 3.11.7), and all of it grows as n^2.
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex, and so does the
 # time to enumerate them.  At n = 16 (311,465 classes), `extremal` takes
@@ -40,9 +40,6 @@ ENUMERATION_MAX_N = 16
 def _default_threads(args) -> int:
     if args.threads:
         return args.threads
-    env = os.environ.get("UNIKIRCH_THREADS")
-    if env and env.isascii() and env.isdigit() and int(env) > 0:
-        return int(env)
     # one worker: the sweeps of `verify --suite all` take about 0.1 s in all,
     # less than starting a process pool costs
     return 1

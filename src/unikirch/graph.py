@@ -8,7 +8,9 @@ A tree or unicyclic graph is a cycle of k vertices (k = 1 for a tree)
 with a rooted branch tree on each.  ``decompose_unicyclic`` finds that
 structure in one leaf-peeling pass, and it is the only routine that
 does: the invariant kernel, the closed-form resistance matrix and the
-canonical codes all read its branch trees.
+canonical codes read its branch trees, and ``matching.matching_number``
+splits a unicyclic graph on the cycle edge between its first two roots.
+``without_vertices`` is the one delete-and-relabel.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -284,29 +283,16 @@ def strip_pendant_p2(g: Graph) -> StripResult:
     adj = g.adjacency_dict()
     removed: list[tuple[int, int]] = []
     while True:
-        target = None
-        for v in sorted(adj):
-            if len(adj[v]) == 1:
-                (nb,) = adj[v]
-                if len(adj[nb]) == 2:
-                    target = (v, nb)
-                    break
-        if target is None:
+        pendants = (v for v in sorted(adj) if len(adj[v]) == 1)
+        pair = next(((v, nb) for v in pendants for nb in adj[v] if len(adj[nb]) == 2), None)
+        if pair is None:
             break
-        v, nb = target
-        for x in (v, nb):
-            for y in adj[x]:
+        for x in pair:
+            for y in adj.pop(x):
                 adj[y].discard(x)
-            del adj[x]
-        removed.append((v, nb))
-    keep = sorted(adj)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = set()
-    for v in keep:
-        for x in adj[v]:
-            if v < x:
-                edges.add((relabel[v], relabel[x]))
-    return StripResult(Graph(len(keep), frozenset(edges)), tuple(removed))
+        removed.append(pair)
+    gone = [x for pair in removed for x in pair]
+    return StripResult(without_vertices(g, gone), tuple(removed))
 
 
 def without_vertices(g: Graph, drop: Iterable[int]) -> Graph:

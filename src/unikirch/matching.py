@@ -4,6 +4,9 @@ Forests are solved by greedy leaf matching (match a leaf to its
 neighbor, delete both), which is exact on trees.  A unicyclic graph
 splits on one cycle edge e = xy: its matching number is
 max(m(G - e), 1 + m(G - x - y)), and both subproblems are forests.
+The split edge is the first one of the cycle that
+``graph.decompose_unicyclic`` walks: the lowest cycle vertex x and the
+lower y of its two cycle neighbours.
 """
 
 from __future__ import annotations
@@ -12,7 +15,13 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, is_connected, without_vertices
+from .graph import (
+    Graph,
+    decompose_unicyclic,
+    is_connected,
+    is_unicyclic,
+    without_vertices,
+)
 
 
 @dataclass(frozen=True)
@@ -63,63 +72,6 @@ def _forest_matching(adj: dict[int, set[int]]) -> set[tuple[int, int]]:
     return matched
 
 
-def _has_cycle(adj: dict[int, set[int]]) -> bool:
-    edges = sum(len(nb) for nb in adj.values()) // 2
-    seen: set[int] = set()
-    components = 0
-    for s in adj:
-        if s in seen:
-            continue
-        components += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return edges > len(adj) - components
-
-
-def _matching_edges(adj: dict[int, set[int]]) -> set[tuple[int, int]]:
-    """Maximum matching of a forest or a graph with at most one cycle
-    per component (adjacency-dict form, labels preserved)."""
-    if not _has_cycle(adj):
-        return _forest_matching(adj)
-    deg = {v: len(nb) for v, nb in adj.items()}
-    queue = [v for v, d in deg.items() if d == 1]
-    alive = {v: True for v in adj}
-    while queue:
-        u = queue.pop()
-        if not alive[u]:
-            continue
-        alive[u] = False
-        for w in adj[u]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    core = {v for v in adj if alive[v] and deg[v] >= 2}
-    x, y = min(
-        (a, b) if a < b else (b, a) for a in core for b in adj[a] if b in core
-    )
-    without_edge = {v: set(nb) for v, nb in adj.items()}
-    without_edge[x].discard(y)
-    without_edge[y].discard(x)
-    m1 = _forest_matching(without_edge)
-    without_pair = {
-        v: {w for w in nb if w not in (x, y)}
-        for v, nb in adj.items()
-        if v not in (x, y)
-    }
-    m2 = _forest_matching(without_pair)
-    if len(m1) >= 1 + len(m2):
-        return m1
-    m2.add((x, y))
-    return m2
-
-
 def _result(g: Graph, edges: set[tuple[int, int]]) -> MatchingResult:
     sat = [False] * g.n
     for u, v in edges:
@@ -137,15 +89,36 @@ def matching_number_tree(g: Graph) -> MatchingResult:
 
 def matching_number(g: Graph) -> MatchingResult:
     """Maximum matching of a forest or a unicyclic graph."""
+    adj = g.adjacency_dict()
     if g.edge_count <= max(g.n - 1, 0):
-        return _result(g, _forest_matching(g.adjacency_dict()))
-    if g.edge_count == g.n and is_connected(g):
-        return _result(g, _matching_edges(g.adjacency_dict()))
-    raise ValueError("expected a forest or a unicyclic graph")
+        return _result(g, _forest_matching(adj))
+    trees = decompose_unicyclic(g)
+    if trees is None:
+        raise ValueError("expected a forest or a unicyclic graph")
+    x, y = trees[0][0][0], trees[1][0][0]
+    without_edge = {v: set(nb) for v, nb in adj.items()}
+    without_edge[x].discard(y)
+    without_edge[y].discard(x)
+    m1 = _forest_matching(without_edge)
+    del adj[x], adj[y]
+    m2 = _forest_matching({v: nb - {x, y} for v, nb in adj.items()})
+    if len(m1) < 1 + len(m2):
+        m1 = m2 | {(x, y)}
+    return _result(g, m1)
 
 
 def has_perfect_matching(g: Graph) -> bool:
     return g.n % 2 == 0 and matching_number(g).size * 2 == g.n
+
+
+def _pendant_deletions(g: Graph, m: int):
+    """The graph left by deleting each pendant whose deletion keeps the
+    matching number m, lowest pendant first."""
+    for u in range(g.n):
+        if g.degree(u) == 1:
+            rest = without_vertices(g, [u])
+            if matching_number(rest).size == m:
+                yield rest
 
 
 def reduce_to_g0(g: Graph) -> tuple[Graph, int]:
@@ -157,73 +130,46 @@ def reduce_to_g0(g: Graph) -> tuple[Graph, int]:
     through unchanged.  When several pendants qualify the lowest vertex
     id goes first.
     """
-    if g.edge_count != g.n or not is_connected(g):
+    if not is_unicyclic(g):
         raise ValueError("expected a unicyclic graph")
     m = matching_number(g).size
     if g.n == 2 * m or all(g.degree(v) == 2 for v in range(g.n)):
         return g, 0
-    adj = g.adjacency_dict()
-    size = g.n
-    while size > 2 * m:
-        chosen = None
-        for u in sorted(v for v, nb in adj.items() if len(nb) == 1):
-            rest = {v: nb - {u} for v, nb in adj.items() if v != u}
-            if len(_matching_edges(rest)) == m:
-                chosen = u
-                break
-        if chosen is None:
+    g0 = g
+    while g0.n > 2 * m:
+        g0 = next(_pendant_deletions(g0, m), None)
+        if g0 is None:
             raise RuntimeError("no deletable pendant found")
-        for w in adj[chosen]:
-            adj[w].discard(chosen)
-        del adj[chosen]
-        size -= 1
-    keep = sorted(adj)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = frozenset(
-        (relabel[v], relabel[w]) for v in keep for w in adj[v] if v < w
-    )
-    return Graph(len(keep), edges), g.n - 2 * m
+    return g0, g.n - 2 * m
 
 
 def reduce_orders_diagnostic(g: Graph) -> tuple[Graph, ...]:
     """Explore every deletion order of the reduction and return the
     distinct end graphs (small inputs only; exponential by design)."""
-    if g.edge_count != g.n or not is_connected(g):
+    if not is_unicyclic(g):
         raise ValueError("expected a unicyclic graph")
     m = matching_number(g).size
     if g.n == 2 * m or all(g.degree(v) == 2 for v in range(g.n)):
         return (g,)
+    from .enumeration import canonical_code
 
     results: dict[object, Graph] = {}
 
-    def final_graph(adj: dict[int, set[int]]) -> Graph:
-        keep = sorted(adj)
-        relabel = {v: i for i, v in enumerate(keep)}
-        edges = frozenset(
-            (relabel[v], relabel[w]) for v in keep for w in adj[v] if v < w
-        )
-        return Graph(len(keep), edges)
-
-    def explore(adj: dict[int, set[int]], size: int):
-        if size == 2 * m:
-            from .enumeration import canonical_code
-
-            g0 = final_graph(adj)
-            results[canonical_code(g0)] = g0
+    def explore(h: Graph):
+        if h.n == 2 * m:
+            results[canonical_code(h)] = h
             return
-        for u in sorted(v for v, nb in adj.items() if len(nb) == 1):
-            rest = {v: nb - {u} for v, nb in adj.items() if v != u}
-            if len(_matching_edges(rest)) == m:
-                explore(rest, size - 1)
+        for rest in _pendant_deletions(h, m):
+            explore(rest)
 
-    explore(g.adjacency_dict(), g.n)
+    explore(g)
     return tuple(results[c] for c in sorted(results))
 
 
 def classify_2m_m(g: Graph) -> PerfectMatchingClass:
     """Classify a unicyclic graph with a perfect matching: the cycle,
     pendants-on-cycle (maximum degree three), or a pendant P2 present."""
-    if g.edge_count != g.n or not is_connected(g):
+    if not is_unicyclic(g):
         raise ValueError("expected a unicyclic graph")
     if not has_perfect_matching(g):
         raise ValueError("expected a graph with a perfect matching")

@@ -276,8 +276,9 @@ def resistance_matrix_unicyclic(
 
     Inside a branch the path is unique, so the resistance is the hop
     distance; between branches i < j it is the two depths plus d(k - d)/k
-    for the cycle gap d = j - i.  At most one Fraction per unordered pair,
-    shared by both of its entries.
+    for the cycle gap d = j - i.  The entries share their Fractions: one
+    per hop count inside each branch, one per (gap, depth sum) across
+    branches.
     """
     k = len(trees)
     n = sum(len(labels) for labels, _ in trees)
@@ -299,14 +300,21 @@ def resistance_matrix_unicyclic(
                 v = labels[b]
                 row[v] = rows[v][u] = values[own[b]]
         depths.append(hops[0])  # the root's hops are the depths
-    gaps = [Fraction(d * (k - d), k) for d in range(k)]
+    heights = [max(d) for d in depths]
+    # across[d][s]: cycle gap d plus depth sum s, filled as far as needed
+    across = [[Fraction(d * (k - d), k)] for d in range(k)]
     for i in range(k):
-        for j in range(i + 1, k):
-            gap = gaps[j - i]  # two roots share it
-            for u, du in zip(trees[i][0], depths[i]):
+        own, hi = list(zip(trees[i][0], depths[i])), heights[i]
+        # branch j = i + 1, ..., k - 1 reads the values of gap j - i
+        for values, (labels, _), dj, hj in zip(
+            across[1:], trees[i + 1 :], depths[i + 1 :], heights[i + 1 :]
+        ):
+            if len(values) <= hi + hj:
+                values.extend(values[0] + s for s in range(len(values), hi + hj + 1))
+            for u, du in own:
                 row = rows[u]
-                for v, dv in zip(trees[j][0], depths[j]):
-                    row[v] = rows[v][u] = gap + (du + dv) if du or dv else gap
+                for v, dv in zip(labels, dj):
+                    row[v] = rows[v][u] = values[du + dv]
     return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
 
 

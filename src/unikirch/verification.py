@@ -139,9 +139,6 @@ class _Recorder:
         self.report = report
         self._t0 = time.perf_counter()
 
-    def tick(self):
-        self._t0 = time.perf_counter()
-
     def add(self, cid: str, parameters: dict, expected, computed, ok: bool | None = None):
         if ok is None:
             ok = expected == computed
@@ -156,7 +153,7 @@ class _Recorder:
                 runtime_ms=round(ms, 3),
             )
         )
-        self.tick()
+        self._t0 = time.perf_counter()
 
 
 def _fmt(x) -> str:
@@ -164,8 +161,6 @@ def _fmt(x) -> str:
         return format_rational(x)
     if isinstance(x, (set, frozenset, tuple, list)):
         return "{" + ", ".join(sorted(_fmt(e) for e in x)) + "}"
-    if isinstance(x, CanonicalCode):
-        return str(x)
     return str(x)
 
 

@@ -333,18 +333,8 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "Kf = 5\n"
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("UNIKIRCH_THREADS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "girth-minima", "--max-n", "6")
-    assert code == 0
-    assert "0 failed" in out
-
-
-def test_verify_defaults_to_one_worker(monkeypatch):
-    monkeypatch.delenv("UNIKIRCH_THREADS", raising=False)
+def test_verify_defaults_to_one_worker():
     parser = build_parser()
     assert cli._default_threads(parser.parse_args(["verify", "--suite", "tables"])) == 1
     args = parser.parse_args(["verify", "--suite", "tables", "--threads", "3"])
     assert cli._default_threads(args) == 3
-    monkeypatch.setenv("UNIKIRCH_THREADS", "2")
-    assert cli._default_threads(parser.parse_args(["verify", "--suite", "tables"])) == 2

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_tree_edges
 from oracles import brute_force_matching_size
-from unikirch.enumeration import canonical_code
+from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
 from unikirch.graph import Graph, make_graph, without_vertices
 from unikirch.matching import (
@@ -56,6 +56,18 @@ def test_unicyclic_examples():
     assert matching_number(make_cycle(7)).size == 3
     assert matching_number(make_ukt(3, 1, 0, 0)).size == 2
     assert matching_number(make_ukt(5, 1, 0, 5)).size == 8
+
+
+def test_unicyclic_witnesses_are_pinned():
+    # the split edge is the lowest cycle vertex and its lower cycle
+    # neighbour, and each forest side is matched leaf by leaf, lowest first
+    assert matching_number(make_ukt(5, 1, 0, 5)).edge_lines() == [
+        "0 5", "1 2", "3 4", "6 7", "8 9", "10 11", "12 13", "14 15",
+    ]
+    assert matching_number(make_cycle(7)).edge_lines() == ["0 6", "1 2", "3 4"]
+    assert matching_number(make_ukt(8, 2, 0, 0)).edge_lines() == [
+        "0 8", "1 9", "2 3", "4 5", "6 7",
+    ]
 
 
 def test_forest_input():
@@ -112,6 +124,38 @@ def test_reduce_postcondition(unicyclic_corpus):
                 assert g0.n == 2 * m
                 assert matching_number(g0).size == m
                 assert has_perfect_matching(g0)
+
+
+def _relabel(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _reference_g0(g: Graph) -> tuple[Graph, int]:
+    """Delete the lowest pendant whose deletion keeps the brute-force
+    matching number until the order is twice that number; a cycle has no
+    pendant and stays."""
+    m = brute_force_matching_size(g.edges)
+    h = g
+    while h.n > 2 * m and any(h.degree(u) == 1 for u in range(h.n)):
+        for u in range(h.n):
+            if h.degree(u) == 1:
+                rest = without_vertices(h, [u])
+                if brute_force_matching_size(rest.edges) == m:
+                    h = rest
+                    break
+        else:
+            raise AssertionError("no deletable pendant")
+    return h, g.n - h.n
+
+
+def test_reduce_matches_reference_on_relabelled_classes():
+    rng = random.Random(11)
+    for n in range(3, 10):
+        for _, g in enumerate_with_codes(n):
+            h = _relabel(rng, g)
+            assert reduce_to_g0(h) == _reference_g0(h)
 
 
 def test_reduce_all_orders_diagnostic():

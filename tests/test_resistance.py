@@ -117,6 +117,16 @@ def test_tree_matrix_matches_laplacian_route():
             assert list(resistance_matrix(g).rows[u]) == bfs_distances(g, u)
 
 
+def test_matrix_shares_fractions_across_branches():
+    # U(60,60,0,0): 120 vertices, a pendant on each cycle vertex.  Its
+    # cross-branch entries take O(k) values, one per (gap, depth sum), so
+    # the matrix holds O(k) Fraction objects; one per pair would be 5,549.
+    k = 60
+    mat = resistance_matrix(make_ukt(k, k, 0, 0))
+    assert mat == resistance_matrix_dense(make_ukt(k, k, 0, 0))
+    assert len({id(x) for row in mat.rows for x in row}) <= 8 * k
+
+
 def test_resistance_is_a_metric(unicyclic_corpus):
     for _, g in unicyclic_corpus[6]:
         mat = resistance_matrix(g)
