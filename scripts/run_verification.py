@@ -2,8 +2,7 @@
 """Run every verification suite and write one JSON report per suite.
 
 Usage:
-    python scripts/run_verification.py [--out-dir reports] [--extended]
-                                       [--threads N] [--seed S]
+    python scripts/run_verification.py [--out-dir reports] [--extended] [--seed S]
 """
 
 import argparse
@@ -19,7 +18,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="reports")
     ap.add_argument("--extended", action="store_true")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -28,9 +26,7 @@ def main() -> int:
     all_ok = True
     for name in SUITE_NAMES:
         t0 = time.time()
-        (report,) = run_suite(
-            name, extended=args.extended, seed=args.seed, threads=args.threads
-        )
+        (report,) = run_suite(name, extended=args.extended, seed=args.seed)
         (out / f"{name}.json").write_text(
             json.dumps(report.to_json_dict(), indent=2) + "\n"
         )

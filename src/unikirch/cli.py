@@ -31,18 +31,11 @@ DENSE_MAX_N = 100
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex, and so does the
 # time to enumerate them.  At n = 16 (311,465 classes), `extremal` takes
-# 3.9 s, the `enumerate` listing 1.7 s and `verify --suite all --max-n 16`
-# 30 s, each in under 40 MB (2-vCPU VM, Python 3.11.7); n = 20 would take
-# some 80 times as long.
+# 4.4 s and the `enumerate` listing 2.9 s, each in about 40 MB, and
+# `verify --suite all --max-n 16` 30 s and 64 MB in one process, 22 s of it
+# in the row pass (2-vCPU VM, Python 3.11.7, subprocess wall time); n = 20
+# would take some 80 times as long.
 ENUMERATION_MAX_N = 16
-
-
-def _default_threads(args) -> int:
-    if args.threads:
-        return args.threads
-    # one worker: the sweeps of `verify --suite all` take about 0.1 s in all,
-    # less than starting a process pool costs
-    return 1
 
 
 def _refuse_n(flag: str, n: int | None) -> bool:
@@ -184,7 +177,6 @@ def _cmd_verify(args) -> int:
             extended=args.extended,
             seed=args.seed,
             trials=args.trials,
-            threads=_default_threads(args),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the structured report to this file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="ignored: verify runs in one process")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
@@ -46,7 +46,6 @@ from .resistance import (
     cycle_invariants,
     cycle_matching,
     cycle_terms,
-    cycle_vertex_sums,
     tree_summary,
 )
 
@@ -221,19 +220,6 @@ def invariants_from_code(code: CanonicalCode) -> Invariants:
     return cycle_invariants([branch_summary(c) for c in code.branch_codes])
 
 
-def vertex_sums_from_code(code: CanonicalCode) -> list[Fraction]:
-    """Resistance row sums of ``graph_from_code(code)``, vertex by vertex,
-    without building the graph: cycle vertex i has label i and branch
-    vertices follow in depth-first order, as there."""
-    trees = []
-    nxt = code.cycle_length
-    for i, bc in enumerate(code.branch_codes):
-        parents = code_parents(bc)
-        trees.append(([i, *range(nxt, nxt + len(parents) - 1)], parents))
-        nxt += len(parents) - 1
-    return cycle_vertex_sums(trees)
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` non-negative integers summing to `total`."""
     if parts == 1:
@@ -304,22 +290,6 @@ def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
         yield g
 
 
-class CachedByN:
-    """A function of the vertex count, cached per n for the life of the
-    process.  Pool workers run ``compute``, the uncached function, and
-    what they return can be stored in ``results``."""
-
-    def __init__(self, compute: Callable[[int], Any]):
-        self.compute = compute
-        self.results: dict[int, Any] = {}
-        self.__doc__ = compute.__doc__
-
-    def __call__(self, n: int) -> Any:
-        if n not in self.results:
-            self.results[n] = self.compute(n)
-        return self.results[n]
-
-
 class Minimum(NamedTuple):
     """An exact minimum and its argmin classes, in enumeration order."""
 
@@ -358,7 +328,8 @@ def _minima(best: dict) -> dict[int, Minimum]:
     }
 
 
-def _sweep_minima(n: int) -> SweepMinima:
+@cache
+def sweep_minima(n: int) -> SweepMinima:
     """Reduce one pass over the classes on n vertices to their minima.
     Cached per n; the cache holds the minima only, never a per-class record.
 
@@ -394,9 +365,6 @@ def _sweep_minima(n: int) -> SweepMinima:
                 _offer(girth, k, k * trees + cycle, k, item)
     counts = dict(sorted(counts.items()))
     return SweepMinima(n, counts, _minima(kf), _minima(wiener), _minima(girth))
-
-
-sweep_minima = CachedByN(_sweep_minima)
 
 
 def counts_by_matching(n: int) -> dict[int, int]:

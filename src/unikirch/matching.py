@@ -44,11 +44,11 @@ class PerfectMatchingClass(Enum):
 
 
 def _forest_matching(adj: dict[int, set[int]]) -> set[tuple[int, int]]:
-    """Greedy leaf matching on a forest given as an adjacency dict.
+    """Greedy leaf matching on a forest given as an adjacency dict, which
+    it empties.
 
     Raises ValueError if the input contains a cycle.
     """
-    adj = {v: set(nb) for v, nb in adj.items()}
     matched: set[tuple[int, int]] = set()
     gone: set[int] = set()
     heap = [v for v, nb in adj.items() if len(nb) == 1]
@@ -89,19 +89,19 @@ def matching_number_tree(g: Graph) -> MatchingResult:
 
 def matching_number(g: Graph) -> MatchingResult:
     """Maximum matching of a forest or a unicyclic graph."""
-    adj = g.adjacency_dict()
     if g.edge_count <= max(g.n - 1, 0):
-        return _result(g, _forest_matching(adj))
+        return _result(g, _forest_matching(g.adjacency_dict()))
     trees = decompose_unicyclic(g)
     if trees is None:
         raise ValueError("expected a forest or a unicyclic graph")
     x, y = trees[0][0][0], trees[1][0][0]
-    without_edge = {v: set(nb) for v, nb in adj.items()}
+    without_edge = g.adjacency_dict()
     without_edge[x].discard(y)
     without_edge[y].discard(x)
     m1 = _forest_matching(without_edge)
-    del adj[x], adj[y]
-    m2 = _forest_matching({v: nb - {x, y} for v, nb in adj.items()})
+    rest = {v: {w for w in nb if w not in (x, y)} for v, nb in enumerate(g.adjacency)}
+    del rest[x], rest[y]
+    m2 = _forest_matching(rest)
     if len(m1) < 1 + len(m2):
         m1 = m2 | {(x, y)}
     return _result(g, m1)

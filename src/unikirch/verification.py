@@ -16,7 +16,6 @@ import csv
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -25,7 +24,6 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .enumeration import (
-    CachedByN,
     CanonicalCode,
     _dihedral_min,
     branch_summary,
@@ -172,25 +170,6 @@ def _pretty_codes(codes) -> str:
     return "{" + ", ".join(sorted(family_label(c) for c in codes)) + "}"
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as ex:
-        return list(ex.map(fn, items))
-
-
-def _per_n(fn: CachedByN, ns, threads: int) -> list:
-    """fn(n) for every n.  The n that fn's cache lacks are computed, in a
-    pool when threads > 1, and stored in this process's cache, so each n
-    is computed once per process at any thread count."""
-    ns = list(ns)
-    missing = [n for n in ns if n not in fn.results]
-    for n, result in zip(missing, parallel_map(fn.compute, missing, threads)):
-        fn.results[n] = result
-    return [fn.results[n] for n in ns]
-
-
 # ---------------------------------------------------------------------------
 # reference data
 
@@ -316,14 +295,13 @@ def suite_tables_nm() -> VerificationReport:
 
 def suite_extremal_perfect(
     m_max: int = 6,
-    threads: int = 1,
     identity_m: tuple[int, ...] = (8, 9, 10, 12, 25, 50),
 ) -> VerificationReport:
     """Enumerated minimum of Kf over the perfect-matching classes versus
     the predicted minimizer, which must also be unique."""
     report = VerificationReport("extremal-perfect", 0)
     rec = _Recorder(report)
-    for sweep in _per_n(sweep_minima, range(4, 2 * m_max + 1, 2), threads):
+    for sweep in map(sweep_minima, range(4, 2 * m_max + 1, 2)):
         m = sweep.n // 2
         codes, value = frozenset(sweep.kf[m].codes), sweep.kf[m].value
         pred = predicted_min_perfect(m)
@@ -351,14 +329,13 @@ def suite_extremal_perfect(
 
 def suite_extremal(
     n_max: int = 12,
-    threads: int = 1,
     identity_n: tuple[int, ...] = (15, 16, 17, 20, 33, 50, 100),
 ) -> VerificationReport:
     """Enumerated minimum of Kf over every (n, m) cell in the window
     versus the predicted minimizer set, compared as isomorphism classes."""
     report = VerificationReport("extremal", 0)
     rec = _Recorder(report)
-    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in map(sweep_minima, range(4, n_max + 1)):
         n = sweep.n
         for m, best in sweep.kf.items():
             if m < 2:
@@ -436,12 +413,13 @@ class RowCells(NamedTuple):
     deletion: list[dict]
 
 
-def _row_cells(n: int) -> RowCells:
+@cache
+def row_cells(n: int) -> RowCells:
     """One pass over the classes on n vertices with m >= 3, each class's
     resistance row read as the integers k Kf_G(u) and compared with k
     times each bound: Kf_G(u) >= n + m - 4 at every vertex, and the
     pendant-deletion bounds at every pendant vertex.  Degrees come from
-    the codes."""
+    the codes.  Cached per n for the life of the process."""
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
     for k in range(3, n + 1):
@@ -497,15 +475,12 @@ def _row_cells(n: int) -> RowCells:
     return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
 
 
-row_cells = CachedByN(_row_cells)
-
-
-def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationReport:
+def suite_vertex_sum_bound(n_max: int = 10) -> VerificationReport:
     """Sweep Kf_G(u) >= n + m - 4 over every enumerated graph and vertex;
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
     report = VerificationReport("vertex-sum-bound", 0)
     rec = _Recorder(report)
-    for cells in _per_n(row_cells, range(6, n_max + 1), threads):
+    for cells in map(row_cells, range(6, n_max + 1)):
         for cell in cells.vertex_sum:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -532,13 +507,13 @@ def suite_vertex_sum_bound(n_max: int = 10, threads: int = 1) -> VerificationRep
     return report
 
 
-def suite_deletion_bounds(n_max: int = 10, threads: int = 1) -> VerificationReport:
+def suite_deletion_bounds(n_max: int = 10) -> VerificationReport:
     """Sweep the pendant-deletion inequalities Kf(G) - Kf(G-x) >= 2n+m-6
     and (for a degree-2 neighbor y) Kf(G) - Kf(G-x-y) >= 5n+2m-19, and
     check the equality instances are exactly the ones on Unm(n,m)."""
     report = VerificationReport("deletion-bounds", 0)
     rec = _Recorder(report)
-    for cells in _per_n(row_cells, range(6, n_max + 1), threads):
+    for cells in map(row_cells, range(6, n_max + 1)):
         for cell in cells.deletion:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -563,13 +538,13 @@ def suite_deletion_bounds(n_max: int = 10, threads: int = 1) -> VerificationRepo
     return report
 
 
-def suite_girth_minima(n_max: int = 9, threads: int = 1) -> VerificationReport:
+def suite_girth_minima(n_max: int = 9) -> VerificationReport:
     """Per (n, k): the minimum Kf over n-vertex unicyclic graphs with
     cycle length k must be the closed-form bound, attained uniquely at
     U(k,1,n-k-1,0)."""
     report = VerificationReport("girth-minima", 0)
     rec = _Recorder(report)
-    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in map(sweep_minima, range(4, n_max + 1)):
         n = sweep.n
         for k, best in sweep.kf_by_cycle.items():
             if k == n:  # the claim is for k < n; k = n is C_n alone
@@ -731,13 +706,13 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     return report
 
 
-def suite_wiener_divergence(n_max: int = 12, threads: int = 1) -> VerificationReport:
+def suite_wiener_divergence(n_max: int = 12) -> VerificationReport:
     """Compare the Kirchhoff and Wiener argmin sets cell by cell; the
     sweep must contain at least one cell where they differ."""
     report = VerificationReport("wiener-divergence", 0)
     rec = _Recorder(report)
     any_differ = False
-    for sweep in _per_n(sweep_minima, range(4, n_max + 1), threads):
+    for sweep in map(sweep_minima, range(4, n_max + 1)):
         for m, best in sweep.kf.items():
             if m < 2:
                 continue
@@ -783,13 +758,12 @@ def run_suite(
     extended: bool = False,
     seed: int = 0,
     trials: int = 200,
-    threads: int = 1,
 ) -> list[VerificationReport]:
     """Run one suite (or 'all') with window defaults resolved."""
     if name == "all":
         reports = []
         for s in SUITE_NAMES:
-            reports.extend(run_suite(s, max_n, extended, seed, trials, threads))
+            reports.extend(run_suite(s, max_n, extended, seed, trials))
         return reports
     if name == "tables":
         return [suite_tables()]
@@ -797,20 +771,20 @@ def run_suite(
         return [suite_tables_nm()]
     if name == "extremal-perfect":
         m_max = (max_n // 2) if max_n else (8 if extended else 6)
-        return [suite_extremal_perfect(m_max=m_max, threads=threads)]
+        return [suite_extremal_perfect(m_max=m_max)]
     if name == "extremal":
         n_max = max_n or (14 if extended else 12)
-        return [suite_extremal(n_max=n_max, threads=threads)]
+        return [suite_extremal(n_max=n_max)]
     if name == "vertex-sum-bound":
-        return [suite_vertex_sum_bound(n_max=max_n or 10, threads=threads)]
+        return [suite_vertex_sum_bound(n_max=max_n or 10)]
     if name == "deletion-bounds":
-        return [suite_deletion_bounds(n_max=max_n or 10, threads=threads)]
+        return [suite_deletion_bounds(n_max=max_n or 10)]
     if name == "girth-minima":
-        return [suite_girth_minima(n_max=max_n or 9, threads=threads)]
+        return [suite_girth_minima(n_max=max_n or 9)]
     if name == "cycle-placements":
         return [suite_cycle_placements()]
     if name == "merge-identity":
         return [suite_merge_identity(trials=trials, seed=seed)]
     if name == "wiener-divergence":
-        return [suite_wiener_divergence(n_max=max_n or 12, threads=threads)]
+        return [suite_wiener_divergence(n_max=max_n or 12)]
     raise ValueError(f"unknown suite {name!r}")

@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from unikirch import cli, graph, resistance
-from unikirch.cli import DENSE_MAX_N, ENUMERATION_MAX_N, MATRIX_MAX_N, build_parser, main
+from unikirch.cli import DENSE_MAX_N, ENUMERATION_MAX_N, MATRIX_MAX_N, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
@@ -333,8 +333,17 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "Kf = 5\n"
 
 
-def test_verify_defaults_to_one_worker():
-    parser = build_parser()
-    assert cli._default_threads(parser.parse_args(["verify", "--suite", "tables"])) == 1
-    args = parser.parse_args(["verify", "--suite", "tables", "--threads", "3"])
-    assert cli._default_threads(args) == 3
+def test_verify_ignores_threads(capsys):
+    code, plain, _ = run_cli(capsys, "verify", "--suite", "tables")
+    assert code == 0
+    assert run_cli(capsys, "verify", "--suite", "tables", "--threads", "2") == (0, plain, "")
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, unikirch.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -13,7 +13,6 @@ from unikirch.verification import (
     candidate_rows,
     load_nm_tables,
     load_table_rows,
-    parallel_map,
     row_cells,
     run_suite,
     suite_cycle_placements,
@@ -154,48 +153,6 @@ def test_report_failure_accounting():
     assert "FAIL" in report.render_text()
 
 
-def test_parallel_map_matches_sequential():
-    items = list(range(12))
-    assert parallel_map(_square, items, threads=1) == [x * x for x in items]
-    assert parallel_map(_square, items, threads=2) == [x * x for x in items]
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_caps_workers_at_items(monkeypatch):
-    import unikirch.verification as verification
-
-    requested = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakePool)
-    assert parallel_map(_square, range(3), threads=64) == [0, 1, 4]
-    assert parallel_map(_square, range(9), threads=4) == [x * x for x in range(9)]
-    assert requested == [3, 4]
-
-
-def test_parallel_suite_matches_sequential():
-    seq = suite_extremal(n_max=7, identity_n=())
-    par = suite_extremal(n_max=7, threads=2, identity_n=())
-    assert [(c.id, c.status, c.computed) for c in seq.cases] == [
-        (c.id, c.status, c.computed) for c in par.cases
-    ]
-
-
 def test_run_suite_dispatch():
     (report,) = run_suite("girth-minima", max_n=6)
     assert report.suite == "girth-minima"
@@ -260,35 +217,12 @@ def test_code_rows_and_degrees_match_graphs():
             assert degrees == [g.degree(v) for v in range(n)], code
 
 
-def test_each_n_is_swept_once_at_any_thread_count(monkeypatch):
-    import unikirch.verification as verification
-
-    submitted = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            submitted.extend((fn.__name__, n) for n in items)
-            return map(fn, items)
-
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(sweep_minima, "results", {})
-    monkeypatch.setattr(row_cells, "results", {})
-    reports = run_suite("all", max_n=9, trials=3, threads=2)
+def test_each_n_is_swept_once():
+    sweep_minima.cache_clear()
+    row_cells.cache_clear()
+    reports = run_suite("all", max_n=9, trials=3)
     assert all(r.ok for r in reports)
-    # extremal-perfect submits n = 4, 6, 8 and extremal only 5, 7, 9; the
-    # vertex-sum suite submits the row pass, and no later suite submits
-    assert sorted(submitted) == [("_row_cells", n) for n in range(6, 10)] + [
-        ("_sweep_minima", n) for n in range(4, 10)
-    ]
-    assert sorted(sweep_minima.results) == list(range(4, 10))
-    assert sorted(row_cells.results) == list(range(6, 10))
+    # four suites read sweep_minima and two read row_cells, but each n is
+    # computed once: the first suite to ask for it misses, the rest hit
+    assert sweep_minima.cache_info().misses == len(range(4, 10))
+    assert row_cells.cache_info().misses == len(range(6, 10))
