@@ -4,13 +4,14 @@ Vertices are 0..n-1; edges are stored as (u, v) pairs with u < v.  All
 operations are pure: they take Graph values and return new ones, so
 instances can be shared freely.
 
-A tree or unicyclic graph is a cycle of k vertices (k = 1 for a tree)
-with a rooted branch tree on each.  ``decompose_unicyclic`` finds that
-structure in one leaf-peeling pass, and it is the only routine that
-does: the invariant kernel, the closed-form resistance matrix and the
-canonical codes read its branch trees, and ``matching.matching_number``
-splits a unicyclic graph on the cycle edge between its first two roots.
-``without_vertices`` is the one delete-and-relabel.
+A connected graph is its 2-core with a rooted branch tree on each core
+vertex; the core of a tree is one vertex, that of a unicyclic graph its
+cycle.  ``peel`` finds that structure in one leaf-peeling pass, and it
+is the only routine that does: the resistance kernels and the canonical
+codes read its branch trees (``decompose_unicyclic`` gives them in cycle
+order), and ``matching.matching_number`` splits a unicyclic graph on the
+cycle edge between its first two roots.  ``without_vertices`` is the one
+delete-and-relabel.
 """
 
 from __future__ import annotations
@@ -172,25 +173,24 @@ def wiener_index(g: Graph) -> Fraction:
     return Fraction(total)
 
 
-def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
-    """The branch trees of a tree or a connected unicyclic graph, in cycle
-    order, each as (labels, parents): its vertices, root first, and the
-    parent position of every vertex, where every vertex comes after its
-    parent and the root (position 0) has parent -1.  A tree is one branch
-    (k = 1).  None for any other graph.
+def peel(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """The branch tree on each vertex of the 2-core of a connected graph,
+    as (labels, parents): its vertices, the core vertex first, and the
+    parent position of each, every vertex after its parent and the root's
+    parent -1.  A tree's core is one vertex.  Raises ``DisconnectedError``.
 
-    One leaf-peeling pass: a vertex is peeled once at most one of its
-    neighbours is left, and that neighbour is its parent, so every vertex
-    is peeled after its children.  A tree peels completely and its last
-    vertex, left without a neighbour, is the root of its one branch.  A
-    connected unicyclic graph has no such root, and what remains, its
-    2-core, is the cycle, walked from its lowest vertex toward the lower
-    of that vertex's two cycle neighbours.  Anything else leaves a second
-    root or a core that is not one cycle.
+    A vertex is peeled once at most one neighbour is left, its parent, so
+    children go first.  A tree peels completely and its last vertex is
+    the root.  Otherwise the 2-core remains, ordered depth first from its
+    lowest vertex, lowest neighbour first: a cycle is walked from its
+    lowest vertex toward the lower of its two neighbours.  A second root,
+    or a core the walk does not cover, is a second component.
     """
     n = g.n
-    if n == 0 or g.edge_count not in (n - 1, n):
-        return None
+    # fewer than n - 1 edges cannot connect n vertices; checking that first
+    # keeps a huge vertex count from allocating anything of size n
+    if g.edge_count < n - 1:
+        raise DisconnectedError("expected a connected graph")
     adj = g.adjacency
     left = [len(a) for a in adj]  # neighbours not yet peeled
     parent = [-1] * n
@@ -205,29 +205,24 @@ def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
                 if left[w] == 1:
                     order.append(w)
                 break
-    if g.edge_count == n - 1:
-        if len(order) < n:
-            return None
-        cycle = [order.pop()]
+    if len(order) == n:
+        core = [order.pop()] if n else []
     else:
-        if -1 in (parent[u] for u in order):
-            return None
-        # every core vertex has two core neighbours; walk one cycle
-        cycle = [alive.index(True)]
-        prev = -1
-        while True:
-            cur = cycle[-1]
-            nxt = next(w for w in adj[cur] if alive[w] and w != prev)
-            if nxt == cycle[0]:
-                break
-            cycle.append(nxt)
-            prev = cur
-        if len(cycle) + len(order) < n:
-            return None
-    trees = [([c], [-1]) for c in cycle]
+        core = []
+        stack = [alive.index(True)]
+        while stack:
+            c = stack.pop()
+            if alive[c]:
+                alive[c] = False
+                core.append(c)
+                stack.extend(w for w in reversed(adj[c]) if alive[w])
+    # a second root, or a core vertex the walk missed, has no parent either
+    if parent.count(-1) > len(core):
+        raise DisconnectedError("expected a connected graph")
+    trees = [([c], [-1]) for c in core]
     branch = [0] * n
     pos = [0] * n
-    for i, c in enumerate(cycle):
+    for i, c in enumerate(core):
         branch[c] = i
     for u in reversed(order):
         p = parent[u]
@@ -237,6 +232,17 @@ def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
         labels.append(u)
         parents.append(pos[p])
     return trees
+
+
+def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
+    """The ``peel`` of a tree or a connected unicyclic graph, in cycle order
+    (a tree is one branch, k = 1); None for any other graph."""
+    if g.n == 0 or g.edge_count not in (g.n - 1, g.n):
+        return None
+    try:
+        return peel(g)
+    except DisconnectedError:
+        return None
 
 
 def identify_vertices(g: Graph, u: int, h: Graph, w: int) -> Graph:

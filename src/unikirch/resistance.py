@@ -11,31 +11,37 @@ the test suite cross-checks them:
   graph (tree distance into the cycle, cycle resistance d(k-d)/k, tree
   distance out), ``resistance_matrix_unicyclic``.
 
-Whole-graph invariants of trees and unicyclic graphs come from one
-integer kernel, ``cycle_invariants``, which reads a short summary of
-each branch tree and needs no n x n matrix: Kf, W and the matching
-number in O(n + k) for cycle length k, with the cycle terms in
-``cycle_terms``; ``cycle_row_numerators`` gives the vertex-sum row, as
-integers over k, by rerooting inside each branch.  Codes feed the kernel
-directly.  A graph is peeled leaf by leaf once, by
-``graph.decompose_unicyclic``: the peel gives every branch tree in
-parent form, and a graph that is not a connected tree or unicyclic
-graph shows itself on the way.  ``graph_invariants``,
-``kirchhoff_index``, ``vertex_sums``, ``kirchhoff_vertex_sum`` and
-``resistance_matrix`` read it.  Other graphs take the Laplacian route:
-one elimination (``grounded_inverse``) gives Kf and the vertex sums from
-traces and row sums of the integer inverse, and the matrix from its
-entries.  Only ``resistance_matrix`` builds an n x n matrix.  The
-Laplacian and forest routes also serve as oracles.
+Every connected graph is peeled leaf by leaf once, by ``graph.peel``,
+into its 2-core and a branch tree on each core vertex; a resistance
+across branches is two depths plus a core resistance (Klein and Randic
+1993).  ``kirchhoff_index``, ``vertex_sums`` and ``resistance_matrix``
+read the peel.  A core of one vertex or one cycle has closed forms: one
+integer kernel, ``cycle_invariants``, gives Kf, W and the matching
+number of a tree or unicyclic graph from a short summary of each branch
+in O(n + k), and ``cycle_row_numerators`` the vertex-sum row, as
+integers over k.  Codes feed that kernel directly.  Any other core takes
+one elimination (``core_inverse``), cubic in the core and linear in the
+branches, which serves Kf, W, the vertex sums and the matrix.  The
+whole-graph elimination, ``grounded_inverse``, and the forest route
+serve as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
-from .graph import DisconnectedError, Graph, decompose_unicyclic, is_connected
+from .graph import (
+    DisconnectedError,
+    Graph,
+    bfs_distances,
+    decompose_unicyclic,
+    is_connected,
+    peel,
+    without_vertices,
+)
 
 
 def r_cycle(n: int, d: int) -> Fraction:
@@ -213,53 +219,86 @@ def format_resistance_matrix(mat: ResistanceMatrix) -> str:
 
 
 class GroundedInverse(NamedTuple):
-    """M = X / d, the inverse of a graph's Laplacian with the ground
-    vertex's row and column dropped; d is the number of spanning trees.
-    Row i of X belongs to vertex idx[i].  Kf, the vertex sums and the
-    resistance matrix all follow from one elimination."""
+    """M = X / d, the inverse of a connected graph's Laplacian with the
+    ground vertex's row and column dropped (zeros in X); d is the number
+    of spanning trees.  Vertex v carries trees[v], as ``graph.peel`` gives
+    it: the whole graph is the trees hung on this graph, its 2-core, or on
+    itself, each tree one vertex.  A resistance across branches is two
+    depths plus one between the roots (Klein and Randic 1993), so sums
+    over this graph weight vertex v by s_v = |trees[v]|; s_v = 1 gives the
+    whole-graph formulas.  One elimination serves Kf, the vertex sums and
+    the matrix."""
 
-    n: int
-    ground: int
-    idx: list[int]
+    graph: Graph
+    trees: list[tuple[list[int], list[int]]]
     d: int
     x: list[list[int]]
 
+    def _core_rows(self) -> list[int]:
+        """d sum_v s_v R(u, v) = n X_uu + sum_v s_v X_vv - 2 (X s)_u for
+        every vertex u of this graph, n = sum_v s_v."""
+        sizes = [len(labels) for labels, _ in self.trees]
+        n = sum(sizes)
+        diag = [row[u] for u, row in enumerate(self.x)]
+        weighted = sum(map(mul, sizes, diag))
+        rows = zip(self.x, diag)
+        return [n * x_uu + weighted - 2 * sum(map(mul, sizes, row)) for row, x_uu in rows]
+
     def kirchhoff_index(self) -> Fraction:
-        """Summing M_uu + M_vv - 2 M_uv over pairs gives (n tr X - sum X) / d."""
-        trace = sum(row[i] for i, row in enumerate(self.x))
-        return Fraction(self.n * trace - sum(map(sum, self.x)), self.d)
+        """The ``branch_term``s plus sum_{u<v} s_u s_v R(u, v), half of
+        sum_u s_u ``_core_rows``[u]; (n tr X - sum X) / d when s_v = 1."""
+        n = sum(len(labels) for labels, _ in self.trees)
+        branches = sum(branch_term(tree_summary(parents), n) for _, parents in self.trees)
+        core = sum(len(labels) * r for (labels, _), r in zip(self.trees, self._core_rows()))
+        return Fraction(self.d * branches + core // 2, self.d)
 
     def vertex_sums(self) -> list[Fraction]:
-        """The row sum at u is n M_uu + tr M - 2 (M 1)_u."""
-        trace = sum(row[i] for i, row in enumerate(self.x))
-        sums = [Fraction(trace, self.d)] * self.n  # the ground vertex has M_uu = 0
-        for i, (u, row) in enumerate(zip(self.idx, self.x)):
-            sums[u] = Fraction(self.n * row[i] + trace - 2 * sum(row), self.d)
-        return sums
+        """Every vertex's resistance row sum, ``_row_numerators`` over d."""
+        rows = _row_numerators([parents for _, parents in self.trees], self.d, self._core_rows())
+        return _label_sums(self.trees, self.d, rows)
 
     def matrix(self) -> ResistanceMatrix:
-        """All-pairs resistances, R(u, v) = M_uu + M_vv - 2 M_uv (Klein and
-        Randic 1993)."""
-        n, ground, d = self.n, self.ground, self.d
-        full = [row[:ground] + [0] + row[ground:] for row in self.x]
-        full.insert(ground, [0] * n)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                r = Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)
-                rows[u][v] = r
-                rows[v][u] = r
-        return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
+        """``branch_matrix`` with R(u, v) = M_uu + M_vv - 2 M_uv on this graph."""
+        x, d, n = self.x, self.d, len(self.x)
+        return branch_matrix(
+            self.trees,
+            lambda u: [[Fraction(x[u][u] + x[v][v] - 2 * x[u][v], d)] for v in range(u + 1, n)],
+        )
+
+    def wiener(self) -> Fraction:
+        """The ``branch_term``s plus sum_{u<v} s_u s_v dist(u, v), by one
+        BFS from each vertex of this graph; no elimination needed."""
+        sizes = [len(labels) for labels, _ in self.trees]
+        n = sum(sizes)
+        branches = sum(branch_term(tree_summary(parents), n) for _, parents in self.trees)
+        dist = (bfs_distances(self.graph, v) for v in range(self.graph.n))
+        core = sum(s * sum(map(mul, sizes, row)) for s, row in zip(sizes, dist))
+        return Fraction(branches + core // 2)
 
 
 def grounded_inverse(g: Graph, ground: int = 0) -> GroundedInverse:
-    """The Laplacian route's one elimination, for any connected graph."""
+    """The Laplacian route's one elimination, for any connected graph,
+    every vertex its own branch."""
     if not is_connected(g):
         raise DisconnectedError("resistance of a disconnected graph")
     idx, a = _grounded_laplacian(g, ground)
     m = len(idx)
     d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
-    return GroundedInverse(g.n, ground, idx, d, x)
+    full = [[0] * g.n for _ in range(g.n)]
+    for u, row in zip(idx, x):
+        full[u] = row[:ground] + [0] + row[ground:]
+    return GroundedInverse(g, [([v], [-1]) for v in range(g.n)], d, full)
+
+
+def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> GroundedInverse | None:
+    """``grounded_inverse`` of the 2-core of g, whose ``peel`` is trees, with
+    the trees on their roots: cubic in the core, linear in the branches.
+    None for a core of one vertex or one cycle, which has closed forms."""
+    if trees and g.edge_count <= g.n:
+        return None
+    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
+    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
+    return grounded_inverse(core)._replace(trees=trees)
 
 
 def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
@@ -267,19 +306,18 @@ def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
     return grounded_inverse(g, ground).matrix()
 
 
-def resistance_matrix_unicyclic(
+def branch_matrix(
     trees: Sequence[tuple[Sequence[int], Sequence[int]]],
+    across: Callable[[int], Sequence[list[Fraction]]],
 ) -> ResistanceMatrix:
-    """All-pairs resistances of the graph C_k that carries the i-th of
-    ``trees`` on its i-th vertex, each tree as (labels, parents) as
-    ``decompose_unicyclic`` gives it; one tree (k = 1) is a tree graph.
-
-    Inside a branch the path is unique, so the resistance is the hop
-    distance; between branches i < j it is the two depths plus d(k - d)/k
-    for the cycle gap d = j - i.  The entries share their Fractions: one
-    per hop count inside each branch, one per (gap, depth sum) across
-    branches.
-    """
+    """All-pairs resistances of the graph that carries trees[i], as
+    ``graph.peel`` gives it, on vertex i of a core graph.  Inside a branch
+    the resistance is the hop distance; across branches it is the two
+    depths plus the core resistance (Klein and Randic 1993).  across(i)
+    lists, for each j > i in turn, a list [R_core(i, j)], which is
+    extended in place to R_core(i, j) + s at index s for every depth sum
+    s; pairs with equal core resistances may share one.  Entries share
+    their Fractions: one per hop count in a branch, one per list entry."""
     k = len(trees)
     n = sum(len(labels) for labels, _ in trees)
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -301,13 +339,10 @@ def resistance_matrix_unicyclic(
                 row[v] = rows[v][u] = values[own[b]]
         depths.append(hops[0])  # the root's hops are the depths
     heights = [max(d) for d in depths]
-    # across[d][s]: cycle gap d plus depth sum s, filled as far as needed
-    across = [[Fraction(d * (k - d), k)] for d in range(k)]
     for i in range(k):
         own, hi = list(zip(trees[i][0], depths[i])), heights[i]
-        # branch j = i + 1, ..., k - 1 reads the values of gap j - i
         for values, (labels, _), dj, hj in zip(
-            across[1:], trees[i + 1 :], depths[i + 1 :], heights[i + 1 :]
+            across(i), trees[i + 1 :], depths[i + 1 :], heights[i + 1 :]
         ):
             if len(values) <= hi + hj:
                 values.extend(values[0] + s for s in range(len(values), hi + hj + 1))
@@ -318,13 +353,22 @@ def resistance_matrix_unicyclic(
     return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
 
 
+def resistance_matrix_unicyclic(
+    trees: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> ResistanceMatrix:
+    """``branch_matrix`` on C_k, where gap d has resistance d(k - d)/k, of
+    ``decompose_unicyclic``'s trees; one tree (k = 1) is a tree graph.
+    Pairs of branches with the same gap share their resistances."""
+    k = len(trees)
+    gaps = [[Fraction(d * (k - d), k)] for d in range(k)]
+    return branch_matrix(trees, lambda i: gaps[1 : k - i])
+
+
 def resistance_matrix(g: Graph) -> ResistanceMatrix:
-    """All-pairs resistances; trees and unicyclic graphs take the closed
-    form, other graphs the Laplacian route."""
-    trees = decompose_unicyclic(g)
-    if trees is None:
-        return resistance_matrix_dense(g)
-    return resistance_matrix_unicyclic(trees)
+    """All-pairs resistances of a connected graph, from its ``peel``."""
+    trees = peel(g)
+    core = core_inverse(g, trees)
+    return resistance_matrix_unicyclic(trees) if core is None else core.matrix()
 
 
 class BranchSummary(NamedTuple):
@@ -469,7 +513,8 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
     )
 
 
-def _invariants(trees: list[tuple[list[int], list[int]]]) -> Invariants:
+def peel_invariants(trees: list[tuple[list[int], list[int]]]) -> Invariants:
+    """``cycle_invariants`` of a ``peel`` whose core is one vertex or one cycle."""
     return cycle_invariants([tree_summary(parents) for _, parents in trees])
 
 
@@ -478,76 +523,85 @@ def graph_invariants(g: Graph) -> Invariants:
     trees = decompose_unicyclic(g)
     if trees is None:
         raise ValueError("expected a tree or a connected unicyclic graph")
-    return _invariants(trees)
+    return peel_invariants(trees)
 
 
-def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
-    """k Kf_G(u), an integer, for every vertex u of the graph C_k that
-    carries tree i on its i-th vertex, tree by tree, each tree's vertices
-    in its parent form (``_subtree_sizes``); one tree (k = 1) is a tree
-    graph.  O(n + k).
-
-    For u at depth h in tree i, Kf_G(u) = S_i(u) + h (n - s_i)
-    + (D - D_i) + sum_{j != i} s_j d(k - d)/k, where D is the total
-    depth sum and S_i(u), u's distance sum inside its tree, follows by
-    rerooting: S(child) = S(parent) + s_i - 2 sub(child).  With running
-    sums a and b of s_j and j s_j over j < i, sum_j s_j |i - j| is
-    2(i a - b) + sum_j j s_j - i n.
-    """
-    k = len(trees)
+def _row_numerators(
+    trees: Sequence[Sequence[int]], denom: int, core_rows: Sequence[int]
+) -> list[list[int]]:
+    """denom Kf_G(u) for every vertex u of the graph that carries tree i,
+    in parent form (``_subtree_sizes``), on vertex i of a core, tree by
+    tree, where core_rows[i] = denom sum_j s_j R_core(i, j).  O(n).  At
+    depth h in tree i, Kf_G(u) = S_i(u) + h (n - s_i) + (D - D_i) +
+    core_rows[i] / denom, D the total depth sum, and u's distance sum in
+    its tree reroots as S(child) = S(parent) + s_i - 2 sub(child)."""
     subs = [_subtree_sizes(parents) for parents in trees]
-    sizes = [len(sub) for sub in subs]
-    n = sum(sizes)
+    n = sum(map(len, subs))
     depth_sums = [sum(sub) - len(sub) for sub in subs]
     depth_total = sum(depth_sums)
-    s1 = sum(i * s for i, s in enumerate(sizes))
-    s2 = sum(i * i * s for i, s in enumerate(sizes))
     rows = []
-    a = b = 0
-    for i, (parents, sub) in enumerate(zip(trees, subs)):
-        s = sizes[i]
-        gaps = 2 * (i * a - b) + s1 - i * n  # sum_j s_j |i - j|
-        squares = i * i * n - 2 * i * s1 + s2  # sum_j s_j (i - j)^2
-        base = k * (depth_total - depth_sums[i] + gaps) - squares
-        a += s
-        b += i * s
+    for parents, sub, own, core in zip(trees, subs, depth_sums, core_rows):
+        s = len(sub)
+        base = denom * (depth_total - own) + core
         depth = [0] * s
-        within = [depth_sums[i]] * s
+        within = [own] * s
         for v in range(1, s):
             p = parents[v]
             depth[v] = depth[p] + 1
             within[v] = within[p] + s - 2 * sub[v]
-        rows.append([k * (w + h * (n - s)) + base for w, h in zip(within, depth)])
+        rows.append([denom * (w + h * (n - s)) + base for w, h in zip(within, depth)])
     return rows
 
 
-def cycle_vertex_sums(trees: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[Fraction]:
-    """Resistance row sums of the ``cycle_row_numerators`` graph, each tree
-    given as (labels, parents): its vertices' row positions and its
-    parent form."""
+def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``_row_numerators`` of the graph C_k that carries tree i on its
+    i-th vertex, over k; one tree (k = 1) is a tree graph.  O(n + k).
+    Tree i's cycle term is sum_j s_j d(k - d) for the gap d = |i - j|;
+    with running sums a and b of s_j and j s_j over j < i, sum_j s_j
+    |i - j| is 2(i a - b) + sum_j j s_j - i n."""
     k = len(trees)
+    sizes = [len(parents) for parents in trees]
+    n = sum(sizes)
+    s1 = sum(i * s for i, s in enumerate(sizes))
+    s2 = sum(i * i * s for i, s in enumerate(sizes))
+    core = []
+    a = b = 0
+    for i, s in enumerate(sizes):
+        gaps = 2 * (i * a - b) + s1 - i * n  # sum_j s_j |i - j|
+        squares = i * i * n - 2 * i * s1 + s2  # sum_j s_j (i - j)^2
+        core.append(k * gaps - squares)
+        a += s
+        b += i * s
+    return _row_numerators(trees, k, core)
+
+
+def _label_sums(
+    trees: Sequence[tuple[Sequence[int], Sequence[int]]], denom: int, rows: list[list[int]]
+) -> list[Fraction]:
+    """Row sums indexed by vertex label, from numerators over denom tree by tree."""
     sums = [Fraction(0)] * sum(len(labels) for labels, _ in trees)
-    for (labels, _), nums in zip(trees, cycle_row_numerators([p for _, p in trees])):
+    for (labels, _), nums in zip(trees, rows):
         for u, x in zip(labels, nums):
-            sums[u] = Fraction(x, k)
+            sums[u] = Fraction(x, denom)
     return sums
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:
-    """Resistance row sum of every vertex; linear for trees and unicyclic
-    graphs, by the Laplacian route otherwise."""
-    trees = decompose_unicyclic(g)
-    if trees is None:
-        return grounded_inverse(g).vertex_sums()
-    return cycle_vertex_sums(trees)
+    """Resistance row sum of every vertex of a connected graph, from its
+    ``peel``."""
+    trees = peel(g)
+    core = core_inverse(g, trees)
+    if core is None:
+        return _label_sums(trees, len(trees), cycle_row_numerators([p for _, p in trees]))
+    return core.vertex_sums()
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
-    """Sum of effective resistances over unordered vertex pairs."""
-    trees = decompose_unicyclic(g)
-    if trees is None:
-        return kirchhoff_index_dense(g)
-    return _invariants(trees).kf
+    """Sum of effective resistances over unordered vertex pairs of a
+    connected graph, from its ``peel``."""
+    trees = peel(g)
+    core = core_inverse(g, trees)
+    return peel_invariants(trees).kf if core is None else core.kirchhoff_index()
 
 
 def kirchhoff_index_dense(g: Graph) -> Fraction:

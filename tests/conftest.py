@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from unikirch.enumeration import enumerate_with_codes
 
 settings.register_profile("suite", max_examples=50, derandomize=True, deadline=None)
-settings.load_profile("suite")
+# the extended CI step runs the property tests it selects with a larger budget
+settings.register_profile("extended", max_examples=1000, derandomize=True, deadline=None)
+settings.load_profile("extended" if os.environ.get("UNIKIRCH_EXTENDED") else "suite")
 
 
 @pytest.fixture(scope="session")

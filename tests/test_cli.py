@@ -13,6 +13,7 @@ from unikirch.cli import DENSE_MAX_N, ENUMERATION_MAX_N, MATRIX_MAX_N, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
+from unikirch.resistance import kirchhoff_index_dense
 
 
 def run_cli(capsys, *argv):
@@ -87,14 +88,30 @@ def test_compute_huge_vertex_count_without_edges(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def _write_edges(path, n, edges):
+    path.write_text("\n".join([str(n)] + [f"{u} {v}" for u, v in sorted(edges)]) + "\n")
+    return str(path)
+
+
 def test_compute_refuses_large_dense_input(tmp_path, capsys):
+    # C_101 and a chord: the 2-core is the whole graph
     n = DENSE_MAX_N + 1
-    edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
-    path = tmp_path / "bicyclic.graph"
-    path.write_text("\n".join([str(n)] + [f"{u} {v}" for u, v in edges]) + "\n")
-    code, out, err = run_cli(capsys, "compute", "--input", str(path))
+    edges = set(make_cycle(n).edges) | {(0, n // 2)}
+    path = _write_edges(tmp_path / "bicyclic.graph", n, edges)
+    code, out, err = run_cli(capsys, "compute", "--input", path)
     assert code == 2 and out == ""
-    assert str(DENSE_MAX_N) in err
+    assert str(DENSE_MAX_N) in err and f"{n} in the 2-core" in err
+
+
+def test_compute_limits_the_core_not_the_graph(tmp_path, capsys):
+    # a path with two chords: 21 vertices in the 2-core, the rest pendant
+    for n in (DENSE_MAX_N + 1, 10 * DENSE_MAX_N):
+        edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
+        path = _write_edges(tmp_path / "bicyclic.graph", n, edges)
+        code, out, _ = run_cli(capsys, "compute", "--input", path)
+        assert code == 0
+        if n == DENSE_MAX_N + 1:
+            assert out == f"Kf = {kirchhoff_index_dense(Graph(n, frozenset(edges)))}\n"
 
 
 def test_compute_refuses_large_resistance_matrix(tmp_path, capsys):
@@ -111,21 +128,24 @@ def test_compute_refuses_large_resistance_matrix(tmp_path, capsys):
 def test_compute_wiener_reads_the_kernel(tmp_path, capsys, monkeypatch):
     rng = random.Random(400)
     n, k = 400, 30
-    edges = {(c, c + 1) for c in range(k - 1)} | {(0, k - 1)}
-    edges |= {(rng.randrange(v), v) for v in range(k, n)}
-    g = Graph(n, frozenset(edges))
-    path = tmp_path / "unicyclic.graph"
-    path.write_text(write_graph(g))
-    expected = wiener_index(g)
+    cycle = {(c, c + 1) for c in range(k - 1)} | {(0, k - 1)}
+    pendant = {(rng.randrange(v), v) for v in range(k, n)}
+    # unicyclic, then with three chords on the cycle
+    graphs = [Graph(n, frozenset(cycle | pendant))]
+    graphs.append(Graph(n, graphs[0].edges | {(0, 10), (3, 17), (12, 25)}))
+    expected = [wiener_index(g) for g in graphs]
 
     def no_bfs(_):
         raise AssertionError("compute --wiener ran the BFS route")
 
     monkeypatch.setattr(graph, "wiener_index", no_bfs)
-    monkeypatch.setattr(cli, "wiener_index", no_bfs)
-    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--wiener")
-    assert code == 0
-    assert out.splitlines()[1] == f"W = {expected}"
+    monkeypatch.setattr(cli, "wiener_index", no_bfs, raising=False)
+    for g, w in zip(graphs, expected):
+        path = tmp_path / "graph.graph"
+        path.write_text(write_graph(g))
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--wiener")
+        assert code == 0
+        assert out.splitlines()[1] == f"W = {w}"
 
 
 def test_compute_tree_matrix_is_the_closed_form(tmp_path, capsys, monkeypatch):
@@ -141,14 +161,15 @@ def test_compute_tree_matrix_is_the_closed_form(tmp_path, capsys, monkeypatch):
     def no_elimination(*_):
         raise AssertionError("compute --resistance-matrix ran the Laplacian route")
 
-    monkeypatch.setattr(resistance, "grounded_inverse", no_elimination)
-    monkeypatch.setattr(cli, "grounded_inverse", no_elimination)
+    monkeypatch.setattr(resistance, "_fraction_free_solve", no_elimination)
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
     assert code == 0
     assert out.splitlines()[1:] == expected
 
 
 def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypatch):
+    # vertices 0..20 form the 2-core, so one elimination of 20 rows serves
+    # Kf, the vertex sums and the matrix
     n = 80
     edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
     path = tmp_path / "bicyclic.graph"
@@ -162,7 +183,7 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(resistance, "_fraction_free_solve", counting_solve)
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--vertex-sums")
-    assert code == 0 and calls == [n - 1]
+    assert code == 0 and calls == [20]
     lines = out.splitlines()
     assert lines[0] == "Kf = 1799555/24"
     assert sum(Fraction(line.split(" = ")[1]) for line in lines[1:]) == Fraction(1799555, 12)
@@ -170,7 +191,7 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(
         capsys, "compute", "--input", str(path), "--vertex-sums", "--resistance-matrix"
     )
-    assert code == 0 and calls == [n - 1]
+    assert code == 0 and calls == [20]
     assert out.splitlines()[n + 1] == str(n)
 
 

@@ -21,14 +21,17 @@ from unikirch.graph import (
     bfs_distances,
     decompose_unicyclic,
     identify_vertices,
+    peel,
     wiener_index,
 )
 from unikirch.matching import matching_number
 from unikirch.resistance import (
     BranchSummary,
+    core_inverse,
     cycle_invariants,
     format_resistance_matrix,
     graph_invariants,
+    grounded_inverse,
     kf_cycle,
     kf_identified,
     kfv_cycle,
@@ -256,6 +259,64 @@ def test_disconnected_errors():
         resistance_matrix_dense(g)
     with pytest.raises(DisconnectedError):
         kirchhoff_index_dense(g)
+    diamond = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
+    k4 = diamond | {(0, 3)}
+    for g in (
+        Graph(7, frozenset(diamond | {(4, 5), (5, 6)})),  # a core and a disjoint tree
+        Graph(5, frozenset(diamond)),  # a core and an isolated vertex
+        Graph(7, frozenset(make_cycle(3).edges | {(3, 4), (4, 5), (5, 6), (3, 6)})),
+        Graph(7, frozenset(k4 | {(4, 5), (5, 6), (4, 6)})),
+    ):
+        for route in (kirchhoff_index, vertex_sums, resistance_matrix):
+            with pytest.raises(DisconnectedError):
+                route(g)
+
+
+def _graph_with_a_core(rng: random.Random, shape: str, chords: int) -> Graph:
+    """A randomly labelled connected graph of at most 24 vertices: a core
+    of cyclomatic number 2 or more with random pendant trees.  The core is
+    a random connected graph with the given number of chords, two cycles
+    joined by a path (a bridge), or two cycles sharing a vertex."""
+    a, b = rng.randint(3, 7), rng.randint(3, 7)
+    if shape == "chords":
+        core = random_connected_graph(rng, rng.randint(5, 12), chords)
+        c, edges = core.n, set(core.edges)
+    else:
+        # the second cycle meets the first at vertex 0, or at the end of a
+        # path from it
+        path = [0] + list(range(a, a + (rng.randint(1, 3) if shape == "bridge" else 0)))
+        ring = path[-1:] + list(range(a + len(path) - 1, a + len(path) + b - 2))
+        edges = {(i, (i + 1) % a) for i in range(a)} | set(zip(path, path[1:]))
+        edges |= set(zip(ring, ring[1:] + ring[:1]))
+        c = ring[-1] + 1
+    n = rng.randint(c, 24)
+    edges |= {(rng.randrange(v), v) for v in range(c, n)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("chords", "bridge", "cut vertex")),
+    st.integers(2, 6),
+)
+def test_core_route_matches_laplacian_route(seed, shape, chords):
+    rng = random.Random(seed)
+    g = _graph_with_a_core(rng, shape, chords)
+    assert g.edge_count - g.n + 1 == (chords if shape == "chords" else 2)
+    trees = peel(g)
+    # the roots are the 2-core: what deleting vertices of degree <= 1 leaves
+    core = set(range(g.n))
+    while leaves := {v for v in core if len(core.intersection(g.adjacency[v])) <= 1}:
+        core -= leaves
+    assert {labels[0] for labels, _ in trees} == core
+    assert sorted(u for labels, _ in trees for u in labels) == list(range(g.n))
+    dense = grounded_inverse(g, ground=rng.randrange(g.n))
+    assert kirchhoff_index(g) == dense.kirchhoff_index()
+    assert vertex_sums(g) == dense.vertex_sums()
+    assert resistance_matrix(g) == dense.matrix()
+    assert core_inverse(g, trees).wiener() == wiener_index(g)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 40), st.booleans())
