@@ -11,7 +11,7 @@ Usage:
 import argparse
 import sys
 
-from unikirch.enumeration import sweep_minima
+from unikirch.enumeration import counts_by_matching, sweep_minima
 from unikirch.families import family_label
 from unikirch.rational import format_rational
 
@@ -26,7 +26,7 @@ def main() -> int:
     print("n,m,classes,minimum,minimizers")
     for n in range(3, args.max_n + 1):
         sweep = sweep_minima(n)
-        for m, count in sweep.counts.items():
+        for m, count in counts_by_matching(n).items():
             best = (sweep.kf if kirchhoff else sweep.wiener)[m]
             names = "|".join(sorted(family_label(code) for code in best.codes))
             print(f"{n},{m},{count},{format_rational(best.value)},{names}")

@@ -15,8 +15,8 @@ from .resistance import (
     core_inverse,
     format_resistance_matrix,
     peel_invariants,
-    resistance_matrix,
-    vertex_sums,
+    peel_vertex_sums,
+    resistance_matrix_unicyclic,
 )
 from .verification import SUITE_NAMES, run_suite
 
@@ -30,11 +30,13 @@ DENSE_MAX_N = 100
 # Python 3.11.7), and all of it grows as n^2.
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex, and so does the
-# time to enumerate them.  At n = 16 (311,465 classes), `extremal` takes
-# 4.4 s and the `enumerate` listing 2.9 s, each in about 40 MB, and
-# `verify --suite all --max-n 16` 30 s and 64 MB in one process, 22 s of it
+# time to enumerate them.  At n = 16 (311,465 classes) the `enumerate`
+# listing takes 3.0 s and `--count-only` 3.4 s, each in about 32 MB, and
+# `verify --suite all --max-n 16` 25 s and 58 MB in one process, most of it
 # in the row pass (2-vCPU VM, Python 3.11.7, subprocess wall time); n = 20
-# would take some 80 times as long.
+# would take some 80 times as long.  `extremal` generates no class, but its
+# state tables read every rooted tree of up to n - 2 vertices: 1.1 s at
+# n = 16.
 ENUMERATION_MAX_N = 16
 
 
@@ -96,11 +98,11 @@ def _cmd_compute(args) -> int:
         suffix = f" (~ {_decimal(w)})" if args.decimal else ""
         print(f"W = {format_rational(w)}{suffix}")
     if args.vertex_sums:
-        for v, s in enumerate(vertex_sums(g) if core is None else core.vertex_sums()):
+        for v, s in enumerate(peel_vertex_sums(trees) if core is None else core.vertex_sums()):
             suffix = f" (~ {_decimal(s)})" if args.decimal else ""
             print(f"Kf[{v}] = {format_rational(s)}{suffix}")
     if args.resistance_matrix:
-        mat = resistance_matrix(g) if core is None else core.matrix()
+        mat = resistance_matrix_unicyclic(trees) if core is None else core.matrix()
         sys.stdout.write(format_resistance_matrix(mat))
     return 0
 

@@ -20,17 +20,20 @@ tested for dihedral minimality only against the rotations and
 reflections that start with the same code.  ``enumerate_codes`` emits
 each cycle length's classes in sorted order.
 
-Sweeps read Kf, W and the matching number straight off the codes, in
-integers: ``sweep_minima`` computes the cycle terms once per
-composition, adds each code's branch term, compares Kf as numerators
-over k by cross-multiplication, and makes one Fraction per cell
-minimum; it caches the minima of one pass per n.  Graphs are built only
-for consumers that need vertex-level data, one class at a time.
+The minima need no class at all.  Kf and W are a cycle term, fixed by
+the composition, plus one ``branch_term`` per branch, and the matching
+number reads only each branch's state: its matching number and whether
+its root can stay unmatched at no loss.  ``sweep_minima`` therefore
+takes each state's least branch term from a table per size, scores one
+value per dihedral orbit of compositions and tuple of states, in
+integers, and expands into classes only the tuples that attain a cell's
+minimum; it caches the minima per n.  Class counts and listings still
+generate every class, and graphs are built only for consumers that need
+vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +154,8 @@ class CanonicalCode:
         return f"{self.cycle_length}:" + "".join(self.branch_codes)
 
     def stable_hash(self) -> str:
+        import hashlib  # only `enumerate --emit` hashes; the import costs every start
+
         return hashlib.sha256(str(self).encode()).hexdigest()[:16]
 
 
@@ -166,9 +171,9 @@ def _dihedral_min(seq: tuple) -> tuple:
     return best
 
 
-def _is_dihedral_min(seq: tuple[str, ...]) -> bool:
-    """Whether seq, whose first code is its least, is the least of its
-    rotations and reflections; only those that start with that code can
+def _is_dihedral_min(seq: tuple) -> bool:
+    """Whether seq, whose first entry is its least, is the least of its
+    rotations and reflections; only those that start with that entry can
     be smaller."""
     head = seq[0]
     for base in (seq, seq[::-1]):
@@ -220,14 +225,26 @@ def invariants_from_code(code: CanonicalCode) -> Invariants:
     return cycle_invariants([branch_summary(c) for c in code.branch_codes])
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to `total`."""
+def _compositions(total: int, parts: int, least: int = 0) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` integers, each at least `least`, summing to
+    `total`, which is at least `parts * least`."""
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(least, total - least * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, least):
             yield (first,) + rest
+
+
+def _orbit_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The branch sizes of the classes on n vertices with cycle length k,
+    one composition per dihedral orbit: the least, which starts with its
+    least size."""
+    for head in range(1, n // k + 1):
+        for rest in _compositions(n - head, k - 1, head):
+            sizes = (head, *rest)
+            if _is_dihedral_min(sizes):
+                yield sizes
 
 
 def minimal_sequences(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[str, ...]]]]:
@@ -298,15 +315,40 @@ class Minimum(NamedTuple):
 
 
 class SweepMinima(NamedTuple):
-    """The classes on n vertices: per matching number the class count and
-    the Kf and W minima, per cycle length the Kf minimum, each keyed in
-    ascending order.  Cached results are shared: do not modify them."""
+    """The minima over the classes on n vertices: of Kf and of W per
+    matching number, of Kf per cycle length, each keyed in ascending
+    order.  Cached results are shared: do not modify them."""
 
     n: int
-    counts: dict[int, int]
     kf: dict[int, Minimum]
     wiener: dict[int, Minimum]
     kf_by_cycle: dict[int, Minimum]
+
+
+class _State(NamedTuple):
+    """The rooted trees of one size in one branch state, a state being
+    all that ``cycle_matching`` reads of a branch: its matching number,
+    and whether its root can be left unmatched at no loss."""
+
+    summary: BranchSummary  # of the first code in `codes`
+    term: int  # the least ``branch_term`` in the state
+    codes: tuple[str, ...]  # every code that attains it, sorted
+
+
+def _state_table(size: int, n: int) -> tuple[_State, ...]:
+    """Every state of the rooted trees on `size` vertices, with its least
+    ``branch_term`` in an n-vertex graph."""
+    best: dict[tuple[int, bool], tuple[BranchSummary, int, list[str]]] = {}
+    for code in rooted_tree_codes(size):
+        b = branch_summary(code)
+        term = branch_term(b, n)
+        state = (b.matching, b.matching == b.root_free)
+        cur = best.get(state)
+        if cur is None or term < cur[1]:
+            best[state] = (b, term, [code])
+        elif term == cur[1]:
+            cur[2].append(code)
+    return tuple(_State(b, term, tuple(codes)) for b, term, codes in best.values())
 
 
 def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
@@ -319,57 +361,71 @@ def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
         cur[2].append(item)
 
 
+def _tight_classes(groups: list[tuple[_State, ...]]) -> tuple[CanonicalCode, ...]:
+    """The classes whose every branch has the least term of its state, over
+    the given state tuples: each product of their codes, made
+    dihedral-minimal, deduplicated and sorted, which is enumeration order."""
+    classes = {
+        (len(group), _dihedral_min(seq))
+        for group in groups
+        for seq in product(*[state.codes for state in group])
+    }
+    return tuple(CanonicalCode(*item) for item in sorted(classes))
+
+
 def _minima(best: dict) -> dict[int, Minimum]:
     """The offers as Minimum records: one Fraction per cell, and the
-    argmin (k, sequence) pairs sorted, which is enumeration order."""
+    classes of the state tuples that attain it."""
     return {
-        key: Minimum(Fraction(num, den), tuple(CanonicalCode(*item) for item in sorted(items)))
-        for key, (num, den, items) in sorted(best.items())
+        key: Minimum(Fraction(num, den), _tight_classes(groups))
+        for key, (num, den, groups) in sorted(best.items())
     }
 
 
 @cache
 def sweep_minima(n: int) -> SweepMinima:
-    """Reduce one pass over the classes on n vertices to their minima.
-    Cached per n; the cache holds the minima only, never a per-class record.
+    """The Kf and W minima over the classes on n vertices, from tuples of
+    branch states, without generating a class.  Cached per n.
 
-    Kf = (k T + C) / k and W = T + H, where T sums the ``branch_term`` of
-    the class's codes and C and H are the ``cycle_terms`` of its
-    composition, shared by all the sequences of that composition.  Keys
-    stay integers until each cell's minimum is known."""
+    Kf = (k T + C) / k and W = T + H, where C and H are the
+    ``cycle_terms`` of the composition of branch sizes and T sums the
+    ``branch_term`` of each branch.  Fix the composition and the state of
+    each position: the matching number follows, by ``cycle_matching``,
+    and T is least, and exactly so, where every branch has the least
+    term of its state.  So each composition, one per dihedral orbit,
+    offers one value per tuple of states, and only the tuples that attain
+    a cell's minimum expand into classes.  Keys stay integers until each
+    cell's minimum is known."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    counts: dict[int, int] = {}
+    tables = [()] + [_state_table(size, n) for size in range(1, n - 1)]
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    terms: dict[str, int] = {}
     for k in range(3, n + 1):
-        for sizes, found in minimal_sequences(n, k):
-            if not found:
-                continue
+        for sizes in _orbit_compositions(n, k):
             cycle, hops = cycle_terms(sizes)
-            for seq in found:
-                branches = [branch_summary(c) for c in seq]
-                trees = 0
-                for c, b in zip(seq, branches):
-                    t = terms.get(c)
-                    if t is None:
-                        t = terms[c] = branch_term(b, n)
-                    trees += t
-                m = cycle_matching(branches)
-                counts[m] = counts.get(m, 0) + 1
-                item = (k, seq)
-                _offer(kf, m, k * trees + cycle, k, item)
-                _offer(wiener, m, trees + hops, 1, item)
-                _offer(girth, k, k * trees + cycle, k, item)
-    counts = dict(sorted(counts.items()))
-    return SweepMinima(n, counts, _minima(kf), _minima(wiener), _minima(girth))
+            for group in product(*[tables[size] for size in sizes]):
+                trees = sum(state.term for state in group)
+                m = cycle_matching([state.summary for state in group])
+                _offer(kf, m, k * trees + cycle, k, group)
+                _offer(wiener, m, trees + hops, 1, group)
+                _offer(girth, k, k * trees + cycle, k, group)
+    return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
 
 
 def counts_by_matching(n: int) -> dict[int, int]:
-    """Class counts per matching number at fixed vertex count."""
-    return dict(sweep_minima(n).counts)
+    """Class counts per matching number at fixed vertex count, in
+    ascending order, from one pass over ``minimal_sequences``."""
+    if n < 3:
+        raise ValueError("unicyclic graphs need at least 3 vertices")
+    counts: dict[int, int] = {}
+    for k in range(3, n + 1):
+        for _, found in minimal_sequences(n, k):
+            for seq in found:
+                m = cycle_matching([branch_summary(c) for c in seq])
+                counts[m] = counts.get(m, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 _INVARIANTS = ("kirchhoff", "wiener")

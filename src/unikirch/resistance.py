@@ -586,14 +586,17 @@ def _label_sums(
     return sums
 
 
+def peel_vertex_sums(trees: list[tuple[list[int], list[int]]]) -> list[Fraction]:
+    """``vertex_sums`` of a ``peel`` whose core is one vertex or one cycle."""
+    return _label_sums(trees, len(trees), cycle_row_numerators([p for _, p in trees]))
+
+
 def vertex_sums(g: Graph) -> list[Fraction]:
     """Resistance row sum of every vertex of a connected graph, from its
     ``peel``."""
     trees = peel(g)
     core = core_inverse(g, trees)
-    if core is None:
-        return _label_sums(trees, len(trees), cycle_row_numerators([p for _, p in trees]))
-    return core.vertex_sums()
+    return peel_vertex_sums(trees) if core is None else core.vertex_sums()
 
 
 def kirchhoff_index(g: Graph) -> Fraction:

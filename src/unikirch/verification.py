@@ -3,8 +3,8 @@ and extremal claim is confronted with an independent exact computation
 and reported case by case.
 
 Enumeration-backed suites default to desk-scale windows (n <= 12 for
-the extremal sweeps); the extended window raises them to n <= 14.
-Claims whose parameter ranges exceed any enumerable window are covered
+the extremal sweeps); the extended window raises them to n <= 16.
+Claims whose parameter ranges exceed the enumerated window are covered
 by closed-form identity checks (predicted value vs. direct computation
 on the constructed minimizer, up to n = 100); reports state that these
 are identity checks, not minimality searches.
@@ -55,6 +55,7 @@ from .resistance import (
     kirchhoff_index,
     kirchhoff_vertex_sum,
     resistance_matrix,
+    vertex_sums,
 )
 
 IDENTITY_NOTE = (
@@ -332,7 +333,8 @@ def suite_extremal(
     identity_n: tuple[int, ...] = (15, 16, 17, 20, 33, 50, 100),
 ) -> VerificationReport:
     """Enumerated minimum of Kf over every (n, m) cell in the window
-    versus the predicted minimizer set, compared as isomorphism classes."""
+    versus the predicted minimizer set, compared as isomorphism classes;
+    closed-form identity checks for the n of identity_n above it."""
     report = VerificationReport("extremal", 0)
     rec = _Recorder(report)
     for sweep in map(sweep_minima, range(4, n_max + 1)):
@@ -352,6 +354,8 @@ def suite_extremal(
                 ok,
             )
     for n in identity_n:
+        if n <= n_max:  # enumerated above
+            continue
         for m in range(2, n // 2 + 1):
             pred = predicted_min(n, m)
             ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)
@@ -682,6 +686,12 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     rng = random.Random(seed)
     unicyclic_pool = [g for n in range(3, 9) for _, g in enumerate_with_codes(n)]
     tree_pool = [t for n in range(1, 7) for t in free_trees(n)]
+
+    @cache
+    def kf_and_sums(g: Graph) -> tuple[Fraction, list[Fraction]]:
+        """Kf and the vertex-sum row of a pool graph, once per graph."""
+        return kirchhoff_index(g), vertex_sums(g)
+
     for i in range(trials):
         g = rng.choice(unicyclic_pool)
         h = rng.choice(tree_pool)
@@ -689,14 +699,8 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
         w = rng.randrange(h.n)
         merged = identify_vertices(g, u, h, w)
         direct = kirchhoff_index(merged)
-        closed = kf_identified(
-            kirchhoff_index(g),
-            kirchhoff_index(h),
-            kirchhoff_vertex_sum(g, u),
-            kirchhoff_vertex_sum(h, w),
-            g.n,
-            h.n,
-        )
+        (kf_g, sums_g), (kf_h, sums_h) = kf_and_sums(g), kf_and_sums(h)
+        closed = kf_identified(kf_g, kf_h, sums_g[u], sums_h[w], g.n, h.n)
         rec.add(
             f"trial:{i}",
             {"g_n": g.n, "h_n": h.n, "u": u, "w": w},
@@ -773,7 +777,7 @@ def run_suite(
         m_max = (max_n // 2) if max_n else (8 if extended else 6)
         return [suite_extremal_perfect(m_max=m_max)]
     if name == "extremal":
-        n_max = max_n or (14 if extended else 12)
+        n_max = max_n or (16 if extended else 12)
         return [suite_extremal(n_max=n_max)]
     if name == "vertex-sum-bound":
         return [suite_vertex_sum_bound(n_max=max_n or 10)]

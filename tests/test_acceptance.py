@@ -4,9 +4,9 @@ Each test prints a single PASS line (visible with -v through the test
 name, and with -s through the print) and enforces the stated runtime
 budget.  Exact rational equality everywhere; no tolerances.
 
-The extended enumeration windows (every cell up to 14 vertices, and the
+The extended enumeration windows (every cell up to 16 vertices, and the
 perfect-matching classes up to m = 8) are opt-in via UNIKIRCH_EXTENDED=1;
-they take about 5 s on top of the default run.
+they take about 2 s on top of the default run.
 """
 
 import os
@@ -217,11 +217,19 @@ def test_criterion_11_oracle_equivalence():
 @pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
 def test_extended_window_extremal():
     t0 = time.time()
-    report = suite_extremal(n_max=14)
+    report = suite_extremal(n_max=16)
     assert_green(report)
     computed = {c.id: c.computed for c in report.cases}
     # U(5,1,4,2) and U(5,1,2,3) are the hub graphs Unm(14,5) and Unm(14,6)
     assert computed["cell:n=14,m=5"] == "{U(5,1,4,2), U(6,2,4,1), U(7,3,4,0)} = 185"
     assert computed["cell:n=14,m=6"] == "{U(5,1,2,3), U(6,2,2,2), U(7,3,2,1)} = 196"
     assert computed["cell:n=14,m=7"] == "{U(7,7,0,0)} = 203"
-    finish("4x every (n,m) cell, n<=14 (extended)", t0, 3600)
+    # at n = 16 every cell with m >= 3 has the hub graph Unm(16,m) alone
+    assert computed["cell:n=16,m=2"] == "{U(3,1,12,0)} = 643/3"
+    for m, value in zip(range(3, 9), (219, 232, 245, 258, 271, 284)):
+        hub = f"U(5,1,{16 - 2 * m},{m - 3})"
+        assert computed[f"cell:n=16,m={m}"] == f"{{{hub}}} = {value}"
+    # the enumerated n = 15 and 16 need no identity checks
+    assert not any(c.id.startswith(("identity:n=15,", "identity:n=16,")) for c in report.cases)
+    assert any(c.id.startswith("identity:n=17,") for c in report.cases)
+    finish("4x every (n,m) cell, n<=16 (extended)", t0, 3600)

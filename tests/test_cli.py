@@ -195,6 +195,31 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
     assert out.splitlines()[n + 1] == str(n)
 
 
+def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch):
+    # Kf, the vertex sums and the matrix all read the peel the cli holds
+    g = make_ukt(6, 3, 2, 1)
+    path = tmp_path / "ukt.graph"
+    path.write_text(write_graph(g))
+    peel = graph.peel
+    calls = []
+
+    def counting_peel(h):
+        calls.append(h.n)
+        return peel(h)
+
+    for module in (graph, cli, resistance):
+        monkeypatch.setattr(module, "peel", counting_peel)
+    code, out, _ = run_cli(
+        capsys, "compute", "--input", str(path), "--vertex-sums", "--resistance-matrix"
+    )
+    assert code == 0 and calls == [g.n]
+    lines = out.splitlines()
+    mat = resistance.resistance_matrix_dense(g)
+    assert lines[0] == f"Kf = {kirchhoff_index_dense(g)}"
+    assert lines[1 : g.n + 1] == [f"Kf[{v}] = {mat.row_sum(v)}" for v in range(g.n)]
+    assert "\n".join(lines[g.n + 1 :]) + "\n" == resistance.format_resistance_matrix(mat)
+
+
 def test_compute_rejects_unreadable_text(tmp_path, capsys):
     # '²' passes str.isdigit but not int(); 0xff is not UTF-8
     for name, data in (("digits", "3\n0 1\n1 ²\n".encode()), ("bytes", b"3\n0 1\n\xff\n")):

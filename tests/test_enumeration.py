@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from oracles import (
 )
 from unikirch.enumeration import (
     CanonicalCode,
+    _state_table,
+    _tight_classes,
     branch_summary,
     canonical_code,
     code_parents,
@@ -39,11 +42,14 @@ from unikirch.graph import (
 )
 from unikirch.matching import matching_number
 from unikirch.resistance import (
+    branch_term,
     graph_invariants,
     kirchhoff_index_dense,
     resistance_matrix_unicyclic,
     vertex_sums,
 )
+
+EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -206,23 +212,74 @@ def test_codes_of_a_deep_branch():
     assert rooted_tree_code(make_path(s), 0) == path
 
 
+def assert_sweep_matches_bruteforce(n):
+    # every class's invariants, and each cell's minimum and argmin in
+    # enumeration order, against the sweep's state tuples
+    records = [(code, invariants_from_code(code)) for code in enumerate_codes(n)]
+    sweep = sweep_minima(n)
+    assert sweep.n == n
+    by_m = sorted(inv.matching for _, inv in records)
+    counts = counts_by_matching(n)
+    assert counts == {m: by_m.count(m) for m in sorted(set(by_m))}
+    assert list(counts) == sorted(counts)
+    cells = (
+        (sweep.kf, lambda inv: (inv.matching, inv.kf)),
+        (sweep.wiener, lambda inv: (inv.matching, inv.wiener)),
+        (sweep.kf_by_cycle, lambda inv: (inv.cycle_length, inv.kf)),
+    )
+    for table, cell in cells:
+        got = {key: (best.value, list(best.codes)) for key, best in table.items()}
+        expected = argmin_by_cell([(*cell(inv), code) for code, inv in records])
+        assert list(got.items()) == list(expected.items()), n
+
+
+def test_state_tables_match_bruteforce():
+    # every rooted tree grouped by (size, matching number, root free at no
+    # loss): the least branch term and every code attaining it.  Ties
+    # first occur at n = 8 (two trees on 6 vertices); no cell minimum up
+    # to n = 16 uses one, so the sweep oracles alone would not see them
+    ties = 0
+    for n in range(4, 13):
+        for size in range(1, n - 1):
+            states: dict = {}
+            for code in rooted_tree_codes(size):
+                b = branch_summary(code)
+                state = (b.matching, b.matching == b.root_free)
+                states.setdefault(state, []).append((branch_term(b, n), code))
+            expected = {}
+            for state, terms in states.items():
+                least = min(t for t, _ in terms)
+                expected[state] = (least, tuple(c for t, c in terms if t == least))
+            got = {}
+            for entry in _state_table(size, n):
+                b = entry.summary
+                assert branch_summary(entry.codes[0]) == b
+                got[(b.matching, b.matching == b.root_free)] = (entry.term, entry.codes)
+            assert got == expected, (n, size)
+            ties += sum(len(codes) > 1 for _, codes in got.values())
+    assert ties > 0
+
+
+def test_tight_classes_merge_dihedral_images():
+    # the path and the star on 3 vertices differ in state; on C4 with sizes
+    # (1, 3, 1, 3) the tuples (1, path, 1, star) and (1, star, 1, path) are
+    # rotations of each other, so both expand to the same single class
+    (one,) = _state_table(1, 8)
+    path, star = sorted(_state_table(3, 8), key=lambda state: state.codes)
+    assert (path.codes, star.codes) == (("((()))",), ("(()())",))
+    classes = _tight_classes([(one, path, one, star), (one, star, one, path)])
+    assert classes == (CanonicalCode(4, ("((()))", "()", "(()())", "()")),)
+
+
 def test_sweep_minima_matches_bruteforce_argmin():
-    for n in range(3, 12):
-        records = [(code, invariants_from_code(code)) for code in enumerate_codes(n)]
-        sweep = sweep_minima(n)
-        assert sweep.n == n
-        by_m = sorted(inv.matching for _, inv in records)
-        assert sweep.counts == {m: by_m.count(m) for m in sorted(set(by_m))}
-        assert list(sweep.counts) == sorted(sweep.counts)
-        cells = (
-            (sweep.kf, [(inv.matching, inv.kf, code) for code, inv in records]),
-            (sweep.wiener, [(inv.matching, inv.wiener, code) for code, inv in records]),
-            (sweep.kf_by_cycle, [(inv.cycle_length, inv.kf, code) for code, inv in records]),
-        )
-        for table, cell_records in cells:
-            got = {key: (best.value, list(best.codes)) for key, best in table.items()}
-            expected = argmin_by_cell(cell_records)
-            assert list(got.items()) == list(expected.items()), n
+    for n in range(3, 14):
+        assert_sweep_matches_bruteforce(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_sweep_minima_matches_bruteforce_argmin_extended():
+    for n in range(14, 17):
+        assert_sweep_matches_bruteforce(n)
 
 
 def test_sweep_keeps_every_branch_summary_cached():
