@@ -11,13 +11,7 @@ from .enumeration import counts_by_matching, enumerate_codes, extremal_search, g
 from .families import family_label, parse_family_spec
 from .graph import DisconnectedError, GraphParseError, peel, read_graph, write_graph
 from .rational import format_rational
-from .resistance import (
-    core_inverse,
-    format_resistance_matrix,
-    peel_invariants,
-    peel_vertex_sums,
-    resistance_matrix_unicyclic,
-)
+from .resistance import format_resistance_matrix, route
 from .verification import SUITE_NAMES, run_suite
 
 # Graphs that are neither trees nor unicyclic take a fraction-free integer
@@ -85,25 +79,20 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
-    core = core_inverse(g, trees)  # Kf, the sums and the matrix all read it
-    if core is None:  # a tree or unicyclic: the closed forms on the same peel
-        inv = peel_invariants(trees)
-        kf, w = inv.kf, inv.wiener
-    else:
-        kf = core.kirchhoff_index()
-        w = core.wiener() if args.wiener else None
+    resist = route(g, trees)  # Kf, W, the sums and the matrix all read it
+    kf = resist.kirchhoff_index()
     suffix = f" (~ {_decimal(kf)})" if args.decimal else ""
     print(f"Kf = {format_rational(kf)}{suffix}")
     if args.wiener:
+        w = resist.wiener()
         suffix = f" (~ {_decimal(w)})" if args.decimal else ""
         print(f"W = {format_rational(w)}{suffix}")
     if args.vertex_sums:
-        for v, s in enumerate(peel_vertex_sums(trees) if core is None else core.vertex_sums()):
+        for v, s in enumerate(resist.vertex_sums()):
             suffix = f" (~ {_decimal(s)})" if args.decimal else ""
             print(f"Kf[{v}] = {format_rational(s)}{suffix}")
     if args.resistance_matrix:
-        mat = resistance_matrix_unicyclic(trees) if core is None else core.matrix()
-        sys.stdout.write(format_resistance_matrix(mat))
+        sys.stdout.write(format_resistance_matrix(resist.matrix()))
     return 0
 
 
@@ -116,7 +105,11 @@ def _cmd_construct(args) -> int:
         return 2
     text = write_graph(g)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -128,8 +121,7 @@ def _cmd_enumerate(args) -> int:
     try:
         if args.count_only and not args.emit:
             if args.m is not None:
-                count = sum(1 for _ in enumerate_codes(args.n, args.m))
-                print(f"{args.n},{args.m},{count}")
+                print(f"{args.n},{args.m},{counts_by_matching(args.n).get(args.m, 0)}")
             else:
                 by_m = counts_by_matching(args.n)
                 for m, c in by_m.items():
@@ -141,9 +133,14 @@ def _cmd_enumerate(args) -> int:
             total += 1
             if args.emit:
                 out = Path(args.emit)
-                out.mkdir(parents=True, exist_ok=True)
-                g = graph_from_code(code)
-                (out / f"{code.stable_hash()}.graph").write_text(write_graph(g))
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                    (out / f"{code.stable_hash()}.graph").write_text(
+                        write_graph(graph_from_code(code))
+                    )
+                except OSError as exc:
+                    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+                    return 2
             else:
                 print(code)
         if args.count_only:
@@ -171,6 +168,12 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     if _refuse_n("--max-n", args.max_n):
         return 2
+    if args.max_n is not None and args.max_n < 4:
+        print(f"error: --max-n {args.max_n}: no suite has a cell below n = 4", file=sys.stderr)
+        return 2
+    if args.trials < 0:
+        print(f"error: --trials {args.trials}: must be at least 0", file=sys.stderr)
+        return 2
     try:
         reports = run_suite(
             args.suite,
@@ -196,7 +199,11 @@ def _cmd_verify(args) -> int:
                     "skipped": sum(r.skipped for r in reports),
                 },
             }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        try:
+            Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.ok for r in reports) else 1
 
 

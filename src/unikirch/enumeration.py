@@ -18,7 +18,8 @@ positions, and each choice of it cuts their sorted pools down to the
 codes not below it before the product is formed.  The survivors are
 tested for dihedral minimality only against the rotations and
 reflections that start with the same code.  ``enumerate_codes`` emits
-each cycle length's classes in sorted order.
+each cycle length's classes in sorted order, and ``sequence_matching``
+alone reads a class's matching number from its codes.
 
 The minima need no class at all.  Kf and W are a cycle term, fixed by
 the composition, plus one ``branch_term`` per branch, and the matching
@@ -35,6 +36,7 @@ vertex-level data, one class at a time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -247,10 +249,10 @@ def _orbit_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 yield sizes
 
 
-def minimal_sequences(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[str, ...]]]]:
-    """The classes on n vertices with cycle length k, one composition of
-    the branch sizes at a time: (sizes, the dihedral-minimal branch-code
-    sequences with those sizes), the sequences in generation order.
+def minimal_sequences(n: int, k: int) -> Iterator[tuple[str, ...]]:
+    """The dihedral-minimal branch-code sequences of the classes on n
+    vertices with cycle length k, one per class, in generation order: one
+    composition of the branch sizes at a time.
 
     A minimal sequence starts with its least code.  So the first code
     ranges only up to the least of the other positions' greatest codes,
@@ -260,16 +262,18 @@ def minimal_sequences(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tu
     """
     by_size = [()] + [rooted_tree_codes(s) for s in range(1, n - k + 2)]
     for extra in _compositions(n - k, k):
-        sizes = tuple(1 + e for e in extra)
-        first, *pools = [by_size[s] for s in sizes]
+        first, *pools = [by_size[1 + e] for e in extra]
         top = min(pool[-1] for pool in pools)
-        found = []
         for head in first[: bisect_right(first, top)]:
             for tail in product(*[pool[bisect_left(pool, head) :] for pool in pools]):
                 seq = (head, *tail)
                 if _is_dihedral_min(seq):
-                    found.append(seq)
-        yield sizes, found
+                    yield seq
+
+
+def sequence_matching(seq: Sequence[str]) -> int:
+    """Matching number of the class with branch codes seq, from the codes."""
+    return cycle_matching([branch_summary(c) for c in seq])
 
 
 def enumerate_codes(
@@ -285,8 +289,8 @@ def enumerate_codes(
         raise ValueError(f"cycle length {cycle_length} out of range for n={n}")
     ks = (cycle_length,) if cycle_length is not None else range(3, n + 1)
     for k in ks:
-        for seq in sorted(seq for _, found in minimal_sequences(n, k) for seq in found):
-            if m is None or cycle_matching([branch_summary(c) for c in seq]) == m:
+        for seq in sorted(minimal_sequences(n, k)):
+            if m is None or sequence_matching(seq) == m:
                 yield CanonicalCode(k, seq)
 
 
@@ -419,13 +423,8 @@ def counts_by_matching(n: int) -> dict[int, int]:
     ascending order, from one pass over ``minimal_sequences``."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    counts: dict[int, int] = {}
-    for k in range(3, n + 1):
-        for _, found in minimal_sequences(n, k):
-            for seq in found:
-                m = cycle_matching([branch_summary(c) for c in seq])
-                counts[m] = counts.get(m, 0) + 1
-    return dict(sorted(counts.items()))
+    ms = (sequence_matching(seq) for k in range(3, n + 1) for seq in minimal_sequences(n, k))
+    return dict(sorted(Counter(ms).items()))
 
 
 _INVARIANTS = ("kirchhoff", "wiener")

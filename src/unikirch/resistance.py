@@ -14,22 +14,22 @@ the test suite cross-checks them:
 Every connected graph is peeled leaf by leaf once, by ``graph.peel``,
 into its 2-core and a branch tree on each core vertex; a resistance
 across branches is two depths plus a core resistance (Klein and Randic
-1993).  ``kirchhoff_index``, ``vertex_sums`` and ``resistance_matrix``
-read the peel.  A core of one vertex or one cycle has closed forms: one
-integer kernel, ``cycle_invariants``, gives Kf, W and the matching
-number of a tree or unicyclic graph from a short summary of each branch
-in O(n + k), and ``cycle_row_numerators`` the vertex-sum row, as
-integers over k.  Codes feed that kernel directly.  Any other core takes
-one elimination (``core_inverse``), cubic in the core and linear in the
-branches, which serves Kf, W, the vertex sums and the matrix.  The
-whole-graph elimination, ``grounded_inverse``, and the forest route
-serve as oracles.
+1993).  ``route`` alone picks the route for a peel.  A core of one
+vertex or one cycle takes ``CyclePeel``, the closed forms: one integer
+kernel, ``cycle_invariants``, gives Kf, W and the matching number of a
+tree or unicyclic graph from a short summary of each branch in O(n + k),
+and ``cycle_row_numerators`` the vertex-sum row, as integers over k.
+Codes feed that kernel directly.  Any other core takes one elimination
+(``core_inverse``), cubic in the core and linear in the branches.  Both
+serve Kf, W, the vertex sums and the matrix.  The whole-graph
+elimination, ``grounded_inverse``, and the forest route serve as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -290,12 +290,9 @@ def grounded_inverse(g: Graph, ground: int = 0) -> GroundedInverse:
     return GroundedInverse(g, [([v], [-1]) for v in range(g.n)], d, full)
 
 
-def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> GroundedInverse | None:
+def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> GroundedInverse:
     """``grounded_inverse`` of the 2-core of g, whose ``peel`` is trees, with
-    the trees on their roots: cubic in the core, linear in the branches.
-    None for a core of one vertex or one cycle, which has closed forms."""
-    if trees and g.edge_count <= g.n:
-        return None
+    the trees on their roots: cubic in the core, linear in the branches."""
     trees = sorted(trees)  # by root, the order in which without_vertices keeps them
     core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
     return grounded_inverse(core)._replace(trees=trees)
@@ -362,13 +359,6 @@ def resistance_matrix_unicyclic(
     k = len(trees)
     gaps = [[Fraction(d * (k - d), k)] for d in range(k)]
     return branch_matrix(trees, lambda i: gaps[1 : k - i])
-
-
-def resistance_matrix(g: Graph) -> ResistanceMatrix:
-    """All-pairs resistances of a connected graph, from its ``peel``."""
-    trees = peel(g)
-    core = core_inverse(g, trees)
-    return resistance_matrix_unicyclic(trees) if core is None else core.matrix()
 
 
 class BranchSummary(NamedTuple):
@@ -513,17 +503,12 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
     )
 
 
-def peel_invariants(trees: list[tuple[list[int], list[int]]]) -> Invariants:
-    """``cycle_invariants`` of a ``peel`` whose core is one vertex or one cycle."""
-    return cycle_invariants([tree_summary(parents) for _, parents in trees])
-
-
 def graph_invariants(g: Graph) -> Invariants:
     """``cycle_invariants`` of a tree or a connected unicyclic graph."""
     trees = decompose_unicyclic(g)
     if trees is None:
         raise ValueError("expected a tree or a connected unicyclic graph")
-    return peel_invariants(trees)
+    return CyclePeel(trees).invariants
 
 
 def _row_numerators(
@@ -586,25 +571,51 @@ def _label_sums(
     return sums
 
 
-def peel_vertex_sums(trees: list[tuple[list[int], list[int]]]) -> list[Fraction]:
-    """``vertex_sums`` of a ``peel`` whose core is one vertex or one cycle."""
-    return _label_sums(trees, len(trees), cycle_row_numerators([p for _, p in trees]))
+@dataclass(frozen=True)
+class CyclePeel:
+    """The closed forms on a ``peel`` whose core is one vertex or one cycle,
+    with the methods of ``GroundedInverse``: trees[i] hangs on the i-th
+    vertex of C_k.  Kf and W come from one ``cycle_invariants`` pass."""
+
+    trees: list[tuple[list[int], list[int]]]
+
+    @cached_property
+    def invariants(self) -> Invariants:
+        return cycle_invariants([tree_summary(parents) for _, parents in self.trees])
+
+    def kirchhoff_index(self) -> Fraction:
+        return self.invariants.kf
+
+    def wiener(self) -> Fraction:
+        return self.invariants.wiener
+
+    def vertex_sums(self) -> list[Fraction]:
+        rows = cycle_row_numerators([parents for _, parents in self.trees])
+        return _label_sums(self.trees, len(self.trees), rows)
+
+    def matrix(self) -> ResistanceMatrix:
+        return resistance_matrix_unicyclic(self.trees)
+
+
+def route(g: Graph, trees: list[tuple[list[int], list[int]]]) -> CyclePeel | GroundedInverse:
+    """The route of a connected graph g whose ``peel`` is trees: the closed
+    forms for a core of one vertex or one cycle, else ``core_inverse``."""
+    return CyclePeel(trees) if trees and g.edge_count <= g.n else core_inverse(g, trees)
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:
-    """Resistance row sum of every vertex of a connected graph, from its
-    ``peel``."""
-    trees = peel(g)
-    core = core_inverse(g, trees)
-    return peel_vertex_sums(trees) if core is None else core.vertex_sums()
+    """Resistance row sum of every vertex of a connected graph."""
+    return route(g, peel(g)).vertex_sums()
+
+
+def resistance_matrix(g: Graph) -> ResistanceMatrix:
+    """All-pairs resistances of a connected graph."""
+    return route(g, peel(g)).matrix()
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
-    """Sum of effective resistances over unordered vertex pairs of a
-    connected graph, from its ``peel``."""
-    trees = peel(g)
-    core = core_inverse(g, trees)
-    return peel_invariants(trees).kf if core is None else core.kirchhoff_index()
+    """Sum of effective resistances over unordered vertex pairs of a connected graph."""
+    return route(g, peel(g)).kirchhoff_index()
 
 
 def kirchhoff_index_dense(g: Graph) -> Fraction:

@@ -26,12 +26,12 @@ from typing import Iterator, NamedTuple
 from .enumeration import (
     CanonicalCode,
     _dihedral_min,
-    branch_summary,
     canonical_code,
     code_parents,
     enumerate_with_codes,
     free_trees,
     minimal_sequences,
+    sequence_matching,
     sweep_minima,
 )
 from .families import (
@@ -49,7 +49,6 @@ from .graph import Graph, identify_vertices
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
-    cycle_matching,
     cycle_row_numerators,
     kf_identified,
     kirchhoff_index,
@@ -96,7 +95,9 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        """No case failed, and there was a case: a window that checks
+        nothing does not pass."""
+        return self.failed == 0 and bool(self.cases)
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,55 +428,54 @@ def row_cells(n: int) -> RowCells:
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
     for k in range(3, n + 1):
-        for _, found in minimal_sequences(n, k):
-            for seq in found:
-                m = cycle_matching([branch_summary(c) for c in seq])
-                if m < 3:
-                    continue
-                if m not in sums:
-                    sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
-                    deletions[m] = {
-                        "n": n,
-                        "m": m,
-                        "violations": 0,
-                        "eq_single": [],
-                        "eq_pair": [],
-                        "checked": 0,
-                    }
-                cell, deletion = sums[m], deletions[m]
-                cell["graphs"] += 1
-                shapes = [_branch_shape(c) for c in seq]
-                rows = cycle_row_numerators([parents for parents, _ in shapes])
-                degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
-                max_deg = max(degrees)
-                unique_max = degrees.count(max_deg) == 1
-                bound = k * (n + m - 4)
-                for (_, branch_degrees), row in zip(shapes, rows):
-                    for deg, num in zip(branch_degrees, row):
-                        if num < bound:
-                            cell["violations"] += 1
-                        elif num == bound:
-                            cell["equalities"].append(
-                                {
-                                    "code": CanonicalCode(k, seq),
-                                    "is_max_degree": deg == max_deg and unique_max,
-                                }
-                            )
-                bound1 = k * (2 * n + m - 6)
-                bound2 = k * (5 * n + 2 * m - 19)
-                for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
-                    deletion["checked"] += 1
-                    if diff1 < bound1:
-                        deletion["violations"] += 1
-                    elif diff1 == bound1:
-                        deletion["eq_single"].append(
-                            {"code": CanonicalCode(k, seq), "x_at_max_degree": y_degree == max_deg}
+        for seq in minimal_sequences(n, k):
+            m = sequence_matching(seq)
+            if m < 3:
+                continue
+            if m not in sums:
+                sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
+                deletions[m] = {
+                    "n": n,
+                    "m": m,
+                    "violations": 0,
+                    "eq_single": [],
+                    "eq_pair": [],
+                    "checked": 0,
+                }
+            cell, deletion = sums[m], deletions[m]
+            cell["graphs"] += 1
+            shapes = [_branch_shape(c) for c in seq]
+            rows = cycle_row_numerators([parents for parents, _ in shapes])
+            degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
+            max_deg = max(degrees)
+            unique_max = degrees.count(max_deg) == 1
+            bound = k * (n + m - 4)
+            for (_, branch_degrees), row in zip(shapes, rows):
+                for deg, num in zip(branch_degrees, row):
+                    if num < bound:
+                        cell["violations"] += 1
+                    elif num == bound:
+                        cell["equalities"].append(
+                            {
+                                "code": CanonicalCode(k, seq),
+                                "is_max_degree": deg == max_deg and unique_max,
+                            }
                         )
-                    if diff2 is not None:
-                        if diff2 < bound2:
-                            deletion["violations"] += 1
-                        elif diff2 == bound2:
-                            deletion["eq_pair"].append({"code": CanonicalCode(k, seq)})
+            bound1 = k * (2 * n + m - 6)
+            bound2 = k * (5 * n + 2 * m - 19)
+            for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
+                deletion["checked"] += 1
+                if diff1 < bound1:
+                    deletion["violations"] += 1
+                elif diff1 == bound1:
+                    deletion["eq_single"].append(
+                        {"code": CanonicalCode(k, seq), "x_at_max_degree": y_degree == max_deg}
+                    )
+                if diff2 is not None:
+                    if diff2 < bound2:
+                        deletion["violations"] += 1
+                    elif diff2 == bound2:
+                        deletion["eq_pair"].append({"code": CanonicalCode(k, seq)})
     return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
 
 
@@ -774,21 +774,21 @@ def run_suite(
     if name == "tables-nm":
         return [suite_tables_nm()]
     if name == "extremal-perfect":
-        m_max = (max_n // 2) if max_n else (8 if extended else 6)
+        m_max = (8 if extended else 6) if max_n is None else max_n // 2
         return [suite_extremal_perfect(m_max=m_max)]
     if name == "extremal":
-        n_max = max_n or (16 if extended else 12)
+        n_max = (16 if extended else 12) if max_n is None else max_n
         return [suite_extremal(n_max=n_max)]
     if name == "vertex-sum-bound":
-        return [suite_vertex_sum_bound(n_max=max_n or 10)]
+        return [suite_vertex_sum_bound(n_max=10 if max_n is None else max_n)]
     if name == "deletion-bounds":
-        return [suite_deletion_bounds(n_max=max_n or 10)]
+        return [suite_deletion_bounds(n_max=10 if max_n is None else max_n)]
     if name == "girth-minima":
-        return [suite_girth_minima(n_max=max_n or 9)]
+        return [suite_girth_minima(n_max=9 if max_n is None else max_n)]
     if name == "cycle-placements":
         return [suite_cycle_placements()]
     if name == "merge-identity":
         return [suite_merge_identity(trials=trials, seed=seed)]
     if name == "wiener-divergence":
-        return [suite_wiener_divergence(n_max=max_n or 12)]
+        return [suite_wiener_divergence(n_max=12 if max_n is None else max_n)]
     raise ValueError(f"unknown suite {name!r}")

@@ -167,13 +167,18 @@ def test_compute_tree_matrix_is_the_closed_form(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1:] == expected
 
 
+def _bicyclic_path() -> Graph:
+    """The path on 80 vertices with the chords (0, 9) and (5, 20)."""
+    edges = [(v, v + 1) for v in range(79)] + [(0, 9), (5, 20)]
+    return Graph(80, frozenset(edges))
+
+
 def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypatch):
     # vertices 0..20 form the 2-core, so one elimination of 20 rows serves
     # Kf, the vertex sums and the matrix
     n = 80
-    edges = [(v, v + 1) for v in range(n - 1)] + [(0, 9), (5, 20)]
     path = tmp_path / "bicyclic.graph"
-    path.write_text("\n".join([str(n)] + [f"{u} {v}" for u, v in sorted(edges)]) + "\n")
+    path.write_text(write_graph(_bicyclic_path()))
     solve = resistance._fraction_free_solve
     calls = []
 
@@ -195,29 +200,45 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
     assert out.splitlines()[n + 1] == str(n)
 
 
-def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch):
-    # Kf, the vertex sums and the matrix all read the peel the cli holds
-    g = make_ukt(6, 3, 2, 1)
-    path = tmp_path / "ukt.graph"
+@pytest.mark.parametrize(
+    "build, cycle_route",
+    [
+        (lambda: Graph(30, frozenset((v // 2, v) for v in range(1, 30))), True),
+        (lambda: make_ukt(6, 3, 2, 1), True),
+        (_bicyclic_path, False),
+    ],
+    ids=["tree", "unicyclic", "bicyclic"],
+)
+def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, build, cycle_route):
+    # Kf, W, the vertex sums and the matrix all read the one route that
+    # ``resistance.route`` picks for the peel the cli holds
+    g = build()
+    path = tmp_path / "input.graph"
     path.write_text(write_graph(g))
-    peel = graph.peel
+    peel, kernel = graph.peel, resistance.cycle_invariants
     calls = []
 
     def counting_peel(h):
-        calls.append(h.n)
+        calls.append("peel")
         return peel(h)
+
+    def counting_kernel(branches):
+        calls.append("cycle_invariants")
+        return kernel(branches)
 
     for module in (graph, cli, resistance):
         monkeypatch.setattr(module, "peel", counting_peel)
-    code, out, _ = run_cli(
-        capsys, "compute", "--input", str(path), "--vertex-sums", "--resistance-matrix"
-    )
-    assert code == 0 and calls == [g.n]
+    monkeypatch.setattr(resistance, "cycle_invariants", counting_kernel)
+    flags = ("--wiener", "--vertex-sums", "--resistance-matrix")
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), *flags)
+    assert code == 0
+    assert calls == (["peel", "cycle_invariants"] if cycle_route else ["peel"])
     lines = out.splitlines()
-    mat = resistance.resistance_matrix_dense(g)
-    assert lines[0] == f"Kf = {kirchhoff_index_dense(g)}"
-    assert lines[1 : g.n + 1] == [f"Kf[{v}] = {mat.row_sum(v)}" for v in range(g.n)]
-    assert "\n".join(lines[g.n + 1 :]) + "\n" == resistance.format_resistance_matrix(mat)
+    dense = resistance.grounded_inverse(g)
+    mat = dense.matrix()
+    assert lines[:2] == [f"Kf = {dense.kirchhoff_index()}", f"W = {wiener_index(g)}"]
+    assert lines[2 : g.n + 2] == [f"Kf[{v}] = {mat.row_sum(v)}" for v in range(g.n)]
+    assert "\n".join(lines[g.n + 2 :]) + "\n" == resistance.format_resistance_matrix(mat)
 
 
 def test_compute_rejects_unreadable_text(tmp_path, capsys):
@@ -240,6 +261,16 @@ def test_enumeration_ceiling(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"limited to {ENUMERATION_MAX_N} vertices" in err
+    # windows that would check nothing, or silently fall back to the default
+    for argv in (
+        ["verify", "--suite", "extremal", "--max-n", "0"],
+        ["verify", "--suite", "extremal", "--max-n", "3"],
+        ["verify", "--suite", "extremal", "--max-n", "-4"],
+        ["verify", "--suite", "girth-minima", "--max-n", "2"],
+        ["verify", "--suite", "merge-identity", "--trials", "-3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: --"), argv
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):
@@ -280,22 +311,32 @@ def test_construct_examples(tmp_path, capsys):
     assert kirchhoff_index(read_graph(path.read_text())) == 174
 
 
-def test_construct_rejects(capsys):
+def test_construct_rejects(tmp_path, capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "U(2,0,0,0)")
     assert code == 2 and err
     code, _, err = run_cli(capsys, "construct", "--family", "what")
     assert code == 2 and err
+    code, _, err = run_cli(capsys, "construct", "--family", "C6", "--out", str(tmp_path))
+    assert code == 2 and err.startswith(f"error: cannot write {tmp_path}")
 
 
 def test_enumerate_count_only(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--count-only")
     assert code == 0
     assert "4,*,2" in out.splitlines()
-    code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--m", "3", "--count-only")
-    assert code == 0
-    (line,) = out.splitlines()
-    n, m, count = line.split(",")
-    assert (n, m) == ("6", "3") and int(count) > 0
+    for n in range(3, 10):
+        code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--count-only")
+        assert code == 0
+        table = {line.split(",")[1]: line for line in out.splitlines()}
+        assert str(n // 2 + 1) not in table  # one m with no class
+        for m in range(n // 2 + 2):
+            code, out, _ = run_cli(
+                capsys, "enumerate", "--n", str(n), "--m", str(m), "--count-only"
+            )
+            assert code == 0
+            assert out == table.get(str(m), f"{n},{m},0") + "\n", (n, m)
+    code, out, err = run_cli(capsys, "enumerate", "--n", "2", "--m", "1", "--count-only")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_enumerate_emit(tmp_path, capsys):
@@ -309,6 +350,9 @@ def test_enumerate_emit(tmp_path, capsys):
     for p in files:
         g = read_graph(p.read_text())
         assert p.name == f"{canonical_code(g).stable_hash()}.graph"
+    # an existing file where the directory should go
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--emit", str(files[0]))
+    assert code == 2 and out == "" and err.startswith(f"error: cannot write {files[0]}")
 
 
 def test_enumerate_deterministic(capsys):
@@ -346,6 +390,10 @@ def test_verify_exit_codes_and_json(tmp_path, capsys):
     assert payload["suite"] == "tables"
     assert payload["summary"] == {"pass": 137, "fail": 0, "skipped": 0}
     assert len(payload["notes"]) == 2
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--json", str(missing))
+    assert code == 2 and "summary: 137 passed, 0 failed" in out
+    assert err.startswith(f"error: cannot write {missing}")
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -151,6 +151,13 @@ def test_report_failure_accounting():
     assert report.passed == 1 and report.failed == 1
     assert not report.ok
     assert "FAIL" in report.render_text()
+    # a window that checks nothing does not pass
+    assert not VerificationReport("empty", 0).ok
+    (report,) = run_suite("girth-minima", max_n=3)
+    assert report.cases == [] and not report.ok
+    # 0 is a window, not the default one
+    (report,) = run_suite("extremal", max_n=0)
+    assert not any(c.id.startswith("cell:") for c in report.cases)
 
 
 def test_run_suite_dispatch():
