@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from .families import family_label, parse_family_spec
 from .graph import DisconnectedError, GraphParseError, peel, read_graph, write_graph
 from .rational import format_rational
 from .resistance import format_resistance_matrix, route
-from .verification import SUITE_NAMES, run_suite
+from .verification import SUITE_NAMES, WINDOW_FLOORS, run_suite
 
 # Graphs that are neither trees nor unicyclic take a fraction-free integer
 # elimination on their 2-core, cubic in its size c with integers that grow
@@ -23,14 +24,14 @@ DENSE_MAX_N = 100
 # 5 MB of output and 0.6 s for U(500,500,0,0), 0.75 s for C_1000 (2-vCPU VM,
 # Python 3.11.7), and all of it grows as n^2.
 MATRIX_MAX_N = 1000
-# The classes on n vertices roughly triple with each vertex, and so does the
-# time to enumerate them.  At n = 16 (311,465 classes) the `enumerate`
-# listing takes 3.0 s and `--count-only` 3.4 s, each in about 32 MB, and
-# `verify --suite all --max-n 16` 25 s and 58 MB in one process, most of it
-# in the row pass (2-vCPU VM, Python 3.11.7, subprocess wall time); n = 20
-# would take some 80 times as long.  `extremal` generates no class, but its
-# state tables read every rooted tree of up to n - 2 vertices: 1.1 s at
-# n = 16.
+# The classes on n vertices roughly triple with each vertex.  At n = 16
+# (311,465 classes) the `enumerate` listing, which generates every class,
+# takes 3.0 s in 30 MB (2-vCPU VM, Python 3.11.7, subprocess wall time).
+# `--count-only`, `extremal` and the row suites generate no class in
+# general, but read every rooted tree of up to n - 2 vertices (53,272 at
+# n = 16), and those grow nearly threefold per vertex: `--count-only` takes
+# 1.2 s in 31 MB, `extremal` 1.1 s, and `verify --suite all --max-n 16`
+# 5.0 s in 57 MB, 2.5 s of it in the n = 16 row pass.
 ENUMERATION_MAX_N = 16
 
 
@@ -171,6 +172,14 @@ def _cmd_verify(args) -> int:
     if args.max_n is not None and args.max_n < 4:
         print(f"error: --max-n {args.max_n}: no suite has a cell below n = 4", file=sys.stderr)
         return 2
+    for name in SUITE_NAMES if args.suite == "all" else (args.suite,):
+        if args.max_n is not None and args.max_n < WINDOW_FLOORS.get(name, 4):
+            print(
+                f"error: --max-n {args.max_n}: suite {name} has no cell "
+                f"below n = {WINDOW_FLOORS[name]}",
+                file=sys.stderr,
+            )
+            return 2
     if args.trials < 0:
         print(f"error: --trials {args.trials}: must be at least 0", file=sys.stderr)
         return 2
@@ -259,4 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): exit quietly, as a process
+        # killed by SIGPIPE would, and point stdout at /dev/null so that
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code

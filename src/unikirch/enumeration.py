@@ -28,8 +28,11 @@ its root can stay unmatched at no loss.  ``sweep_minima`` therefore
 takes each state's least branch term from a table per size, scores one
 value per dihedral orbit of compositions and tuple of states, in
 integers, and expands into classes only the tuples that attain a cell's
-minimum; it caches the minima per n.  Class counts and listings still
-generate every class, and graphs are built only for consumers that need
+minimum; it caches the minima per n.  ``counts_by_matching`` takes the
+same walk (``_state_groups``): a tuple holds the product of its states'
+code counts, unless a rotation or reflection fixes the composition, and
+then ``_class_sequences`` lists its classes.  Only listings generate
+every class, and graphs are built only for consumers that need
 vertex-level data, one class at a time.
 """
 
@@ -41,7 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from math import prod
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
@@ -125,13 +130,13 @@ def code_parents(code: str) -> list[int]:
     """Parent of every vertex of a rooted code, vertices numbered in
     depth-first order from the root 0, whose parent is -1."""
     parents = [-1]
-    stack = [0]
+    top = 0  # the vertex whose children are being read
     for ch in code[1:-1]:
         if ch == "(":
-            stack.append(len(parents))
-            parents.append(stack[-2])
+            parents.append(top)
+            top = len(parents) - 1
         else:
-            stack.pop()
+            top = parents[top]
     return parents
 
 
@@ -329,10 +334,27 @@ class SweepMinima(NamedTuple):
     kf_by_cycle: dict[int, Minimum]
 
 
-class _State(NamedTuple):
+class _Codes(NamedTuple):
     """The rooted trees of one size in one branch state, a state being
     all that ``cycle_matching`` reads of a branch: its matching number,
     and whether its root can be left unmatched at no loss."""
+
+    summary: BranchSummary  # of codes[0]
+    codes: tuple[str, ...]  # sorted
+
+
+def _code_states(size: int) -> tuple[_Codes, ...]:
+    """The rooted trees on `size` vertices, grouped by branch state."""
+    by_state: dict[tuple[int, bool], list[str]] = {}
+    for code in rooted_tree_codes(size):
+        b = branch_summary(code)
+        by_state.setdefault((b.matching, b.matching == b.root_free), []).append(code)
+    return tuple(_Codes(branch_summary(codes[0]), tuple(codes)) for codes in by_state.values())
+
+
+class _State(NamedTuple):
+    """The rooted trees of one size in one branch state that have the
+    state's least ``branch_term``."""
 
     summary: BranchSummary  # of the first code in `codes`
     term: int  # the least ``branch_term`` in the state
@@ -342,17 +364,52 @@ class _State(NamedTuple):
 def _state_table(size: int, n: int) -> tuple[_State, ...]:
     """Every state of the rooted trees on `size` vertices, with its least
     ``branch_term`` in an n-vertex graph."""
-    best: dict[tuple[int, bool], tuple[BranchSummary, int, list[str]]] = {}
-    for code in rooted_tree_codes(size):
-        b = branch_summary(code)
-        term = branch_term(b, n)
-        state = (b.matching, b.matching == b.root_free)
-        cur = best.get(state)
-        if cur is None or term < cur[1]:
-            best[state] = (b, term, [code])
-        elif term == cur[1]:
-            cur[2].append(code)
-    return tuple(_State(b, term, tuple(codes)) for b, term, codes in best.values())
+    table = []
+    for _, codes in _code_states(size):
+        terms = [branch_term(branch_summary(code), n) for code in codes]
+        least = min(terms)
+        tied = tuple(code for code, term in zip(codes, terms) if term == least)
+        table.append(_State(branch_summary(tied[0]), least, tied))
+    return tuple(table)
+
+
+def _state_groups(
+    n: int, tables: Sequence[Sequence]
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple]]]:
+    """Each composition of n vertices over a cycle, one per dihedral orbit,
+    with the tuples of its positions' entries in tables, where tables[s]
+    holds one entry per branch state of the rooted trees on s vertices."""
+    for k in range(3, n + 1):
+        for sizes in _orbit_compositions(n, k):
+            yield sizes, product(*[tables[size] for size in sizes])
+
+
+def _symmetries(sizes: tuple[int, ...]) -> list[itemgetter]:
+    """The rotations and reflections other than the identity that fix
+    sizes, each as the getter of a sequence's image.  Most compositions
+    have none."""
+    k = len(sizes)
+    perms = [[(i + r) % k for i in range(k)] for r in range(1, k)]
+    perms += [[(r - i) % k for i in range(k)] for r in range(k)]
+    images = [itemgetter(*perm) for perm in perms]  # k >= 3, so each gives a tuple
+    return [image for image in images if image(sizes) == sizes]
+
+
+def _class_sequences(
+    pools: Sequence[Iterable[str]], fixing: list[itemgetter]
+) -> Iterator[tuple[str, ...]]:
+    """One branch-code sequence per class among the products of the pools,
+    whose sizes the ``_symmetries`` in `fixing` fix: every product when
+    there is none, else each that is least among its images.  A class of
+    a composition's orbit is an orbit of its symmetries on the sequences
+    of exactly its sizes, and that orbit's least sequence lies in one
+    product of state pools."""
+    for seq in product(*pools):
+        for image in fixing:
+            if image(seq) < seq:
+                break
+        else:
+            yield seq
 
 
 def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
@@ -406,25 +463,37 @@ def sweep_minima(n: int) -> SweepMinima:
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    for k in range(3, n + 1):
-        for sizes in _orbit_compositions(n, k):
-            cycle, hops = cycle_terms(sizes)
-            for group in product(*[tables[size] for size in sizes]):
-                trees = sum(state.term for state in group)
-                m = cycle_matching([state.summary for state in group])
-                _offer(kf, m, k * trees + cycle, k, group)
-                _offer(wiener, m, trees + hops, 1, group)
-                _offer(girth, k, k * trees + cycle, k, group)
+    for sizes, groups in _state_groups(n, tables):
+        k = len(sizes)
+        cycle, hops = cycle_terms(sizes)
+        for group in groups:
+            trees = sum(state.term for state in group)
+            m = cycle_matching([state.summary for state in group])
+            _offer(kf, m, k * trees + cycle, k, group)
+            _offer(wiener, m, trees + hops, 1, group)
+            _offer(girth, k, k * trees + cycle, k, group)
     return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
 
 
 def counts_by_matching(n: int) -> dict[int, int]:
     """Class counts per matching number at fixed vertex count, in
-    ascending order, from one pass over ``minimal_sequences``."""
+    ascending order, from tuples of branch states: a composition with no
+    symmetry holds the product of its states' code counts, and only the
+    others list their ``_class_sequences``."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    ms = (sequence_matching(seq) for k in range(3, n + 1) for seq in minimal_sequences(n, k))
-    return dict(sorted(Counter(ms).items()))
+    tables = [()] + [_code_states(size) for size in range(1, n - 1)]
+    counts: Counter = Counter()
+    for sizes, groups in _state_groups(n, tables):
+        fixing = _symmetries(sizes)
+        for group in groups:
+            m = cycle_matching([state.summary for state in group])
+            pools = [state.codes for state in group]
+            if fixing:
+                counts[m] += sum(1 for _ in _class_sequences(pools, fixing))
+            else:
+                counts[m] += prod(map(len, pools))
+    return dict(sorted(counts.items()))
 
 
 _INVARIANTS = ("kirchhoff", "wiener")

@@ -511,41 +511,45 @@ def graph_invariants(g: Graph) -> Invariants:
     return CyclePeel(trees).invariants
 
 
+def branch_row(parents: Sequence[int], n: int) -> list[int]:
+    """S(u) + h(u) (n - s) for every vertex u of a rooted tree on s vertices
+    in parent form (``_subtree_sizes``), hung in an n-vertex graph: u's
+    distance sum inside the tree plus its depth h once per vertex outside
+    it.  The root's entry is the tree's depth sum.  S reroots as
+    S(child) = S(parent) + s - 2 sub(child), so an entry is its parent's
+    plus n - 2 sub(child).  O(s)."""
+    sub = _subtree_sizes(parents)
+    row = [sum(sub) - len(sub)] * len(sub)
+    for v in range(1, len(sub)):
+        row[v] = row[parents[v]] + n - 2 * sub[v]
+    return row
+
+
 def _row_numerators(
     trees: Sequence[Sequence[int]], denom: int, core_rows: Sequence[int]
 ) -> list[list[int]]:
     """denom Kf_G(u) for every vertex u of the graph that carries tree i,
     in parent form (``_subtree_sizes``), on vertex i of a core, tree by
-    tree, where core_rows[i] = denom sum_j s_j R_core(i, j).  O(n).  At
-    depth h in tree i, Kf_G(u) = S_i(u) + h (n - s_i) + (D - D_i) +
-    core_rows[i] / denom, D the total depth sum, and u's distance sum in
-    its tree reroots as S(child) = S(parent) + s_i - 2 sub(child)."""
-    subs = [_subtree_sizes(parents) for parents in trees]
-    n = sum(map(len, subs))
-    depth_sums = [sum(sub) - len(sub) for sub in subs]
-    depth_total = sum(depth_sums)
+    tree, where core_rows[i] = denom sum_j s_j R_core(i, j).  O(n).  In
+    tree i, Kf_G(u) is its ``branch_row`` entry plus (D - D_i) +
+    core_rows[i] / denom, D the total depth sum."""
+    n = sum(map(len, trees))
+    local = [branch_row(parents, n) for parents in trees]
+    depth_total = sum(row[0] for row in local)
     rows = []
-    for parents, sub, own, core in zip(trees, subs, depth_sums, core_rows):
-        s = len(sub)
-        base = denom * (depth_total - own) + core
-        depth = [0] * s
-        within = [own] * s
-        for v in range(1, s):
-            p = parents[v]
-            depth[v] = depth[p] + 1
-            within[v] = within[p] + s - 2 * sub[v]
-        rows.append([denom * (w + h * (n - s)) + base for w, h in zip(within, depth)])
+    for row, core in zip(local, core_rows):
+        base = denom * (depth_total - row[0]) + core
+        rows.append([denom * x + base for x in row])
     return rows
 
 
-def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``_row_numerators`` of the graph C_k that carries tree i on its
-    i-th vertex, over k; one tree (k = 1) is a tree graph.  O(n + k).
-    Tree i's cycle term is sum_j s_j d(k - d) for the gap d = |i - j|;
-    with running sums a and b of s_j and j s_j over j < i, sum_j s_j
-    |i - j| is 2(i a - b) + sum_j j s_j - i n."""
-    k = len(trees)
-    sizes = [len(parents) for parents in trees]
+def cycle_cores(sizes: Sequence[int]) -> list[int]:
+    """sum_j s_j d(k - d) for each position i of C_k carrying branches of
+    the given sizes, d the gap |i - j|: ``_row_numerators``' core rows over
+    k, since R(i, j) = d(k - d)/k.  O(k).  With running sums a and b of
+    s_j and j s_j over j < i, sum_j s_j |i - j| is 2(i a - b) +
+    sum_j j s_j - i n."""
+    k = len(sizes)
     n = sum(sizes)
     s1 = sum(i * s for i, s in enumerate(sizes))
     s2 = sum(i * i * s for i, s in enumerate(sizes))
@@ -557,7 +561,14 @@ def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
         core.append(k * gaps - squares)
         a += s
         b += i * s
-    return _row_numerators(trees, k, core)
+    return core
+
+
+def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``_row_numerators`` of the graph C_k that carries tree i on its
+    i-th vertex, over k, with the ``cycle_cores`` of its branch sizes; one
+    tree (k = 1) is a tree graph.  O(n + k)."""
+    return _row_numerators(trees, len(trees), cycle_cores([len(parents) for parents in trees]))
 
 
 def _label_sums(

@@ -21,17 +21,20 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import combinations
+from math import inf, prod
 from typing import Iterator, NamedTuple
 
 from .enumeration import (
     CanonicalCode,
+    _class_sequences,
+    _code_states,
     _dihedral_min,
+    _state_groups,
+    _symmetries,
     canonical_code,
     code_parents,
     enumerate_with_codes,
     free_trees,
-    minimal_sequences,
-    sequence_matching,
     sweep_minima,
 )
 from .families import (
@@ -49,6 +52,10 @@ from .graph import Graph, identify_vertices
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
+    BranchSummary,
+    branch_row,
+    cycle_cores,
+    cycle_matching,
     cycle_row_numerators,
     kf_identified,
     kirchhoff_index,
@@ -409,6 +416,11 @@ def _pendant_differences(
         offset += len(parents) - 1
 
 
+# The vertex-sum and deletion bounds are claimed for m >= 3, so their
+# windows have no cell below n = 6; every other window starts at n = 4.
+ROW_FLOOR = 6
+
+
 class RowCells(NamedTuple):
     """The vertex-sum and deletion cells of the classes on n vertices,
     one per matching number m >= 3, in ascending m.  Cached results are
@@ -418,18 +430,116 @@ class RowCells(NamedTuple):
     deletion: list[dict]
 
 
+class _RowState(NamedTuple):
+    """The rooted trees of one size in one branch state, hung in an
+    n-vertex graph, with the least of each term of ``row_cells``' bounds,
+    read from their ``branch_row``s B: the least entry, and so on."""
+
+    summary: BranchSummary  # of the first code; ``cycle_matching`` reads its state
+    leaves: dict[str, int]  # the pendant vertices of each code, in code order
+    pendants: int  # the pendant vertices of all the codes
+    depth: int  # the least depth sum D
+    vertex: int | float  # the least entry
+    pendant: int | float  # the least entry at a pendant x; inf if none
+    pair: int | float  # the least B(x) + B(y), y a non-root vertex of degree 2; inf if none
+
+
+def _row_table(size: int, n: int) -> list[_RowState]:
+    """One ``_RowState`` per branch state of the rooted trees on `size`
+    vertices, in an n-vertex graph."""
+    table = []
+    for summary, codes in _code_states(size):
+        leaves: dict[str, int] = {}
+        depths, vertices, pendants, pairs = [], [], [], []
+        for code in codes:
+            parents, degrees = _branch_shape(code)
+            row = branch_row(parents, n)
+            ends = [x for x, degree in enumerate(degrees) if degree == 1]  # never the root
+            leaves[code] = len(ends)
+            depths.append(row[0])
+            vertices.append(min(row))
+            pendants += [row[x] for x in ends]
+            pairs += [row[x] + row[parents[x]] for x in ends if degrees[parents[x]] == 2]
+        table.append(
+            _RowState(
+                summary,
+                leaves,
+                sum(leaves.values()),
+                min(depths),
+                min(vertices),
+                min(pendants, default=inf),
+                min(pairs, default=inf),
+            )
+        )
+    return table
+
+
+def _check_class(seq: tuple[str, ...], n: int, m: int, cell: dict, deletion: dict) -> None:
+    """Add to the cells the violations and equalities of the class with
+    branch codes seq and matching number m: its resistance row read as the
+    integers k Kf_G(u), compared with k times each bound.  Degrees come
+    from the codes."""
+    k = len(seq)
+    shapes = [_branch_shape(c) for c in seq]
+    rows = cycle_row_numerators([parents for parents, _ in shapes])
+    degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
+    max_deg = max(degrees)
+    unique_max = degrees.count(max_deg) == 1
+    code = CanonicalCode(k, _dihedral_min(seq))
+    bound = k * (n + m - 4)
+    for (_, branch_degrees), row in zip(shapes, rows):
+        for deg, num in zip(branch_degrees, row):
+            if num < bound:
+                cell["violations"] += 1
+            elif num == bound:
+                cell["equalities"].append(
+                    {"code": code, "is_max_degree": deg == max_deg and unique_max}
+                )
+    bound1 = k * (2 * n + m - 6)
+    bound2 = k * (5 * n + 2 * m - 19)
+    for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
+        if diff1 < bound1:
+            deletion["violations"] += 1
+        elif diff1 == bound1:
+            deletion["eq_single"].append({"code": code, "x_at_max_degree": y_degree == max_deg})
+        if diff2 is not None:
+            if diff2 < bound2:
+                deletion["violations"] += 1
+            elif diff2 == bound2:
+                deletion["eq_pair"].append({"code": code})
+
+
 @cache
 def row_cells(n: int) -> RowCells:
-    """One pass over the classes on n vertices with m >= 3, each class's
-    resistance row read as the integers k Kf_G(u) and compared with k
-    times each bound: Kf_G(u) >= n + m - 4 at every vertex, and the
-    pendant-deletion bounds at every pendant vertex.  Degrees come from
-    the codes.  Cached per n for the life of the process."""
+    """The classes on n vertices with m >= 3 against the bounds
+    Kf_G(u) >= n + m - 4 at every vertex and the pendant-deletion bounds
+    at every pendant vertex, from tuples of branch states, without
+    generating a class in general.  Cached per n for the life of the
+    process.
+
+    In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
+    with B the ``branch_row`` entry, D_j the depth sums and c_i the
+    ``cycle_cores`` of the composition.  Fix the composition and the state
+    of each position, and take per state the least D, the least B, the
+    least B at a pendant x, and the least B(x) + B(y) over pendant paths
+    x-y: the least row entry, pendant difference and pair difference
+    (``_pendant_differences``) in branch i are then at least
+    k (B_i + sum_{j != i} D_j) + c_i, the same with the pendant term, and
+    k (P_i + 2 sum_{j != i} D_j) + 2 c_i - k with the pair term P.  A
+    group whose three bounds all exceed k times their thresholds has no
+    violation and no equality, so only the other groups expand into
+    classes, one ``_check_class`` each.  The class and pendant counts of
+    a composition with no symmetry are products of its states' counts;
+    the others list their ``_class_sequences``."""
+    tables = [()] + [_row_table(size, n) for size in range(1, n - 1)]
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
-    for k in range(3, n + 1):
-        for seq in minimal_sequences(n, k):
-            m = sequence_matching(seq)
+    for sizes, groups in _state_groups(n, tables):
+        k = len(sizes)
+        cores = cycle_cores(sizes)
+        fixing = _symmetries(sizes)
+        for group in groups:
+            m = cycle_matching([state.summary for state in group])
             if m < 3:
                 continue
             if m not in sums:
@@ -443,39 +553,31 @@ def row_cells(n: int) -> RowCells:
                     "checked": 0,
                 }
             cell, deletion = sums[m], deletions[m]
-            cell["graphs"] += 1
-            shapes = [_branch_shape(c) for c in seq]
-            rows = cycle_row_numerators([parents for parents, _ in shapes])
-            degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
-            max_deg = max(degrees)
-            unique_max = degrees.count(max_deg) == 1
-            bound = k * (n + m - 4)
-            for (_, branch_degrees), row in zip(shapes, rows):
-                for deg, num in zip(branch_degrees, row):
-                    if num < bound:
-                        cell["violations"] += 1
-                    elif num == bound:
-                        cell["equalities"].append(
-                            {
-                                "code": CanonicalCode(k, seq),
-                                "is_max_degree": deg == max_deg and unique_max,
-                            }
-                        )
-            bound1 = k * (2 * n + m - 6)
-            bound2 = k * (5 * n + 2 * m - 19)
-            for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
-                deletion["checked"] += 1
-                if diff1 < bound1:
-                    deletion["violations"] += 1
-                elif diff1 == bound1:
-                    deletion["eq_single"].append(
-                        {"code": CanonicalCode(k, seq), "x_at_max_degree": y_degree == max_deg}
-                    )
-                if diff2 is not None:
-                    if diff2 < bound2:
-                        deletion["violations"] += 1
-                    elif diff2 == bound2:
-                        deletion["eq_pair"].append({"code": CanonicalCode(k, seq)})
+            pools = [state.leaves for state in group]
+            seqs = _class_sequences(pools, fixing)
+            if fixing:
+                seqs = list(seqs)
+                cell["graphs"] += len(seqs)
+                deletion["checked"] += sum(
+                    state.leaves[code] for seq in seqs for state, code in zip(group, seq)
+                )
+            else:
+                classes = prod(map(len, pools))
+                cell["graphs"] += classes
+                deletion["checked"] += sum(
+                    classes // len(state.leaves) * state.pendants for state in group
+                )
+            depth = sum(state.depth for state in group)
+            terms = [(s, depth - s.depth, c) for s, c in zip(group, cores)]
+            if (
+                min(k * (s.vertex + rest) + c for s, rest, c in terms) > k * (n + m - 4)
+                and min(k * (s.pendant + rest) + c for s, rest, c in terms) > k * (2 * n + m - 6)
+                and min(k * (s.pair + 2 * rest) + 2 * c - k for s, rest, c in terms)
+                > k * (5 * n + 2 * m - 19)
+            ):
+                continue
+            for seq in seqs:
+                _check_class(seq, n, m, cell, deletion)
     return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
 
 
@@ -484,7 +586,7 @@ def suite_vertex_sum_bound(n_max: int = 10) -> VerificationReport:
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
     report = VerificationReport("vertex-sum-bound", 0)
     rec = _Recorder(report)
-    for cells in map(row_cells, range(6, n_max + 1)):
+    for cells in map(row_cells, range(ROW_FLOOR, n_max + 1)):
         for cell in cells.vertex_sum:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -517,7 +619,7 @@ def suite_deletion_bounds(n_max: int = 10) -> VerificationReport:
     check the equality instances are exactly the ones on Unm(n,m)."""
     report = VerificationReport("deletion-bounds", 0)
     rec = _Recorder(report)
-    for cells in map(row_cells, range(6, n_max + 1)):
+    for cells in map(row_cells, range(ROW_FLOOR, n_max + 1)):
         for cell in cells.deletion:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -754,6 +856,8 @@ SUITE_NAMES = (
     "merge-identity",
     "wiener-divergence",
 )
+# the least --max-n at which a suite has a cell, where it is above 4
+WINDOW_FLOORS = {"vertex-sum-bound": ROW_FLOOR, "deletion-bounds": ROW_FLOOR}
 
 
 def run_suite(

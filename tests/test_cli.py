@@ -273,6 +273,24 @@ def test_enumeration_ceiling(capsys):
         assert code == 2 and out == "" and err.startswith("error: --"), argv
 
 
+def test_verify_refuses_a_window_below_a_suite_floor(capsys):
+    # the vertex-sum and deletion suites have no cell below n = 6, so a
+    # window that would leave them empty is refused, not reported as failed
+    for argv, suite in (
+        (["--suite", "all", "--max-n", "4"], "vertex-sum-bound"),
+        (["--suite", "all", "--max-n", "5"], "vertex-sum-bound"),
+        (["--suite", "vertex-sum-bound", "--max-n", "5"], "vertex-sum-bound"),
+        (["--suite", "deletion-bounds", "--max-n", "4"], "deletion-bounds"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: --max-n {argv[-1]}: suite {suite} has no cell below n = 6\n"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "extremal", "--max-n", "4")
+    assert code == 0 and "cell:n=4,m=2" in out
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--trials", "3")
+    assert code == 0 and "summary: 0 passed" not in out
+
+
 def test_compute_small_bicyclic(tmp_path, capsys):
     # K4 minus an edge: Laplacian spectrum 0, 2, 4, 4, so Kf = 4 (1/2 + 1/4 + 1/4)
     path = tmp_path / "diamond.graph"
@@ -425,6 +443,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "Kf = 5\n"
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the 5,026 classes at n = 12 overflow the pipe, so the writer is
+    # still printing when it closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unikirch", "enumerate", "--n", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"3:(((((((((())))))))))()()\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_verify_ignores_threads(capsys):

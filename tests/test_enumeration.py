@@ -167,6 +167,14 @@ def test_class_counts_a001429():
         assert sum(1 for _ in enumerate_codes(n)) == count
 
 
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_counts_by_matching_a001429_extended():
+    # the per-class check of the counts is in assert_sweep_matches_bruteforce
+    a001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381, 311465)
+    for n, count in zip(range(3, 17), a001429):
+        assert sum(counts_by_matching(n).values()) == count, n
+
+
 def test_pruned_generator_matches_bruteforce():
     # every product of the branch pools, filtered afterwards, for n <= 12
     for n in range(3, 13):

@@ -1,9 +1,12 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from unikirch.enumeration import code_parents, enumerate_with_codes, sweep_minima
+from oracles import row_cells_by_class
+from unikirch import verification
+from unikirch.enumeration import _dihedral_min, code_parents, enumerate_with_codes, sweep_minima
 from unikirch.graph import without_vertices
 from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
@@ -26,6 +29,9 @@ from unikirch.verification import (
     suite_vertex_sum_bound,
     suite_wiener_divergence,
 )
+
+
+EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
 
 def assert_green(report):
@@ -233,3 +239,41 @@ def test_each_n_is_swept_once():
     # computed once: the first suite to ask for it misses, the rest hit
     assert sweep_minima.cache_info().misses == len(range(4, 10))
     assert row_cells.cache_info().misses == len(range(6, 10))
+
+
+def _in_sorted_order(cells):
+    """The cells with each list of equality records sorted: the state walk
+    meets the classes in another order than the class walk."""
+    return [
+        {key: sorted(v, key=lambda e: tuple(e.values())) if isinstance(v, list) else v
+         for key, v in cell.items()}
+        for cell in cells
+    ]
+
+
+def assert_rows_match_class_walk(n):
+    got, expected = row_cells(n), row_cells_by_class(n)
+    assert _in_sorted_order(got.vertex_sum) == _in_sorted_order(expected.vertex_sum), n
+    assert _in_sorted_order(got.deletion) == _in_sorted_order(expected.deletion), n
+
+
+def test_row_cells_match_class_walk():
+    # counts, violations and every equality record, against every class
+    for n in range(6, 13):
+        assert_rows_match_class_walk(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_row_cells_match_class_walk_extended():
+    for n in range(13, 15):
+        assert_rows_match_class_walk(n)
+
+
+def test_row_cells_expand_only_groups_near_a_bound(monkeypatch):
+    # of the 5,015 classes with m >= 3 at n = 12, the state bounds leave 77
+    # to be checked one by one
+    checked = []
+    monkeypatch.setattr(verification, "_check_class", lambda seq, *_: checked.append(seq))
+    cells = row_cells.__wrapped__(12)
+    assert sum(cell["graphs"] for cell in cells.vertex_sum) == 5015
+    assert len(checked) == len({_dihedral_min(seq) for seq in checked}) == 77
