@@ -11,6 +11,7 @@ Usage:
 import argparse
 import sys
 
+from unikirch.cli import exit_quietly_on_closed_pipe
 from unikirch.enumeration import counts_by_matching, sweep_minima
 from unikirch.families import family_label
 from unikirch.rational import format_rational
@@ -34,4 +35,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_quietly_on_closed_pipe(main))

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .enumeration import counts_by_matching, enumerate_codes, extremal_search, graph_from_code
 from .families import family_label, parse_family_spec
@@ -26,12 +27,12 @@ DENSE_MAX_N = 100
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex.  At n = 16
 # (311,465 classes) the `enumerate` listing, which generates every class,
-# takes 3.0 s in 30 MB (2-vCPU VM, Python 3.11.7, subprocess wall time).
-# `--count-only`, `extremal` and the row suites generate no class in
-# general, but read every rooted tree of up to n - 2 vertices (53,272 at
-# n = 16), and those grow nearly threefold per vertex: `--count-only` takes
-# 1.2 s in 31 MB, `extremal` 1.1 s, and `verify --suite all --max-n 16`
-# 5.0 s in 57 MB, 2.5 s of it in the n = 16 row pass.
+# takes about 2.5 s in 32 MB (2-vCPU VM, Python 3.11.7, subprocess wall time).
+# `enumerate --m`, `--count-only`, `extremal` and the row suites read every
+# rooted tree of up to n - 2 vertices (53,272 at n = 16), and those grow
+# nearly threefold per vertex: `enumerate --n 16 --m 8` takes 1.1 s in
+# 31 MB, `--count-only` 1.1 s, `extremal` 1.0 s, and `verify --suite all
+# --max-n 16` 3.3 s in 57 MB.
 ENUMERATION_MAX_N = 16
 
 
@@ -266,15 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_quietly_on_closed_pipe(run: Callable[[], int]) -> int:
+    """run()'s exit code, or 141 without a traceback, as SIGPIPE would
+    give, when the reader of stdout stops early (`| head`)."""
     try:
-        code = args.fn(args)
+        code = run()
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:
-        # the reader stopped early (`| head`): exit quietly, as a process
-        # killed by SIGPIPE would, and point stdout at /dev/null so that
-        # the flush at exit does not raise again
+        # point stdout at /dev/null so that the flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_quietly_on_closed_pipe(lambda: args.fn(args))

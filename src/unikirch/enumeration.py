@@ -7,46 +7,41 @@ symmetries.  Rooted trees use the classical bottom-up encoding
 code = "(" + sorted(children codes) + ")"; the class representative is
 the lexicographically minimal branch-code sequence.
 
-Generation walks cycle lengths in ascending order and distributes the
-remaining vertices over the cycle positions, one composition of branch
-sizes at a time, from a memoized table of rooted trees by size
-(``minimal_sequences``).  It prunes before it builds, in the manner of
-constant-time tree generators (Beyer and Hedetniemi, SIAM J. Comput. 9,
-1980): a dihedral-minimal sequence starts with its least code, so the
-first code only ranges up to the least greatest code of the other
-positions, and each choice of it cuts their sorted pools down to the
-codes not below it before the product is formed.  The survivors are
-tested for dihedral minimality only against the rotations and
-reflections that start with the same code.  ``enumerate_codes`` emits
-each cycle length's classes in sorted order, and ``sequence_matching``
-alone reads a class's matching number from its codes.
+Every walk over classes goes one composition of the branch sizes at a
+time, one composition per dihedral orbit, in ascending cycle length
+(``_state_groups``), and puts one pool of rooted-tree codes on each
+position.  The classes of a composition are the products of its pools,
+each kept once among its images under the rotations and reflections
+that fix the composition (``_class_sequences``); ``_classes`` turns
+them into dihedral-minimal codes in sorted order.
 
 The minima need no class at all.  Kf and W are a cycle term, fixed by
 the composition, plus one ``branch_term`` per branch, and the matching
 number reads only each branch's state: its matching number and whether
 its root can stay unmatched at no loss.  ``sweep_minima`` therefore
 takes each state's least branch term from a table per size, scores one
-value per dihedral orbit of compositions and tuple of states, in
-integers, and expands into classes only the tuples that attain a cell's
-minimum; it caches the minima per n.  ``counts_by_matching`` takes the
-same walk (``_state_groups``): a tuple holds the product of its states'
-code counts, unless a rotation or reflection fixes the composition, and
-then ``_class_sequences`` lists its classes.  Only listings generate
-every class, and graphs are built only for consumers that need
-vertex-level data, one class at a time.
+value per composition and tuple of states, in integers, and expands
+into classes only the tuples that attain a cell's minimum, with each
+state's pool cut to the codes that have its least term; it caches the
+minima per n.  ``counts_by_matching`` takes the same walk: a tuple holds
+the product of its states' code counts, unless a rotation or reflection
+fixes the composition, and then ``_class_sequences`` lists its classes.
+``enumerate_codes`` lists every class of the walk: by matching number,
+over the state tuples of that number, and unfiltered over one pool of
+every rooted tree per size, reading no state.  Graphs are built only
+for consumers that need vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import groupby, product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
@@ -167,14 +162,16 @@ class CanonicalCode:
 
 
 def _dihedral_min(seq: tuple) -> tuple:
-    """The least of the rotations and reflections of seq."""
-    k = len(seq)
+    """The least of the rotations and reflections of seq; only those that
+    start with its least entry can be."""
+    head = min(seq)
     best = seq
     for base in (seq, seq[::-1]):
-        for r in range(k):
-            cand = base[r:] + base[:r]
-            if cand < best:
-                best = cand
+        for r in range(len(base)):
+            if base[r] == head:
+                cand = base[r:] + base[:r]
+                if cand < best:
+                    best = cand
     return best
 
 
@@ -220,10 +217,16 @@ def graph_from_code(code: CanonicalCode) -> Graph:
 
 # Keyed by branch code, unbounded: the default windows use about 1,200
 # codes, and cli.ENUMERATION_MAX_N = 16 bounds a sweep at about 53,000.
-@cache
-def branch_summary(code: str) -> BranchSummary:
-    """``tree_summary`` of a rooted code."""
-    return tree_summary(code_parents(code))
+_summaries: dict[str, BranchSummary] = {}
+
+
+def branch_summary(code: str, parents: Sequence[int] | None = None) -> BranchSummary:
+    """``tree_summary`` of a rooted code, cached; a caller that holds the
+    code's ``code_parents`` passes them, and the code is not parsed again."""
+    b = _summaries.get(code)
+    if b is None:
+        b = _summaries[code] = tree_summary(code_parents(code) if parents is None else parents)
+    return b
 
 
 def invariants_from_code(code: CanonicalCode) -> Invariants:
@@ -254,49 +257,30 @@ def _orbit_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 yield sizes
 
 
-def minimal_sequences(n: int, k: int) -> Iterator[tuple[str, ...]]:
-    """The dihedral-minimal branch-code sequences of the classes on n
-    vertices with cycle length k, one per class, in generation order: one
-    composition of the branch sizes at a time.
-
-    A minimal sequence starts with its least code.  So the first code
-    ranges only up to the least of the other positions' greatest codes,
-    each choice of it cuts their sorted pools down to the codes not below
-    it before their product is formed, and no sequence whose first code
-    is not its least is built.
-    """
-    by_size = [()] + [rooted_tree_codes(s) for s in range(1, n - k + 2)]
-    for extra in _compositions(n - k, k):
-        first, *pools = [by_size[1 + e] for e in extra]
-        top = min(pool[-1] for pool in pools)
-        for head in first[: bisect_right(first, top)]:
-            for tail in product(*[pool[bisect_left(pool, head) :] for pool in pools]):
-                seq = (head, *tail)
-                if _is_dihedral_min(seq):
-                    yield seq
-
-
-def sequence_matching(seq: Sequence[str]) -> int:
-    """Matching number of the class with branch codes seq, from the codes."""
-    return cycle_matching([branch_summary(c) for c in seq])
-
-
 def enumerate_codes(
     n: int,
     m: int | None = None,
     cycle_length: int | None = None,
 ) -> Iterator[CanonicalCode]:
     """Stream one code per isomorphism class, in ascending order;
-    optionally filter by matching number or by cycle length."""
+    optionally filter by matching number, dropping whole state tuples, or
+    by cycle length.  Unfiltered, no branch state is read."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
     if cycle_length is not None and not 3 <= cycle_length <= n:
         raise ValueError(f"cycle length {cycle_length} out of range for n={n}")
-    ks = (cycle_length,) if cycle_length is not None else range(3, n + 1)
-    for k in ks:
-        for seq in sorted(minimal_sequences(n, k)):
-            if m is None or sequence_matching(seq) == m:
-                yield CanonicalCode(k, seq)
+    ks = range(3, n + 1) if cycle_length is None else (cycle_length,)
+    sizes = range(1, n - ks[0] + 2)  # the shortest cycle has the largest branches
+    if m is None:
+        tables = [()] + [(_Codes(None, rooted_tree_codes(size)),) for size in sizes]
+    else:
+        tables = [()] + [_code_states(size) for size in sizes]
+    yield from _classes(
+        (comp, group)
+        for comp, products in _state_groups(n, tables, ks)
+        for group in products
+        if m is None or cycle_matching([state.summary for state in group]) == m
+    )
 
 
 def enumerate_with_codes(
@@ -339,17 +323,18 @@ class _Codes(NamedTuple):
     all that ``cycle_matching`` reads of a branch: its matching number,
     and whether its root can be left unmatched at no loss."""
 
-    summary: BranchSummary  # of codes[0]
+    summary: BranchSummary | None  # of codes[0]; None on a pool of every state
     codes: tuple[str, ...]  # sorted
 
 
-def _code_states(size: int) -> tuple[_Codes, ...]:
-    """The rooted trees on `size` vertices, grouped by branch state."""
+def _code_states(size: int, summary: Callable = branch_summary) -> tuple[_Codes, ...]:
+    """The rooted trees on `size` vertices, grouped by branch state, each
+    code's read from its `summary`."""
     by_state: dict[tuple[int, bool], list[str]] = {}
     for code in rooted_tree_codes(size):
-        b = branch_summary(code)
+        b = summary(code)
         by_state.setdefault((b.matching, b.matching == b.root_free), []).append(code)
-    return tuple(_Codes(branch_summary(codes[0]), tuple(codes)) for codes in by_state.values())
+    return tuple(_Codes(summary(codes[0]), tuple(codes)) for codes in by_state.values())
 
 
 class _State(NamedTuple):
@@ -374,12 +359,13 @@ def _state_table(size: int, n: int) -> tuple[_State, ...]:
 
 
 def _state_groups(
-    n: int, tables: Sequence[Sequence]
+    n: int, tables: Sequence[Sequence], cycle_lengths: Iterable[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], Iterator[tuple]]]:
     """Each composition of n vertices over a cycle, one per dihedral orbit,
     with the tuples of its positions' entries in tables, where tables[s]
-    holds one entry per branch state of the rooted trees on s vertices."""
-    for k in range(3, n + 1):
+    holds one entry per branch state of the rooted trees on s vertices, or
+    one for all of them; cycle lengths ascend, all of them unless given."""
+    for k in range(3, n + 1) if cycle_lengths is None else cycle_lengths:
         for sizes in _orbit_compositions(n, k):
             yield sizes, product(*[tables[size] for size in sizes])
 
@@ -422,23 +408,29 @@ def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
         cur[2].append(item)
 
 
-def _tight_classes(groups: list[tuple[_State, ...]]) -> tuple[CanonicalCode, ...]:
-    """The classes whose every branch has the least term of its state, over
-    the given state tuples: each product of their codes, made
-    dihedral-minimal, deduplicated and sorted, which is enumeration order."""
-    classes = {
-        (len(group), _dihedral_min(seq))
-        for group in groups
-        for seq in product(*[state.codes for state in group])
-    }
-    return tuple(CanonicalCode(*item) for item in sorted(classes))
+def _classes(groups: Iterable[tuple[tuple[int, ...], Sequence]]) -> Iterator[CanonicalCode]:
+    """One code per class among the products of the groups' code pools:
+    (composition, one state per position with its ``codes``) in ascending
+    cycle length, those of a composition in one run that shares its
+    ``_symmetries``.  The codes come in enumeration order, by cycle length
+    and then by sequence."""
+    for k, of_k in groupby(groups, key=lambda group: len(group[0])):
+        seqs: list[tuple[str, ...]] = []
+        for sizes, same in groupby(of_k, key=itemgetter(0)):
+            fixing = _symmetries(sizes)
+            for _, states in same:
+                seqs += map(_dihedral_min, _class_sequences([s.codes for s in states], fixing))
+        seqs.sort()
+        for seq in seqs:
+            yield CanonicalCode(k, seq)
 
 
 def _minima(best: dict) -> dict[int, Minimum]:
     """The offers as Minimum records: one Fraction per cell, and the
-    classes of the state tuples that attain it."""
+    classes whose every branch has the least term of its state, over the
+    state tuples that attain it."""
     return {
-        key: Minimum(Fraction(num, den), _tight_classes(groups))
+        key: Minimum(Fraction(num, den), tuple(_classes(groups)))
         for key, (num, den, groups) in sorted(best.items())
     }
 
@@ -469,9 +461,9 @@ def sweep_minima(n: int) -> SweepMinima:
         for group in groups:
             trees = sum(state.term for state in group)
             m = cycle_matching([state.summary for state in group])
-            _offer(kf, m, k * trees + cycle, k, group)
-            _offer(wiener, m, trees + hops, 1, group)
-            _offer(girth, k, k * trees + cycle, k, group)
+            _offer(kf, m, k * trees + cycle, k, (sizes, group))
+            _offer(wiener, m, trees + hops, 1, (sizes, group))
+            _offer(girth, k, k * trees + cycle, k, (sizes, group))
     return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
 
 

@@ -31,6 +31,7 @@ from .enumeration import (
     _dihedral_min,
     _state_groups,
     _symmetries,
+    branch_summary,
     canonical_code,
     code_parents,
     enumerate_with_codes,
@@ -446,9 +447,9 @@ class _RowState(NamedTuple):
 
 def _row_table(size: int, n: int) -> list[_RowState]:
     """One ``_RowState`` per branch state of the rooted trees on `size`
-    vertices, in an n-vertex graph."""
+    vertices, in an n-vertex graph; one parse of each code serves both."""
     table = []
-    for summary, codes in _code_states(size):
+    for summary, codes in _code_states(size, lambda c: branch_summary(c, _branch_shape(c)[0])):
         leaves: dict[str, int] = {}
         depths, vertices, pendants, pairs = [], [], [], []
         for code in codes:

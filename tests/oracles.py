@@ -4,18 +4,17 @@ Everything here is exhaustive and exponential on purpose: distances by
 Floyd-Warshall, matchings by edge-subset search, isomorphism classes of
 labeled unicyclic graphs by orbit closure under all vertex permutations,
 trees by Prufer decoding.  The one exception, ``row_cells_by_class``,
-walks every class with the library's per-class row kernels, which other
-tests check against graphs, so that it checks what the fast pass adds:
-its counts and its pruning.
+walks every class of the unfiltered listing through the library's
+per-class check, whose kernels other tests check against graphs, so that
+it checks what the fast pass adds: its counts and its pruning.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from unikirch.enumeration import CanonicalCode, minimal_sequences, sequence_matching
-from unikirch.resistance import cycle_row_numerators
-from unikirch.verification import RowCells, _branch_shape, _pendant_differences
+from unikirch.enumeration import enumerate_codes, invariants_from_code
+from unikirch.verification import RowCells, _branch_shape, _check_class
 
 
 def floyd_warshall(n: int, edges) -> list[list[float]]:
@@ -210,58 +209,26 @@ def unicyclic_codes_bruteforce(n: int, rooted_codes) -> list[tuple[int, tuple[st
 
 
 def row_cells_by_class(n: int) -> RowCells:
-    """``verification.row_cells`` by one pass over every class on n vertices
-    with m >= 3, each class's whole resistance row read as the integers
-    k Kf_G(u) and compared with k times each bound."""
+    """``verification.row_cells`` by one ``_check_class`` for every class
+    on n vertices with m >= 3, counting each class and pendant vertex."""
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
-    for k in range(3, n + 1):
-        for seq in minimal_sequences(n, k):
-            m = sequence_matching(seq)
-            if m < 3:
-                continue
-            if m not in sums:
-                sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
-                deletions[m] = {
-                    "n": n,
-                    "m": m,
-                    "violations": 0,
-                    "eq_single": [],
-                    "eq_pair": [],
-                    "checked": 0,
-                }
-            cell, deletion = sums[m], deletions[m]
-            cell["graphs"] += 1
-            shapes = [_branch_shape(c) for c in seq]
-            rows = cycle_row_numerators([parents for parents, _ in shapes])
-            degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
-            max_deg = max(degrees)
-            unique_max = degrees.count(max_deg) == 1
-            bound = k * (n + m - 4)
-            for (_, branch_degrees), row in zip(shapes, rows):
-                for deg, num in zip(branch_degrees, row):
-                    if num < bound:
-                        cell["violations"] += 1
-                    elif num == bound:
-                        cell["equalities"].append(
-                            {
-                                "code": CanonicalCode(k, seq),
-                                "is_max_degree": deg == max_deg and unique_max,
-                            }
-                        )
-            bound1 = k * (2 * n + m - 6)
-            bound2 = k * (5 * n + 2 * m - 19)
-            for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
-                deletion["checked"] += 1
-                if diff1 < bound1:
-                    deletion["violations"] += 1
-                elif diff1 == bound1:
-                    deletion["eq_single"].append(
-                        {"code": CanonicalCode(k, seq), "x_at_max_degree": y_degree == max_deg}
-                    )
-                if diff2 is not None:
-                    if diff2 < bound2:
-                        deletion["violations"] += 1
-                    elif diff2 == bound2:
-                        deletion["eq_pair"].append({"code": CanonicalCode(k, seq)})
+    for code in enumerate_codes(n):
+        m = invariants_from_code(code).matching
+        if m < 3:
+            continue
+        if m not in sums:
+            sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
+            deletions[m] = {
+                "n": n,
+                "m": m,
+                "violations": 0,
+                "eq_single": [],
+                "eq_pair": [],
+                "checked": 0,
+            }
+        sums[m]["graphs"] += 1
+        for c in code.branch_codes:
+            deletions[m]["checked"] += _branch_shape(c)[1].count(1)  # a root has degree 2 or more
+        _check_class(code.branch_codes, n, m, sums[m], deletions[m])
     return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])

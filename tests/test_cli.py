@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -455,6 +456,24 @@ def test_closed_pipe_exits_quietly():
         stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline() == b"3:(((((((((())))))))))()()\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_extremal_scan_closed_pipe_exits_quietly():
+    # as above, for scripts/extremal_scan.py: unbuffered, it writes its
+    # header at once, and its rows for n = 13 come long after the reader
+    # has closed the pipe
+    script = Path(__file__).parent.parent / "scripts" / "extremal_scan.py"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(script), "--max-n", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,m,classes,minimum,minimizers\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

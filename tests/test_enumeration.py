@@ -11,10 +11,11 @@ from oracles import (
     rooted_tree_classes_bruteforce,
     unicyclic_codes_bruteforce,
 )
+from unikirch import enumeration
 from unikirch.enumeration import (
     CanonicalCode,
+    _classes,
     _state_table,
-    _tight_classes,
     branch_summary,
     canonical_code,
     code_parents,
@@ -175,11 +176,38 @@ def test_counts_by_matching_a001429_extended():
         assert sum(counts_by_matching(n).values()) == count, n
 
 
-def test_pruned_generator_matches_bruteforce():
-    # every product of the branch pools, filtered afterwards, for n <= 12
+def test_listing_matches_bruteforce():
+    # every product of the branch pools of every composition, kept when
+    # dihedral-minimal, for n <= 12
     for n in range(3, 13):
         codes = [(c.cycle_length, c.branch_codes) for c in enumerate_codes(n)]
         assert codes == unicyclic_codes_bruteforce(n, rooted_tree_codes), n
+
+
+def assert_listing_filters_match(n):
+    # the listing by matching number and by cycle length, which drops whole
+    # state groups, against the unfiltered listing, which reads no state,
+    # filtered by each class's own invariants
+    records = [(code, invariants_from_code(code)) for code in enumerate_codes(n)]
+    for k in (None, *range(3, n + 1)):
+        for m in (None, *range(n // 2 + 2)):
+            expected = [
+                code
+                for code, inv in records
+                if m in (None, inv.matching) and k in (None, inv.cycle_length)
+            ]
+            assert list(enumerate_codes(n, m, k)) == expected, (n, m, k)
+
+
+def test_listing_filters_match_invariants():
+    for n in range(3, 12):
+        assert_listing_filters_match(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_listing_filters_match_invariants_extended():
+    for n in range(12, 15):
+        assert_listing_filters_match(n)
 
 
 def test_invariants_from_code_match_graph_routes():
@@ -268,15 +296,16 @@ def test_state_tables_match_bruteforce():
     assert ties > 0
 
 
-def test_tight_classes_merge_dihedral_images():
+def test_classes_merge_dihedral_images():
     # the path and the star on 3 vertices differ in state; on C4 with sizes
     # (1, 3, 1, 3) the tuples (1, path, 1, star) and (1, star, 1, path) are
     # rotations of each other, so both expand to the same single class
     (one,) = _state_table(1, 8)
     path, star = sorted(_state_table(3, 8), key=lambda state: state.codes)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
-    classes = _tight_classes([(one, path, one, star), (one, star, one, path)])
-    assert classes == (CanonicalCode(4, ("((()))", "()", "(()())", "()")),)
+    groups = [(one, path, one, star), (one, star, one, path)]
+    classes = _classes(((1, 3, 1, 3), group) for group in groups)
+    assert list(classes) == [CanonicalCode(4, ("((()))", "()", "(()())", "()"))]
 
 
 def test_sweep_minima_matches_bruteforce_argmin():
@@ -290,13 +319,12 @@ def test_sweep_minima_matches_bruteforce_argmin_extended():
         assert_sweep_matches_bruteforce(n)
 
 
-def test_sweep_keeps_every_branch_summary_cached():
+def test_sweep_keeps_every_branch_summary_cached(monkeypatch):
     # a sweep at n = 14 reads 7,813 rooted trees; a second pass finds
-    # every one of them in the cache
+    # every one of them in the cache and parses none
     sweep_minima.__wrapped__(14)
-    misses = branch_summary.cache_info().misses
+    monkeypatch.setattr(enumeration, "code_parents", lambda code: pytest.fail(code))
     sweep_minima.__wrapped__(14)
-    assert branch_summary.cache_info().misses == misses
 
 
 def test_enumerate_partition_over_matching():

@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import row_cells_by_class
-from unikirch import verification
-from unikirch.enumeration import _dihedral_min, code_parents, enumerate_with_codes, sweep_minima
+from unikirch import enumeration, verification
+from unikirch.enumeration import (
+    _dihedral_min,
+    code_parents,
+    enumerate_with_codes,
+    rooted_tree_codes,
+    sweep_minima,
+)
 from unikirch.graph import without_vertices
 from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
@@ -267,6 +273,23 @@ def test_row_cells_match_class_walk():
 def test_row_cells_match_class_walk_extended():
     for n in range(13, 15):
         assert_rows_match_class_walk(n)
+
+
+def test_row_pass_parses_each_code_once(monkeypatch):
+    # its branch states and its rows come from one parse of each of the
+    # 200 rooted trees on up to 8 vertices
+    monkeypatch.setattr(enumeration, "_summaries", {})
+    verification._branch_shape.cache_clear()
+    parsed = []
+
+    def parse(code):
+        parsed.append(code)
+        return code_parents(code)
+
+    monkeypatch.setattr(enumeration, "code_parents", parse)
+    monkeypatch.setattr(verification, "code_parents", parse)
+    row_cells.__wrapped__(10)
+    assert sorted(parsed) == sorted(c for s in range(1, 9) for c in rooted_tree_codes(s))
 
 
 def test_row_cells_expand_only_groups_near_a_bound(monkeypatch):
