@@ -2,7 +2,9 @@
 """Scan the exact Kirchhoff minima over every (n, m) cell and print CSV.
 
 Each row lists the cell, the class size, the minimum, and the minimizer
-set (named via family recognition where possible).
+set (named via family recognition where possible).  A --max-n beyond the
+enumeration ceiling (``unikirch.cli.ENUMERATION_MAX_N``) is refused with
+exit status 2, before any output.
 
 Usage:
     python scripts/extremal_scan.py [--max-n 12] [--invariant kirchhoff]
@@ -11,7 +13,7 @@ Usage:
 import argparse
 import sys
 
-from unikirch.cli import exit_quietly_on_closed_pipe
+from unikirch.cli import _refuse_n, exit_quietly_on_closed_pipe
 from unikirch.enumeration import counts_by_matching, sweep_minima
 from unikirch.families import family_label
 from unikirch.rational import format_rational
@@ -22,6 +24,8 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=12)
     ap.add_argument("--invariant", choices=("kirchhoff", "wiener"), default="kirchhoff")
     args = ap.parse_args()
+    if _refuse_n("--max-n", args.max_n):
+        return 2
     kirchhoff = args.invariant == "kirchhoff"
 
     print("n,m,classes,minimum,minimizers")

@@ -25,7 +25,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for name in SUITE_NAMES:
-        t0 = time.time()
+        t0 = time.perf_counter()
         (report,) = run_suite(name, extended=args.extended, seed=args.seed)
         (out / f"{name}.json").write_text(
             json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -33,7 +33,7 @@ def main() -> int:
         status = "ok" if report.ok else "FAIL"
         print(
             f"{name:18} {status:4} {report.passed:5} passed "
-            f"{report.failed:3} failed  {time.time() - t0:6.1f}s"
+            f"{report.failed:3} failed  {time.perf_counter() - t0:6.1f}s"
         )
         all_ok = all_ok and report.ok
     return 0 if all_ok else 1

@@ -27,12 +27,12 @@ DENSE_MAX_N = 100
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex.  At n = 16
 # (311,465 classes) the `enumerate` listing, which generates every class,
-# takes about 2.5 s in 32 MB (2-vCPU VM, Python 3.11.7, subprocess wall time).
-# `enumerate --m`, `--count-only`, `extremal` and the row suites read every
-# rooted tree of up to n - 2 vertices (53,272 at n = 16), and those grow
-# nearly threefold per vertex: `enumerate --n 16 --m 8` takes 1.1 s in
-# 31 MB, `--count-only` 1.1 s, `extremal` 1.0 s, and `verify --suite all
-# --max-n 16` 3.3 s in 57 MB.
+# takes about 2.3 s in 31 MB (2-vCPU VM, Python 3.11.7, subprocess wall time,
+# medians of 5).  `enumerate --m`, `--count-only`, `extremal` and the row
+# suites read every rooted tree of up to n - 2 vertices (53,272 at n = 16),
+# and those grow nearly threefold per vertex: `enumerate --n 16 --m 8` takes
+# 1.0 s in 31 MB, `--count-only` 1.0 s, `extremal --m 6` 0.9 s, and `verify
+# --suite all --max-n 16` 4.1 s in 56 MB.
 ENUMERATION_MAX_N = 16
 
 

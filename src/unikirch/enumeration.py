@@ -8,12 +8,14 @@ code = "(" + sorted(children codes) + ")"; the class representative is
 the lexicographically minimal branch-code sequence.
 
 Every walk over classes goes one composition of the branch sizes at a
-time, one composition per dihedral orbit, in ascending cycle length
-(``_state_groups``), and puts one pool of rooted-tree codes on each
-position.  The classes of a composition are the products of its pools,
-each kept once among its images under the rotations and reflections
-that fix the composition (``_class_sequences``); ``_classes`` turns
-them into dihedral-minimal codes in sorted order.
+time, in ascending cycle length (``_state_groups``), and puts one pool
+of rooted-tree codes on each position.  ``_orbit_compositions`` is the
+one source of the compositions: it yields each dihedral orbit's least
+composition together with the rotations and reflections that fix it,
+both decided by one scan, and no caller computes symmetries again.  The
+classes of a composition are the products of its pools, each kept once
+among its images under those symmetries (``_class_sequences``);
+``_classes`` turns them into dihedral-minimal codes in sorted order.
 
 The minima need no class at all.  Kf and W are a cycle term, fixed by
 the composition, plus one ``branch_term`` per branch, and the matching
@@ -38,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, product
+from itertools import combinations, groupby, pairwise, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -175,18 +177,6 @@ def _dihedral_min(seq: tuple) -> tuple:
     return best
 
 
-def _is_dihedral_min(seq: tuple) -> bool:
-    """Whether seq, whose first entry is its least, is the least of its
-    rotations and reflections; only those that start with that entry can
-    be smaller."""
-    head = seq[0]
-    for base in (seq, seq[::-1]):
-        for r, c in enumerate(base):
-            if c == head and base[r:] + base[:r] < seq:
-                return False
-    return True
-
-
 def canonical_code(g: Graph) -> CanonicalCode:
     """Canonical code of a connected unicyclic graph."""
     trees = decompose_unicyclic(g)
@@ -235,26 +225,36 @@ def invariants_from_code(code: CanonicalCode) -> Invariants:
     return cycle_invariants([branch_summary(c) for c in code.branch_codes])
 
 
-def _compositions(total: int, parts: int, least: int = 0) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` integers, each at least `least`, summing to
-    `total`, which is at least `parts * least`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(least, total - least * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, least):
-            yield (first,) + rest
-
-
-def _orbit_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The branch sizes of the classes on n vertices with cycle length k,
-    one composition per dihedral orbit: the least, which starts with its
-    least size."""
+def _orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
+    """Each dihedral orbit of the compositions of n into k >= 3 positive
+    parts: its least composition, which starts with its least part, and
+    the rotations and reflections other than the identity that fix it,
+    each as the getter of a sequence's image.  Only the images that start
+    with the least part can be smaller than or equal to the composition,
+    so one scan of them decides both.  Most compositions have no symmetry."""
     for head in range(1, n // k + 1):
-        for rest in _compositions(n - head, k - 1, head):
-            sizes = (head, *rest)
-            if _is_dihedral_min(sizes):
-                yield sizes
+        # every later part is at least head: less head - 1 each, they are
+        # k - 1 positive parts of rest, cut at k - 2 points
+        lift = head - 1
+        rest = n - head - lift * (k - 1)
+        for cuts in combinations(range(1, rest), k - 2):
+            sizes = (head, *[b - a + lift for a, b in pairwise((0, *cuts, rest))])
+            fixing = []
+            for r, size in enumerate(sizes):
+                if size == head:
+                    if r:
+                        turn = sizes[r:] + sizes[:r]
+                        if turn <= sizes:
+                            if turn < sizes:
+                                break
+                            fixing.append(itemgetter(*range(r, k), *range(r)))
+                    flip = sizes[r::-1] + sizes[:r:-1]
+                    if flip <= sizes:
+                        if flip < sizes:
+                            break
+                        fixing.append(itemgetter(*range(r, -1, -1), *range(k - 1, r, -1)))
+            else:
+                yield sizes, fixing
 
 
 def enumerate_codes(
@@ -276,8 +276,8 @@ def enumerate_codes(
     else:
         tables = [()] + [_code_states(size) for size in sizes]
     yield from _classes(
-        (comp, group)
-        for comp, products in _state_groups(n, tables, ks)
+        (sizes, fixing, group)
+        for sizes, fixing, products in _state_groups(n, tables, ks)
         for group in products
         if m is None or cycle_matching([state.summary for state in group]) == m
     )
@@ -360,32 +360,22 @@ def _state_table(size: int, n: int) -> tuple[_State, ...]:
 
 def _state_groups(
     n: int, tables: Sequence[Sequence], cycle_lengths: Iterable[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], Iterator[tuple]]]:
+) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterator[tuple]]]:
     """Each composition of n vertices over a cycle, one per dihedral orbit,
-    with the tuples of its positions' entries in tables, where tables[s]
-    holds one entry per branch state of the rooted trees on s vertices, or
-    one for all of them; cycle lengths ascend, all of them unless given."""
+    with the symmetries that fix it and the tuples of its positions'
+    entries in tables, where tables[s] holds one entry per branch state of
+    the rooted trees on s vertices, or one for all of them; cycle lengths
+    ascend, all of them unless given."""
     for k in range(3, n + 1) if cycle_lengths is None else cycle_lengths:
-        for sizes in _orbit_compositions(n, k):
-            yield sizes, product(*[tables[size] for size in sizes])
-
-
-def _symmetries(sizes: tuple[int, ...]) -> list[itemgetter]:
-    """The rotations and reflections other than the identity that fix
-    sizes, each as the getter of a sequence's image.  Most compositions
-    have none."""
-    k = len(sizes)
-    perms = [[(i + r) % k for i in range(k)] for r in range(1, k)]
-    perms += [[(r - i) % k for i in range(k)] for r in range(k)]
-    images = [itemgetter(*perm) for perm in perms]  # k >= 3, so each gives a tuple
-    return [image for image in images if image(sizes) == sizes]
+        for sizes, fixing in _orbit_compositions(n, k):
+            yield sizes, fixing, product(*[tables[size] for size in sizes])
 
 
 def _class_sequences(
     pools: Sequence[Iterable[str]], fixing: list[itemgetter]
 ) -> Iterator[tuple[str, ...]]:
     """One branch-code sequence per class among the products of the pools,
-    whose sizes the ``_symmetries`` in `fixing` fix: every product when
+    whose sizes the symmetries in `fixing` fix: every product when
     there is none, else each that is least among its images.  A class of
     a composition's orbit is an orbit of its symmetries on the sequences
     of exactly its sizes, and that orbit's least sequence lies in one
@@ -408,18 +398,15 @@ def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
         cur[2].append(item)
 
 
-def _classes(groups: Iterable[tuple[tuple[int, ...], Sequence]]) -> Iterator[CanonicalCode]:
+def _classes(groups: Iterable[tuple[tuple[int, ...], list, Sequence]]) -> Iterator[CanonicalCode]:
     """One code per class among the products of the groups' code pools:
-    (composition, one state per position with its ``codes``) in ascending
-    cycle length, those of a composition in one run that shares its
-    ``_symmetries``.  The codes come in enumeration order, by cycle length
-    and then by sequence."""
+    (composition, its symmetries, one state per position with its
+    ``codes``) in ascending cycle length.  The codes come in enumeration
+    order, by cycle length and then by sequence."""
     for k, of_k in groupby(groups, key=lambda group: len(group[0])):
         seqs: list[tuple[str, ...]] = []
-        for sizes, same in groupby(of_k, key=itemgetter(0)):
-            fixing = _symmetries(sizes)
-            for _, states in same:
-                seqs += map(_dihedral_min, _class_sequences([s.codes for s in states], fixing))
+        for _, fixing, states in of_k:
+            seqs += map(_dihedral_min, _class_sequences([s.codes for s in states], fixing))
         seqs.sort()
         for seq in seqs:
             yield CanonicalCode(k, seq)
@@ -455,15 +442,16 @@ def sweep_minima(n: int) -> SweepMinima:
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    for sizes, groups in _state_groups(n, tables):
+    for sizes, fixing, groups in _state_groups(n, tables):
         k = len(sizes)
         cycle, hops = cycle_terms(sizes)
         for group in groups:
             trees = sum(state.term for state in group)
             m = cycle_matching([state.summary for state in group])
-            _offer(kf, m, k * trees + cycle, k, (sizes, group))
-            _offer(wiener, m, trees + hops, 1, (sizes, group))
-            _offer(girth, k, k * trees + cycle, k, (sizes, group))
+            item = (sizes, fixing, group)
+            _offer(kf, m, k * trees + cycle, k, item)
+            _offer(wiener, m, trees + hops, 1, item)
+            _offer(girth, k, k * trees + cycle, k, item)
     return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
 
 
@@ -476,8 +464,7 @@ def counts_by_matching(n: int) -> dict[int, int]:
         raise ValueError("unicyclic graphs need at least 3 vertices")
     tables = [()] + [_code_states(size) for size in range(1, n - 1)]
     counts: Counter = Counter()
-    for sizes, groups in _state_groups(n, tables):
-        fixing = _symmetries(sizes)
+    for _, fixing, groups in _state_groups(n, tables):
         for group in groups:
             m = cycle_matching([state.summary for state in group])
             pools = [state.codes for state in group]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import combinations
+from itertools import accumulate
 from math import inf, prod
 from typing import Iterator, NamedTuple
 
@@ -29,8 +29,8 @@ from .enumeration import (
     _class_sequences,
     _code_states,
     _dihedral_min,
+    _orbit_compositions,
     _state_groups,
-    _symmetries,
     branch_summary,
     canonical_code,
     code_parents,
@@ -535,10 +535,9 @@ def row_cells(n: int) -> RowCells:
     tables = [()] + [_row_table(size, n) for size in range(1, n - 1)]
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
-    for sizes, groups in _state_groups(n, tables):
+    for sizes, fixing, groups in _state_groups(n, tables):
         k = len(sizes)
         cores = cycle_cores(sizes)
-        fixing = _symmetries(sizes)
         for group in groups:
             m = cycle_matching([state.summary for state in group])
             if m < 3:
@@ -702,12 +701,19 @@ def _pendant_placement_graph(k: int, positions: tuple[int, ...]) -> Graph:
     return Graph(k + len(positions), frozenset(edges))
 
 
+def _gap_positions(gaps: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle positions, from 0, that are the given gaps apart."""
+    return tuple(accumulate(gaps[:-1], initial=0))
+
+
 def _placement_canon(k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
-    """Dihedral-canonical form of a subset of cycle positions: the least
-    of its sorted images.  Marking the positions 0 and the rest 1, the
-    least sorted image is the least image of the marks."""
-    marks = _dihedral_min(tuple(0 if i in positions else 1 for i in range(k)))
-    return tuple(i for i, mark in enumerate(marks) if mark == 0)
+    """Dihedral-canonical form of a nonempty subset of cycle positions: the
+    least of its sorted images.  A subset of t positions on C_k is a
+    cyclic composition of k into the t gaps between them, and the least
+    sorted image starts at 0 with the least image of the gaps."""
+    ring = sorted(positions)
+    gaps = tuple(b - a for a, b in zip(ring, ring[1:] + [ring[0] + k]))
+    return _gap_positions(_dihedral_min(gaps))
 
 
 def suite_cycle_placements() -> VerificationReport:
@@ -734,15 +740,11 @@ def suite_cycle_placements() -> VerificationReport:
         )
         by_kt.setdefault((k, len(positions)), set()).add(_placement_canon(k, positions))
     for (k, t), expected_count in _PLACEMENT_CLASS_COUNTS.items():
-        seen: set[tuple[int, ...]] = set()
-        feasible: set[tuple[int, ...]] = set()
-        for subset in combinations(range(k), t):
-            canon = _placement_canon(k, subset)
-            if canon in seen:
-                continue
-            seen.add(canon)
+        feasible = []
+        for gaps, _ in _orbit_compositions(k, t):
+            canon = _gap_positions(gaps)
             if has_perfect_matching(_pendant_placement_graph(k, canon)):
-                feasible.add(canon)
+                feasible.append(canon)
         rec.add(
             f"classes:k={k},t={t}:count",
             {"k": k, "t": t},

@@ -208,6 +208,33 @@ def unicyclic_codes_bruteforce(n: int, rooted_codes) -> list[tuple[int, tuple[st
     return sorted(out)
 
 
+def orbit_compositions_bruteforce(n: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """{least composition: its stabiliser} over the dihedral orbits of the
+    compositions of n into k >= 3 parts, from the 2k permutations of the
+    positions written out: every composition by cut points, kept when it
+    equals the least of its images, with the permutations other than the
+    identity whose image equals it, in ascending order."""
+    perms = [tuple((i + r) % k for i in range(k)) for r in range(k)]
+    perms += [tuple((r - i) % k for i in range(k)) for r in range(k)]
+    out = {}
+    for bars in combinations(range(1, n), k - 1):
+        sizes = tuple(b - a for a, b in zip((0,) + bars, bars + (n,)))
+        images = [tuple(sizes[i] for i in perm) for perm in perms]
+        if min(images) == sizes:
+            out[sizes] = sorted(p for p, image in zip(perms[1:], images[1:]) if image == sizes)
+    return out
+
+
+def placement_canon_by_marks(k: int, positions) -> tuple[int, ...]:
+    """Dihedral-canonical form of a subset of the positions of C_k: mark
+    the positions 0 and the rest 1, take the least of the marks' 2k
+    rotations and reflections, and read back the positions of its 0s."""
+    marks = tuple(0 if i in positions else 1 for i in range(k))
+    turns = [marks[r:] + marks[:r] for r in range(k)]
+    least = min(turns + [turn[::-1] for turn in turns])
+    return tuple(i for i, mark in enumerate(least) if mark == 0)
+
+
 def row_cells_by_class(n: int) -> RowCells:
     """``verification.row_cells`` by one ``_check_class`` for every class
     on n vertices with m >= 3, counting each class and pendant vertex."""

@@ -481,6 +481,21 @@ def test_extremal_scan_closed_pipe_exits_quietly():
     assert err == b""
 
 
+def test_extremal_scan_refuses_beyond_ceiling():
+    # refused before the header, as the CLI refuses --n; the timeout stops
+    # a scan that starts instead
+    script = Path(__file__).parent.parent / "scripts" / "extremal_scan.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--max-n", str(ENUMERATION_MAX_N + 1)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"enumeration is limited to {ENUMERATION_MAX_N} vertices" in proc.stderr
+
+
 def test_verify_ignores_threads(capsys):
     code, plain, _ = run_cli(capsys, "verify", "--suite", "tables")
     assert code == 0

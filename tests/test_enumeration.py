@@ -8,6 +8,7 @@ from oracles import (
     all_labeled_trees,
     argmin_by_cell,
     labeled_unicyclic_classes,
+    orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
     unicyclic_codes_bruteforce,
 )
@@ -15,6 +16,7 @@ from unikirch import enumeration
 from unikirch.enumeration import (
     CanonicalCode,
     _classes,
+    _orbit_compositions,
     _state_table,
     branch_summary,
     canonical_code,
@@ -296,6 +298,28 @@ def test_state_tables_match_bruteforce():
     assert ties > 0
 
 
+def assert_orbits_match_bruteforce(n):
+    # each orbit once, in ascending order, with its stabiliser read off
+    # where each getter sends the positions 0..k-1
+    for k in range(3, n + 1):
+        got = [
+            (sizes, sorted(image(tuple(range(k))) for image in fixing))
+            for sizes, fixing in _orbit_compositions(n, k)
+        ]
+        assert got == sorted(orbit_compositions_bruteforce(n, k).items()), (n, k)
+
+
+def test_orbit_compositions_match_bruteforce():
+    for n in range(3, 13):
+        assert_orbits_match_bruteforce(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_orbit_compositions_match_bruteforce_extended():
+    for n in range(13, 17):
+        assert_orbits_match_bruteforce(n)
+
+
 def test_classes_merge_dihedral_images():
     # the path and the star on 3 vertices differ in state; on C4 with sizes
     # (1, 3, 1, 3) the tuples (1, path, 1, star) and (1, star, 1, path) are
@@ -303,8 +327,9 @@ def test_classes_merge_dihedral_images():
     (one,) = _state_table(1, 8)
     path, star = sorted(_state_table(3, 8), key=lambda state: state.codes)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
+    (fixing,) = [fixing for sizes, fixing in _orbit_compositions(8, 4) if sizes == (1, 3, 1, 3)]
     groups = [(one, path, one, star), (one, star, one, path)]
-    classes = _classes(((1, 3, 1, 3), group) for group in groups)
+    classes = _classes(((1, 3, 1, 3), fixing, group) for group in groups)
     assert list(classes) == [CanonicalCode(4, ("((()))", "()", "(()())", "()"))]
 
 

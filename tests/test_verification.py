@@ -1,13 +1,15 @@
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import row_cells_by_class
+from oracles import placement_canon_by_marks, row_cells_by_class
 from unikirch import enumeration, verification
 from unikirch.enumeration import (
     _dihedral_min,
+    _orbit_compositions,
     code_parents,
     enumerate_with_codes,
     rooted_tree_codes,
@@ -16,9 +18,12 @@ from unikirch.enumeration import (
 from unikirch.graph import without_vertices
 from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
+    _PLACEMENT_CLASS_COUNTS,
     VerificationReport,
     _branch_shape,
+    _gap_positions,
     _pendant_differences,
+    _placement_canon,
     candidate_rows,
     load_nm_tables,
     load_table_rows,
@@ -119,6 +124,21 @@ def test_suite_cycle_placements():
         "classes:k=11,t=5:count": "5",
         "classes:k=12,t=4:count": "8",
     }
+
+
+def test_placement_canon_matches_marks():
+    for k in range(3, 13):
+        for t in range(1, k + 1):
+            for subset in combinations(range(k), t):
+                assert _placement_canon(k, subset) == placement_canon_by_marks(k, subset)
+
+
+def test_placement_classes_are_orbit_compositions():
+    # the classes the suite walks are exactly the canonical placements
+    for k, t in _PLACEMENT_CLASS_COUNTS:
+        canons = {placement_canon_by_marks(k, subset) for subset in combinations(range(k), t)}
+        listed = [_gap_positions(gaps) for gaps, _ in _orbit_compositions(k, t)]
+        assert sorted(listed) == sorted(canons), (k, t)
 
 
 def test_suite_merge_identity_deterministic():
