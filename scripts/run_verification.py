@@ -33,7 +33,7 @@ def main() -> int:
         status = "ok" if report.ok else "FAIL"
         print(
             f"{name:18} {status:4} {report.passed:5} passed "
-            f"{report.failed:3} failed  {time.perf_counter() - t0:6.1f}s"
+            f"{report.failed:3} failed  {(time.perf_counter() - t0) * 1000:8.1f} ms"
         )
         all_ok = all_ok and report.ok
     return 0 if all_ok else 1

@@ -14,7 +14,7 @@ from .families import family_label, parse_family_spec
 from .graph import DisconnectedError, GraphParseError, peel, read_graph, write_graph
 from .rational import format_rational
 from .resistance import format_resistance_matrix, route
-from .verification import SUITE_NAMES, WINDOW_FLOORS, run_suite
+from .verification import SUITE_NAMES, WINDOWS, run_suite
 
 # Graphs that are neither trees nor unicyclic take a fraction-free integer
 # elimination on their 2-core, cubic in its size c with integers that grow
@@ -170,14 +170,17 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     if _refuse_n("--max-n", args.max_n):
         return 2
-    if args.max_n is not None and args.max_n < 4:
-        print(f"error: --max-n {args.max_n}: no suite has a cell below n = 4", file=sys.stderr)
+    least = min(window.floor for window in WINDOWS.values())
+    if args.max_n is not None and args.max_n < least:
+        print(
+            f"error: --max-n {args.max_n}: no suite has a cell below n = {least}", file=sys.stderr
+        )
         return 2
     for name in SUITE_NAMES if args.suite == "all" else (args.suite,):
-        if args.max_n is not None and args.max_n < WINDOW_FLOORS.get(name, 4):
+        if args.max_n is not None and name in WINDOWS and args.max_n < WINDOWS[name].floor:
             print(
                 f"error: --max-n {args.max_n}: suite {name} has no cell "
-                f"below n = {WINDOW_FLOORS[name]}",
+                f"below n = {WINDOWS[name].floor}",
                 file=sys.stderr,
             )
             return 2
@@ -257,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--extended", action="store_true", help="extended enumeration window")
+    widened = ", ".join(name for name, w in WINDOWS.items() if w.extended > w.default)
+    p.add_argument("--extended", action="store_true", help=f"widen the windows of {widened}")
     p.add_argument("--json", help="write the structured report to this file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)

@@ -2,12 +2,13 @@
 and extremal claim is confronted with an independent exact computation
 and reported case by case.
 
-Enumeration-backed suites default to desk-scale windows (n <= 12 for
-the extremal sweeps); the extended window raises them to n <= 16.
-Claims whose parameter ranges exceed the enumerated window are covered
-by closed-form identity checks (predicted value vs. direct computation
-on the constructed minimizer, up to n = 100); reports state that these
-are identity checks, not minimality searches.
+The suites that enumerate classes sweep the vertex counts of their
+window in ``WINDOWS``: from its least n with a cell to its largest n,
+by default or under ``--extended``.  Claims whose parameter ranges
+exceed the enumerated window are covered by closed-form identity checks
+(predicted value vs. direct computation on the constructed minimizer,
+up to n = 100); reports state that these are identity checks, not
+minimality searches.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -26,6 +27,7 @@ from typing import Iterator, NamedTuple
 
 from .enumeration import (
     CanonicalCode,
+    Minimum,
     _class_sequences,
     _code_states,
     _dihedral_min,
@@ -88,6 +90,18 @@ class VerificationReport:
     seed: int
     cases: list[CaseResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+
+    def add(self, cid: str, parameters: dict, expected, computed, ok: bool | None = None):
+        """Record a case, timed since the previous case or since the report
+        was created; it passes when ok, or, if ok is None, when expected ==
+        computed."""
+        if ok is None:
+            ok = expected == computed
+        ms = round((time.perf_counter() - self._t0) * 1000.0, 3)
+        status = "pass" if ok else "fail"
+        self.cases.append(CaseResult(cid, parameters, _fmt(expected), _fmt(computed), status, ms))
+        self._t0 = time.perf_counter()
 
     @property
     def passed(self) -> int:
@@ -112,17 +126,7 @@ class VerificationReport:
             "suite": self.suite,
             "seed": self.seed,
             "notes": list(self.notes),
-            "cases": [
-                {
-                    "id": c.id,
-                    "parameters": c.parameters,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "status": c.status,
-                    "runtime_ms": c.runtime_ms,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
             "summary": {"pass": self.passed, "fail": self.failed, "skipped": self.skipped},
         }
 
@@ -142,28 +146,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self._t0 = time.perf_counter()
-
-    def add(self, cid: str, parameters: dict, expected, computed, ok: bool | None = None):
-        if ok is None:
-            ok = expected == computed
-        ms = (time.perf_counter() - self._t0) * 1000.0
-        self.report.cases.append(
-            CaseResult(
-                id=cid,
-                parameters=parameters,
-                expected=_fmt(expected),
-                computed=_fmt(computed),
-                status="pass" if ok else "fail",
-                runtime_ms=round(ms, 3),
-            )
-        )
-        self._t0 = time.perf_counter()
-
-
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         return format_rational(x)
@@ -178,6 +160,14 @@ def _spec_codes(specs: tuple[FamilySpec, ...]) -> frozenset[CanonicalCode]:
 
 def _pretty_codes(codes) -> str:
     return "{" + ", ".join(sorted(family_label(c) for c in codes)) + "}"
+
+
+def _argmin_cell(best: Minimum, specs: tuple[FamilySpec, ...], value) -> tuple[str, bool]:
+    """A sweep cell's minimum as a case reports it, and whether it is value,
+    attained at exactly the classes of specs."""
+    codes = frozenset(best.codes)
+    computed = f"{_pretty_codes(codes)} = {format_rational(best.value)}"
+    return computed, codes == _spec_codes(specs) and best.value == value
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +216,37 @@ def candidate_rows(m: int) -> set[tuple[int, int, int]]:
 # suites
 
 
+class Window(NamedTuple):
+    """The vertex counts a suite enumerates: from floor, its least n with a
+    cell, to default, or to extended under ``--extended``."""
+
+    floor: int
+    default: int
+    extended: int
+
+
+# The vertex-sum and deletion bounds are claimed for m >= 3, so their
+# windows have no cell below n = 6.  extremal-perfect sweeps the even n
+# of its window, m up to n // 2.
+WINDOWS = {
+    "extremal-perfect": Window(4, 12, 16),
+    "extremal": Window(4, 12, 16),
+    "vertex-sum-bound": Window(6, 10, 10),
+    "deletion-bounds": Window(6, 10, 10),
+    "girth-minima": Window(4, 9, 9),
+    "wiener-divergence": Window(4, 12, 12),
+}
+
+
 def suite_tables(m_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> VerificationReport:
     """Recompute every tabulated Kf(U(k,t,0,j)) on the perfect-matching
     candidate tables and check the transcription covers every candidate."""
     report = VerificationReport("tables", 0)
-    rec = _Recorder(report)
     rows = [r for r in load_table_rows() if r["table"] + 2 in m_values]
     for r in rows:
         g = make_ukt(r["k"], r["t"], 0, r["j"])
         computed = kirchhoff_index(g)
-        rec.add(
+        report.add(
             f"table{r['table']}:{r['row']}",
             {"k": r["k"], "t": r["t"], "j": r["j"]},
             r["value"],
@@ -251,7 +262,7 @@ def suite_tables(m_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> Verification
     for m in m_values:
         table = m - 2
         listed = {(r["k"], r["t"], r["j"]) for r in rows if r["table"] == table}
-        rec.add(
+        report.add(
             f"table{table}:coverage",
             {"m": m},
             sorted(candidate_rows(m)),
@@ -264,7 +275,6 @@ def suite_tables_nm() -> VerificationReport:
     """Check the fixed-m candidate tables: every numeric cell against a
     direct computation and every closed-form column against its cells."""
     report = VerificationReport("tables-nm", 0)
-    rec = _Recorder(report)
     for table in load_nm_tables():
         tno, m = table["table"], table["m"]
         for row in table["rows"]:
@@ -280,13 +290,13 @@ def suite_tables_nm() -> VerificationReport:
                     k, t, j = fam
                     g = make_ukt(k, t, n - k - t - 2 * j, j)
                     label = f"U({k},{t},n-{k + t + 2 * j},{j})"
-                rec.add(
+                report.add(
                     f"table{tno}:{label}@n={n}",
                     {"n": n, "m": m},
                     expected,
                     kirchhoff_index(g),
                 )
-                rec.add(
+                report.add(
                     f"table{tno}:{label}@n={n}:poly",
                     {"n": n, "m": m},
                     expected,
@@ -294,7 +304,7 @@ def suite_tables_nm() -> VerificationReport:
                 )
         for cell in table["cycle_cells"]:
             n = cell["n"]
-            rec.add(
+            report.add(
                 f"table{tno}:C{n}",
                 {"n": n, "m": m},
                 parse_rational(cell["value"]),
@@ -304,63 +314,49 @@ def suite_tables_nm() -> VerificationReport:
 
 
 def suite_extremal_perfect(
-    m_max: int = 6,
-    identity_m: tuple[int, ...] = (8, 9, 10, 12, 25, 50),
+    m_max: int, identity_m: tuple[int, ...] = (8, 9, 10, 12, 25, 50)
 ) -> VerificationReport:
     """Enumerated minimum of Kf over the perfect-matching classes versus
-    the predicted minimizer, which must also be unique."""
+    the predicted minimizer, which must also be unique; closed-form
+    identity checks for the m of identity_m above m_max."""
     report = VerificationReport("extremal-perfect", 0)
-    rec = _Recorder(report)
-    for sweep in map(sweep_minima, range(4, 2 * m_max + 1, 2)):
+    for sweep in map(sweep_minima, range(WINDOWS["extremal-perfect"].floor, 2 * m_max + 1, 2)):
         m = sweep.n // 2
-        codes, value = frozenset(sweep.kf[m].codes), sweep.kf[m].value
         pred = predicted_min_perfect(m)
-        expected_codes = _spec_codes(pred.minimizers)
-        ok = codes == expected_codes and value == pred.value and len(codes) == 1
-        rec.add(
+        report.add(
             f"perfect:m={m}",
             {"n": 2 * m, "m": m},
             f"{pred.describe()} (unique)",
-            f"{_pretty_codes(codes)} = {format_rational(value)}",
-            ok,
+            *_argmin_cell(sweep.kf[m], pred.minimizers, pred.value),
         )
     for m in identity_m:
+        if m <= m_max:  # enumerated above
+            continue
         pred = predicted_min_perfect(m)
         direct = kirchhoff_index(pred.minimizers[0].build())
-        rec.add(
-            f"identity:m={m}",
-            {"n": 2 * m, "m": m},
-            pred.value,
-            direct,
-        )
+        report.add(f"identity:m={m}", {"n": 2 * m, "m": m}, pred.value, direct)
     report.notes.append(IDENTITY_NOTE)
     return report
 
 
 def suite_extremal(
-    n_max: int = 12,
-    identity_n: tuple[int, ...] = (15, 16, 17, 20, 33, 50, 100),
+    n_max: int, identity_n: tuple[int, ...] = (15, 16, 17, 20, 33, 50, 100)
 ) -> VerificationReport:
     """Enumerated minimum of Kf over every (n, m) cell in the window
     versus the predicted minimizer set, compared as isomorphism classes;
     closed-form identity checks for the n of identity_n above it."""
     report = VerificationReport("extremal", 0)
-    rec = _Recorder(report)
-    for sweep in map(sweep_minima, range(4, n_max + 1)):
+    for sweep in map(sweep_minima, range(WINDOWS["extremal"].floor, n_max + 1)):
         n = sweep.n
         for m, best in sweep.kf.items():
             if m < 2:
                 continue
-            codes, value = frozenset(best.codes), best.value
             pred = predicted_min(n, m)
-            expected_codes = _spec_codes(pred.minimizers)
-            ok = codes == expected_codes and value == pred.value
-            rec.add(
+            report.add(
                 f"cell:n={n},m={m}",
                 {"n": n, "m": m},
                 pred.describe(),
-                f"{_pretty_codes(codes)} = {format_rational(value)}",
-                ok,
+                *_argmin_cell(best, pred.minimizers, pred.value),
             )
     for n in identity_n:
         if n <= n_max:  # enumerated above
@@ -368,7 +364,7 @@ def suite_extremal(
         for m in range(2, n // 2 + 1):
             pred = predicted_min(n, m)
             ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)
-            rec.add(
+            report.add(
                 f"identity:n={n},m={m}",
                 {"n": n, "m": m},
                 pred.value,
@@ -415,11 +411,6 @@ def _pendant_differences(
                 pair = row[v] + row[p] - k if degrees[p] == 2 else None
                 yield offset + v, offset + p if p else i, degrees[p], row[v], pair
         offset += len(parents) - 1
-
-
-# The vertex-sum and deletion bounds are claimed for m >= 3, so their
-# windows have no cell below n = 6; every other window starts at n = 4.
-ROW_FLOOR = 6
 
 
 class RowCells(NamedTuple):
@@ -581,12 +572,11 @@ def row_cells(n: int) -> RowCells:
     return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
 
 
-def suite_vertex_sum_bound(n_max: int = 10) -> VerificationReport:
+def suite_vertex_sum_bound(n_max: int) -> VerificationReport:
     """Sweep Kf_G(u) >= n + m - 4 over every enumerated graph and vertex;
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
     report = VerificationReport("vertex-sum-bound", 0)
-    rec = _Recorder(report)
-    for cells in map(row_cells, range(ROW_FLOOR, n_max + 1)):
+    for cells in map(row_cells, range(WINDOWS["vertex-sum-bound"].floor, n_max + 1)):
         for cell in cells.vertex_sum:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -597,7 +587,7 @@ def suite_vertex_sum_bound(n_max: int = 10) -> VerificationReport:
             )
             ok = cell["violations"] == 0 and eq_ok
             flag = " (boundary cell)" if (n, m) == (6, 3) else ""
-            rec.add(
+            report.add(
                 f"cell:n={n},m={m}{flag}",
                 {"n": n, "m": m, "graphs": cell["graphs"]},
                 "0 violations; equality only at max-degree vertex of "
@@ -613,13 +603,12 @@ def suite_vertex_sum_bound(n_max: int = 10) -> VerificationReport:
     return report
 
 
-def suite_deletion_bounds(n_max: int = 10) -> VerificationReport:
+def suite_deletion_bounds(n_max: int) -> VerificationReport:
     """Sweep the pendant-deletion inequalities Kf(G) - Kf(G-x) >= 2n+m-6
     and (for a degree-2 neighbor y) Kf(G) - Kf(G-x-y) >= 5n+2m-19, and
     check the equality instances are exactly the ones on Unm(n,m)."""
     report = VerificationReport("deletion-bounds", 0)
-    rec = _Recorder(report)
-    for cells in map(row_cells, range(ROW_FLOOR, n_max + 1)):
+    for cells in map(row_cells, range(WINDOWS["deletion-bounds"].floor, n_max + 1)):
         for cell in cells.deletion:
             n, m = cell["n"], cell["m"]
             unm_code = canonical_code(make_unm(n, m))
@@ -632,7 +621,7 @@ def suite_deletion_bounds(n_max: int = 10) -> VerificationReport:
                 e["code"] == unm_code for e in cell["eq_pair"]
             )
             ok = cell["violations"] == 0 and single_ok and pair_ok
-            rec.add(
+            report.add(
                 f"cell:n={n},m={m}",
                 {"n": n, "m": m, "pendants_checked": cell["checked"]},
                 f"0 violations; {n - 2 * m + 1} single / {m - 3} pair equalities, "
@@ -644,27 +633,22 @@ def suite_deletion_bounds(n_max: int = 10) -> VerificationReport:
     return report
 
 
-def suite_girth_minima(n_max: int = 9) -> VerificationReport:
+def suite_girth_minima(n_max: int) -> VerificationReport:
     """Per (n, k): the minimum Kf over n-vertex unicyclic graphs with
     cycle length k must be the closed-form bound, attained uniquely at
     U(k,1,n-k-1,0)."""
     report = VerificationReport("girth-minima", 0)
-    rec = _Recorder(report)
-    for sweep in map(sweep_minima, range(4, n_max + 1)):
+    for sweep in map(sweep_minima, range(WINDOWS["girth-minima"].floor, n_max + 1)):
         n = sweep.n
         for k, best in sweep.kf_by_cycle.items():
             if k == n:  # the claim is for k < n; k = n is C_n alone
                 continue
-            codes = frozenset(best.codes)
-            expected_value = girth_min_kf(n, k)
-            expected_codes = frozenset([canonical_code(make_ukt(k, 1, n - k - 1, 0))])
-            ok = best.value == expected_value and codes == expected_codes
-            rec.add(
+            spec, value = FamilySpec("U", (k, 1, n - k - 1, 0)), girth_min_kf(n, k)
+            report.add(
                 f"cell:n={n},k={k}",
                 {"n": n, "k": k},
-                f"U({k},1,{n - k - 1},0) = {format_rational(expected_value)} (unique)",
-                f"{_pretty_codes(codes)} = {format_rational(best.value)}",
-                ok,
+                f"{spec.text()} = {format_rational(value)} (unique)",
+                *_argmin_cell(best, (spec,), value),
             )
     return report
 
@@ -722,7 +706,6 @@ def suite_cycle_placements() -> VerificationReport:
     exactly the dihedral classes whose pendant graph has a perfect
     matching."""
     report = VerificationReport("cycle-placements", 0)
-    rec = _Recorder(report)
     by_kt: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for k, pos1, expected_text in PLACEMENT_CASES:
         positions = tuple(p - 1 for p in pos1)
@@ -732,7 +715,7 @@ def suite_cycle_placements() -> VerificationReport:
         for a in range(len(positions)):
             for b in range(a + 1, len(positions)):
                 sigma += mat.r(positions[a], positions[b])
-        rec.add(
+        report.add(
             f"sigma:C{k}@{{{','.join(str(p) for p in pos1)}}}",
             {"k": k, "positions": list(pos1)},
             parse_rational(expected_text),
@@ -745,13 +728,13 @@ def suite_cycle_placements() -> VerificationReport:
             canon = _gap_positions(gaps)
             if has_perfect_matching(_pendant_placement_graph(k, canon)):
                 feasible.append(canon)
-        rec.add(
+        report.add(
             f"classes:k={k},t={t}:count",
             {"k": k, "t": t},
             expected_count,
             len(feasible),
         )
-        rec.add(
+        report.add(
             f"classes:k={k},t={t}:set",
             {"k": k, "t": t},
             sorted(by_kt[(k, t)]),
@@ -765,7 +748,6 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     computation on seeded random (G, u, H, w) instances with G unicyclic
     (n <= 8) and H a tree (n <= 6)."""
     report = VerificationReport("merge-identity", seed)
-    rec = _Recorder(report)
     anchors = [
         (make_cycle(3), 0, FamilySpec("P", (2,)).build(), 0, Fraction(19, 3)),
         (FamilySpec("P", (2,)).build(), 0, FamilySpec("P", (2,)).build(), 0, Fraction(4)),
@@ -781,7 +763,7 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
             g.n,
             h.n,
         )
-        rec.add(
+        report.add(
             f"anchor:{i}",
             {"g_n": g.n, "h_n": h.n},
             expected,
@@ -806,7 +788,7 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
         direct = kirchhoff_index(merged)
         (kf_g, sums_g), (kf_h, sums_h) = kf_and_sums(g), kf_and_sums(h)
         closed = kf_identified(kf_g, kf_h, sums_g[u], sums_h[w], g.n, h.n)
-        rec.add(
+        report.add(
             f"trial:{i}",
             {"g_n": g.n, "h_n": h.n, "u": u, "w": w},
             closed,
@@ -815,13 +797,12 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     return report
 
 
-def suite_wiener_divergence(n_max: int = 12) -> VerificationReport:
+def suite_wiener_divergence(n_max: int) -> VerificationReport:
     """Compare the Kirchhoff and Wiener argmin sets cell by cell; the
     sweep must contain at least one cell where they differ."""
     report = VerificationReport("wiener-divergence", 0)
-    rec = _Recorder(report)
     any_differ = False
-    for sweep in map(sweep_minima, range(4, n_max + 1)):
+    for sweep in map(sweep_minima, range(WINDOWS["wiener-divergence"].floor, n_max + 1)):
         for m, best in sweep.kf.items():
             if m < 2:
                 continue
@@ -829,7 +810,7 @@ def suite_wiener_divergence(n_max: int = 12) -> VerificationReport:
             w_codes = frozenset(sweep.wiener[m].codes)
             differ = kf_codes != w_codes
             any_differ = any_differ or differ
-            rec.add(
+            report.add(
                 f"cell:n={sweep.n},m={m}",
                 {"n": sweep.n, "m": m},
                 "recorded",
@@ -837,7 +818,7 @@ def suite_wiener_divergence(n_max: int = 12) -> VerificationReport:
                 f"{_pretty_codes(w_codes)}: {'differ' if differ else 'same'}",
                 True,
             )
-    rec.add(
+    report.add(
         "divergence-observed",
         {"n_max": n_max},
         "at least one cell with differing minimizers",
@@ -859,43 +840,29 @@ SUITE_NAMES = (
     "merge-identity",
     "wiener-divergence",
 )
-# the least --max-n at which a suite has a cell, where it is above 4
-WINDOW_FLOORS = {"vertex-sum-bound": ROW_FLOOR, "deletion-bounds": ROW_FLOOR}
 
 
 def run_suite(
-    name: str,
-    max_n: int | None = None,
-    extended: bool = False,
-    seed: int = 0,
-    trials: int = 200,
+    name: str, max_n: int | None = None, extended: bool = False, seed: int = 0, trials: int = 200
 ) -> list[VerificationReport]:
-    """Run one suite (or 'all') with window defaults resolved."""
+    """Run one suite (or 'all'); an enumerating suite with max_n unset
+    sweeps the default or extended window of ``WINDOWS``."""
     if name == "all":
-        reports = []
-        for s in SUITE_NAMES:
-            reports.extend(run_suite(s, max_n, extended, seed, trials))
-        return reports
-    if name == "tables":
-        return [suite_tables()]
-    if name == "tables-nm":
-        return [suite_tables_nm()]
-    if name == "extremal-perfect":
-        m_max = (8 if extended else 6) if max_n is None else max_n // 2
-        return [suite_extremal_perfect(m_max=m_max)]
-    if name == "extremal":
-        n_max = (16 if extended else 12) if max_n is None else max_n
-        return [suite_extremal(n_max=n_max)]
-    if name == "vertex-sum-bound":
-        return [suite_vertex_sum_bound(n_max=10 if max_n is None else max_n)]
-    if name == "deletion-bounds":
-        return [suite_deletion_bounds(n_max=10 if max_n is None else max_n)]
-    if name == "girth-minima":
-        return [suite_girth_minima(n_max=9 if max_n is None else max_n)]
-    if name == "cycle-placements":
-        return [suite_cycle_placements()]
-    if name == "merge-identity":
-        return [suite_merge_identity(trials=trials, seed=seed)]
-    if name == "wiener-divergence":
-        return [suite_wiener_divergence(n_max=12 if max_n is None else max_n)]
-    raise ValueError(f"unknown suite {name!r}")
+        return [r for s in SUITE_NAMES for r in run_suite(s, max_n, extended, seed, trials)]
+    if name in WINDOWS and max_n is None:
+        max_n = WINDOWS[name].extended if extended else WINDOWS[name].default
+    run = {
+        "tables": lambda: suite_tables(),
+        "tables-nm": lambda: suite_tables_nm(),
+        "extremal-perfect": lambda: suite_extremal_perfect(m_max=max_n // 2),
+        "extremal": lambda: suite_extremal(n_max=max_n),
+        "vertex-sum-bound": lambda: suite_vertex_sum_bound(n_max=max_n),
+        "deletion-bounds": lambda: suite_deletion_bounds(n_max=max_n),
+        "girth-minima": lambda: suite_girth_minima(n_max=max_n),
+        "cycle-placements": lambda: suite_cycle_placements(),
+        "merge-identity": lambda: suite_merge_identity(trials=trials, seed=seed),
+        "wiener-divergence": lambda: suite_wiener_divergence(n_max=max_n),
+    }
+    if name not in run:
+        raise ValueError(f"unknown suite {name!r}")
+    return [run[name]()]

@@ -15,6 +15,7 @@ from unikirch.enumeration import canonical_code
 from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
 from unikirch.resistance import kirchhoff_index_dense
+from unikirch.verification import WINDOWS
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +291,19 @@ def test_verify_refuses_a_window_below_a_suite_floor(capsys):
     assert code == 0 and "cell:n=4,m=2" in out
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--trials", "3")
     assert code == 0 and "summary: 0 passed" not in out
+
+
+def test_verify_floors_and_extended_help_come_from_the_window_table(capsys, monkeypatch):
+    # the help names the suites whose --extended window is wider
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--extended widen the windows of extremal-perfect, extremal --json" in text
+    # a raised floor is refused with the table's number
+    monkeypatch.setitem(WINDOWS, "girth-minima", WINDOWS["girth-minima"]._replace(floor=7))
+    code, out, err = run_cli(capsys, "verify", "--suite", "girth-minima", "--max-n", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n 6: suite girth-minima has no cell below n = 7\n"
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):

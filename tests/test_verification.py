@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from unikirch.graph import without_vertices
 from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
     _PLACEMENT_CLASS_COUNTS,
+    WINDOWS,
     VerificationReport,
     _branch_shape,
     _gap_positions,
@@ -163,15 +165,23 @@ def test_report_json_schema(tmp_path):
     assert loaded["suite"] == "tables"
     assert set(loaded["summary"]) == {"pass", "fail", "skipped"}
     for case in loaded["cases"]:
-        assert set(case) == {
-            "id",
-            "parameters",
-            "expected",
-            "computed",
-            "status",
-            "runtime_ms",
-        }
+        # in this order: it is the byte layout of --json
+        assert list(case) == ["id", "parameters", "expected", "computed", "status", "runtime_ms"]
         assert case["status"] in ("pass", "fail", "skipped")
+
+
+def test_report_add_times_each_case_since_the_previous():
+    # the first case is timed from the report's creation
+    report = VerificationReport("demo", 0)
+    time.sleep(0.02)
+    report.add("a", {}, Fraction(1, 2), Fraction(1, 2))
+    report.add("b", {"n": 4}, 1, 2)
+    report.add("c", {}, "x", "y", True)
+    a, b, c = report.cases
+    assert (a.expected, a.computed, a.status) == ("1/2", "1/2", "pass")
+    assert (b.parameters, b.expected, b.computed, b.status) == ({"n": 4}, "1", "2", "fail")
+    assert c.status == "pass"
+    assert a.runtime_ms >= 20 and b.runtime_ms < 20
 
 
 def test_report_failure_accounting():
@@ -190,6 +200,52 @@ def test_report_failure_accounting():
     # 0 is a window, not the default one
     (report,) = run_suite("extremal", max_n=0)
     assert not any(c.id.startswith("cell:") for c in report.cases)
+
+
+def test_identity_cases_lie_above_the_enumerated_window():
+    # an identity case inside the window would repeat an enumerated cell
+    report = suite_extremal_perfect(m_max=4, identity_m=(4, 8))
+    assert_green(report)
+    ids = {c.id for c in report.cases}
+    assert {"perfect:m=4", "identity:m=8"} <= ids and "identity:m=4" not in ids
+    report = suite_extremal(n_max=8, identity_n=(8, 15))
+    assert_green(report)
+    ids = {c.id for c in report.cases}
+    assert {"cell:n=8,m=4", "identity:n=15,m=2"} <= ids
+    assert not any(i.startswith("identity:n=8,") for i in ids)
+
+
+def test_run_suite_reads_windows_from_the_table(monkeypatch):
+    # default and --extended windows come from WINDOWS; extremal-perfect
+    # takes m up to half the window's n; an explicit max_n wins
+    calls = []
+    for name in WINDOWS:
+
+        def record(name=name, **window):
+            calls.append((name, window))
+            return VerificationReport(name, 0)
+
+        monkeypatch.setattr(verification, "suite_" + name.replace("-", "_"), record)
+    for name, window in WINDOWS.items():
+        half = name == "extremal-perfect"
+        run_suite(name)
+        run_suite(name, extended=True)
+        run_suite(name, max_n=7, extended=True)
+        assert calls[-3:] == [
+            (name, {"m_max": n // 2} if half else {"n_max": n})
+            for n in (window.default, window.extended, 7)
+        ], name
+
+
+def test_window_floors_are_the_least_n_with_a_cell():
+    def enumerated(report):
+        return [c for c in report.cases if c.id.startswith(("cell:", "perfect:"))]
+
+    for name, window in WINDOWS.items():
+        assert window.floor <= window.default <= window.extended, name
+        (below,) = run_suite(name, max_n=window.floor - 1)
+        (at,) = run_suite(name, max_n=window.floor)
+        assert not enumerated(below) and enumerated(at), name
 
 
 def test_run_suite_dispatch():
