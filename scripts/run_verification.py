@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+from unikirch.cli import exit_quietly_on_closed_pipe
 from unikirch.verification import SUITE_NAMES, run_suite
 
 
@@ -40,4 +41,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_quietly_on_closed_pipe(main))

@@ -26,13 +26,12 @@ DENSE_MAX_N = 100
 # Python 3.11.7), and all of it grows as n^2.
 MATRIX_MAX_N = 1000
 # The classes on n vertices roughly triple with each vertex.  At n = 16
-# (311,465 classes) the `enumerate` listing, which generates every class,
-# takes about 2.3 s in 31 MB (2-vCPU VM, Python 3.11.7, subprocess wall time,
-# medians of 5).  `enumerate --m`, `--count-only`, `extremal` and the row
-# suites read every rooted tree of up to n - 2 vertices (53,272 at n = 16),
-# and those grow nearly threefold per vertex: `enumerate --n 16 --m 8` takes
-# 1.0 s in 31 MB, `--count-only` 1.0 s, `extremal --m 6` 0.9 s, and `verify
-# --suite all --max-n 16` 4.1 s in 56 MB.
+# (311,465 classes) the `enumerate` listing takes about 2.3 s in 32 MB
+# (x86_64, 2 CPUs, Python 3.11.7; scripts/bench_scaling.py).  `extremal`
+# reads no rooted tree: 0.4 s in 18 MB at --m 6.  `enumerate --m` and
+# `--count-only` generate the 53,272 rooted trees of up to n - 2 vertices by
+# state (0.6 s in 25 MB, 0.5 s in 24 MB), and the row suites parse each once
+# (`verify --suite deletion-bounds --max-n 16` 2.9 s in 48 MB).
 ENUMERATION_MAX_N = 16
 
 

@@ -17,21 +17,23 @@ classes of a composition are the products of its pools, each kept once
 among its images under those symmetries (``_class_sequences``);
 ``_classes`` turns them into dihedral-minimal codes in sorted order.
 
-The minima need no class at all.  Kf and W are a cycle term, fixed by
-the composition, plus one ``branch_term`` per branch, and the matching
-number reads only each branch's state: its matching number and whether
-its root can stay unmatched at no loss.  ``sweep_minima`` therefore
-takes each state's least branch term from a table per size, scores one
-value per composition and tuple of states, in integers, and expands
-into classes only the tuples that attain a cell's minimum, with each
-state's pool cut to the codes that have its least term; it caches the
-minima per n.  ``counts_by_matching`` takes the same walk: a tuple holds
-the product of its states' code counts, unless a rotation or reflection
-fixes the composition, and then ``_class_sequences`` lists its classes.
-``enumerate_codes`` lists every class of the walk: by matching number,
-over the state tuples of that number, and unfiltered over one pool of
-every rooted tree per size, reading no state.  Graphs are built only
-for consumers that need vertex-level data, one class at a time.
+The minima need no class at all, and no code is parsed for them.  Kf
+and W are a cycle term, fixed by the composition, plus one
+``branch_term`` per branch, and the matching number reads only each
+branch's state: its matching number and the matching that leaves its
+root unmatched.  A tree's state and term follow from its children's, so
+``_code_states`` generates the rooted trees grouped by state, and
+``_term_tables`` finds each state's least term and the trees with it by
+a knapsack over child states.  ``sweep_minima`` scores one value per
+composition and tuple of states, in integers, and expands into classes
+only the tuples that attain a cell's minimum; it caches the minima per
+n.  ``counts_by_matching`` takes the same walk over the pools: a tuple
+holds the product of its states' code counts, unless a rotation or
+reflection fixes the composition, and then ``_class_sequences`` lists
+its classes.  ``enumerate_codes`` lists every class of the walk: by
+matching number, over the state tuples of that number, and unfiltered
+over one pool of every rooted tree per size.  Graphs are built only for
+consumers that need vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
@@ -43,51 +45,73 @@ from functools import cache
 from itertools import combinations, groupby, pairwise, product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
-    BranchSummary,
     Invariants,
-    branch_term,
     cycle_invariants,
     cycle_matching,
     cycle_terms,
     tree_summary,
 )
 
-_codes_by_size: dict[int, tuple[str, ...]] = {1: ("()",)}
+
+class _State(NamedTuple):
+    """The rooted trees of one size in one branch state, all ``cycle_matching``
+    reads of a branch: its matching number, and the same with its root left
+    unmatched.  A pool holds every tree; a sweep table, the least-term ones."""
+
+    matching: int
+    root_free: int
+    codes: tuple[str, ...]  # sorted
+    term: int = 0  # in a sweep table, the least ``branch_term``
+
+
+_pools: dict[int, tuple[_State, ...]] = {}
+
+
+def _code_states(size: int) -> tuple[_State, ...]:
+    """The rooted trees on `size` vertices by branch state, states in the
+    order of their least codes; cached.  A tree is a multiset of smaller
+    ones under a root, each listed once by taking children in
+    non-increasing position, and its state follows from theirs as in
+    ``tree_summary``: a root left unmatched keeps the sum of their
+    matchings, and gains one when some child's root is free at no loss."""
+    if size < 1:
+        raise ValueError("tree size must be positive")
+    for s in range(len(_pools) + 1, size + 1):
+        items = [
+            (sz, code, state.matching, state.matching == state.root_free)
+            for sz in range(1, s)
+            for state in _pools[sz]
+            for code in state.codes
+        ]
+        prefix_end = [0] * s
+        for idx, item in enumerate(items):
+            prefix_end[item[0]] = idx + 1
+        by_state: dict[tuple[int, int], list[str]] = {}
+
+        def emit(remaining: int, max_i: int, acc: list[str], matched: int, free: bool):
+            if remaining == 0:
+                code = "(" + "".join(sorted(acc)) + ")"
+                by_state.setdefault((matched + free, matched), []).append(code)
+                return
+            for i in range(min(max_i, prefix_end[remaining] - 1), -1, -1):
+                sz, code, m, root_free = items[i]
+                acc.append(code)
+                emit(remaining - sz, i, acc, matched + m, free or root_free)
+                acc.pop()
+
+        emit(s - 1, len(items) - 1, [], 0, False)
+        states = (_State(*state, tuple(sorted(codes))) for state, codes in by_state.items())
+        _pools[s] = tuple(sorted(states, key=lambda state: state.codes[0]))
+    return _pools[size]
 
 
 def rooted_tree_codes(size: int) -> tuple[str, ...]:
     """All canonical rooted-tree codes on the given vertex count, sorted."""
-    if size < 1:
-        raise ValueError("tree size must be positive")
-    for s in range(2, size + 1):
-        if s in _codes_by_size:
-            continue
-        items: list[tuple[int, str]] = []
-        for sz in range(1, s):
-            items.extend((sz, c) for c in _codes_by_size[sz])
-        prefix_end = [0] * s
-        for idx, (sz, _) in enumerate(items):
-            prefix_end[sz] = idx + 1
-        out: list[str] = []
-
-        def emit(remaining: int, max_i: int, acc: list[str]):
-            if remaining == 0:
-                out.append("(" + "".join(sorted(acc)) + ")")
-                return
-            top = min(max_i, prefix_end[remaining] - 1)
-            for i in range(top, -1, -1):
-                sz, code = items[i]
-                acc.append(code)
-                emit(remaining - sz, i, acc)
-                acc.pop()
-
-        emit(s - 1, len(items) - 1, [])
-        _codes_by_size[s] = tuple(sorted(out))
-    return _codes_by_size[size]
+    return tuple(sorted(code for state in _code_states(size) for code in state.codes))
 
 
 def _parents_code(parents: Sequence[int]) -> str:
@@ -205,24 +229,10 @@ def graph_from_code(code: CanonicalCode) -> Graph:
     return Graph(nxt, frozenset(edges))
 
 
-# Keyed by branch code, unbounded: the default windows use about 1,200
-# codes, and cli.ENUMERATION_MAX_N = 16 bounds a sweep at about 53,000.
-_summaries: dict[str, BranchSummary] = {}
-
-
-def branch_summary(code: str, parents: Sequence[int] | None = None) -> BranchSummary:
-    """``tree_summary`` of a rooted code, cached; a caller that holds the
-    code's ``code_parents`` passes them, and the code is not parsed again."""
-    b = _summaries.get(code)
-    if b is None:
-        b = _summaries[code] = tree_summary(code_parents(code) if parents is None else parents)
-    return b
-
-
 def invariants_from_code(code: CanonicalCode) -> Invariants:
     """(k, m, Kf, W) of the class, read off its branch codes without
     building a graph."""
-    return cycle_invariants([branch_summary(c) for c in code.branch_codes])
+    return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])
 
 
 def _orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
@@ -271,15 +281,15 @@ def enumerate_codes(
         raise ValueError(f"cycle length {cycle_length} out of range for n={n}")
     ks = range(3, n + 1) if cycle_length is None else (cycle_length,)
     sizes = range(1, n - ks[0] + 2)  # the shortest cycle has the largest branches
-    if m is None:
-        tables = [()] + [(_Codes(None, rooted_tree_codes(size)),) for size in sizes]
-    else:
-        tables = [()] + [_code_states(size) for size in sizes]
+    tables = [()] + [
+        (_State(None, None, rooted_tree_codes(size)),) if m is None else _code_states(size)
+        for size in sizes
+    ]
     yield from _classes(
         (sizes, fixing, group)
         for sizes, fixing, products in _state_groups(n, tables, ks)
         for group in products
-        if m is None or cycle_matching([state.summary for state in group]) == m
+        if m is None or cycle_matching(group) == m
     )
 
 
@@ -318,44 +328,35 @@ class SweepMinima(NamedTuple):
     kf_by_cycle: dict[int, Minimum]
 
 
-class _Codes(NamedTuple):
-    """The rooted trees of one size in one branch state, a state being
-    all that ``cycle_matching`` reads of a branch: its matching number,
-    and whether its root can be left unmatched at no loss."""
-
-    summary: BranchSummary | None  # of codes[0]; None on a pool of every state
-    codes: tuple[str, ...]  # sorted
-
-
-def _code_states(size: int, summary: Callable = branch_summary) -> tuple[_Codes, ...]:
-    """The rooted trees on `size` vertices, grouped by branch state, each
-    code's read from its `summary`."""
-    by_state: dict[tuple[int, bool], list[str]] = {}
-    for code in rooted_tree_codes(size):
-        b = summary(code)
-        by_state.setdefault((b.matching, b.matching == b.root_free), []).append(code)
-    return tuple(_Codes(summary(codes[0]), tuple(codes)) for codes in by_state.values())
-
-
-class _State(NamedTuple):
-    """The rooted trees of one size in one branch state that have the
-    state's least ``branch_term``."""
-
-    summary: BranchSummary  # of the first code in `codes`
-    term: int  # the least ``branch_term`` in the state
-    codes: tuple[str, ...]  # every code that attains it, sorted
-
-
-def _state_table(size: int, n: int) -> tuple[_State, ...]:
-    """Every state of the rooted trees on `size` vertices, with its least
-    ``branch_term`` in an n-vertex graph."""
-    table = []
-    for _, codes in _code_states(size):
-        terms = [branch_term(branch_summary(code), n) for code in codes]
-        least = min(terms)
-        tied = tuple(code for code, term in zip(codes, terms) if term == least)
-        table.append(_State(branch_summary(tied[0]), least, tied))
-    return tuple(table)
+def _term_tables(n: int) -> list[tuple[_State, ...]]:
+    """Indexed by s <= n - 2, each branch state of the rooted trees on s
+    vertices with its least ``branch_term`` in an n-vertex graph and the
+    codes that attain it.  The term sums a (n - a) over a tree's edges, a
+    the vertices below, so a tree is least in its state exactly when its
+    children form a least multiset of (size, state) items, each weighing
+    its term plus s (n - s): an unbounded knapsack.  forests[t] keeps, per
+    (the children's matchings summed, whether a child's root is free), the
+    least weight of total size t and each sorted child-code tuple with it."""
+    forests: list[dict] = [{(0, False): (0, {()})}] + [{} for _ in range(n - 3)]
+    tables: list[tuple[_State, ...]] = [()]
+    for size in range(1, n - 1):
+        table = tuple(
+            _State(m + free, m, tuple(sorted("(" + "".join(f) + ")" for f in kids)), term)
+            for (m, free), (term, kids) in forests[size - 1].items()
+        )
+        tables.append(table)
+        for state in table:
+            weight = state.term + size * (n - size)
+            root_free = state.matching == state.root_free
+            for total in range(size, n - 2):
+                for (m, free), (term, kids) in forests[total - size].items():
+                    key = (m + state.matching, free or root_free)
+                    cur = forests[total].get(key)
+                    if cur is None or term + weight < cur[0]:
+                        cur = forests[total][key] = (term + weight, set())
+                    if term + weight == cur[0]:
+                        cur[1].update(tuple(sorted((*f, c))) for f in kids for c in state.codes)
+    return tables
 
 
 def _state_groups(
@@ -427,18 +428,17 @@ def sweep_minima(n: int) -> SweepMinima:
     """The Kf and W minima over the classes on n vertices, from tuples of
     branch states, without generating a class.  Cached per n.
 
-    Kf = (k T + C) / k and W = T + H, where C and H are the
-    ``cycle_terms`` of the composition of branch sizes and T sums the
-    ``branch_term`` of each branch.  Fix the composition and the state of
-    each position: the matching number follows, by ``cycle_matching``,
-    and T is least, and exactly so, where every branch has the least
-    term of its state.  So each composition, one per dihedral orbit,
+    Kf = (k T + C) / k and W = T + H, with C and H the ``cycle_terms`` of
+    the branch sizes and T the sum of their ``branch_term``s.  Fix the
+    composition and each position's state: the matching number follows,
+    and T is least, and exactly so, where every branch has the least term
+    of its state (``_term_tables``).  So each composition, one per orbit,
     offers one value per tuple of states, and only the tuples that attain
     a cell's minimum expand into classes.  Keys stay integers until each
     cell's minimum is known."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    tables = [()] + [_state_table(size, n) for size in range(1, n - 1)]
+    tables = _term_tables(n)
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
@@ -447,7 +447,7 @@ def sweep_minima(n: int) -> SweepMinima:
         cycle, hops = cycle_terms(sizes)
         for group in groups:
             trees = sum(state.term for state in group)
-            m = cycle_matching([state.summary for state in group])
+            m = cycle_matching(group)
             item = (sizes, fixing, group)
             _offer(kf, m, k * trees + cycle, k, item)
             _offer(wiener, m, trees + hops, 1, item)
@@ -466,7 +466,7 @@ def counts_by_matching(n: int) -> dict[int, int]:
     counts: Counter = Counter()
     for _, fixing, groups in _state_groups(n, tables):
         for group in groups:
-            m = cycle_matching([state.summary for state in group])
+            m = cycle_matching(group)
             pools = [state.codes for state in group]
             if fixing:
                 counts[m] += sum(1 for _ in _class_sequences(pools, fixing))

@@ -33,7 +33,6 @@ from .enumeration import (
     _dihedral_min,
     _orbit_compositions,
     _state_groups,
-    branch_summary,
     canonical_code,
     code_parents,
     enumerate_with_codes,
@@ -55,7 +54,6 @@ from .graph import Graph, identify_vertices
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
-    BranchSummary,
     branch_row,
     cycle_cores,
     cycle_matching,
@@ -375,7 +373,7 @@ def suite_extremal(
     return report
 
 
-@cache  # unbounded, like enumeration.branch_summary
+@cache  # unbounded, like enumeration's pools
 def _branch_shape(code: str) -> tuple[list[int], list[int]]:
     """(parents, degrees) of the vertices of a branch code, in the order of
     ``code_parents``, with degrees as in the graph: the root also has its
@@ -427,7 +425,8 @@ class _RowState(NamedTuple):
     n-vertex graph, with the least of each term of ``row_cells``' bounds,
     read from their ``branch_row``s B: the least entry, and so on."""
 
-    summary: BranchSummary  # of the first code; ``cycle_matching`` reads its state
+    matching: int  # the state, as ``cycle_matching`` reads it
+    root_free: int
     leaves: dict[str, int]  # the pendant vertices of each code, in code order
     pendants: int  # the pendant vertices of all the codes
     depth: int  # the least depth sum D
@@ -438,12 +437,12 @@ class _RowState(NamedTuple):
 
 def _row_table(size: int, n: int) -> list[_RowState]:
     """One ``_RowState`` per branch state of the rooted trees on `size`
-    vertices, in an n-vertex graph; one parse of each code serves both."""
+    vertices, in an n-vertex graph."""
     table = []
-    for summary, codes in _code_states(size, lambda c: branch_summary(c, _branch_shape(c)[0])):
+    for state in _code_states(size):
         leaves: dict[str, int] = {}
         depths, vertices, pendants, pairs = [], [], [], []
-        for code in codes:
+        for code in state.codes:
             parents, degrees = _branch_shape(code)
             row = branch_row(parents, n)
             ends = [x for x, degree in enumerate(degrees) if degree == 1]  # never the root
@@ -454,7 +453,8 @@ def _row_table(size: int, n: int) -> list[_RowState]:
             pairs += [row[x] + row[parents[x]] for x in ends if degrees[parents[x]] == 2]
         table.append(
             _RowState(
-                summary,
+                state.matching,
+                state.root_free,
                 leaves,
                 sum(leaves.values()),
                 min(depths),
@@ -530,7 +530,7 @@ def row_cells(n: int) -> RowCells:
         k = len(sizes)
         cores = cycle_cores(sizes)
         for group in groups:
-            m = cycle_matching([state.summary for state in group])
+            m = cycle_matching(group)
             if m < 3:
                 continue
             if m not in sums:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -493,6 +494,25 @@ def test_extremal_scan_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_run_verification_closed_pipe_exits_quietly(tmp_path):
+    # as above, for scripts/run_verification.py, with a reader that has
+    # gone before the first suite's line: its write finds the pipe closed
+    script = Path(__file__).parent.parent / "scripts" / "run_verification.py"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out-dir", str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_extremal_scan_refuses_beyond_ceiling():

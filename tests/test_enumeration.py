@@ -16,9 +16,9 @@ from unikirch import enumeration
 from unikirch.enumeration import (
     CanonicalCode,
     _classes,
+    _code_states,
     _orbit_compositions,
-    _state_table,
-    branch_summary,
+    _term_tables,
     canonical_code,
     code_parents,
     counts_by_matching,
@@ -49,6 +49,7 @@ from unikirch.resistance import (
     graph_invariants,
     kirchhoff_index_dense,
     resistance_matrix_unicyclic,
+    tree_summary,
     vertex_sums,
 )
 
@@ -271,31 +272,54 @@ def assert_sweep_matches_bruteforce(n):
         assert list(got.items()) == list(expected.items()), n
 
 
+def parsed_states(size):
+    # every rooted tree on `size` vertices grouped by the (matching number,
+    # matching with the root unmatched) read from its parsed code, the
+    # states in the order of their least codes
+    states: dict = {}
+    for code in rooted_tree_codes(size):
+        b = tree_summary(code_parents(code))
+        states.setdefault((b.matching, b.root_free), []).append((b, code))
+    return states
+
+
 def test_state_tables_match_bruteforce():
-    # every rooted tree grouped by (size, matching number, root free at no
-    # loss): the least branch term and every code attaining it.  Ties
+    # per state, the least branch term and every code attaining it.  Ties
     # first occur at n = 8 (two trees on 6 vertices); no cell minimum up
     # to n = 16 uses one, so the sweep oracles alone would not see them
     ties = 0
     for n in range(4, 13):
+        tables = _term_tables(n)
+        assert len(tables) == n - 1
         for size in range(1, n - 1):
-            states: dict = {}
-            for code in rooted_tree_codes(size):
-                b = branch_summary(code)
-                state = (b.matching, b.matching == b.root_free)
-                states.setdefault(state, []).append((branch_term(b, n), code))
             expected = {}
-            for state, terms in states.items():
-                least = min(t for t, _ in terms)
-                expected[state] = (least, tuple(c for t, c in terms if t == least))
-            got = {}
-            for entry in _state_table(size, n):
-                b = entry.summary
-                assert branch_summary(entry.codes[0]) == b
-                got[(b.matching, b.matching == b.root_free)] = (entry.term, entry.codes)
+            for state, trees in parsed_states(size).items():
+                least = min(branch_term(b, n) for b, _ in trees)
+                expected[state] = (least, tuple(c for b, c in trees if branch_term(b, n) == least))
+            got = {(s.matching, s.root_free): (s.term, s.codes) for s in tables[size]}
+            assert len(got) == len(tables[size])
             assert got == expected, (n, size)
             ties += sum(len(codes) > 1 for _, codes in got.values())
     assert ties > 0
+
+
+def assert_pools_match_bruteforce(sizes):
+    for size in sizes:
+        got = [((s.matching, s.root_free, s.term), s.codes) for s in _code_states(size)]
+        expected = [
+            ((*state, 0), tuple(code for _, code in trees))
+            for state, trees in parsed_states(size).items()
+        ]
+        assert got == expected, size
+
+
+def test_pools_match_bruteforce():
+    assert_pools_match_bruteforce(range(1, 13))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_pools_match_bruteforce_extended():
+    assert_pools_match_bruteforce(range(13, 15))
 
 
 def assert_orbits_match_bruteforce(n):
@@ -324,8 +348,8 @@ def test_classes_merge_dihedral_images():
     # the path and the star on 3 vertices differ in state; on C4 with sizes
     # (1, 3, 1, 3) the tuples (1, path, 1, star) and (1, star, 1, path) are
     # rotations of each other, so both expand to the same single class
-    (one,) = _state_table(1, 8)
-    path, star = sorted(_state_table(3, 8), key=lambda state: state.codes)
+    (one,) = _code_states(1)
+    path, star = _code_states(3)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
     (fixing,) = [fixing for sizes, fixing in _orbit_compositions(8, 4) if sizes == (1, 3, 1, 3)]
     groups = [(one, path, one, star), (one, star, one, path)]
@@ -344,12 +368,16 @@ def test_sweep_minima_matches_bruteforce_argmin_extended():
         assert_sweep_matches_bruteforce(n)
 
 
-def test_sweep_keeps_every_branch_summary_cached(monkeypatch):
-    # a sweep at n = 14 reads 7,813 rooted trees; a second pass finds
-    # every one of them in the cache and parses none
+def test_sweep_and_pools_parse_no_code(monkeypatch):
+    # the sweep's tables and the pools carry each tree's state and term
+    # from its children's, so neither lists nor parses a code to find them
+    monkeypatch.setattr(enumeration, "_pools", {})
+    for name in ("rooted_tree_codes", "code_parents", "tree_summary"):
+        monkeypatch.setattr(enumeration, name, lambda *args, name=name: pytest.fail(name))
     sweep_minima.__wrapped__(14)
-    monkeypatch.setattr(enumeration, "code_parents", lambda code: pytest.fail(code))
-    sweep_minima.__wrapped__(14)
+    assert not enumeration._pools
+    for size in range(1, 13):
+        _code_states(size)
 
 
 def test_enumerate_partition_over_matching():

@@ -351,10 +351,10 @@ def test_row_cells_match_class_walk_extended():
         assert_rows_match_class_walk(n)
 
 
-def test_row_pass_parses_each_code_once(monkeypatch):
-    # its branch states and its rows come from one parse of each of the
-    # 200 rooted trees on up to 8 vertices
-    monkeypatch.setattr(enumeration, "_summaries", {})
+def count_parses(monkeypatch):
+    # empty the pools and the row pass's shapes, and record every code
+    # parsed from then on
+    monkeypatch.setattr(enumeration, "_pools", {})
     verification._branch_shape.cache_clear()
     parsed = []
 
@@ -364,8 +364,27 @@ def test_row_pass_parses_each_code_once(monkeypatch):
 
     monkeypatch.setattr(enumeration, "code_parents", parse)
     monkeypatch.setattr(verification, "code_parents", parse)
+    return parsed
+
+
+def test_row_pass_parses_each_code_once(monkeypatch):
+    # the pools carry the branch states, and the rows come from one parse
+    # of each of the 200 rooted trees on up to 8 vertices
+    parsed = count_parses(monkeypatch)
     row_cells.__wrapped__(10)
     assert sorted(parsed) == sorted(c for s in range(1, 9) for c in rooted_tree_codes(s))
+
+
+def test_sweeps_then_row_pass_parse_each_code_once(monkeypatch):
+    # as in verify --suite all --max-n 14: the sweeps parse no code, so
+    # the row pass parses each of the 7,813 rooted trees on up to 12
+    # vertices once
+    parsed = count_parses(monkeypatch)
+    for n in range(3, 15):
+        sweep_minima.__wrapped__(n)
+    assert parsed == []
+    row_cells.__wrapped__(14)
+    assert sorted(parsed) == sorted(c for s in range(1, 13) for c in rooted_tree_codes(s))
 
 
 def test_row_cells_expand_only_groups_near_a_bound(monkeypatch):
