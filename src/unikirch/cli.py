@@ -31,7 +31,7 @@ MATRIX_MAX_N = 1000
 # reads no rooted tree: 0.4 s in 18 MB at --m 6.  `enumerate --m` and
 # `--count-only` generate the 53,272 rooted trees of up to n - 2 vertices by
 # state (0.6 s in 25 MB, 0.5 s in 24 MB), and the row suites parse each once
-# (`verify --suite deletion-bounds --max-n 16` 2.9 s in 48 MB).
+# (`verify --suite deletion-bounds --max-n 16` 2.1 s in 47 MB).
 ENUMERATION_MAX_N = 16
 
 

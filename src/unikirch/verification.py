@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import accumulate
-from math import inf, prod
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .enumeration import (
@@ -422,17 +422,15 @@ class RowCells(NamedTuple):
 
 class _RowState(NamedTuple):
     """The rooted trees of one size in one branch state, hung in an
-    n-vertex graph, with the least of each term of ``row_cells``' bounds,
-    read from their ``branch_row``s B: the least entry, and so on."""
+    n-vertex graph, with the least depth sum and the least entry of their
+    ``branch_row``s B: the two terms of ``row_cells``' bound."""
 
     matching: int  # the state, as ``cycle_matching`` reads it
     root_free: int
     leaves: dict[str, int]  # the pendant vertices of each code, in code order
     pendants: int  # the pendant vertices of all the codes
     depth: int  # the least depth sum D
-    vertex: int | float  # the least entry
-    pendant: int | float  # the least entry at a pendant x; inf if none
-    pair: int | float  # the least B(x) + B(y), y a non-root vertex of degree 2; inf if none
+    vertex: int  # the least entry
 
 
 def _row_table(size: int, n: int) -> list[_RowState]:
@@ -441,16 +439,13 @@ def _row_table(size: int, n: int) -> list[_RowState]:
     table = []
     for state in _code_states(size):
         leaves: dict[str, int] = {}
-        depths, vertices, pendants, pairs = [], [], [], []
+        depths, vertices = [], []
         for code in state.codes:
             parents, degrees = _branch_shape(code)
             row = branch_row(parents, n)
-            ends = [x for x, degree in enumerate(degrees) if degree == 1]  # never the root
-            leaves[code] = len(ends)
+            leaves[code] = degrees.count(1)  # never the root
             depths.append(row[0])
             vertices.append(min(row))
-            pendants += [row[x] for x in ends]
-            pairs += [row[x] + row[parents[x]] for x in ends if degrees[parents[x]] == 2]
         table.append(
             _RowState(
                 state.matching,
@@ -459,8 +454,6 @@ def _row_table(size: int, n: int) -> list[_RowState]:
                 sum(leaves.values()),
                 min(depths),
                 min(vertices),
-                min(pendants, default=inf),
-                min(pairs, default=inf),
             )
         )
     return table
@@ -512,17 +505,18 @@ def row_cells(n: int) -> RowCells:
     In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
     with B the ``branch_row`` entry, D_j the depth sums and c_i the
     ``cycle_cores`` of the composition.  Fix the composition and the state
-    of each position, and take per state the least D, the least B, the
-    least B at a pendant x, and the least B(x) + B(y) over pendant paths
-    x-y: the least row entry, pendant difference and pair difference
-    (``_pendant_differences``) in branch i are then at least
-    k (B_i + sum_{j != i} D_j) + c_i, the same with the pendant term, and
-    k (P_i + 2 sum_{j != i} D_j) + 2 c_i - k with the pair term P.  A
-    group whose three bounds all exceed k times their thresholds has no
-    violation and no equality, so only the other groups expand into
-    classes, one ``_check_class`` each.  The class and pendant counts of
-    a composition with no symmetry are products of its states' counts;
-    the others list their ``_class_sequences``."""
+    of each position, and take per state the least D and the least B: the
+    least row entry in branch i is then at least
+    k (B_i + sum_{j != i} D_j) + c_i.  That one bound decides the deletion
+    differences (``_pendant_differences``) too, by the series rule: a
+    pendant x on y has Kf_G(x) = Kf_G(y) + n - 2, and a pendant path x-y
+    on z has Kf_G(x) + Kf_G(y) - 1 = 2 Kf_G(z) + 3n - 11.  So in a group
+    whose least row entry exceeds k (n + m - 4), every pendant difference
+    exceeds k (2n + m - 6) and every pair difference k (5n + 2m - 19):
+    the group has no violation and no equality, and only the other groups
+    expand into classes, one ``_check_class`` each.  The class and pendant
+    counts of a composition with no symmetry are products of its states'
+    counts; the others list their ``_class_sequences``."""
     tables = [()] + [_row_table(size, n) for size in range(1, n - 1)]
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
@@ -559,13 +553,8 @@ def row_cells(n: int) -> RowCells:
                     classes // len(state.leaves) * state.pendants for state in group
                 )
             depth = sum(state.depth for state in group)
-            terms = [(s, depth - s.depth, c) for s, c in zip(group, cores)]
-            if (
-                min(k * (s.vertex + rest) + c for s, rest, c in terms) > k * (n + m - 4)
-                and min(k * (s.pendant + rest) + c for s, rest, c in terms) > k * (2 * n + m - 6)
-                and min(k * (s.pair + 2 * rest) + 2 * c - k for s, rest, c in terms)
-                > k * (5 * n + 2 * m - 19)
-            ):
+            least = min(k * (s.vertex + depth - s.depth) + c for s, c in zip(group, cores))
+            if least > k * (n + m - 4):
                 continue
             for seq in seqs:
                 _check_class(seq, n, m, cell, deletion)

@@ -274,10 +274,14 @@ def test_run_all_contains_every_suite():
 
 
 def test_pendant_differences_match_deletions():
-    # every pendant vertex and every pendant path of every class, n <= 10
+    # every pendant vertex and every pendant path of every class, n <= 10;
+    # by the series rule the differences are Kf_G(y) + n - 2 and
+    # 2 Kf_G(z) + 3n - 11, z the other neighbour of y, which is why
+    # row_cells' vertex bound decides both deletion bounds
     for n in range(3, 11):
         for code, g in enumerate_with_codes(n):
             kf = kirchhoff_index(g)
+            sums = vertex_sums(g)
             k = code.cycle_length
             rows = cycle_row_numerators([code_parents(c) for c in code.branch_codes])
             found = []
@@ -285,9 +289,12 @@ def test_pendant_differences_match_deletions():
                 found.append(x)
                 assert g.adjacency[x] == (y,) and y_degree == g.degree(y), code
                 assert Fraction(single, k) == kf - kirchhoff_index(without_vertices(g, [x])), code
+                assert single == k * (sums[y] + n - 2), code
                 if g.degree(y) == 2:
                     deleted = kirchhoff_index(without_vertices(g, [x, y]))
                     assert Fraction(pair, k) == kf - deleted, code
+                    (z,) = set(g.adjacency[y]) - {x}
+                    assert pair == k * (2 * sums[z] + 3 * n - 11), code
                 else:
                     assert pair is None
             assert found == [v for v in range(n) if g.degree(v) == 1]
@@ -387,11 +394,27 @@ def test_sweeps_then_row_pass_parse_each_code_once(monkeypatch):
     assert sorted(parsed) == sorted(c for s in range(1, 13) for c in rooted_tree_codes(s))
 
 
-def test_row_cells_expand_only_groups_near_a_bound(monkeypatch):
-    # of the 5,015 classes with m >= 3 at n = 12, the state bounds leave 77
-    # to be checked one by one
+def expanded_classes(monkeypatch, n):
+    """The cells of row_cells(n), and how many classes it checks one by
+    one, each once."""
     checked = []
     monkeypatch.setattr(verification, "_check_class", lambda seq, *_: checked.append(seq))
-    cells = row_cells.__wrapped__(12)
+    cells = row_cells.__wrapped__(n)
+    assert len(checked) == len({_dihedral_min(seq) for seq in checked}), n
+    return cells, len(checked)
+
+
+def test_row_cells_expand_only_groups_near_a_bound(monkeypatch):
+    # the state bound expands exactly these classes: one more would be
+    # wasted work, one fewer could hide a violation or an equality.  Of
+    # the 5,015 classes with m >= 3 at n = 12 it leaves 77
+    for n, count in {6: 1, 7: 1, 8: 3, 9: 5, 10: 14, 11: 29, 12: 77}.items():
+        cells, checked = expanded_classes(monkeypatch, n)
+        assert checked == count, n
     assert sum(cell["graphs"] for cell in cells.vertex_sum) == 5015
-    assert len(checked) == len({_dihedral_min(seq) for seq in checked}) == 77
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_row_cells_expand_only_groups_near_a_bound_extended(monkeypatch):
+    for n, count in {13: 179, 14: 472}.items():
+        assert expanded_classes(monkeypatch, n)[1] == count, n
