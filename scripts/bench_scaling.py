@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
-"""Time the commands that approach the enumeration ceiling and append one
-entry to BENCH_scaling.json.
+"""Time the commands that approach the ceilings of verification.CEILINGS
+and verification.WINDOWS, and append one entry per source tree to
+BENCH_scaling.json.
 
-Each command runs as a fresh `python -m unikirch` subprocess on the source
-next to this script, RUNS times, the commands taking turns; the entry
-holds each command's median wall time and median peak RSS (from
-`os.wait4`), with the git revision (`-dirty` when the checkout has
-uncommitted changes), the Python version and the machine.
+Each command runs as a fresh `python -m unikirch` subprocess on the
+source of each tree, RUNS times.  The trees take turns run by run, each
+command's runs of the trees back to back and in alternating order, so
+that drift of the machine falls on every tree alike.  An entry holds
+each command's median wall time and median peak RSS (from `os.wait4`),
+or `refused` for a command that the tree refuses with exit status 2,
+with the tree's git revision (`-dirty` when it has uncommitted
+changes), the Python version and the machine.
 
 Usage:
-    python scripts/bench_scaling.py
+    python scripts/bench_scaling.py [OTHER_TREE ...]
+
+With no argument it times the tree around this script.  Each OTHER_TREE
+(say, a clone of the parent commit) is timed alongside, and its entry
+is appended first.
 """
 
 import json
@@ -25,61 +33,77 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
 COMMANDS = (
     "extremal --n 16 --m 6",
+    "extremal --n 18 --m 6",
+    "extremal --n 20 --m 6",
     "enumerate --count-only --n 16",
     "enumerate --n 16 --m 8",
     "enumerate --n 16",
     "verify --suite extremal --max-n 16",
+    "verify --suite extremal --max-n 20",
     "verify --suite deletion-bounds --max-n 16",
     "verify --suite all --extended",
 )
 
 
-def run_once(command: str, env: dict) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one run; a failing run raises."""
+def run_once(tree: Path, command: str) -> tuple[float, float] | None:
+    """Wall seconds and peak RSS in MB of one run, or None when the tree
+    refuses the command (exit status 2); any other failing run raises."""
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "unikirch", *command.split()],
         stdout=subprocess.DEVNULL,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
     )
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     # reaped here, so Popen must not wait for it again
     proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode == 2:
+        return None
     if proc.returncode:
-        raise SystemExit(f"{command}: exit status {proc.returncode}")
+        raise SystemExit(f"{tree}: {command}: exit status {proc.returncode}")
     return wall, usage.ru_maxrss / 1024  # kilobytes on Linux
 
 
-def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    samples: dict[str, list[tuple[float, float]]] = {command: [] for command in COMMANDS}
-    for _ in range(RUNS):
-        for command in COMMANDS:
-            samples[command].append(run_once(command, env))
-    revision = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True
-    ).stdout.strip()
-    entry = {
-        "revision": revision or "unknown",
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "runs": RUNS,
-        "commands": [
-            {
-                "command": f"unikirch {command}",
-                "wall_s": round(statistics.median(w for w, _ in runs), 3),
-                "peak_rss_mb": round(statistics.median(r for _, r in runs), 1),
-            }
-            for command, runs in samples.items()
-        ],
+def summary(command: str, runs: list) -> dict:
+    row = {"command": f"unikirch {command}"}
+    if None in runs:
+        return {**row, "refused": True}
+    return {
+        **row,
+        "wall_s": round(statistics.median(w for w, _ in runs), 3),
+        "peak_rss_mb": round(statistics.median(r for _, r in runs), 1),
     }
+
+
+def main() -> int:
+    trees = [*(Path(arg).resolve() for arg in sys.argv[1:]), ROOT]
+    samples = {(tree, command): [] for tree in trees for command in COMMANDS}
+    for run in range(RUNS):
+        for command in COMMANDS:
+            for tree in trees if run % 2 == 0 else trees[::-1]:
+                samples[tree, command].append(run_once(tree, command))
     out = ROOT / "BENCH_scaling.json"
     entries = json.loads(out.read_text()) if out.exists() else []
-    entries.append(entry)
+    for tree in trees:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=tree, capture_output=True, text=True
+        ).stdout.strip()
+        entry = {
+            "revision": revision or "unknown",
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "runs": RUNS,
+            "commands": [summary(command, samples[tree, command]) for command in COMMANDS],
+        }
+        entries.append(entry)
+        print(entry["revision"])
+        for row in entry["commands"]:
+            if row.get("refused"):
+                print(f"  {row['command']:48} refused")
+            else:
+                print(f"  {row['command']:48} {row['wall_s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
     out.write_text(json.dumps(entries, indent=2) + "\n")
-    for row in entry["commands"]:
-        print(f"{row['command']:48} {row['wall_s']:7.3f} s {row['peak_rss_mb']:7.1f} MB")
     return 0
 
 

@@ -3,7 +3,7 @@
 
 Each row lists the cell, the class size, the minimum, and the minimizer
 set (named via family recognition where possible).  A --max-n beyond the
-enumeration ceiling (``unikirch.cli.ENUMERATION_MAX_N``) is refused with
+script's ceiling in ``unikirch.verification.CEILINGS`` is refused with
 exit status 2, before any output.
 
 Usage:
@@ -13,10 +13,11 @@ Usage:
 import argparse
 import sys
 
-from unikirch.cli import _refuse_n, exit_quietly_on_closed_pipe
+from unikirch.cli import exit_quietly_on_closed_pipe
 from unikirch.enumeration import counts_by_matching, sweep_minima
 from unikirch.families import family_label
 from unikirch.rational import format_rational
+from unikirch.verification import refusal
 
 
 def main() -> int:
@@ -24,7 +25,8 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=12)
     ap.add_argument("--invariant", choices=("kirchhoff", "wiener"), default="kirchhoff")
     args = ap.parse_args()
-    if _refuse_n("--max-n", args.max_n):
+    if refused := refusal("extremal_scan.py", "--max-n", args.max_n):
+        print(refused, file=sys.stderr)
         return 2
     kirchhoff = args.invariant == "kirchhoff"
 

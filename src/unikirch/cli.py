@@ -14,7 +14,7 @@ from .families import family_label, parse_family_spec
 from .graph import DisconnectedError, GraphParseError, peel, read_graph, write_graph
 from .rational import format_rational
 from .resistance import format_resistance_matrix, route
-from .verification import SUITE_NAMES, WINDOWS, run_suite
+from .verification import SUITE_NAMES, WINDOWS, refusal, run_suite
 
 # Graphs that are neither trees nor unicyclic take a fraction-free integer
 # elimination on their 2-core, cubic in its size c with integers that grow
@@ -25,25 +25,6 @@ DENSE_MAX_N = 100
 # 5 MB of output and 0.6 s for U(500,500,0,0), 0.75 s for C_1000 (2-vCPU VM,
 # Python 3.11.7), and all of it grows as n^2.
 MATRIX_MAX_N = 1000
-# The classes on n vertices roughly triple with each vertex.  At n = 16
-# (311,465 classes) the `enumerate` listing takes about 2.3 s in 32 MB
-# (x86_64, 2 CPUs, Python 3.11.7; scripts/bench_scaling.py).  `extremal`
-# reads no rooted tree: 0.4 s in 18 MB at --m 6.  `enumerate --m` and
-# `--count-only` generate the 53,272 rooted trees of up to n - 2 vertices by
-# state (0.6 s in 25 MB, 0.5 s in 24 MB), and the row suites parse each once
-# (`verify --suite deletion-bounds --max-n 16` 2.1 s in 47 MB).
-ENUMERATION_MAX_N = 16
-
-
-def _refuse_n(flag: str, n: int | None) -> bool:
-    """Report, and return True, when n is beyond the enumeration ceiling."""
-    if n is None or n <= ENUMERATION_MAX_N:
-        return False
-    print(
-        f"error: {flag} {n}: enumeration is limited to {ENUMERATION_MAX_N} vertices",
-        file=sys.stderr,
-    )
-    return True
 
 
 def _decimal(x) -> str:
@@ -117,7 +98,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if _refuse_n("--n", args.n):
+    if refused := refusal("unikirch enumerate", "--n", args.n):
+        print(refused, file=sys.stderr)
         return 2
     try:
         if args.count_only and not args.emit:
@@ -153,7 +135,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    if _refuse_n("--n", args.n):
+    if refused := refusal("unikirch extremal", "--n", args.n):
+        print(refused, file=sys.stderr)
         return 2
     try:
         codes, value = extremal_search(args.n, args.m, args.invariant)
@@ -167,22 +150,9 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if _refuse_n("--max-n", args.max_n):
+    if refused := refusal(args.suite, "--max-n", args.max_n):
+        print(refused, file=sys.stderr)
         return 2
-    least = min(window.floor for window in WINDOWS.values())
-    if args.max_n is not None and args.max_n < least:
-        print(
-            f"error: --max-n {args.max_n}: no suite has a cell below n = {least}", file=sys.stderr
-        )
-        return 2
-    for name in SUITE_NAMES if args.suite == "all" else (args.suite,):
-        if args.max_n is not None and name in WINDOWS and args.max_n < WINDOWS[name].floor:
-            print(
-                f"error: --max-n {args.max_n}: suite {name} has no cell "
-                f"below n = {WINDOWS[name].floor}",
-                file=sys.stderr,
-            )
-            return 2
     if args.trials < 0:
         print(f"error: --trials {args.trials}: must be at least 0", file=sys.stderr)
         return 2
@@ -259,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--max-n", type=int, dest="max_n")
-    widened = ", ".join(name for name, w in WINDOWS.items() if w.extended > w.default)
-    p.add_argument("--extended", action="store_true", help=f"widen the windows of {widened}")
+    ceilings = ", ".join(f"{name} to n = {w.ceiling}" for name, w in WINDOWS.items())
+    p.add_argument("--extended", action="store_true", help=f"run {ceilings}")
     p.add_argument("--json", help="write the structured report to this file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)

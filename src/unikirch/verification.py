@@ -3,8 +3,8 @@ and extremal claim is confronted with an independent exact computation
 and reported case by case.
 
 The suites that enumerate classes sweep the vertex counts of their
-window in ``WINDOWS``: from its least n with a cell to its largest n,
-by default or under ``--extended``.  Claims whose parameter ranges
+window in ``WINDOWS``: from its least n with a cell to its default n,
+or to its ceiling under ``--extended``.  Claims whose parameter ranges
 exceed the enumerated window are covered by closed-form identity checks
 (predicted value vs. direct computation on the constructed minimizer,
 up to n = 100); reports state that these are identity checks, not
@@ -152,10 +152,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _spec_codes(specs: tuple[FamilySpec, ...]) -> frozenset[CanonicalCode]:
-    return frozenset(canonical_code(s.build()) for s in specs)
-
-
 def _pretty_codes(codes) -> str:
     return "{" + ", ".join(sorted(family_label(c) for c in codes)) + "}"
 
@@ -165,7 +161,8 @@ def _argmin_cell(best: Minimum, specs: tuple[FamilySpec, ...], value) -> tuple[s
     attained at exactly the classes of specs."""
     codes = frozenset(best.codes)
     computed = f"{_pretty_codes(codes)} = {format_rational(best.value)}"
-    return computed, codes == _spec_codes(specs) and best.value == value
+    expected = frozenset(canonical_code(s.build()) for s in specs)
+    return computed, codes == expected and best.value == value
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +213,59 @@ def candidate_rows(m: int) -> set[tuple[int, int, int]]:
 
 class Window(NamedTuple):
     """The vertex counts a suite enumerates: from floor, its least n with a
-    cell, to default, or to extended under ``--extended``."""
+    cell, to default, or to ceiling under ``--extended``."""
 
     floor: int
     default: int
-    extended: int
+    ceiling: int
 
+
+# The sweep reads no rooted tree: sweep_minima(n) takes 0.64, 1.08, 2.33
+# and 4.46 s for n = 17..20, in 17 MB (x86_64, 2 CPUs, Python 3.11.7).
+SWEEP_MAX_N = 20
+# The classes roughly triple with each vertex: at n = 16 (311,465) the
+# listing takes 2.3 s in 32 MB, and the counts (which extremal_scan.py reads
+# too) and the row suites read all 53,272 rooted trees of up to 14 vertices.
+LISTING_MAX_N = 16
 
 # The vertex-sum and deletion bounds are claimed for m >= 3, so their
 # windows have no cell below n = 6.  extremal-perfect sweeps the even n
 # of its window, m up to n // 2.
 WINDOWS = {
-    "extremal-perfect": Window(4, 12, 16),
-    "extremal": Window(4, 12, 16),
-    "vertex-sum-bound": Window(6, 10, 10),
-    "deletion-bounds": Window(6, 10, 10),
-    "girth-minima": Window(4, 9, 9),
-    "wiener-divergence": Window(4, 12, 12),
+    "extremal-perfect": Window(4, 12, SWEEP_MAX_N),
+    "extremal": Window(4, 12, SWEEP_MAX_N),
+    "vertex-sum-bound": Window(6, 10, LISTING_MAX_N),
+    "deletion-bounds": Window(6, 10, LISTING_MAX_N),
+    "girth-minima": Window(4, 9, SWEEP_MAX_N),
+    "wiener-divergence": Window(4, 12, SWEEP_MAX_N),
 }
+CEILINGS = {
+    "unikirch enumerate": LISTING_MAX_N,
+    "unikirch extremal": SWEEP_MAX_N,
+    "extremal_scan.py": LISTING_MAX_N,
+}
+
+
+def refusal(name: str, flag: str, n: int | None) -> str | None:
+    """The error that refuses `flag n` for a command of ``CEILINGS``, or
+    for ``verify --suite name`` outside the limits of every suite or of a
+    suite that would run; None when n is unset or within them."""
+    if n is None:
+        return None
+    error = f"error: {flag} {n}: "
+    most = CEILINGS.get(name, max(w.ceiling for w in WINDOWS.values()))
+    if n > most:
+        return error + f"enumeration is limited to {most} vertices"
+    least = min(w.floor for w in WINDOWS.values())
+    if name not in CEILINGS and n < least:
+        return error + f"no suite has a cell below n = {least}"
+    for suite, window in WINDOWS.items():
+        if name in ("all", suite) and n < window.floor:
+            return error + f"suite {suite} has no cell below n = {window.floor}"
+        if name in ("all", suite) and n > window.ceiling:
+            limited = f"suite {suite} is" if name == "all" else "enumeration is"
+            return error + f"{limited} limited to {window.ceiling} vertices"
+    return None
 
 
 def suite_tables(m_values: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> VerificationReport:
@@ -327,9 +359,7 @@ def suite_extremal_perfect(
             f"{pred.describe()} (unique)",
             *_argmin_cell(sweep.kf[m], pred.minimizers, pred.value),
         )
-    for m in identity_m:
-        if m <= m_max:  # enumerated above
-            continue
+    for m in (m for m in identity_m if m > m_max):  # the others are enumerated above
         pred = predicted_min_perfect(m)
         direct = kirchhoff_index(pred.minimizers[0].build())
         report.add(f"identity:m={m}", {"n": 2 * m, "m": m}, pred.value, direct)
@@ -356,9 +386,7 @@ def suite_extremal(
                 pred.describe(),
                 *_argmin_cell(best, pred.minimizers, pred.value),
             )
-    for n in identity_n:
-        if n <= n_max:  # enumerated above
-            continue
+    for n in (n for n in identity_n if n > n_max):  # the others are enumerated above
         for m in range(2, n // 2 + 1):
             pred = predicted_min(n, m)
             ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)
@@ -835,11 +863,12 @@ def run_suite(
     name: str, max_n: int | None = None, extended: bool = False, seed: int = 0, trials: int = 200
 ) -> list[VerificationReport]:
     """Run one suite (or 'all'); an enumerating suite with max_n unset
-    sweeps the default or extended window of ``WINDOWS``."""
+    sweeps its window of ``WINDOWS`` to the default n, or to the ceiling
+    when extended."""
     if name == "all":
         return [r for s in SUITE_NAMES for r in run_suite(s, max_n, extended, seed, trials)]
     if name in WINDOWS and max_n is None:
-        max_n = WINDOWS[name].extended if extended else WINDOWS[name].default
+        max_n = WINDOWS[name].ceiling if extended else WINDOWS[name].default
     run = {
         "tables": lambda: suite_tables(),
         "tables-nm": lambda: suite_tables_nm(),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -11,12 +12,22 @@ import pytest
 from fractions import Fraction
 
 from unikirch import cli, graph, resistance
-from unikirch.cli import DENSE_MAX_N, ENUMERATION_MAX_N, MATRIX_MAX_N, main
+from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, main
 from unikirch.enumeration import canonical_code
-from unikirch.families import make_cycle, make_ukt, make_unm, unm_kf_closed_form
+from unikirch.families import (
+    family_label,
+    make_cycle,
+    make_ukt,
+    make_unm,
+    predicted_min,
+    unm_kf_closed_form,
+)
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
 from unikirch.resistance import kirchhoff_index_dense
-from unikirch.verification import WINDOWS
+from unikirch.rational import format_rational
+from unikirch.verification import CEILINGS, WINDOWS
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -254,16 +265,18 @@ def test_compute_rejects_unreadable_text(tmp_path, capsys):
 
 
 def test_enumeration_ceiling(capsys):
-    too_big = str(ENUMERATION_MAX_N + 1)
-    for argv in (
-        ["enumerate", "--n", "1000000"],
-        ["enumerate", "--n", too_big, "--count-only"],
-        ["extremal", "--n", too_big, "--m", "3"],
-        ["verify", "--suite", "extremal", "--max-n", too_big],
+    # each command refuses one past its ceiling in the limits table
+    listing, sweep = CEILINGS["unikirch enumerate"], CEILINGS["unikirch extremal"]
+    suite = WINDOWS["extremal"].ceiling
+    for argv, ceiling in (
+        (["enumerate", "--n", "1000000"], listing),
+        (["enumerate", "--count-only", "--n", str(listing + 1)], listing),
+        (["extremal", "--m", "3", "--n", str(sweep + 1)], sweep),
+        (["verify", "--suite", "extremal", "--max-n", str(suite + 1)], suite),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert f"limited to {ENUMERATION_MAX_N} vertices" in err
+        assert f"limited to {ceiling} vertices" in err
     # windows that would check nothing, or silently fall back to the default
     for argv in (
         ["verify", "--suite", "extremal", "--max-n", "0"],
@@ -295,16 +308,70 @@ def test_verify_refuses_a_window_below_a_suite_floor(capsys):
 
 
 def test_verify_floors_and_extended_help_come_from_the_window_table(capsys, monkeypatch):
-    # the help names the suites whose --extended window is wider
+    # the help names each window's ceiling, which --extended runs to
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "--extended widen the windows of extremal-perfect, extremal --json" in text
+    assert (
+        "--extended run extremal-perfect to n = 20, extremal to n = 20, vertex-sum-bound to "
+        "n = 16, deletion-bounds to n = 16, girth-minima to n = 20, wiener-divergence to n = 20 "
+        "--json"
+    ) in text
     # a raised floor is refused with the table's number
     monkeypatch.setitem(WINDOWS, "girth-minima", WINDOWS["girth-minima"]._replace(floor=7))
     code, out, err = run_cli(capsys, "verify", "--suite", "girth-minima", "--max-n", "6")
     assert (code, out) == (2, "")
     assert err == "error: --max-n 6: suite girth-minima has no cell below n = 7\n"
+
+
+def _scan(monkeypatch, capsys, *argv):
+    """Exit code, stdout and stderr of scripts/extremal_scan.py, run in
+    this process so that it reads the patched table."""
+    spec = importlib.util.spec_from_file_location("extremal_scan", SCRIPTS / "extremal_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    monkeypatch.setattr(sys, "argv", ["extremal_scan.py", *argv])
+    code = scan.main()
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_every_ceiling_is_read_from_the_limits_table(capsys, monkeypatch):
+    # a lowered ceiling is accepted at its value and refused one above it
+    monkeypatch.setitem(CEILINGS, "unikirch enumerate", 5)
+    monkeypatch.setitem(CEILINGS, "unikirch extremal", 6)
+    monkeypatch.setitem(CEILINGS, "extremal_scan.py", 7)
+    monkeypatch.setitem(WINDOWS, "extremal", WINDOWS["extremal"]._replace(ceiling=8))
+    for argv, ceiling in ((["enumerate", "--count-only"], 5), (["extremal", "--m", "3"], 6)):
+        assert run_cli(capsys, *argv, "--n", str(ceiling))[0] == 0, argv
+        refused = f"error: --n {ceiling + 1}: enumeration is limited to {ceiling} vertices\n"
+        assert run_cli(capsys, *argv, "--n", str(ceiling + 1)) == (2, "", refused), argv
+    assert _scan(monkeypatch, capsys, "--max-n", "7")[0] == 0
+    refused = "error: --max-n 8: enumeration is limited to 7 vertices\n"
+    assert _scan(monkeypatch, capsys, "--max-n", "8") == (2, "", refused)
+    assert run_cli(capsys, "verify", "--suite", "extremal", "--max-n", "8")[0] == 0
+    refused = "error: --max-n 9: enumeration is limited to 8 vertices\n"
+    assert run_cli(capsys, "verify", "--suite", "extremal", "--max-n", "9") == (2, "", refused)
+    # --suite all names the suite whose ceiling it passes
+    refused = "error: --max-n 9: suite extremal is limited to 8 vertices\n"
+    assert run_cli(capsys, "verify", "--suite", "all", "--max-n", "9") == (2, "", refused)
+
+
+def test_ceilings_at_their_boundaries(capsys):
+    # extremal reads only the sweep, so it runs past the listing ceiling
+    pred = predicted_min(17, 5)
+    names = sorted(family_label(canonical_code(s.build())) for s in pred.minimizers)
+    expected = "".join(f"{name}  {format_rational(pred.value)}\n" for name in names)
+    assert run_cli(capsys, "extremal", "--n", "17", "--m", "5") == (0, expected, "")
+    for argv, refused in (
+        (["extremal", "--n", "21", "--m", "3"], "--n 21: enumeration is limited to 20"),
+        (["enumerate", "--n", "17"], "--n 17: enumeration is limited to 16"),
+        (
+            ["verify", "--suite", "all", "--max-n", "17"],
+            "--max-n 17: suite vertex-sum-bound is limited to 16",
+        ),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {refused} vertices\n"), argv
 
 
 def test_compute_small_bicyclic(tmp_path, capsys):
@@ -518,16 +585,17 @@ def test_run_verification_closed_pipe_exits_quietly(tmp_path):
 def test_extremal_scan_refuses_beyond_ceiling():
     # refused before the header, as the CLI refuses --n; the timeout stops
     # a scan that starts instead
-    script = Path(__file__).parent.parent / "scripts" / "extremal_scan.py"
+    ceiling = CEILINGS["extremal_scan.py"]
     proc = subprocess.run(
-        [sys.executable, str(script), "--max-n", str(ENUMERATION_MAX_N + 1)],
+        [sys.executable, str(SCRIPTS / "extremal_scan.py"), "--max-n", str(ceiling + 1)],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert f"enumeration is limited to {ENUMERATION_MAX_N} vertices" in proc.stderr
+    refused = f"error: --max-n {ceiling + 1}: enumeration is limited to {ceiling} vertices\n"
+    assert proc.stderr == refused
 
 
 def test_verify_ignores_threads(capsys):

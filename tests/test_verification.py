@@ -216,8 +216,8 @@ def test_identity_cases_lie_above_the_enumerated_window():
 
 
 def test_run_suite_reads_windows_from_the_table(monkeypatch):
-    # default and --extended windows come from WINDOWS; extremal-perfect
-    # takes m up to half the window's n; an explicit max_n wins
+    # the default n and, under --extended, the ceiling come from WINDOWS;
+    # extremal-perfect takes m up to half the window's n; max_n wins
     calls = []
     for name in WINDOWS:
 
@@ -233,8 +233,31 @@ def test_run_suite_reads_windows_from_the_table(monkeypatch):
         run_suite(name, max_n=7, extended=True)
         assert calls[-3:] == [
             (name, {"m_max": n // 2} if half else {"n_max": n})
-            for n in (window.default, window.extended, 7)
+            for n in (window.default, window.ceiling, 7)
         ], name
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_sweep_suites_reach_their_ceiling_extended():
+    # --extended runs the sweep-backed windows to n = 20: every (n, m) cell
+    # is enumerated, and the identity checks lie above the window
+    report = suite_extremal(n_max=20)
+    assert_green(report)
+    cells = [f"cell:n={n},m={m}" for n in range(4, 21) for m in range(2, n // 2 + 1)]
+    assert [c.id for c in report.cases if c.id.startswith("cell:")] == cells
+    assert len(cells) == 81
+    identities = [c.id for c in report.cases if c.id.startswith("identity:")]
+    assert len(identities) == 88  # m = 2..n // 2 for n = 33, 50 and 100
+    assert not any(i.startswith(("identity:n=17,", "identity:n=20,")) for i in identities)
+    report = suite_extremal_perfect(m_max=10)
+    assert_green(report)
+    ids = [c.id for c in report.cases]
+    assert {"perfect:m=9", "perfect:m=10"} <= set(ids)
+    identities = [i for i in ids if i.startswith("identity:")]
+    assert identities == [f"identity:m={m}" for m in (12, 25, 50)]
+    # the girth and Wiener suites read the same sweeps
+    assert_green(suite_girth_minima(n_max=20))
+    assert_green(suite_wiener_divergence(n_max=20))
 
 
 def test_window_floors_are_the_least_n_with_a_cell():
@@ -242,7 +265,7 @@ def test_window_floors_are_the_least_n_with_a_cell():
         return [c for c in report.cases if c.id.startswith(("cell:", "perfect:"))]
 
     for name, window in WINDOWS.items():
-        assert window.floor <= window.default <= window.extended, name
+        assert window.floor <= window.default <= window.ceiling, name
         (below,) = run_suite(name, max_n=window.floor - 1)
         (at,) = run_suite(name, max_n=window.floor)
         assert not enumerated(below) and enumerated(at), name
