@@ -40,6 +40,7 @@ COMMANDS = (
     "enumerate --n 16",
     "verify --suite extremal --max-n 16",
     "verify --suite extremal --max-n 20",
+    "verify --suite vertex-sum-bound --max-n 16",
     "verify --suite deletion-bounds --max-n 16",
     "verify --suite all --extended",
 )

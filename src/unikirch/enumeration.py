@@ -24,7 +24,9 @@ branch's state: its matching number and the matching that leaves its
 root unmatched.  A tree's state and term follow from its children's, so
 ``_code_states`` generates the rooted trees grouped by state, and
 ``_term_tables`` finds each state's least term and the trees with it by
-a knapsack over child states.  ``sweep_minima`` scores one value per
+a knapsack over child states.  The same knapsack gives each state's
+least depth sum and least ``branch_row`` entry, the bounds of the row
+pass in ``verification``.  ``sweep_minima`` scores one value per
 composition and tuple of states, in integers, and expands into classes
 only the tuples that attain a cell's minimum; it caches the minima per
 n.  ``counts_by_matching`` takes the same walk over the pools: a tuple
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, groupby, pairwise, product
-from math import prod
+from math import inf, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -60,12 +62,15 @@ from .resistance import (
 class _State(NamedTuple):
     """The rooted trees of one size in one branch state, all ``cycle_matching``
     reads of a branch: its matching number, and the same with its root left
-    unmatched.  A pool holds every tree; a sweep table, the least-term ones."""
+    unmatched.  A pool holds every tree; a sweep table, the least-term ones,
+    with the state's minima over all its trees."""
 
     matching: int
     root_free: int
     codes: tuple[str, ...]  # sorted
     term: int = 0  # in a sweep table, the least ``branch_term``
+    depth: int = 0  # the least depth sum D
+    vertex: int = 0  # the least ``branch_row`` entry
 
 
 _pools: dict[int, tuple[_State, ...]] = {}
@@ -331,31 +336,42 @@ class SweepMinima(NamedTuple):
 def _term_tables(n: int) -> list[tuple[_State, ...]]:
     """Indexed by s <= n - 2, each branch state of the rooted trees on s
     vertices with its least ``branch_term`` in an n-vertex graph and the
-    codes that attain it.  The term sums a (n - a) over a tree's edges, a
+    codes that attain it, and its least depth sum D and least
+    ``branch_row`` entry.  The term sums a (n - a) over a tree's edges, a
     the vertices below, so a tree is least in its state exactly when its
     children form a least multiset of (size, state) items, each weighing
-    its term plus s (n - s): an unbounded knapsack.  forests[t] keeps, per
-    (the children's matchings summed, whether a child's root is free), the
-    least weight of total size t and each sorted child-code tuple with it."""
-    forests: list[dict] = [{(0, False): (0, {()})}] + [{} for _ in range(n - 3)]
+    its term plus s (n - s): an unbounded knapsack.  D sums D + s over the
+    children, and an entry is the root's, D, or one child's entry plus
+    n - s plus the other children's D + s, so the same items give both
+    minima.  forests[t] keeps, per (the children's matchings summed,
+    whether a child's root is free), the least weight of total size t and
+    each sorted child-code tuple with it, and the least D and least entry
+    of a tree with such children."""
+    forests: list[dict] = [{(0, False): [0, {()}, 0, 0]}] + [{} for _ in range(n - 3)]
     tables: list[tuple[_State, ...]] = [()]
     for size in range(1, n - 1):
         table = tuple(
-            _State(m + free, m, tuple(sorted("(" + "".join(f) + ")" for f in kids)), term)
-            for (m, free), (term, kids) in forests[size - 1].items()
+            _State(m + free, m, tuple(sorted("(" + "".join(f) + ")" for f in kids)), term, *least)
+            for (m, free), (term, kids, *least) in forests[size - 1].items()
         )
         tables.append(table)
         for state in table:
             weight = state.term + size * (n - size)
+            lift = state.depth + size
+            hung = state.vertex + n - size
             root_free = state.matching == state.root_free
             for total in range(size, n - 2):
-                for (m, free), (term, kids) in forests[total - size].items():
+                for (m, free), (term, kids, depth, vertex) in forests[total - size].items():
                     key = (m + state.matching, free or root_free)
                     cur = forests[total].get(key)
-                    if cur is None or term + weight < cur[0]:
-                        cur = forests[total][key] = (term + weight, set())
+                    if cur is None:
+                        cur = forests[total][key] = [term + weight, set(), inf, inf]
+                    elif term + weight < cur[0]:
+                        cur[:2] = term + weight, set()
                     if term + weight == cur[0]:
                         cur[1].update(tuple(sorted((*f, c))) for f in kids for c in state.codes)
+                    cur[2] = min(cur[2], depth + lift)
+                    cur[3] = min(cur[3], vertex + lift, depth + hung)
     return tables
 
 

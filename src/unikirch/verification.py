@@ -33,6 +33,7 @@ from .enumeration import (
     _dihedral_min,
     _orbit_compositions,
     _state_groups,
+    _term_tables,
     canonical_code,
     code_parents,
     enumerate_with_codes,
@@ -54,7 +55,6 @@ from .graph import Graph, identify_vertices
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
-    branch_row,
     cycle_cores,
     cycle_matching,
     cycle_row_numerators,
@@ -225,7 +225,8 @@ class Window(NamedTuple):
 SWEEP_MAX_N = 20
 # The classes roughly triple with each vertex: at n = 16 (311,465) the
 # listing takes 2.3 s in 32 MB, and the counts (which extremal_scan.py reads
-# too) and the row suites read all 53,272 rooted trees of up to 14 vertices.
+# too) and the row suites generate all 53,272 rooted trees of up to 14
+# vertices, of which the row pass parses only the branches it expands.
 LISTING_MAX_N = 16
 
 # The vertex-sum and deletion bounds are claimed for m >= 3, so their
@@ -401,7 +402,6 @@ def suite_extremal(
     return report
 
 
-@cache  # unbounded, like enumeration's pools
 def _branch_shape(code: str) -> tuple[list[int], list[int]]:
     """(parents, degrees) of the vertices of a branch code, in the order of
     ``code_parents``, with degrees as in the graph: the root also has its
@@ -415,22 +415,21 @@ def _branch_shape(code: str) -> tuple[list[int], list[int]]:
 
 
 def _pendant_differences(
-    seq: tuple[str, ...], rows: list[list[int]]
+    shapes: list[tuple[list[int], list[int]]], rows: list[list[int]]
 ) -> Iterator[tuple[int, int, int, int, int | None]]:
     """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
     None unless y has degree 2) for every pendant vertex x of the class
-    with branch codes seq and its neighbour y, labelled as in
-    ``graph_from_code``, from the rows k Kf_G(u) of
+    whose branches have the ``_branch_shape``s shapes and its neighbour
+    y, labelled as in ``graph_from_code``, from the rows k Kf_G(u) of
     ``cycle_row_numerators``.
 
     Deleting a pendant vertex or path leaves the other resistances as they
     were (Klein and Randic 1993), so the differences come from G's row
     sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
     """
-    k = len(seq)
+    k = len(shapes)
     offset = k - 1  # the label of branch vertex v > 0 is offset + v
-    for i, (code, row) in enumerate(zip(seq, rows)):
-        parents, degrees = _branch_shape(code)
+    for i, ((parents, degrees), row) in enumerate(zip(shapes, rows)):
         for v in range(1, len(parents)):
             if degrees[v] == 1:
                 p = parents[v]
@@ -446,45 +445,6 @@ class RowCells(NamedTuple):
 
     vertex_sum: list[dict]
     deletion: list[dict]
-
-
-class _RowState(NamedTuple):
-    """The rooted trees of one size in one branch state, hung in an
-    n-vertex graph, with the least depth sum and the least entry of their
-    ``branch_row``s B: the two terms of ``row_cells``' bound."""
-
-    matching: int  # the state, as ``cycle_matching`` reads it
-    root_free: int
-    leaves: dict[str, int]  # the pendant vertices of each code, in code order
-    pendants: int  # the pendant vertices of all the codes
-    depth: int  # the least depth sum D
-    vertex: int  # the least entry
-
-
-def _row_table(size: int, n: int) -> list[_RowState]:
-    """One ``_RowState`` per branch state of the rooted trees on `size`
-    vertices, in an n-vertex graph."""
-    table = []
-    for state in _code_states(size):
-        leaves: dict[str, int] = {}
-        depths, vertices = [], []
-        for code in state.codes:
-            parents, degrees = _branch_shape(code)
-            row = branch_row(parents, n)
-            leaves[code] = degrees.count(1)  # never the root
-            depths.append(row[0])
-            vertices.append(min(row))
-        table.append(
-            _RowState(
-                state.matching,
-                state.root_free,
-                leaves,
-                sum(leaves.values()),
-                min(depths),
-                min(vertices),
-            )
-        )
-    return table
 
 
 def _check_class(seq: tuple[str, ...], n: int, m: int, cell: dict, deletion: dict) -> None:
@@ -510,7 +470,7 @@ def _check_class(seq: tuple[str, ...], n: int, m: int, cell: dict, deletion: dic
                 )
     bound1 = k * (2 * n + m - 6)
     bound2 = k * (5 * n + 2 * m - 19)
-    for _, _, y_degree, diff1, diff2 in _pendant_differences(seq, rows):
+    for _, _, y_degree, diff1, diff2 in _pendant_differences(shapes, rows):
         if diff1 < bound1:
             deletion["violations"] += 1
         elif diff1 == bound1:
@@ -533,8 +493,9 @@ def row_cells(n: int) -> RowCells:
     In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
     with B the ``branch_row`` entry, D_j the depth sums and c_i the
     ``cycle_cores`` of the composition.  Fix the composition and the state
-    of each position, and take per state the least D and the least B: the
-    least row entry in branch i is then at least
+    of each position, and take per state the least D and the least B, which
+    ``_term_tables`` finds from the children's states without reading a
+    tree: the least row entry in branch i is then at least
     k (B_i + sum_{j != i} D_j) + c_i.  That one bound decides the deletion
     differences (``_pendant_differences``) too, by the series rule: a
     pendant x on y has Kf_G(x) = Kf_G(y) + n - 2, and a pendant path x-y
@@ -544,8 +505,17 @@ def row_cells(n: int) -> RowCells:
     the group has no violation and no equality, and only the other groups
     expand into classes, one ``_check_class`` each.  The class and pendant
     counts of a composition with no symmetry are products of its states'
-    counts; the others list their ``_class_sequences``."""
-    tables = [()] + [_row_table(size, n) for size in range(1, n - 1)]
+    counts; the others list their ``_class_sequences``.  A code's pendant
+    vertices are the "()" inside its outer brackets, so no count parses
+    a code."""
+    tables: list = [()]
+    pendants: dict[str, int] = {}  # of all a state's codes, keyed by its least code
+    for size, table in enumerate(_term_tables(n)[1:], 1):
+        minima = {(state.matching, state.root_free): state for state in table}
+        states = _code_states(size)
+        tables.append([minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states])
+        for state in states:
+            pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
     sums: dict[int, dict] = {}
     deletions: dict[int, dict] = {}
     for sizes, fixing, groups in _state_groups(n, tables):
@@ -566,19 +536,17 @@ def row_cells(n: int) -> RowCells:
                     "checked": 0,
                 }
             cell, deletion = sums[m], deletions[m]
-            pools = [state.leaves for state in group]
+            pools = [state.codes for state in group]
             seqs = _class_sequences(pools, fixing)
             if fixing:
                 seqs = list(seqs)
                 cell["graphs"] += len(seqs)
-                deletion["checked"] += sum(
-                    state.leaves[code] for seq in seqs for state, code in zip(group, seq)
-                )
+                deletion["checked"] += sum(code[1:-1].count("()") for seq in seqs for code in seq)
             else:
                 classes = prod(map(len, pools))
                 cell["graphs"] += classes
                 deletion["checked"] += sum(
-                    classes // len(state.leaves) * state.pendants for state in group
+                    classes // len(state.codes) * pendants[state.codes[0]] for state in group
                 )
             depth = sum(state.depth for state in group)
             least = min(k * (s.vertex + depth - s.depth) + c for s, c in zip(group, cores))

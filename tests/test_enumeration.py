@@ -45,6 +45,7 @@ from unikirch.graph import (
 )
 from unikirch.matching import matching_number
 from unikirch.resistance import (
+    branch_row,
     branch_term,
     graph_invariants,
     kirchhoff_index_dense,
@@ -283,24 +284,45 @@ def parsed_states(size):
     return states
 
 
-def test_state_tables_match_bruteforce():
-    # per state, the least branch term and every code attaining it.  Ties
-    # first occur at n = 8 (two trees on 6 vertices); no cell minimum up
-    # to n = 16 uses one, so the sweep oracles alone would not see them
+def assert_state_tables_match_bruteforce(ns):
+    """Per state, the least branch term and every code attaining it, and
+    the least depth sum and least entry of the codes' branch rows; returns
+    how many states have tied least-term codes."""
     ties = 0
-    for n in range(4, 13):
+    for n in ns:
         tables = _term_tables(n)
         assert len(tables) == n - 1
         for size in range(1, n - 1):
             expected = {}
             for state, trees in parsed_states(size).items():
                 least = min(branch_term(b, n) for b, _ in trees)
-                expected[state] = (least, tuple(c for b, c in trees if branch_term(b, n) == least))
-            got = {(s.matching, s.root_free): (s.term, s.codes) for s in tables[size]}
+                rows = [branch_row(code_parents(c), n) for _, c in trees]
+                expected[state] = (
+                    least,
+                    tuple(c for b, c in trees if branch_term(b, n) == least),
+                    min(row[0] for row in rows),
+                    min(min(row) for row in rows),
+                )
+            got = {
+                (s.matching, s.root_free): (s.term, s.codes, s.depth, s.vertex)
+                for s in tables[size]
+            }
             assert len(got) == len(tables[size])
             assert got == expected, (n, size)
-            ties += sum(len(codes) > 1 for _, codes in got.values())
-    assert ties > 0
+            ties += sum(len(codes) > 1 for _, codes, _, _ in got.values())
+    return ties
+
+
+def test_state_tables_match_bruteforce():
+    # ties first occur at n = 8 (two trees on 6 vertices); no cell minimum
+    # up to n = 16 uses one, so the sweep oracles alone would not see them
+    assert assert_state_tables_match_bruteforce(range(4, 13)) > 0
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_state_tables_match_bruteforce_extended():
+    # the row suites' ceiling: every rooted tree of up to 14 vertices
+    assert_state_tables_match_bruteforce(range(13, 17))
 
 
 def assert_pools_match_bruteforce(sizes):

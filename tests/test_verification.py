@@ -13,7 +13,6 @@ from unikirch.enumeration import (
     _orbit_compositions,
     code_parents,
     enumerate_with_codes,
-    rooted_tree_codes,
     sweep_minima,
 )
 from unikirch.graph import without_vertices
@@ -306,9 +305,10 @@ def test_pendant_differences_match_deletions():
             kf = kirchhoff_index(g)
             sums = vertex_sums(g)
             k = code.cycle_length
-            rows = cycle_row_numerators([code_parents(c) for c in code.branch_codes])
+            shapes = [_branch_shape(c) for c in code.branch_codes]
+            rows = cycle_row_numerators([parents for parents, _ in shapes])
             found = []
-            for x, y, y_degree, single, pair in _pendant_differences(code.branch_codes, rows):
+            for x, y, y_degree, single, pair in _pendant_differences(shapes, rows):
                 found.append(x)
                 assert g.adjacency[x] == (y,) and y_degree == g.degree(y), code
                 assert Fraction(single, k) == kf - kirchhoff_index(without_vertices(g, [x])), code
@@ -381,40 +381,31 @@ def test_row_cells_match_class_walk_extended():
         assert_rows_match_class_walk(n)
 
 
-def count_parses(monkeypatch):
-    # empty the pools and the row pass's shapes, and record every code
-    # parsed from then on
+def test_row_pass_parses_only_the_classes_it_checks(monkeypatch):
+    # the sweeps parse no code, and the row pass takes its per-state minima
+    # from the sweep's knapsack, so it parses only the branch codes of the
+    # classes it checks one by one, each once
     monkeypatch.setattr(enumeration, "_pools", {})
-    verification._branch_shape.cache_clear()
-    parsed = []
+    parsed, checked = [], []
 
     def parse(code):
         parsed.append(code)
         return code_parents(code)
 
+    def check(seq, *args):
+        checked.append(seq)
+        return check_class(seq, *args)
+
+    check_class = verification._check_class
     monkeypatch.setattr(enumeration, "code_parents", parse)
     monkeypatch.setattr(verification, "code_parents", parse)
-    return parsed
-
-
-def test_row_pass_parses_each_code_once(monkeypatch):
-    # the pools carry the branch states, and the rows come from one parse
-    # of each of the 200 rooted trees on up to 8 vertices
-    parsed = count_parses(monkeypatch)
-    row_cells.__wrapped__(10)
-    assert sorted(parsed) == sorted(c for s in range(1, 9) for c in rooted_tree_codes(s))
-
-
-def test_sweeps_then_row_pass_parse_each_code_once(monkeypatch):
-    # as in verify --suite all --max-n 14: the sweeps parse no code, so
-    # the row pass parses each of the 7,813 rooted trees on up to 12
-    # vertices once
-    parsed = count_parses(monkeypatch)
+    monkeypatch.setattr(verification, "_check_class", check)
     for n in range(3, 15):
         sweep_minima.__wrapped__(n)
     assert parsed == []
-    row_cells.__wrapped__(14)
-    assert sorted(parsed) == sorted(c for s in range(1, 13) for c in rooted_tree_codes(s))
+    row_cells.__wrapped__(12)
+    assert len(checked) == 77
+    assert sorted(parsed) == sorted(code for seq in checked for code in seq)
 
 
 def expanded_classes(monkeypatch, n):
