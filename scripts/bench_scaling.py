@@ -4,9 +4,13 @@ and verification.WINDOWS, and append one entry per source tree to
 BENCH_scaling.json.
 
 Each command runs as a fresh `python -m unikirch` subprocess on the
-source of each tree, RUNS times.  The trees take turns run by run, each
-command's runs of the trees back to back and in alternating order, so
-that drift of the machine falls on every tree alike.  An entry holds
+source of each tree, RUNS times.  Every run starts in one empty
+temporary directory, so that the working directory, which leads the
+module search path, is the same for every tree, and each tree first
+runs WARM_UP once, untimed, so that no timed run compiles bytecode.
+The trees take turns run by run, each command's runs of the trees back
+to back and in alternating order, so that drift of the machine falls
+on every tree alike.  An entry holds
 each command's median wall time and median peak RSS (from `os.wait4`),
 or `refused` for a command that the tree refuses with exit status 2,
 with the tree's git revision (`-dirty` when it has uncommitted
@@ -26,11 +30,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
+WARM_UP = "enumerate --count-only --n 3"
 COMMANDS = (
     "extremal --n 16 --m 6",
     "extremal --n 18 --m 6",
@@ -46,13 +52,15 @@ COMMANDS = (
 )
 
 
-def run_once(tree: Path, command: str) -> tuple[float, float] | None:
-    """Wall seconds and peak RSS in MB of one run, or None when the tree
-    refuses the command (exit status 2); any other failing run raises."""
+def run_once(tree: Path, command: str, cwd: str) -> tuple[float, float] | None:
+    """Wall seconds and peak RSS in MB of one run in the directory cwd, or
+    None when the tree refuses the command (exit status 2); any other
+    failing run raises."""
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "unikirch", *command.split()],
         stdout=subprocess.DEVNULL,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(tree / "src")),
     )
     _, status, usage = os.wait4(proc.pid, 0)
@@ -80,10 +88,13 @@ def summary(command: str, runs: list) -> dict:
 def main() -> int:
     trees = [*(Path(arg).resolve() for arg in sys.argv[1:]), ROOT]
     samples = {(tree, command): [] for tree in trees for command in COMMANDS}
-    for run in range(RUNS):
-        for command in COMMANDS:
-            for tree in trees if run % 2 == 0 else trees[::-1]:
-                samples[tree, command].append(run_once(tree, command))
+    with tempfile.TemporaryDirectory() as cwd:
+        for tree in trees:
+            run_once(tree, WARM_UP, cwd)
+        for run in range(RUNS):
+            for command in COMMANDS:
+                for tree in trees if run % 2 == 0 else trees[::-1]:
+                    samples[tree, command].append(run_once(tree, command, cwd))
     out = ROOT / "BENCH_scaling.json"
     entries = json.loads(out.read_text()) if out.exists() else []
     for tree in trees:

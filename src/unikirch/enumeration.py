@@ -272,39 +272,27 @@ def _orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[
                 yield sizes, fixing
 
 
-def enumerate_codes(
-    n: int,
-    m: int | None = None,
-    cycle_length: int | None = None,
-) -> Iterator[CanonicalCode]:
+def enumerate_codes(n: int, m: int | None = None) -> Iterator[CanonicalCode]:
     """Stream one code per isomorphism class, in ascending order;
-    optionally filter by matching number, dropping whole state tuples, or
-    by cycle length.  Unfiltered, no branch state is read."""
+    optionally filter by matching number, dropping whole state tuples.
+    Unfiltered, no branch state is read."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    if cycle_length is not None and not 3 <= cycle_length <= n:
-        raise ValueError(f"cycle length {cycle_length} out of range for n={n}")
-    ks = range(3, n + 1) if cycle_length is None else (cycle_length,)
-    sizes = range(1, n - ks[0] + 2)  # the shortest cycle has the largest branches
-    tables = [()] + [
+    tables = [()] + [  # the triangle has the largest branches, of n - 2 vertices
         (_State(None, None, rooted_tree_codes(size)),) if m is None else _code_states(size)
-        for size in sizes
+        for size in range(1, n - 1)
     ]
     yield from _classes(
         (sizes, fixing, group)
-        for sizes, fixing, products in _state_groups(n, tables, ks)
+        for sizes, fixing, products in _state_groups(n, tables)
         for group in products
         if m is None or cycle_matching(group) == m
     )
 
 
-def enumerate_with_codes(
-    n: int,
-    m: int | None = None,
-    cycle_length: int | None = None,
-) -> Iterator[tuple[CanonicalCode, Graph]]:
+def enumerate_with_codes(n: int, m: int | None = None) -> Iterator[tuple[CanonicalCode, Graph]]:
     """``enumerate_codes`` with each class's graph built alongside."""
-    for code in enumerate_codes(n, m, cycle_length):
+    for code in enumerate_codes(n, m):
         yield code, graph_from_code(code)
 
 
@@ -376,14 +364,14 @@ def _term_tables(n: int) -> list[tuple[_State, ...]]:
 
 
 def _state_groups(
-    n: int, tables: Sequence[Sequence], cycle_lengths: Iterable[int] | None = None
+    n: int, tables: Sequence[Sequence]
 ) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterator[tuple]]]:
     """Each composition of n vertices over a cycle, one per dihedral orbit,
     with the symmetries that fix it and the tuples of its positions'
     entries in tables, where tables[s] holds one entry per branch state of
     the rooted trees on s vertices, or one for all of them; cycle lengths
-    ascend, all of them unless given."""
-    for k in range(3, n + 1) if cycle_lengths is None else cycle_lengths:
+    ascend."""
+    for k in range(3, n + 1):
         for sizes, fixing in _orbit_compositions(n, k):
             yield sizes, fixing, product(*[tables[size] for size in sizes])
 

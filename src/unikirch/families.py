@@ -187,7 +187,6 @@ class ExtremalPrediction:
 
     minimizers: tuple[FamilySpec, ...]
     value: Fraction
-    applicability: str
 
     def texts(self) -> tuple[str, ...]:
         return tuple(sorted(s.text() for s in self.minimizers))
@@ -196,8 +195,8 @@ class ExtremalPrediction:
         return "{" + ", ".join(self.texts()) + "} = " + format_rational(self.value)
 
 
-def _pred(specs, value, where) -> ExtremalPrediction:
-    return ExtremalPrediction(tuple(specs), Fraction(value), where)
+def _pred(specs, value) -> ExtremalPrediction:
+    return ExtremalPrediction(tuple(specs), Fraction(value))
 
 
 def _u(k, t, i, j) -> FamilySpec:
@@ -210,16 +209,14 @@ def predicted_min_perfect(m: int) -> ExtremalPrediction:
     if m < 2:
         raise ValueError("perfect-matching classes need m >= 2")
     if m <= 4:
-        return _pred([FamilySpec("C", (2 * m,))], kf_cycle(2 * m), f"m={m}")
+        return _pred([FamilySpec("C", (2 * m,))], kf_cycle(2 * m))
     if m == 5:
-        return _pred([_u(8, 2, 0, 0)], Fraction(655, 8), "m=5")
+        return _pred([_u(8, 2, 0, 0)], Fraction(655, 8))
     if m == 6:
-        return _pred([_u(8, 4, 0, 0)], Fraction(271, 2), "m=6")
+        return _pred([_u(8, 4, 0, 0)], Fraction(271, 2))
     if m == 7:
-        return _pred([_u(7, 7, 0, 0)], Fraction(203), "m=7")
-    return _pred(
-        [FamilySpec("Unm", (2 * m, m))], Fraction(6 * m * m - 13 * m + 4), f"m={m}>=8"
-    )
+        return _pred([_u(7, 7, 0, 0)], Fraction(203))
+    return _pred([FamilySpec("Unm", (2 * m, m))], Fraction(6 * m * m - 13 * m + 4))
 
 
 def predicted_min(n: int, m: int) -> ExtremalPrediction:
@@ -232,45 +229,41 @@ def predicted_min(n: int, m: int) -> ExtremalPrediction:
     unm = FamilySpec("Unm", (n, m))
     if m == 2:
         if n == 5:
-            return _pred([FamilySpec("C", (5,))], kf_cycle(5), "m=2, n=5")
+            return _pred([FamilySpec("C", (5,))], kf_cycle(5))
         if n <= 11:
-            return _pred([_u(4, 1, n - 5, 0)], Fraction(2 * n * n - 5 * n - 2, 2), "m=2, 6<=n<=11")
+            return _pred([_u(4, 1, n - 5, 0)], Fraction(2 * n * n - 5 * n - 2, 2))
         if n == 12:
-            return _pred([_u(3, 1, 8, 0), _u(4, 1, 7, 0)], Fraction(113), "m=2, n=12")
-        return _pred([_u(3, 1, n - 4, 0)], Fraction(3 * n * n - 8 * n + 3, 3), "m=2, n>=13")
+            return _pred([_u(3, 1, 8, 0), _u(4, 1, 7, 0)], Fraction(113))
+        return _pred([_u(3, 1, n - 4, 0)], Fraction(3 * n * n - 8 * n + 3, 3))
     if m == 3:
         if n == 7:
-            return _pred([FamilySpec("C", (7,))], kf_cycle(7), "m=3, n=7")
-        return _pred([unm], unm_kf_closed_form(n, 3), "m=3, n>=8")
+            return _pred([FamilySpec("C", (7,))], kf_cycle(7))
+        return _pred([unm], unm_kf_closed_form(n, 3))
     if m == 4:
         if n == 9:
-            return _pred([_u(7, 1, 1, 0), FamilySpec("C", (9,))], Fraction(60), "m=4, n=9")
+            return _pred([_u(7, 1, 1, 0), FamilySpec("C", (9,))], Fraction(60))
         if n == 10:
-            return _pred([_u(7, 1, 2, 0)], Fraction(79), "m=4, n=10")
+            return _pred([_u(7, 1, 2, 0)], Fraction(79))
         if n == 11:
-            return _pred([_u(6, 2, 3, 0), _u(7, 1, 3, 0)], Fraction(100), "m=4, n=11")
+            return _pred([_u(6, 2, 3, 0), _u(7, 1, 3, 0)], Fraction(100))
         if n in (12, 13):
-            return _pred([_u(6, 2, n - 8, 0)], Fraction(3 * n * n - n - 52, 3), "m=4, n=12,13")
+            return _pred([_u(6, 2, n - 8, 0)], Fraction(3 * n * n - n - 52, 3))
         if n == 14:
-            return _pred([unm, _u(6, 2, 6, 0)], Fraction(174), "m=4, n=14")
-        return _pred([unm], unm_kf_closed_form(n, 4), "m=4, n>=15")
+            return _pred([unm, _u(6, 2, 6, 0)], Fraction(174))
+        return _pred([unm], unm_kf_closed_form(n, 4))
     if m == 5:
         if n <= 13:
-            return _pred(
-                [_u(7, 3, n - 10, 0)], Fraction(7 * n * n + 12 * n - 245, 7), "m=5, 11<=n<=13"
-            )
+            return _pred([_u(7, 3, n - 10, 0)], Fraction(7 * n * n + 12 * n - 245, 7))
         if n == 14:
-            return _pred([unm, _u(6, 2, 4, 1), _u(7, 3, 4, 0)], Fraction(185), "m=5, n=14")
-        return _pred([unm], unm_kf_closed_form(n, 5), "m=5, n>=15")
+            return _pred([unm, _u(6, 2, 4, 1), _u(7, 3, 4, 0)], Fraction(185))
+        return _pred([unm], unm_kf_closed_form(n, 5))
     if m == 6:
         if n == 13:
-            return _pred([_u(8, 4, 1, 0)], Fraction(4 * n * n + 19 * n - 262, 4), "m=6, n=13")
+            return _pred([_u(8, 4, 1, 0)], Fraction(4 * n * n + 19 * n - 262, 4))
         if n == 14:
-            return _pred([unm, _u(6, 2, 2, 2), _u(7, 3, 2, 1)], Fraction(196), "m=6, n=14")
-        return _pred([unm], unm_kf_closed_form(n, 6), "m=6, n>=15")
-    if m == 7:
-        return _pred([unm], unm_kf_closed_form(n, 7), "m=7, n>=15")
-    return _pred([unm], unm_kf_closed_form(n, m), f"m={m}>=8, n>2m")
+            return _pred([unm, _u(6, 2, 2, 2), _u(7, 3, 2, 1)], Fraction(196))
+        return _pred([unm], unm_kf_closed_form(n, 6))
+    return _pred([unm], unm_kf_closed_form(n, m))
 
 
 @dataclass(frozen=True)

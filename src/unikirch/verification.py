@@ -17,6 +17,7 @@ import csv
 import json
 import random
 import time
+from bisect import insort
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -224,7 +225,7 @@ class Window(NamedTuple):
 # and 4.46 s for n = 17..20, in 17 MB (x86_64, 2 CPUs, Python 3.11.7).
 SWEEP_MAX_N = 20
 # The classes roughly triple with each vertex: at n = 16 (311,465) the
-# listing takes 2.3 s in 32 MB, and the counts (which extremal_scan.py reads
+# listing takes 1.7 s in 32 MB, and the counts (which extremal_scan.py reads
 # too) and the row suites generate all 53,272 rooted trees of up to 14
 # vertices, of which the row pass parses only the branches it expands.
 LISTING_MAX_N = 16
@@ -438,21 +439,34 @@ def _pendant_differences(
         offset += len(parents) - 1
 
 
-class RowCells(NamedTuple):
-    """The vertex-sum and deletion cells of the classes on n vertices,
-    one per matching number m >= 3, in ascending m.  Cached results are
-    shared: do not modify them."""
+@dataclass
+class RowCell:
+    """The classes on n vertices with matching number m >= 3 against the
+    vertex-sum bound and the pendant-deletion bounds: how many classes and
+    pendant vertices there are, how many vertices and how many pendant
+    deletions fall below a bound, and one entry per place where a bound
+    holds with equality: a vertex, as its class and whether it is the
+    unique vertex of largest degree; a pendant, as its class and whether
+    its neighbour has the largest degree; a pendant path, as its class.
+    ``_check_class`` keeps the entries sorted, so two walks that meet the
+    classes in different orders give equal cells."""
 
-    vertex_sum: list[dict]
-    deletion: list[dict]
+    n: int
+    m: int
+    graphs: int = 0
+    pendants: int = 0
+    violations: int = 0
+    equalities: list[tuple[CanonicalCode, bool]] = field(default_factory=list)
+    deletion_violations: int = 0
+    eq_single: list[tuple[CanonicalCode, bool]] = field(default_factory=list)
+    eq_pair: list[CanonicalCode] = field(default_factory=list)
 
 
-def _check_class(seq: tuple[str, ...], n: int, m: int, cell: dict, deletion: dict) -> None:
-    """Add to the cells the violations and equalities of the class with
-    branch codes seq and matching number m: its resistance row read as the
-    integers k Kf_G(u), compared with k times each bound.  Degrees come
-    from the codes."""
-    k = len(seq)
+def _check_class(seq: tuple[str, ...], cell: RowCell) -> None:
+    """Add to the cell the violations and equalities of the class with
+    branch codes seq: its resistance row read as the integers k Kf_G(u),
+    compared with k times each bound.  Degrees come from the codes."""
+    n, m, k = cell.n, cell.m, len(seq)
     shapes = [_branch_shape(c) for c in seq]
     rows = cycle_row_numerators([parents for parents, _ in shapes])
     degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
@@ -463,32 +477,29 @@ def _check_class(seq: tuple[str, ...], n: int, m: int, cell: dict, deletion: dic
     for (_, branch_degrees), row in zip(shapes, rows):
         for deg, num in zip(branch_degrees, row):
             if num < bound:
-                cell["violations"] += 1
+                cell.violations += 1
             elif num == bound:
-                cell["equalities"].append(
-                    {"code": code, "is_max_degree": deg == max_deg and unique_max}
-                )
+                insort(cell.equalities, (code, deg == max_deg and unique_max))
     bound1 = k * (2 * n + m - 6)
     bound2 = k * (5 * n + 2 * m - 19)
     for _, _, y_degree, diff1, diff2 in _pendant_differences(shapes, rows):
         if diff1 < bound1:
-            deletion["violations"] += 1
+            cell.deletion_violations += 1
         elif diff1 == bound1:
-            deletion["eq_single"].append({"code": code, "x_at_max_degree": y_degree == max_deg})
+            insort(cell.eq_single, (code, y_degree == max_deg))
         if diff2 is not None:
             if diff2 < bound2:
-                deletion["violations"] += 1
+                cell.deletion_violations += 1
             elif diff2 == bound2:
-                deletion["eq_pair"].append({"code": code})
+                insort(cell.eq_pair, code)
 
 
 @cache
-def row_cells(n: int) -> RowCells:
-    """The classes on n vertices with m >= 3 against the bounds
-    Kf_G(u) >= n + m - 4 at every vertex and the pendant-deletion bounds
-    at every pendant vertex, from tuples of branch states, without
+def row_cells(n: int) -> list[RowCell]:
+    """The ``RowCell`` of every matching number m >= 3 of the classes on
+    n vertices, in ascending m, from tuples of branch states, without
     generating a class in general.  Cached per n for the life of the
-    process.
+    process; cached cells are shared: do not modify them.
 
     In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
     with B the ``branch_row`` entry, D_j the depth sums and c_i the
@@ -516,8 +527,7 @@ def row_cells(n: int) -> RowCells:
         tables.append([minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states])
         for state in states:
             pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
-    sums: dict[int, dict] = {}
-    deletions: dict[int, dict] = {}
+    cells: dict[int, RowCell] = {}
     for sizes, fixing, groups in _state_groups(n, tables):
         k = len(sizes)
         cores = cycle_cores(sizes)
@@ -525,27 +535,19 @@ def row_cells(n: int) -> RowCells:
             m = cycle_matching(group)
             if m < 3:
                 continue
-            if m not in sums:
-                sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
-                deletions[m] = {
-                    "n": n,
-                    "m": m,
-                    "violations": 0,
-                    "eq_single": [],
-                    "eq_pair": [],
-                    "checked": 0,
-                }
-            cell, deletion = sums[m], deletions[m]
+            if m not in cells:
+                cells[m] = RowCell(n, m)
+            cell = cells[m]
             pools = [state.codes for state in group]
             seqs = _class_sequences(pools, fixing)
             if fixing:
                 seqs = list(seqs)
-                cell["graphs"] += len(seqs)
-                deletion["checked"] += sum(code[1:-1].count("()") for seq in seqs for code in seq)
+                cell.graphs += len(seqs)
+                cell.pendants += sum(code[1:-1].count("()") for seq in seqs for code in seq)
             else:
                 classes = prod(map(len, pools))
-                cell["graphs"] += classes
-                deletion["checked"] += sum(
+                cell.graphs += classes
+                cell.pendants += sum(
                     classes // len(state.codes) * pendants[state.codes[0]] for state in group
                 )
             depth = sum(state.depth for state in group)
@@ -553,8 +555,8 @@ def row_cells(n: int) -> RowCells:
             if least > k * (n + m - 4):
                 continue
             for seq in seqs:
-                _check_class(seq, n, m, cell, deletion)
-    return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
+                _check_class(seq, cell)
+    return [cells[m] for m in sorted(cells)]
 
 
 def suite_vertex_sum_bound(n_max: int) -> VerificationReport:
@@ -562,23 +564,18 @@ def suite_vertex_sum_bound(n_max: int) -> VerificationReport:
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
     report = VerificationReport("vertex-sum-bound", 0)
     for cells in map(row_cells, range(WINDOWS["vertex-sum-bound"].floor, n_max + 1)):
-        for cell in cells.vertex_sum:
-            n, m = cell["n"], cell["m"]
+        for cell in cells:
+            n, m = cell.n, cell.m
             unm_code = canonical_code(make_unm(n, m))
-            eq_ok = (
-                len(cell["equalities"]) == 1
-                and cell["equalities"][0]["code"] == unm_code
-                and cell["equalities"][0]["is_max_degree"]
-            )
-            ok = cell["violations"] == 0 and eq_ok
+            ok = cell.violations == 0 and cell.equalities == [(unm_code, True)]
             flag = " (boundary cell)" if (n, m) == (6, 3) else ""
             report.add(
                 f"cell:n={n},m={m}{flag}",
-                {"n": n, "m": m, "graphs": cell["graphs"]},
+                {"n": n, "m": m, "graphs": cell.graphs},
                 "0 violations; equality only at max-degree vertex of "
                 f"Unm({n},{m})",
-                f"{cell['violations']} violations; "
-                f"{len(cell['equalities'])} equality instance(s)",
+                f"{cell.violations} violations; "
+                f"{len(cell.equalities)} equality instance(s)",
                 ok,
             )
     report.notes.append(
@@ -594,25 +591,21 @@ def suite_deletion_bounds(n_max: int) -> VerificationReport:
     check the equality instances are exactly the ones on Unm(n,m)."""
     report = VerificationReport("deletion-bounds", 0)
     for cells in map(row_cells, range(WINDOWS["deletion-bounds"].floor, n_max + 1)):
-        for cell in cells.deletion:
-            n, m = cell["n"], cell["m"]
+        for cell in cells:
+            n, m = cell.n, cell.m
             unm_code = canonical_code(make_unm(n, m))
-            single_ok = (
-                len(cell["eq_single"]) == n - 2 * m + 1
-                and all(e["code"] == unm_code for e in cell["eq_single"])
-                and all(e["x_at_max_degree"] for e in cell["eq_single"])
+            ok = (
+                cell.deletion_violations == 0
+                and cell.eq_single == [(unm_code, True)] * (n - 2 * m + 1)
+                and cell.eq_pair == [unm_code] * (m - 3)
             )
-            pair_ok = len(cell["eq_pair"]) == m - 3 and all(
-                e["code"] == unm_code for e in cell["eq_pair"]
-            )
-            ok = cell["violations"] == 0 and single_ok and pair_ok
             report.add(
                 f"cell:n={n},m={m}",
-                {"n": n, "m": m, "pendants_checked": cell["checked"]},
+                {"n": n, "m": m, "pendants_checked": cell.pendants},
                 f"0 violations; {n - 2 * m + 1} single / {m - 3} pair equalities, "
                 f"all on Unm({n},{m})",
-                f"{cell['violations']} violations; {len(cell['eq_single'])} single / "
-                f"{len(cell['eq_pair'])} pair equalities",
+                f"{cell.deletion_violations} violations; {len(cell.eq_single)} single / "
+                f"{len(cell.eq_pair)} pair equalities",
                 ok,
             )
     return report

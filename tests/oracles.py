@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from unikirch.enumeration import enumerate_codes, invariants_from_code
-from unikirch.verification import RowCells, _branch_shape, _check_class
+from unikirch.verification import RowCell, _branch_shape, _check_class
 
 
 def floyd_warshall(n: int, edges) -> list[list[float]]:
@@ -235,27 +235,17 @@ def placement_canon_by_marks(k: int, positions) -> tuple[int, ...]:
     return tuple(i for i, mark in enumerate(least) if mark == 0)
 
 
-def row_cells_by_class(n: int) -> RowCells:
+def row_cells_by_class(n: int) -> list[RowCell]:
     """``verification.row_cells`` by one ``_check_class`` for every class
     on n vertices with m >= 3, counting each class and pendant vertex."""
-    sums: dict[int, dict] = {}
-    deletions: dict[int, dict] = {}
+    cells: dict[int, RowCell] = {}
     for code in enumerate_codes(n):
         m = invariants_from_code(code).matching
         if m < 3:
             continue
-        if m not in sums:
-            sums[m] = {"n": n, "m": m, "violations": 0, "equalities": [], "graphs": 0}
-            deletions[m] = {
-                "n": n,
-                "m": m,
-                "violations": 0,
-                "eq_single": [],
-                "eq_pair": [],
-                "checked": 0,
-            }
-        sums[m]["graphs"] += 1
+        cell = cells.setdefault(m, RowCell(n, m))
+        cell.graphs += 1
         for c in code.branch_codes:
-            deletions[m]["checked"] += _branch_shape(c)[1].count(1)  # a root has degree 2 or more
-        _check_class(code.branch_codes, n, m, sums[m], deletions[m])
-    return RowCells([sums[m] for m in sorted(sums)], [deletions[m] for m in sorted(deletions)])
+            cell.pendants += _branch_shape(c)[1].count(1)  # a root has degree 2 or more
+        _check_class(code.branch_codes, cell)
+    return [cells[m] for m in sorted(cells)]

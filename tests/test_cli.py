@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -598,10 +599,64 @@ def test_extremal_scan_refuses_beyond_ceiling():
     assert proc.stderr == refused
 
 
-def test_verify_ignores_threads(capsys):
-    code, plain, _ = run_cli(capsys, "verify", "--suite", "tables")
-    assert code == 0
-    assert run_cli(capsys, "verify", "--suite", "tables", "--threads", "2") == (0, plain, "")
+# sha256 of the stdout of each command and, for verify, of its --json
+# report with every runtime_ms removed: the outputs that a change of
+# design must leave byte for byte.  verify accepts --threads only to
+# ignore it, so the three runs of the suite all pin the same outputs.
+VERIFY_ALL = (
+    "ecf7791c06df0dbabf1778e2c1490d226c92c7f367ea81867cf613864e0e9f09",
+    "80f9ab9e6a3127726df9cde80553f36fad0884125e9c903755a5ff9851c8ff15",
+)
+PINNED_OUTPUTS = {
+    "verify --suite all --threads 1": VERIFY_ALL,
+    "verify --suite all --threads 2": VERIFY_ALL,
+    "verify --suite all": VERIFY_ALL,
+    "verify --suite vertex-sum-bound --max-n 12": (
+        "55210af92f7eb5ad1ccc86651d2f11678c06d6a3fbd18f3cf190182187735256",
+        "741dd1f8234223d29f141b861b2554c81e76d7e2bbe770d600e4fcb06895ab10",
+    ),
+    "verify --suite deletion-bounds --max-n 12": (
+        "f17d03b279f3db54d30e72defa53217336762621c021be428eea4b6e7a424391",
+        "e8afa41ba78572008ec4e0ae8c99e95c50d50db99e9199249d5168fcbd656091",
+    ),
+    "enumerate --count-only --n 12": (
+        "7e4b09344b6cb33a365ff089413ddc6a57767fbcc97c15c176a602b1b0bf10a0",
+    ),
+    "enumerate --n 9": ("f3bad480f377414cb2efa0c1213969bbe152488d53a0f17143f9d7f19f2dd9e1",),
+    "extremal --n 14 --m 5": (
+        "ef5b125cab8cd8568960476e827d606add587c163620d3d1b0a04cabd4a58106",
+    ),
+    "extremal_scan.py --max-n 10": (
+        "0120046b45e7b0379d5483c7cbad29ab23acbb645a22ef873dc70dbf0c6087c0",
+    ),
+}
+
+
+def _pinned_outputs(capsys, monkeypatch, tmp_path, command):
+    """The sha256 of the outputs of a command of PINNED_OUTPUTS, run in
+    this process with an empty stderr."""
+    name, *argv = command.split()
+    report = tmp_path / "report.json"
+    if name == "extremal_scan.py":
+        code, out, err = _scan(monkeypatch, capsys, *argv)
+    elif name == "verify":
+        code, out, err = run_cli(capsys, name, *argv, "--json", str(report))
+    else:
+        code, out, err = run_cli(capsys, name, *argv)
+    assert (code, err) == (0, ""), command
+    outputs = [out]
+    if name == "verify":
+        payload = json.loads(report.read_text())
+        for suite in payload.get("suites", [payload]):
+            for case in suite["cases"]:
+                del case["runtime_ms"]
+        outputs.append(json.dumps(payload, indent=2) + "\n")
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in outputs)
+
+
+def test_outputs_are_pinned(capsys, monkeypatch, tmp_path):
+    for command, digests in PINNED_OUTPUTS.items():
+        assert _pinned_outputs(capsys, monkeypatch, tmp_path, command) == digests, command
 
 
 def test_cli_import_loads_no_process_pool():

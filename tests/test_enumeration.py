@@ -189,18 +189,13 @@ def test_listing_matches_bruteforce():
 
 
 def assert_listing_filters_match(n):
-    # the listing by matching number and by cycle length, which drops whole
-    # state groups, against the unfiltered listing, which reads no state,
-    # filtered by each class's own invariants
-    records = [(code, invariants_from_code(code)) for code in enumerate_codes(n)]
-    for k in (None, *range(3, n + 1)):
-        for m in (None, *range(n // 2 + 2)):
-            expected = [
-                code
-                for code, inv in records
-                if m in (None, inv.matching) and k in (None, inv.cycle_length)
-            ]
-            assert list(enumerate_codes(n, m, k)) == expected, (n, m, k)
+    # the listing by matching number, which drops whole state groups,
+    # against the unfiltered listing, which reads no state, filtered by
+    # each class's own matching number
+    records = [(code, invariants_from_code(code).matching) for code in enumerate_codes(n)]
+    for m in range(n // 2 + 2):
+        expected = [code for code, matching in records if matching == m]
+        assert list(enumerate_codes(n, m)) == expected, (n, m)
 
 
 def test_listing_filters_match_invariants():
@@ -408,21 +403,9 @@ def test_enumerate_partition_over_matching():
         assert sum(counts_by_matching(n).values()) == total
 
 
-def test_enumerate_cycle_length_filter():
-    for n in range(4, 9):
-        total = sum(1 for _ in enumerate_unicyclic(n))
-        by_k = [
-            sum(1 for _ in enumerate_with_codes(n, cycle_length=k))
-            for k in range(3, n + 1)
-        ]
-        assert sum(by_k) == total
-
-
 def test_enumerate_rejects():
     with pytest.raises(ValueError):
         list(enumerate_unicyclic(2))
-    with pytest.raises(ValueError):
-        list(enumerate_with_codes(5, cycle_length=6))
 
 
 def test_enumerated_graphs_are_unicyclic(unicyclic_corpus):
