@@ -8,6 +8,8 @@ source of each tree, RUNS times.  Every run starts in one empty
 temporary directory, so that the working directory, which leads the
 module search path, is the same for every tree, and each tree first
 runs WARM_UP once, untimed, so that no timed run compiles bytecode.
+The graph files that the compute commands read are written there first,
+by `unikirch construct --out` of the tree around this script.
 The trees take turns run by run, each command's runs of the trees back
 to back and in alternating order, so that drift of the machine falls
 on every tree alike.  An entry holds
@@ -49,7 +51,16 @@ COMMANDS = (
     "verify --suite vertex-sum-bound --max-n 16",
     "verify --suite deletion-bounds --max-n 16",
     "verify --suite all --extended",
+    "compute --input U500.graph --resistance-matrix",
+    "compute --input C1000.graph --resistance-matrix",
+    "compute --input Unm10000.graph --vertex-sums --wiener",
 )
+# the input files of the compute commands, by family
+INPUTS = {
+    "U500.graph": "U(500,500,0,0)",
+    "C1000.graph": "C1000",
+    "Unm10000.graph": "Unm(10000,10)",
+}
 
 
 def run_once(tree: Path, command: str, cwd: str) -> tuple[float, float] | None:
@@ -89,6 +100,10 @@ def main() -> int:
     trees = [*(Path(arg).resolve() for arg in sys.argv[1:]), ROOT]
     samples = {(tree, command): [] for tree in trees for command in COMMANDS}
     with tempfile.TemporaryDirectory() as cwd:
+        for name, family in INPUTS.items():
+            command = f"construct --family {family} --out {name}"
+            if run_once(ROOT, command, cwd) is None:
+                raise SystemExit(f"{ROOT}: {command}: exit status 2")
         for tree in trees:
             run_once(tree, WARM_UP, cwd)
         for run in range(RUNS):

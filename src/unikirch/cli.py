@@ -21,14 +21,16 @@ from .verification import SUITE_NAMES, WINDOWS, refusal, run_suite
 # with its spanning-tree count, and linear in n: a path with two chords
 # (c = 21) 0.004 s at n = 100 and 0.008 s at n = 1000, K_100 1.5 s.
 DENSE_MAX_N = 100
-# --resistance-matrix holds and prints n^2 entries: at n = 1000, about 47 MB,
-# 5 MB of output and 0.6 s for U(500,500,0,0), 0.75 s for C_1000 (2-vCPU VM,
-# Python 3.11.7), and all of it grows as n^2.
+# --resistance-matrix holds and prints n^2 entries: at n = 1000 the whole
+# process takes 5 MB of output, 0.46 s and 37 MB for U(500,500,0,0) and
+# 0.53 s and 38 MB for C_1000 (scripts/bench_scaling.py, 2-vCPU VM,
+# Python 3.11.7), and all but the interpreter's share grows as n^2.
 MATRIX_MAX_N = 1000
 
 
-def _decimal(x) -> str:
-    return f"{float(x):.6f}"
+def _shown(x, decimal: bool) -> str:
+    """x as p/q, followed by its decimal approximation when asked."""
+    return f"{format_rational(x)} (~ {float(x):.6f})" if decimal else format_rational(x)
 
 
 def _cmd_compute(args) -> int:
@@ -62,17 +64,12 @@ def _cmd_compute(args) -> int:
         )
         return 2
     resist = route(g, trees)  # Kf, W, the sums and the matrix all read it
-    kf = resist.kirchhoff_index()
-    suffix = f" (~ {_decimal(kf)})" if args.decimal else ""
-    print(f"Kf = {format_rational(kf)}{suffix}")
+    print(f"Kf = {_shown(resist.kirchhoff_index(), args.decimal)}")
     if args.wiener:
-        w = resist.wiener()
-        suffix = f" (~ {_decimal(w)})" if args.decimal else ""
-        print(f"W = {format_rational(w)}{suffix}")
+        print(f"W = {_shown(resist.wiener(), args.decimal)}")
     if args.vertex_sums:
-        for v, s in enumerate(resist.vertex_sums()):
-            suffix = f" (~ {_decimal(s)})" if args.decimal else ""
-            print(f"Kf[{v}] = {format_rational(s)}{suffix}")
+        sums = enumerate(resist.vertex_sums())
+        sys.stdout.write("".join(f"Kf[{v}] = {_shown(s, args.decimal)}\n" for v, s in sums))
     if args.resistance_matrix:
         sys.stdout.write(format_resistance_matrix(resist.matrix()))
     return 0
@@ -144,8 +141,7 @@ def _cmd_extremal(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for code in codes:
-        suffix = f" (~ {_decimal(value)})" if args.decimal else ""
-        print(f"{family_label(code)}  {format_rational(value)}{suffix}")
+        print(f"{family_label(code)}  {_shown(value, args.decimal)}")
     return 0
 
 

@@ -16,10 +16,12 @@ delete-and-relabel.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 from typing import Iterable
 
 
@@ -49,7 +51,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        for a in adj:
+            a.sort()
+        return tuple(map(tuple, adj))
 
     @property
     def edge_count(self) -> int:
@@ -89,13 +93,34 @@ def _natural(token: str) -> int | None:
         return None
 
 
+# A vertex count line followed by edge lines "u v", each two runs of at
+# most 18 ASCII digits (so that int() takes them) and one space: the text
+# that write_graph emits, which read_graph parses in bulk.
+_PLAIN_GRAPH = re.compile(r"[0-9]{1,18}(?:\n[0-9]{1,18} [0-9]{1,18})*\n?")
+
+
 def read_graph(text: str) -> Graph:
     """Parse the graph file format.
 
     Lines starting with '#' are comments.  The first data line is the
     vertex count n; every following data line is "u v" with
     0 <= u < v < n, one edge per line.
+
+    Text of the plain form that ``write_graph`` emits, with every edge
+    in range, ordered and new, is read in bulk; any other text takes
+    the line by line checks, which report its first error.
     """
+    if _PLAIN_GRAPH.fullmatch(text):
+        n, *ends = map(int, text.split())
+        us, vs = ends[::2], ends[1::2]
+        edges = frozenset(zip(us, vs))
+        if len(edges) == len(us) and all(map(lt, us, vs)) and max(vs, default=-1) < n:
+            return Graph(n, edges)
+    return _read_graph_lines(text)
+
+
+def _read_graph_lines(text: str) -> Graph:
+    """``read_graph`` one line at a time, raising on the first bad line."""
     n = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

@@ -27,7 +27,7 @@ elimination, ``grounded_inverse``, and the forest route serve as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -202,6 +202,8 @@ def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
 class ResistanceMatrix:
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
+    # the distinct Fraction objects that the rows share, each once
+    values: tuple[Fraction, ...] = field(compare=False, repr=False)
 
     def r(self, u: int, v: int) -> Fraction:
         return self.rows[u][v]
@@ -211,11 +213,14 @@ class ResistanceMatrix:
 
 
 def format_resistance_matrix(mat: ResistanceMatrix) -> str:
-    """n, then the row-major upper triangle as p/q tokens, one row per line."""
+    """n, then the row-major upper triangle as p/q tokens, one row per line.
+    Each of the matrix's distinct values is formatted once."""
+    text = {id(x): str(x) for x in mat.values}.__getitem__
     lines = [str(mat.n)]
-    for u in range(mat.n - 1):
-        lines.append(" ".join(str(mat.rows[u][v]) for v in range(u + 1, mat.n)))
-    return "\n".join(lines) + "\n"
+    for u, row in enumerate(mat.rows[:-1]):
+        lines.append(" ".join(map(text, map(id, row[u + 1 :]))))
+    lines.append("")  # the last newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 class GroundedInverse(NamedTuple):
@@ -314,10 +319,13 @@ def branch_matrix(
     lists, for each j > i in turn, a list [R_core(i, j)], which is
     extended in place to R_core(i, j) + s at index s for every depth sum
     s; pairs with equal core resistances may share one.  Entries share
-    their Fractions: one per hop count in a branch, one per list entry."""
+    their Fractions: one per hop count in a branch, one per list entry,
+    and the matrix records each of these once."""
     k = len(trees)
     n = sum(len(labels) for labels, _ in trees)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    zeros = [Fraction(0)]
+    rows = [zeros * n for _ in range(n)]
+    pools = {id(zeros): zeros}  # every list of shared values, by identity
     depths = []
     for labels, parents in trees:
         s = len(labels)
@@ -329,6 +337,7 @@ def branch_matrix(
             for x in range(v):
                 own[x] = hops[x][v] = up[x] + 1
         values = [Fraction(h) for h in range(s)]
+        pools[id(values)] = values
         for a, u in enumerate(labels):
             row, own = rows[u], hops[a]
             for b in range(a):
@@ -343,11 +352,13 @@ def branch_matrix(
         ):
             if len(values) <= hi + hj:
                 values.extend(values[0] + s for s in range(len(values), hi + hj + 1))
+            pools[id(values)] = values
             for u, du in own:
                 row = rows[u]
                 for v, dv in zip(labels, dj):
                     row[v] = rows[v][u] = values[du + dv]
-    return ResistanceMatrix(n, tuple(tuple(row) for row in rows))
+    shared = tuple(x for values in pools.values() for x in values)
+    return ResistanceMatrix(n, tuple(tuple(row) for row in rows), shared)
 
 
 def resistance_matrix_unicyclic(

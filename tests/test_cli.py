@@ -599,6 +599,29 @@ def test_extremal_scan_refuses_beyond_ceiling():
     assert proc.stderr == refused
 
 
+def _pinned_unicyclic() -> Graph:
+    """A cycle of 9 with 51 vertices each hung on a random earlier one,
+    its labels shuffled."""
+    rng = random.Random(21)
+    n, k = 60, 9
+    edges = [(c, (c + 1) % k) for c in range(k)] + [(rng.randrange(v), v) for v in range(k, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, frozenset(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+
+
+def _pinned_tree() -> Graph:
+    rng = random.Random(22)
+    return Graph(40, frozenset((rng.randrange(v), v) for v in range(1, 40)))
+
+
+# the graph files that the compute commands of PINNED_OUTPUTS read
+PINNED_GRAPHS = {
+    "unicyclic.graph": _pinned_unicyclic,
+    "tree.graph": _pinned_tree,
+    "bicyclic.graph": _bicyclic_path,
+}
+
 # sha256 of the stdout of each command and, for verify, of its --json
 # report with every runtime_ms removed: the outputs that a change of
 # design must leave byte for byte.  verify accepts --threads only to
@@ -629,6 +652,15 @@ PINNED_OUTPUTS = {
     "extremal_scan.py --max-n 10": (
         "0120046b45e7b0379d5483c7cbad29ab23acbb645a22ef873dc70dbf0c6087c0",
     ),
+    "compute --input unicyclic.graph --wiener --vertex-sums --resistance-matrix --decimal": (
+        "e3ba210807fa7b74b73758e24691f92469bdf4a35fc640c2a22f457e12c8ff9b",
+    ),
+    "compute --input tree.graph --resistance-matrix": (
+        "92c016e91f5b15660862bb909d480f6c895436685a19956322976be16efc9860",
+    ),
+    "compute --input bicyclic.graph --vertex-sums --resistance-matrix": (
+        "f1b8f202b3e90ac94f301784d34a7ef7143ff90bb2eedfda39a93f1c14cfc6bc",
+    ),
 }
 
 
@@ -641,6 +673,11 @@ def _pinned_outputs(capsys, monkeypatch, tmp_path, command):
         code, out, err = _scan(monkeypatch, capsys, *argv)
     elif name == "verify":
         code, out, err = run_cli(capsys, name, *argv, "--json", str(report))
+    elif name == "compute":
+        flag, graph_file, *flags = argv
+        path = tmp_path / graph_file
+        path.write_text(write_graph(PINNED_GRAPHS[graph_file]()))
+        code, out, err = run_cli(capsys, name, flag, str(path), *flags)
     else:
         code, out, err = run_cli(capsys, name, *argv)
     assert (code, err) == (0, ""), command

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from oracles import floyd_warshall
+from unikirch import graph
+from unikirch.cli import main
 from unikirch.families import make_cycle, make_path, make_ukt, make_unm
 from unikirch.graph import (
     DisconnectedError,
@@ -63,6 +65,42 @@ def test_read_rejects(bad):
         read_graph(bad)
 
 
+_GOOD_LINES = "".join(f"{v} {v + 1}\n" for v in range(100))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n0 0\n", "line 2: loop at vertex 0"),
+        ("2\n1 0\n", "line 2: edge must satisfy u < v"),
+        ("3\n0 1\n0 1\n", "line 3: duplicate edge (0, 1)"),
+        ("2\n0 5\n", "line 2: endpoint 5 out of range for n=2"),
+        ("3\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+        ("x\n0 1\n", "line 1: expected vertex count, got 'x'"),
+        ("", "empty graph file"),
+        ("²\n", "line 1: expected vertex count, got '²'"),
+        ("3\n0 1\n1 ²\n", "line 3: expected edge 'u v', got '1 ²'"),
+        ("4\n0 \u0663\n", "line 2: expected edge 'u v', got '0 \u0663'"),
+        ("1" * 5000 + "\n", f"line 1: expected vertex count, got {'1' * 5000!r}"),
+        # the first error in file order wins
+        ("4\n0 1\n1 2\n0 1\n2 x\n", "line 4: duplicate edge (0, 1)"),
+        ("101\n" + _GOOD_LINES + "0 101\n", "line 102: endpoint 101 out of range for n=101"),
+        ("3\n0 1\n1 " + "1" * 5000, f"line 3: expected edge 'u v', got {'1 ' + '1' * 5000!r}"),
+        ("2\n0 " + "1" * 19, f"line 2: endpoint {'1' * 19} out of range for n=2"),
+    ],
+)
+def test_read_graph_error_messages(tmp_path, capsys, text, message):
+    # recorded before edge lines had a fast path; compute prints the same
+    # message and exits 2
+    with pytest.raises(GraphParseError) as exc:
+        read_graph(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.graph"
+    path.write_bytes(text.encode())
+    assert main(["compute", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _LINE = st.one_of(
     st.tuples(st.integers(0, 9), st.integers(0, 9)).map(lambda e: f"{e[0]} {e[1]}"),
     st.text(alphabet="0123456789 #\t\u00b2\u0663x+-", max_size=6),
@@ -85,6 +123,19 @@ def test_read_graph_parses_or_rejects(text):
     except GraphParseError:
         return
     assert read_graph(write_graph(g)) == g
+
+
+@given(_GRAPH_TEXT)
+def test_read_graph_in_bulk_as_line_by_line(text):
+    # the bulk read of plain text gives what the line checks give
+    try:
+        expected = graph._read_graph_lines(text)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            read_graph(text)
+        assert str(got.value) == str(exc)
+        return
+    assert read_graph(text) == expected
 
 
 def test_make_graph_rejects():

@@ -128,6 +128,9 @@ def test_matrix_shares_fractions_across_branches():
     mat = resistance_matrix(make_ukt(k, k, 0, 0))
     assert mat == resistance_matrix_dense(make_ukt(k, k, 0, 0))
     assert len({id(x) for row in mat.rows for x in row}) <= 8 * k
+    # the matrix records those shared objects, each once, for its text
+    assert {id(x) for row in mat.rows for x in row} <= {id(x) for x in mat.values}
+    assert len(mat.values) <= 8 * k
 
 
 def test_resistance_is_a_metric(unicyclic_corpus):
@@ -215,6 +218,27 @@ def test_matrix_serialization():
     assert text == "3\n1 2\n1\n"
     text = format_resistance_matrix(resistance_matrix(make_cycle(3)))
     assert text == "3\n2/3 2/3\n2/3\n"
+
+
+def _entrywise_text(mat):
+    """format_resistance_matrix formatting every entry on its own."""
+    lines = [str(mat.n)]
+    for u in range(mat.n - 1):
+        lines.append(" ".join(str(mat.rows[u][v]) for v in range(u + 1, mat.n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_text_formats_each_entry():
+    rng = random.Random(5)
+    tree = Graph(50, frozenset(random_tree_edges(rng, 50)))
+    path = [(v, v + 1) for v in range(59)] + [(0, 9), (5, 20)]
+    bicyclic = Graph(60, frozenset(path))
+    for mat in (
+        resistance_matrix(tree),
+        resistance_matrix(make_ukt(60, 60, 0, 0)),
+        core_inverse(bicyclic, peel(bicyclic)).matrix(),
+    ):
+        assert format_resistance_matrix(mat) == _entrywise_text(mat)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 12), st.integers(0, 6))
