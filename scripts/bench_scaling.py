@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the commands that approach the ceilings of verification.CEILINGS
-and verification.WINDOWS, and append one entry per source tree to
-BENCH_scaling.json.
+"""Time the start-up of a command and the commands that approach the
+ceilings of verification.CEILINGS and verification.WINDOWS, and append
+one entry per source tree to BENCH_scaling.json.
 
 Each command runs as a fresh `python -m unikirch` subprocess on the
 source of each tree, RUNS times.  Every run starts in one empty
@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
 WARM_UP = "enumerate --count-only --n 3"
 COMMANDS = (
+    "construct --family C6",  # almost all start-up: the import and the parser
     "extremal --n 16 --m 6",
     "extremal --n 18 --m 6",
     "extremal --n 20 --m 6",

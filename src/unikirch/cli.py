@@ -22,8 +22,8 @@ from .verification import SUITE_NAMES, WINDOWS, refusal, run_suite
 # (c = 21) 0.004 s at n = 100 and 0.008 s at n = 1000, K_100 1.5 s.
 DENSE_MAX_N = 100
 # --resistance-matrix holds and prints n^2 entries: at n = 1000 the whole
-# process takes 5 MB of output, 0.46 s and 37 MB for U(500,500,0,0) and
-# 0.53 s and 38 MB for C_1000 (scripts/bench_scaling.py, 2-vCPU VM,
+# process takes 5 MB of output, 0.37 s and 32 MB for U(500,500,0,0) and
+# 0.61 s and 34 MB for C_1000 (scripts/bench_scaling.py, 2-vCPU VM,
 # Python 3.11.7), and all but the interpreter's share grows as n^2.
 MATRIX_MAX_N = 1000
 

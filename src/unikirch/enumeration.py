@@ -41,7 +41,6 @@ consumers that need vertex-level data, one class at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, groupby, pairwise, product
@@ -173,8 +172,7 @@ def tree_from_code(code: str) -> Graph:
     return Graph(len(parents), frozenset((p, v) for v, p in enumerate(parents) if v))
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Dihedral-minimal branch-code sequence of a unicyclic graph.
 
     Equal codes characterize isomorphic unicyclic graphs.

@@ -19,9 +19,9 @@ is reproducible byte for byte:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .enumeration import CanonicalCode, canonical_code, graph_from_code
 from .graph import Graph
@@ -129,19 +129,18 @@ def unm_kf_closed_form(n: int, m: int) -> Fraction:
     return Fraction(n * n + n * m - 5 * n - 3 * m + 4)
 
 
-_FAMILY_RE = re.compile(
-    r"""
+# a verbose pattern, compiled (and cached by re) on the first
+# parse_family_spec, so that commands that parse no family do not pay for
+# it at start-up
+_FAMILY_RE = r"""
     (?:C(?P<cn>\d+))
     | (?:P(?P<pn>\d+))
     | (?:U\(\s*(?P<k>\d+)\s*,\s*(?P<t>\d+)\s*,\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*\))
     | (?:Unm\(\s*(?P<n>\d+)\s*,\s*(?P<m>\d+)\s*\))
-    """,
-    re.VERBOSE,
-)
+"""
 
 
-@dataclass(frozen=True, order=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Symbolic description of a constructed graph.
 
     Textual forms: "C{n}", "P{n}", "U({k},{t},{i},{j})", "Unm({n},{m})".
@@ -169,7 +168,7 @@ class FamilySpec:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    m = _FAMILY_RE.fullmatch(text.strip())
+    m = re.fullmatch(_FAMILY_RE, text.strip(), re.VERBOSE)
     if m is None:
         raise ValueError(f"not a family spec: {text!r}")
     if m.group("cn") is not None:
@@ -181,8 +180,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec("Unm", (int(m.group("n")), int(m.group("m"))))
 
 
-@dataclass(frozen=True)
-class ExtremalPrediction:
+class ExtremalPrediction(NamedTuple):
     """A predicted set of Kirchhoff minimizers with the exact minimum value."""
 
     minimizers: tuple[FamilySpec, ...]
@@ -266,8 +264,7 @@ def predicted_min(n: int, m: int) -> ExtremalPrediction:
     return _pred([unm], unm_kf_closed_form(n, m))
 
 
-@dataclass(frozen=True)
-class AttachResult:
+class AttachResult(NamedTuple):
     graph: Graph
     vertex: int
     argmin_vertices: tuple[int, ...]

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -33,17 +32,36 @@ class DisconnectedError(ValueError):
     """Raised when an operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: frozenset[tuple[int, int]]
+    """n vertices and a frozenset of edges (u, v), 0 <= u < v < n.
+    Immutable: equal and hashed as (n, edges)."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
             raise ValueError("negative vertex count")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -294,8 +312,7 @@ def identify_vertices(g: Graph, u: int, h: Graph, w: int) -> Graph:
     return Graph(g.n + h.n - 1, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class StripResult:
+class StripResult(NamedTuple):
     graph: Graph
     removed_pairs: tuple[tuple[int, int], ...]
 

@@ -12,8 +12,8 @@ lower y of its two cycle neighbours.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import (
     Graph,
@@ -24,8 +24,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     size: int
     edges: frozenset[tuple[int, int]]
     saturated: tuple[bool, ...]

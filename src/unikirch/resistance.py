@@ -27,7 +27,6 @@ elimination, ``grounded_inverse``, and the forest route serve as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -198,12 +197,27 @@ def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
     return Fraction(pot_u - pot_v, d)
 
 
-@dataclass(frozen=True)
 class ResistanceMatrix:
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    # the distinct Fraction objects that the rows share, each once
-    values: tuple[Fraction, ...] = field(compare=False, repr=False)
+    """n rows of n resistances, equal and hashed as (n, rows); values holds
+    the distinct Fraction objects that the rows share, each once."""
+
+    def __init__(
+        self, n: int, rows: tuple[tuple[Fraction, ...], ...], values: tuple[Fraction, ...]
+    ):
+        self.n = n
+        self.rows = rows
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.n, self.rows))
+
+    def __repr__(self):
+        return f"ResistanceMatrix(n={self.n!r}, rows={self.rows!r})"
 
     def r(self, u: int, v: int) -> Fraction:
         return self.rows[u][v]
@@ -358,7 +372,9 @@ def branch_matrix(
                 for v, dv in zip(labels, dj):
                     row[v] = rows[v][u] = values[du + dv]
     shared = tuple(x for values in pools.values() for x in values)
-    return ResistanceMatrix(n, tuple(tuple(row) for row in rows), shared)
+    for u, row in enumerate(rows):
+        rows[u] = tuple(row)  # each list goes as its tuple comes: one table at a time
+    return ResistanceMatrix(n, tuple(rows), shared)
 
 
 def resistance_matrix_unicyclic(
@@ -400,8 +416,12 @@ def _subtree_sizes(parents: Sequence[int]) -> list[int]:
     return sub
 
 
+_ONE_VERTEX = BranchSummary(1, 0, 0, 0, 0)
+
+
 def tree_summary(parents: Sequence[int]) -> BranchSummary:
-    """Summary of a rooted tree in the parent form of ``_subtree_sizes``.
+    """Summary of a rooted tree in the parent form of ``_subtree_sizes``,
+    in one pass from the leaves up.
 
     Every non-root vertex v adds its subtree size to the depth sum and
     sub(v)(s - sub(v)) to the Wiener number, the pairs its parent edge
@@ -410,18 +430,20 @@ def tree_summary(parents: Sequence[int]) -> BranchSummary:
     free(v), the best with v unmatched, is the sum of best(c).
     """
     s = len(parents)
-    sub = _subtree_sizes(parents)
+    if s == 1:
+        return _ONE_VERTEX
+    sub = [1] * s
     free = [0] * s
     spare = [0] * s  # best(v) - free(v)
-    for v in range(s - 1, 0, -1):
-        p = parents[v]
+    depth_sum = wiener = 0
+    for v in range(s - 1, 0, -1):  # v's subtree is complete when v is reached
+        p, x = parents[v], sub[v]
+        sub[p] += x
+        depth_sum += x
+        wiener += x * (s - x)
         free[p] += free[v] + spare[v]
         if not spare[v]:
             spare[p] = 1
-    depth_sum = wiener = 0
-    for x in sub[1:]:
-        depth_sum += x
-        wiener += x * (s - x)
     return BranchSummary(s, depth_sum, wiener, free[0] + spare[0], free[0])
 
 
@@ -593,13 +615,21 @@ def _label_sums(
     return sums
 
 
-@dataclass(frozen=True)
 class CyclePeel:
     """The closed forms on a ``peel`` whose core is one vertex or one cycle,
     with the methods of ``GroundedInverse``: trees[i] hangs on the i-th
     vertex of C_k.  Kf and W come from one ``cycle_invariants`` pass."""
 
-    trees: list[tuple[list[int], list[int]]]
+    def __init__(self, trees: list[tuple[list[int], list[int]]]):
+        self.trees = trees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.trees == other.trees
+
+    def __repr__(self):
+        return f"CyclePeel(trees={self.trees!r})"
 
     @cached_property
     def invariants(self) -> Invariants:

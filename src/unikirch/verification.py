@@ -18,7 +18,6 @@ import json
 import random
 import time
 from bisect import insort
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -52,7 +51,7 @@ from .families import (
     predicted_min_perfect,
     unm_kf_closed_form,
 )
-from .graph import Graph, identify_vertices
+from .graph import Graph, identify_vertices, peel
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
@@ -63,7 +62,7 @@ from .resistance import (
     kirchhoff_index,
     kirchhoff_vertex_sum,
     resistance_matrix,
-    vertex_sums,
+    route,
 )
 
 IDENTITY_NOTE = (
@@ -73,8 +72,7 @@ IDENTITY_NOTE = (
 )
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     id: str
     parameters: dict
     expected: str
@@ -83,13 +81,31 @@ class CaseResult:
     runtime_ms: float
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    seed: int
-    cases: list[CaseResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
+    """A suite's cases and notes; equal when suite, seed, cases and notes are."""
+
+    def __init__(self, suite: str, seed: int):
+        self.suite = suite
+        self.seed = seed
+        self.cases: list[CaseResult] = []
+        self.notes: list[str] = []
+        self._t0 = time.perf_counter()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.seed, self.cases, self.notes) == (
+            other.suite,
+            other.seed,
+            other.cases,
+            other.notes,
+        )
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(suite={self.suite!r}, seed={self.seed!r}, "
+            f"cases={self.cases!r}, notes={self.notes!r})"
+        )
 
     def add(self, cid: str, parameters: dict, expected, computed, ok: bool | None = None):
         """Record a case, timed since the previous case or since the report
@@ -125,7 +141,7 @@ class VerificationReport:
             "suite": self.suite,
             "seed": self.seed,
             "notes": list(self.notes),
-            "cases": [asdict(c) for c in self.cases],
+            "cases": [c._asdict() for c in self.cases],
             "summary": {"pass": self.passed, "fail": self.failed, "skipped": self.skipped},
         }
 
@@ -439,7 +455,6 @@ def _pendant_differences(
         offset += len(parents) - 1
 
 
-@dataclass
 class RowCell:
     """The classes on n vertices with matching number m >= 3 against the
     vertex-sum bound and the pendant-deletion bounds: how many classes and
@@ -451,15 +466,25 @@ class RowCell:
     ``_check_class`` keeps the entries sorted, so two walks that meet the
     classes in different orders give equal cells."""
 
-    n: int
-    m: int
-    graphs: int = 0
-    pendants: int = 0
-    violations: int = 0
-    equalities: list[tuple[CanonicalCode, bool]] = field(default_factory=list)
-    deletion_violations: int = 0
-    eq_single: list[tuple[CanonicalCode, bool]] = field(default_factory=list)
-    eq_pair: list[CanonicalCode] = field(default_factory=list)
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.m = m
+        self.graphs = 0
+        self.pendants = 0
+        self.violations = 0
+        self.equalities: list[tuple[CanonicalCode, bool]] = []
+        self.deletion_violations = 0
+        self.eq_single: list[tuple[CanonicalCode, bool]] = []
+        self.eq_pair: list[CanonicalCode] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"RowCell({fields})"
 
 
 def _check_class(seq: tuple[str, ...], cell: RowCell) -> None:
@@ -754,8 +779,10 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
 
     @cache
     def kf_and_sums(g: Graph) -> tuple[Fraction, list[Fraction]]:
-        """Kf and the vertex-sum row of a pool graph, once per graph."""
-        return kirchhoff_index(g), vertex_sums(g)
+        """Kf and the vertex-sum row of a pool graph from one route, once
+        per graph."""
+        resist = route(g, peel(g))
+        return resist.kirchhoff_index(), resist.vertex_sums()
 
     for i in range(trials):
         g = rng.choice(unicyclic_pool)

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -254,6 +259,56 @@ def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, bui
     assert lines[:2] == [f"Kf = {dense.kirchhoff_index()}", f"W = {wiener_index(g)}"]
     assert lines[2 : g.n + 2] == [f"Kf[{v}] = {mat.row_sum(v)}" for v in range(g.n)]
     assert "\n".join(lines[g.n + 2 :]) + "\n" == resistance.format_resistance_matrix(mat)
+
+
+def _compute_all(g: Graph) -> tuple[list[str], list[str], dict[tuple[int, int], str]]:
+    """The Kf and W lines, the vertex sums by vertex and the matrix entries
+    by (u, v), u < v, that `compute --wiener --vertex-sums
+    --resistance-matrix` prints for g."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.graph"
+        path.write_text(write_graph(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            flags = ("--wiener", "--vertex-sums", "--resistance-matrix")
+            code = main(["compute", "--input", str(path), *flags])
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    head, sums, matrix = lines[:2], lines[2 : g.n + 2], lines[g.n + 3 :]
+    assert [line.split(" = ")[0] for line in sums] == [f"Kf[{v}]" for v in range(g.n)]
+    entries = {
+        (u, v): x for u, row in enumerate(matrix) for v, x in enumerate(row.split(), start=u + 1)
+    }
+    assert len(entries) == g.n * (g.n - 1) // 2
+    return head, [line.split(" = ")[1] for line in sums], entries
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("unicyclic", "tree", "bicyclic")),
+    st.integers(1, 60),
+)
+def test_compute_output_moves_with_a_relabelling(seed, kind, n):
+    # the same graph under two labellings: every value stays, and every
+    # vertex sum and matrix entry moves with the labels
+    rng = random.Random(seed)
+    if kind == "bicyclic":
+        g = _bicyclic_path()
+    else:
+        k = 1 if kind == "tree" else rng.randint(3, max(n, 3))
+        n = max(n, k)
+        edges = [(c, (c + 1) % k) for c in range(k)] if k > 1 else []
+        edges += [(rng.randrange(v), v) for v in range(k, n)]
+        g = Graph(n, frozenset(tuple(sorted(e)) for e in edges))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    copy = Graph(g.n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+    head, sums, entries = _compute_all(g)
+    copy_head, copy_sums, copy_entries = _compute_all(copy)
+    assert copy_head == head
+    assert [copy_sums[perm[v]] for v in range(g.n)] == sums
+    moved = {(u, v): copy_entries[tuple(sorted((perm[u], perm[v])))] for u, v in entries}
+    assert moved == entries
 
 
 def test_compute_rejects_unreadable_text(tmp_path, capsys):
@@ -697,10 +752,10 @@ def test_outputs_are_pinned(capsys, monkeypatch, tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    probe = (
-        "import sys, unikirch.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-    )
+    # every command pays for these at start-up: a process pool, or the
+    # exec-generated methods of dataclasses and the inspect module they load
+    unwanted = "{'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'}"
+    probe = f"import sys, unikirch.cli; print(sorted({unwanted} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,21 @@ def test_kf_identified_random_instances():
             h.n,
         )
         assert kirchhoff_index_dense(merged) == closed
+
+
+def test_matrix_holds_its_table_once():
+    # the rows are built as lists and each becomes a tuple in place, so
+    # the peak stays near the result's own size, not twice it
+    for g in (make_cycle(300), make_ukt(150, 150, 0, 0)):
+        g.adjacency  # cached on g: outside the measurement
+        tracemalloc.start()
+        try:
+            mat = resistance_matrix(g)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.n == g.n
+        assert peak < 1.3 * held
 
 
 def test_matrix_serialization():
