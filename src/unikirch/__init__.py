@@ -6,7 +6,6 @@ from .enumeration import (
     CanonicalCode,
     canonical_code,
     enumerate_codes,
-    enumerate_unicyclic,
     enumerate_with_codes,
     extremal_search,
     free_trees,
@@ -18,7 +17,6 @@ from .families import (
     ExtremalPrediction,
     FamilySpec,
     arc_pair_resistance_sum,
-    attach_pendants_at_min_vertex,
     girth_min_kf,
     make_cycle,
     make_path,
@@ -40,22 +38,16 @@ from .graph import (
     decompose_unicyclic,
     identify_vertices,
     is_connected,
-    is_unicyclic,
     make_graph,
     read_graph,
-    strip_pendant_p2,
     wiener_index,
     without_vertices,
     write_graph,
 )
 from .matching import (
     MatchingResult,
-    PerfectMatchingClass,
-    classify_2m_m,
     has_perfect_matching,
     matching_number,
-    matching_number_tree,
-    reduce_to_g0,
 )
 from .rational import Rational, format_rational, parse_rational
 from .resistance import (

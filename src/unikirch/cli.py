@@ -26,6 +26,10 @@ DENSE_MAX_N = 100
 # 0.61 s and 34 MB for C_1000 (scripts/bench_scaling.py, 2-vCPU VM,
 # Python 3.11.7), and all but the interpreter's share grows as n^2.
 MATRIX_MAX_N = 1000
+# construct holds the edge set, its sorted copy and the output text, all
+# linear in n: C1000000 takes 3.6 s and 274 MB (x86_64 with 2 CPUs,
+# Python 3.11.7), so C10000000000 would run until memory ran out.
+CONSTRUCT_MAX_N = 1_000_000
 
 
 def _shown(x, decimal: bool) -> str:
@@ -78,6 +82,11 @@ def _cmd_compute(args) -> int:
 def _cmd_construct(args) -> int:
     try:
         spec = parse_family_spec(args.family)
+        if spec.order() > CONSTRUCT_MAX_N:
+            raise ValueError(
+                f"{spec.text()} has {spec.order()} vertices: "
+                f"construct is limited to {CONSTRUCT_MAX_N}"
+            )
         g = spec.build()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -294,13 +294,6 @@ def enumerate_with_codes(n: int, m: int | None = None) -> Iterator[tuple[Canonic
         yield code, graph_from_code(code)
 
 
-def enumerate_unicyclic(n: int, m: int | None = None) -> Iterator[Graph]:
-    """Stream one representative per isomorphism class of unicyclic
-    graphs on n vertices, optionally filtered by matching number."""
-    for _, g in enumerate_with_codes(n, m):
-        yield g
-
-
 class Minimum(NamedTuple):
     """An exact minimum and its argmin classes, in enumeration order."""
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .enumeration import CanonicalCode, canonical_code, graph_from_code
 from .graph import Graph
 from .rational import format_rational
-from .resistance import kf_cycle, kirchhoff_index, vertex_sums
+from .resistance import kf_cycle
 
 
 def make_cycle(n: int) -> Graph:
@@ -155,6 +155,13 @@ class FamilySpec(NamedTuple):
         inner = ",".join(str(p) for p in self.params)
         return f"{self.kind}({inner})"
 
+    def order(self) -> int:
+        """The vertex count of the graph that ``build`` returns."""
+        if self.kind == "U":
+            k, t, i, j = self.params
+            return k + t + i + 2 * j
+        return self.params[0]
+
     def build(self) -> Graph:
         if self.kind == "C":
             return make_cycle(*self.params)
@@ -262,27 +269,6 @@ def predicted_min(n: int, m: int) -> ExtremalPrediction:
             return _pred([unm, _u(6, 2, 2, 2), _u(7, 3, 2, 1)], Fraction(196))
         return _pred([unm], unm_kf_closed_form(n, 6))
     return _pred([unm], unm_kf_closed_form(n, m))
-
-
-class AttachResult(NamedTuple):
-    graph: Graph
-    vertex: int
-    argmin_vertices: tuple[int, ...]
-
-
-def attach_pendants_at_min_vertex(g0: Graph, count: int) -> AttachResult:
-    """Attach pendant vertices at a vertex minimizing the resistance row
-    sum (lowest id on ties; all argmin vertices reported)."""
-    if count < 0:
-        raise ValueError("pendant count must be non-negative")
-    sums = vertex_sums(g0)
-    best = min(sums)
-    argmins = tuple(v for v in range(g0.n) if sums[v] == best)
-    target = argmins[0]
-    edges = set(g0.edges)
-    for p in range(count):
-        edges.add((target, g0.n + p))
-    return AttachResult(Graph(g0.n + count, frozenset(edges)), target, argmins)
 
 
 @lru_cache(maxsize=4096)

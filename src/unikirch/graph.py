@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -199,11 +199,6 @@ def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in bfs_distances(g, 0))
 
 
-def is_unicyclic(g: Graph) -> bool:
-    """Connected with |E| = |V|, the definitional characterization."""
-    return g.edge_count == g.n and is_connected(g)
-
-
 def wiener_index(g: Graph) -> Fraction:
     """Sum of hop distances over unordered vertex pairs."""
     total = 0
@@ -310,37 +305,6 @@ def identify_vertices(g: Graph, u: int, h: Graph, w: int) -> Graph:
         a2, b2 = remap(a), remap(b)
         edges.add((a2, b2) if a2 < b2 else (b2, a2))
     return Graph(g.n + h.n - 1, frozenset(edges))
-
-
-class StripResult(NamedTuple):
-    graph: Graph
-    removed_pairs: tuple[tuple[int, int], ...]
-
-
-def strip_pendant_p2(g: Graph) -> StripResult:
-    """Delete pendant P2's (a degree-1 vertex whose neighbor has degree 2)
-    to a fixpoint.
-
-    At each step the lowest-index qualifying pendant goes first; the
-    removed (pendant, neighbor) pairs are reported in the input graph's
-    labels, and the fixpoint is relabeled to contiguous ids preserving
-    order.
-    """
-    if not is_unicyclic(g):
-        raise ValueError("pendant-P2 stripping expects a unicyclic graph")
-    adj = g.adjacency_dict()
-    removed: list[tuple[int, int]] = []
-    while True:
-        pendants = (v for v in sorted(adj) if len(adj[v]) == 1)
-        pair = next(((v, nb) for v in pendants for nb in adj[v] if len(adj[nb]) == 2), None)
-        if pair is None:
-            break
-        for x in pair:
-            for y in adj.pop(x):
-                adj[y].discard(x)
-        removed.append(pair)
-    gone = [x for pair in removed for x in pair]
-    return StripResult(without_vertices(g, gone), tuple(removed))
 
 
 def without_vertices(g: Graph, drop: Iterable[int]) -> Graph:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from unikirch import cli, graph, resistance
-from unikirch.cli import DENSE_MAX_N, MATRIX_MAX_N, main
+from unikirch.cli import CONSTRUCT_MAX_N, DENSE_MAX_N, MATRIX_MAX_N, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import (
     family_label,
@@ -475,6 +475,20 @@ def test_construct_rejects(tmp_path, capsys):
     assert code == 2 and err
     code, _, err = run_cli(capsys, "construct", "--family", "C6", "--out", str(tmp_path))
     assert code == 2 and err.startswith(f"error: cannot write {tmp_path}")
+
+
+def test_construct_refuses_beyond_ceiling(tmp_path, capsys):
+    # one vertex over the ceiling, refused from the spec before anything is built
+    assert CONSTRUCT_MAX_N == 1_000_000
+    path = tmp_path / "g.graph"
+    for family in ("C1000001", "U(999999,1,1,0)"):
+        for out_args in ((), ("--out", str(path))):
+            code, out, err = run_cli(capsys, "construct", "--family", family, *out_args)
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: {family} has 1000001 vertices: construct is limited to 1000000\n"
+            )
+            assert not path.exists()
 
 
 def test_enumerate_count_only(capsys):

@@ -23,7 +23,6 @@ from unikirch.enumeration import (
     code_parents,
     counts_by_matching,
     enumerate_codes,
-    enumerate_unicyclic,
     enumerate_with_codes,
     extremal_search,
     free_tree_codes,
@@ -138,13 +137,13 @@ def test_graph_from_code_round_trip(unicyclic_corpus):
 
 
 def test_enumerate_smallest():
-    assert [g for g in enumerate_unicyclic(3)] == [make_cycle(3)]
-    assert sum(1 for _ in enumerate_unicyclic(4)) == 2
+    assert [g for _, g in enumerate_with_codes(3)] == [make_cycle(3)]
+    assert sum(1 for _ in enumerate_with_codes(4)) == 2
 
 
 def test_enumerate_counts_match_labeled_oracle():
     for n in range(3, 7):
-        assert sum(1 for _ in enumerate_unicyclic(n)) == len(labeled_unicyclic_classes(n))
+        assert sum(1 for _ in enumerate_with_codes(n)) == len(labeled_unicyclic_classes(n))
 
 
 def test_enumerate_matching_filter_matches_labeled_oracle():
@@ -156,7 +155,7 @@ def test_enumerate_matching_filter_matches_labeled_oracle():
         m = brute_force_matching_size(edges)
         by_m[m] = by_m.get(m, 0) + 1
     assert counts_by_matching(n) == dict(sorted(by_m.items()))
-    assert sum(1 for _ in enumerate_unicyclic(6, m=3)) == by_m[3]
+    assert sum(1 for _ in enumerate_with_codes(6, m=3)) == by_m[3]
 
 
 def test_enumerate_no_duplicates_and_sorted():
@@ -399,13 +398,13 @@ def test_sweep_and_pools_parse_no_code(monkeypatch):
 
 def test_enumerate_partition_over_matching():
     for n in range(3, 10):
-        total = sum(1 for _ in enumerate_unicyclic(n))
+        total = sum(1 for _ in enumerate_with_codes(n))
         assert sum(counts_by_matching(n).values()) == total
 
 
 def test_enumerate_rejects():
     with pytest.raises(ValueError):
-        list(enumerate_unicyclic(2))
+        list(enumerate_with_codes(2))
 
 
 def test_enumerated_graphs_are_unicyclic(unicyclic_corpus):
@@ -428,7 +427,7 @@ def test_extremal_search_wiener():
     from unikirch.graph import wiener_index
 
     codes, value = extremal_search(6, 3, invariant="wiener")
-    assert value == min(wiener_index(g) for g in enumerate_unicyclic(6, m=3))
+    assert value == min(wiener_index(g) for _, g in enumerate_with_codes(6, m=3))
     with pytest.raises(ValueError):
         extremal_search(6, 3, invariant="girth")
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from unikirch.enumeration import canonical_code
 from unikirch.families import (
     FamilySpec,
     arc_pair_resistance_sum,
-    attach_pendants_at_min_vertex,
     central_vertex,
     girth_min_kf,
     make_cycle,
@@ -22,7 +21,8 @@ from unikirch.families import (
     unm_kf_closed_form,
 )
 from unikirch.matching import matching_number
-from unikirch.resistance import kirchhoff_index, kirchhoff_vertex_sum
+from unikirch.graph import Graph
+from unikirch.resistance import kirchhoff_index, kirchhoff_vertex_sum, vertex_sums
 
 
 def test_basic_constructors():
@@ -223,23 +223,36 @@ def test_prediction_self_consistency():
 
 
 def test_attach_pendants():
-    g = make_cycle(5)
-    res = attach_pendants_at_min_vertex(g, 0)
-    assert res.graph == g
-    assert res.argmin_vertices == (0, 1, 2, 3, 4)
-    res = attach_pendants_at_min_vertex(g, 3)
-    assert canonical_code(res.graph) == canonical_code(make_ukt(5, 1, 2, 0))
+    # the paper grows G0 = Unm(2m, m) back to Unm(n, m) by hanging the n - 2m
+    # deleted pendants on its one vertex of least resistance row sum
     g0 = make_unm(8, 4)
-    res = attach_pendants_at_min_vertex(g0, 3)
-    assert res.vertex == 0
-    assert canonical_code(res.graph) == canonical_code(make_unm(11, 4))
+    sums = vertex_sums(g0)
+    least = min(sums)
+    assert sums.count(least) == 1
+    hub = sums.index(least)
+    grown = Graph(11, g0.edges | {(hub, v) for v in range(8, 11)})
+    assert canonical_code(grown) == canonical_code(make_unm(11, 4))
+
+
+def test_unm_meets_both_deletion_bounds_with_equality():
+    # the induction step of the minimum: deleting a pendant lowers Kf by at
+    # least 2n + m - 6, and deleting a pendant path x-y, y of degree 2, by at
+    # least 5n + 2m - 19; from Unm(n, m) to Unm(n - 1, m) and to
+    # Unm(n - 2, m - 1) the closed form loses exactly that, at every n and not
+    # only in the enumerated cells
+    f = unm_kf_closed_form
+    for n in range(8, 61):
+        for m in range(4, n // 2 + 1):
+            if n - 1 >= 2 * m:
+                assert f(n, m) - f(n - 1, m) == 2 * n + m - 6
+            assert f(n, m) - f(n - 2, m - 1) == 5 * n + 2 * m - 19
 
 
 def test_family_spec_round_trip():
     for text in ("C5", "P7", "U(3,2,2,1)", "Unm(14,4)"):
         spec = parse_family_spec(text)
         assert spec.text() == text
-        assert spec.build().n >= 1
+        assert spec.order() == spec.build().n >= 1
     assert parse_family_spec("U( 3 , 2 , 2 , 1 )") == FamilySpec("U", (3, 2, 2, 1))
     with pytest.raises(ValueError):
         parse_family_spec("Q7")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -20,7 +19,6 @@ from unikirch.graph import (
     is_connected,
     make_graph,
     read_graph,
-    strip_pendant_p2,
     wiener_index,
     without_vertices,
     write_graph,
@@ -247,44 +245,6 @@ def test_identify_size_identities(seed, ng, nh):
     merged = identify_vertices(g, u, h, w)
     assert merged.n == g.n + h.n - 1
     assert merged.edge_count == g.edge_count + h.edge_count
-
-
-def test_strip_single_leg():
-    res = strip_pendant_p2(make_ukt(3, 1, 0, 1))
-    assert res.graph == make_ukt(3, 1, 0, 0)
-    assert res.removed_pairs == ((5, 4),)
-
-
-def test_strip_fixpoint_cycle():
-    res = strip_pendant_p2(make_cycle(8))
-    assert res.graph == make_cycle(8)
-    assert res.removed_pairs == ()
-
-
-def test_strip_hub_family_reaches_pendant_cycle():
-    # stripping the legs of U(5,1,0,5) leaves U(5,1): the remaining
-    # pendant hangs off a degree-3 vertex, so it is not a pendant P2
-    res = strip_pendant_p2(make_ukt(5, 1, 0, 5))
-    assert len(res.removed_pairs) == 5
-    assert res.graph == make_ukt(5, 1, 0, 0)
-    fix = res.graph
-    assert not any(
-        fix.degree(v) == 1 and fix.degree(fix.adjacency[v][0]) == 2
-        for v in range(fix.n)
-    )
-
-
-def test_strip_invariants(unicyclic_corpus):
-    for n, pairs in unicyclic_corpus.items():
-        for _, g in pairs:
-            res = strip_pendant_p2(g)
-            fix = res.graph
-            assert fix.n == g.n - 2 * len(res.removed_pairs)
-            assert fix.edge_count == g.edge_count - 2 * len(res.removed_pairs)
-            assert not any(
-                fix.degree(v) == 1 and fix.degree(fix.adjacency[v][0]) == 2
-                for v in range(fix.n)
-            )
 
 
 def test_wiener_examples():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -7,16 +8,9 @@ from oracles import brute_force_matching_size
 from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
 from unikirch.graph import Graph, make_graph, without_vertices
-from unikirch.matching import (
-    PerfectMatchingClass,
-    classify_2m_m,
-    has_perfect_matching,
-    matching_number,
-    matching_number_tree,
-    reduce_orders_diagnostic,
-    reduce_to_g0,
-    unsaturated_pendant_deletion_keeps_size,
-)
+from unikirch.matching import has_perfect_matching, matching_number
+
+EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
 
 def star(leaves: int) -> Graph:
@@ -34,11 +28,9 @@ def check_result(g, res):
 
 
 def test_tree_examples():
-    assert matching_number_tree(make_path(4)).size == 2
-    assert matching_number_tree(star(5)).size == 1
-    assert matching_number_tree(make_path(4)).edge_lines() == ["0 1", "2 3"]
-    with pytest.raises(ValueError):
-        matching_number_tree(make_cycle(4))
+    assert matching_number(make_path(4)).size == 2
+    assert matching_number(star(5)).size == 1
+    assert matching_number(make_path(4)).edge_lines() == ["0 1", "2 3"]
 
 
 def test_trees_against_oracle():
@@ -46,7 +38,7 @@ def test_trees_against_oracle():
     for _ in range(40):
         n = rng.randrange(1, 11)
         g = make_graph(n, random_tree_edges(rng, n))
-        res = matching_number_tree(g) if n > 1 else matching_number(g)
+        res = matching_number(g)
         check_result(g, res)
         assert res.size == brute_force_matching_size(g.edges)
 
@@ -91,58 +83,27 @@ def test_perfect_matching_examples():
     assert has_perfect_matching(make_ukt(8, 2, 0, 0))
 
 
-def test_reduce_passthrough():
-    c9 = make_cycle(9)
-    assert reduce_to_g0(c9) == (c9, 0)
-    u82 = make_ukt(8, 2, 0, 0)
-    assert reduce_to_g0(u82) == (u82, 0)
-
-
-def test_reduce_single_pendant():
-    g0, removed = reduce_to_g0(make_ukt(3, 1, 1, 0))
-    assert removed == 1
-    assert canonical_code(g0) == canonical_code(make_ukt(3, 1, 0, 0))
-
-
-def test_reduce_hub_family():
-    g = make_ukt(5, 1, 3, 2)  # 13 vertices, matching number 5
-    assert matching_number(g).size == 5
-    g0, removed = reduce_to_g0(g)
-    assert removed == 3
-    assert g0.n == 10
-    assert has_perfect_matching(g0)
-    assert canonical_code(g0) == canonical_code(make_ukt(5, 1, 0, 2))
-
-
-def test_reduce_postcondition(unicyclic_corpus):
-    for n, pairs in unicyclic_corpus.items():
-        for _, g in pairs:
-            m = matching_number(g).size
-            g0, removed = reduce_to_g0(g)
-            assert removed == (0 if all(g.degree(v) == 2 for v in range(g.n)) else n - 2 * m)
-            if removed:
-                assert g0.n == 2 * m
-                assert matching_number(g0).size == m
-                assert has_perfect_matching(g0)
-
-
 def _relabel(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _reference_g0(g: Graph) -> tuple[Graph, int]:
-    """Delete the lowest pendant whose deletion keeps the brute-force
-    matching number until the order is twice that number; a cycle has no
-    pendant and stays."""
-    m = brute_force_matching_size(g.edges)
+def _brute_force_size(g: Graph) -> int:
+    return brute_force_matching_size(g.edges)
+
+
+def _reference_g0(g: Graph, size=_brute_force_size) -> tuple[Graph, int]:
+    """Delete the lowest pendant whose deletion keeps the matching number
+    ``size`` until the order is twice that number; a cycle has no pendant
+    and stays."""
+    m = size(g)
     h = g
     while h.n > 2 * m and any(h.degree(u) == 1 for u in range(h.n)):
         for u in range(h.n):
             if h.degree(u) == 1:
                 rest = without_vertices(h, [u])
-                if brute_force_matching_size(rest.edges) == m:
+                if size(rest) == m:
                     h = rest
                     break
         else:
@@ -150,23 +111,88 @@ def _reference_g0(g: Graph) -> tuple[Graph, int]:
     return h, g.n - h.n
 
 
+def _library_size(g: Graph) -> int:
+    return matching_number(g).size
+
+
+def test_reduce_passthrough():
+    c9 = make_cycle(9)
+    assert _reference_g0(c9) == (c9, 0)
+    u82 = make_ukt(8, 2, 0, 0)
+    assert _reference_g0(u82) == (u82, 0)
+
+
+def test_reduce_single_pendant():
+    g0, removed = _reference_g0(make_ukt(3, 1, 1, 0))
+    assert removed == 1
+    assert canonical_code(g0) == canonical_code(make_ukt(3, 1, 0, 0))
+
+
+def test_reduce_hub_family():
+    g = make_ukt(5, 1, 3, 2)  # 13 vertices, matching number 5
+    assert matching_number(g).size == 5
+    g0, removed = _reference_g0(g)
+    assert removed == 3
+    assert g0.n == 10
+    assert has_perfect_matching(g0)
+    assert canonical_code(g0) == canonical_code(make_ukt(5, 1, 0, 2))
+
+
+def _check_reduction(orders, size) -> None:
+    """The paper's reduction lemma on every class of each order, relabelled
+    at random: while n > 2m some pendant's deletion keeps m (else
+    ``_reference_g0`` raises), so every class but the cycle reaches a
+    unicyclic G0 of order 2m with a perfect matching; a cycle has no
+    pendant and stays as it is."""
+    rng = random.Random(11)
+    for n in orders:
+        for _, g in enumerate_with_codes(n):
+            h = _relabel(rng, g)
+            m = size(h)
+            g0, removed = _reference_g0(h, size)
+            if all(h.degree(v) == 2 for v in range(n)):
+                assert (g0, removed) == (h, 0)
+            else:
+                assert removed == n - 2 * m
+                assert g0.n == g0.edge_count == 2 * m
+                assert size(g0) == m
+
+
+def test_reduce_postcondition(unicyclic_corpus):
+    # the reduction driven by the library matching number
+    for n, pairs in unicyclic_corpus.items():
+        for _, g in pairs:
+            m = matching_number(g).size
+            g0, removed = _reference_g0(g, _library_size)
+            assert removed == (0 if all(g.degree(v) == 2 for v in range(g.n)) else n - 2 * m)
+            if removed:
+                assert g0.n == 2 * m
+                assert matching_number(g0).size == m
+                assert has_perfect_matching(g0)
+
+
 def test_reduce_matches_reference_on_relabelled_classes():
+    # the library matching number picks the same pendants as the brute force
     rng = random.Random(11)
     for n in range(3, 10):
         for _, g in enumerate_with_codes(n):
             h = _relabel(rng, g)
-            assert reduce_to_g0(h) == _reference_g0(h)
+            assert _reference_g0(h, _library_size) == _reference_g0(h)
 
 
-def test_reduce_all_orders_diagnostic():
-    for g in (make_ukt(3, 1, 1, 0), make_ukt(5, 1, 2, 1), make_ukt(4, 2, 3, 0)):
-        m = matching_number(g).size
-        for g0 in reduce_orders_diagnostic(g):
-            assert g0.n == 2 * m
-            assert has_perfect_matching(g0)
+def test_reduction_lemma():
+    _check_reduction(range(3, 10), _brute_force_size)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_reduction_lemma_extended():
+    # past the brute force's reach the library matching number, itself
+    # checked against the brute force on every class of the corpus, decides m
+    _check_reduction(range(10, 14), _library_size)
 
 
 def test_pendant_deletion_keeps_matching(unicyclic_corpus):
+    # deleting a pendant lowers the matching number by at most one
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
             m = matching_number(g).size
@@ -174,33 +200,43 @@ def test_pendant_deletion_keeps_matching(unicyclic_corpus):
                 if g.degree(v) == 1:
                     after = matching_number(without_vertices(g, [v])).size
                     assert after in (m - 1, m)
-            if n > 2 * m and not all(g.degree(v) == 2 for v in range(g.n)):
-                pendants = [v for v in range(g.n) if g.degree(v) == 1]
-                assert any(
-                    unsaturated_pendant_deletion_keeps_size(g, v) for v in pendants
-                )
+
+
+def _g0_class(g: Graph) -> str:
+    """The paper's classification of G0: a unicyclic graph on 2m vertices
+    with matching number m is C_2m ("cycle"), or has a pendant P2, a pendant
+    on a degree-2 vertex ("pendant_p2"), or has pendants only on vertices of
+    degree 3 or more ("pendants_only")."""
+    if not has_perfect_matching(g):
+        raise ValueError("G0 has a perfect matching")
+    degrees = [g.degree(v) for v in range(g.n)]
+    hosts = {degrees[g.adjacency[v][0]] for v in range(g.n) if degrees[v] == 1}
+    if not hosts:
+        return "cycle"
+    return "pendant_p2" if 2 in hosts else "pendants_only"
 
 
 def test_classify_examples():
-    assert classify_2m_m(make_cycle(8)) is PerfectMatchingClass.CYCLE
-    assert classify_2m_m(make_ukt(8, 2, 0, 0)) is PerfectMatchingClass.PENDANTS_ONLY
-    assert classify_2m_m(make_ukt(5, 1, 0, 1)) is PerfectMatchingClass.HAS_PENDANT_P2
+    assert _g0_class(make_cycle(8)) == "cycle"
+    assert _g0_class(make_ukt(8, 2, 0, 0)) == "pendants_only"
+    assert _g0_class(make_ukt(5, 1, 0, 1)) == "pendant_p2"
     with pytest.raises(ValueError):
-        classify_2m_m(make_cycle(7))
+        _g0_class(make_cycle(7))
 
 
 def test_classify_partitions_perfect_matching_classes():
-    from unikirch.enumeration import enumerate_with_codes
-
-    for m in (2, 3, 4):
-        counts = {c: 0 for c in PerfectMatchingClass}
+    # every class on 2m vertices with matching number m: the cycle is the
+    # only class without a pendant, and a class with pendants only on
+    # vertices of degree 3 or more has maximum degree 3
+    for m in range(2, 7):
+        cycles = 0
         for _, g in enumerate_with_codes(2 * m, m):
-            cls = classify_2m_m(g)
-            counts[cls] += 1
-            if cls is PerfectMatchingClass.PENDANTS_ONLY:
-                degs = [g.degree(v) for v in range(g.n)]
-                assert max(degs) == 3
-                for v in range(g.n):
-                    if degs[v] == 1:
-                        assert degs[g.adjacency[v][0]] == 3
-        assert counts[PerfectMatchingClass.CYCLE] == 1
+            cls = _g0_class(g)
+            degrees = [g.degree(v) for v in range(g.n)]
+            if cls == "cycle":
+                assert set(degrees) == {2}
+                cycles += 1
+            elif cls == "pendants_only":
+                assert max(degrees) == 3
+                assert all(degrees[g.adjacency[v][0]] == 3 for v in range(g.n) if degrees[v] == 1)
+        assert cycles == 1
