@@ -9,26 +9,29 @@ the test suite cross-checks them:
 * spanning-tree / separating-forest counting via integer determinants,
 * the series closed form on the branch trees of a tree or unicyclic
   graph (tree distance into the cycle, cycle resistance d(k-d)/k, tree
-  distance out), ``resistance_matrix_unicyclic``.
+  distance out), ``cycle_route``.
 
 Every connected graph is peeled leaf by leaf once, by ``graph.peel``,
 into its 2-core and a branch tree on each core vertex; a resistance
 across branches is two depths plus a core resistance (Klein and Randic
-1993).  ``route`` alone picks the route for a peel.  A core of one
-vertex or one cycle takes ``CyclePeel``, the closed forms: one integer
-kernel, ``cycle_invariants``, gives Kf, W and the matching number of a
-tree or unicyclic graph from a short summary of each branch in O(n + k),
-and ``cycle_row_numerators`` the vertex-sum row, as integers over k.
-Codes feed that kernel directly.  Any other core takes one elimination
-(``core_inverse``), cubic in the core and linear in the branches.  Both
-serve Kf, W, the vertex sums and the matrix.  The whole-graph
-elimination, ``grounded_inverse``, and the forest route serve as oracles.
+1993).  So Kf, W, the vertex sums and the matrix are the branch terms
+plus a sum over the core weighted by the branch sizes, and one record,
+``Route``, writes each of them once from what its core gives: a common
+denominator, the weighted resistance row of each core vertex, the
+weighted hop sum and the core resistances.  ``route`` alone picks the
+constructor for a peel.  A core of one vertex or one cycle takes
+``cycle_route``, the closed forms: O(n + k) integer sums over the cycle,
+``cycle_cores`` for the rows and ``cycle_terms`` for the hops.  Any other
+core takes one elimination (``core_inverse``), cubic in the core and
+linear in the branches.  The whole-graph elimination,
+``grounded_inverse``, and the forest route serve as oracles, and
+``cycle_invariants`` gives Kf, W and the matching number of a tree or
+unicyclic graph from a short summary of each branch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -237,91 +240,6 @@ def format_resistance_matrix(mat: ResistanceMatrix) -> str:
     return "\n".join(lines)
 
 
-class GroundedInverse(NamedTuple):
-    """M = X / d, the inverse of a connected graph's Laplacian with the
-    ground vertex's row and column dropped (zeros in X); d is the number
-    of spanning trees.  Vertex v carries trees[v], as ``graph.peel`` gives
-    it: the whole graph is the trees hung on this graph, its 2-core, or on
-    itself, each tree one vertex.  A resistance across branches is two
-    depths plus one between the roots (Klein and Randic 1993), so sums
-    over this graph weight vertex v by s_v = |trees[v]|; s_v = 1 gives the
-    whole-graph formulas.  One elimination serves Kf, the vertex sums and
-    the matrix."""
-
-    graph: Graph
-    trees: list[tuple[list[int], list[int]]]
-    d: int
-    x: list[list[int]]
-
-    def _core_rows(self) -> list[int]:
-        """d sum_v s_v R(u, v) = n X_uu + sum_v s_v X_vv - 2 (X s)_u for
-        every vertex u of this graph, n = sum_v s_v."""
-        sizes = [len(labels) for labels, _ in self.trees]
-        n = sum(sizes)
-        diag = [row[u] for u, row in enumerate(self.x)]
-        weighted = sum(map(mul, sizes, diag))
-        rows = zip(self.x, diag)
-        return [n * x_uu + weighted - 2 * sum(map(mul, sizes, row)) for row, x_uu in rows]
-
-    def kirchhoff_index(self) -> Fraction:
-        """The ``branch_term``s plus sum_{u<v} s_u s_v R(u, v), half of
-        sum_u s_u ``_core_rows``[u]; (n tr X - sum X) / d when s_v = 1."""
-        n = sum(len(labels) for labels, _ in self.trees)
-        branches = sum(branch_term(tree_summary(parents), n) for _, parents in self.trees)
-        core = sum(len(labels) * r for (labels, _), r in zip(self.trees, self._core_rows()))
-        return Fraction(self.d * branches + core // 2, self.d)
-
-    def vertex_sums(self) -> list[Fraction]:
-        """Every vertex's resistance row sum, ``_row_numerators`` over d."""
-        rows = _row_numerators([parents for _, parents in self.trees], self.d, self._core_rows())
-        return _label_sums(self.trees, self.d, rows)
-
-    def matrix(self) -> ResistanceMatrix:
-        """``branch_matrix`` with R(u, v) = M_uu + M_vv - 2 M_uv on this graph."""
-        x, d, n = self.x, self.d, len(self.x)
-        return branch_matrix(
-            self.trees,
-            lambda u: [[Fraction(x[u][u] + x[v][v] - 2 * x[u][v], d)] for v in range(u + 1, n)],
-        )
-
-    def wiener(self) -> Fraction:
-        """The ``branch_term``s plus sum_{u<v} s_u s_v dist(u, v), by one
-        BFS from each vertex of this graph; no elimination needed."""
-        sizes = [len(labels) for labels, _ in self.trees]
-        n = sum(sizes)
-        branches = sum(branch_term(tree_summary(parents), n) for _, parents in self.trees)
-        dist = (bfs_distances(self.graph, v) for v in range(self.graph.n))
-        core = sum(s * sum(map(mul, sizes, row)) for s, row in zip(sizes, dist))
-        return Fraction(branches + core // 2)
-
-
-def grounded_inverse(g: Graph, ground: int = 0) -> GroundedInverse:
-    """The Laplacian route's one elimination, for any connected graph,
-    every vertex its own branch."""
-    if not is_connected(g):
-        raise DisconnectedError("resistance of a disconnected graph")
-    idx, a = _grounded_laplacian(g, ground)
-    m = len(idx)
-    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
-    full = [[0] * g.n for _ in range(g.n)]
-    for u, row in zip(idx, x):
-        full[u] = row[:ground] + [0] + row[ground:]
-    return GroundedInverse(g, [([v], [-1]) for v in range(g.n)], d, full)
-
-
-def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> GroundedInverse:
-    """``grounded_inverse`` of the 2-core of g, whose ``peel`` is trees, with
-    the trees on their roots: cubic in the core, linear in the branches."""
-    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
-    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
-    return grounded_inverse(core)._replace(trees=trees)
-
-
-def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
-    """All-pairs resistances by the Laplacian route."""
-    return grounded_inverse(g, ground).matrix()
-
-
 def branch_matrix(
     trees: Sequence[tuple[Sequence[int], Sequence[int]]],
     across: Callable[[int], Sequence[list[Fraction]]],
@@ -375,17 +293,6 @@ def branch_matrix(
     for u, row in enumerate(rows):
         rows[u] = tuple(row)  # each list goes as its tuple comes: one table at a time
     return ResistanceMatrix(n, tuple(rows), shared)
-
-
-def resistance_matrix_unicyclic(
-    trees: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> ResistanceMatrix:
-    """``branch_matrix`` on C_k, where gap d has resistance d(k - d)/k, of
-    ``decompose_unicyclic``'s trees; one tree (k = 1) is a tree graph.
-    Pairs of branches with the same gap share their resistances."""
-    k = len(trees)
-    gaps = [[Fraction(d * (k - d), k)] for d in range(k)]
-    return branch_matrix(trees, lambda i: gaps[1 : k - i])
 
 
 class BranchSummary(NamedTuple):
@@ -541,7 +448,7 @@ def graph_invariants(g: Graph) -> Invariants:
     trees = decompose_unicyclic(g)
     if trees is None:
         raise ValueError("expected a tree or a connected unicyclic graph")
-    return CyclePeel(trees).invariants
+    return cycle_invariants([tree_summary(parents) for _, parents in trees])
 
 
 def branch_row(parents: Sequence[int], n: int) -> list[int]:
@@ -604,55 +511,129 @@ def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
     return _row_numerators(trees, len(trees), cycle_cores([len(parents) for parents in trees]))
 
 
-def _label_sums(
-    trees: Sequence[tuple[Sequence[int], Sequence[int]]], denom: int, rows: list[list[int]]
-) -> list[Fraction]:
-    """Row sums indexed by vertex label, from numerators over denom tree by tree."""
-    sums = [Fraction(0)] * sum(len(labels) for labels, _ in trees)
-    for (labels, _), nums in zip(trees, rows):
-        for u, x in zip(labels, nums):
-            sums[u] = Fraction(x, denom)
-    return sums
+class Route(NamedTuple):
+    """A connected graph as the trees of ``graph.peel`` hung on the vertices
+    of a core graph: trees[i] on core vertex i, as (labels, parents in the
+    form of ``_subtree_sizes``).  A resistance across branches is two depths
+    plus the core resistance between their roots (Klein and Randic 1993),
+    so each answer is the branch terms plus a sum over the core that weights
+    vertex i by s_i = |trees[i]|.  The core enters only through d, the
+    common denominator of its resistances; core_rows[i] = d sum_j s_j
+    R_core(i, j); hops(), sum_{i<j} s_i s_j dist_core(i, j); and cross(),
+    the core resistances that ``branch_matrix`` takes.  The last two run
+    only when called."""
 
-
-class CyclePeel:
-    """The closed forms on a ``peel`` whose core is one vertex or one cycle,
-    with the methods of ``GroundedInverse``: trees[i] hangs on the i-th
-    vertex of C_k.  Kf and W come from one ``cycle_invariants`` pass."""
-
-    def __init__(self, trees: list[tuple[list[int], list[int]]]):
-        self.trees = trees
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.trees == other.trees
-
-    def __repr__(self):
-        return f"CyclePeel(trees={self.trees!r})"
-
-    @cached_property
-    def invariants(self) -> Invariants:
-        return cycle_invariants([tree_summary(parents) for _, parents in self.trees])
+    trees: list[tuple[list[int], list[int]]]
+    d: int
+    core_rows: list[int]
+    branches: int  # the ``branch_term``s, summed
+    hops: Callable[[], int]
+    cross: Callable[[], Callable[[int], Sequence[list[Fraction]]]]
 
     def kirchhoff_index(self) -> Fraction:
-        return self.invariants.kf
+        """The branch terms plus sum_{i<j} s_i s_j R_core(i, j), half of
+        sum_i s_i core_rows[i] over d."""
+        core = sum(len(labels) * r for (labels, _), r in zip(self.trees, self.core_rows))
+        return Fraction(self.d * self.branches + core // 2, self.d)
 
     def wiener(self) -> Fraction:
-        return self.invariants.wiener
+        """The branch terms plus the core's weighted hop sum."""
+        return Fraction(self.branches + self.hops())
 
     def vertex_sums(self) -> list[Fraction]:
-        rows = cycle_row_numerators([parents for _, parents in self.trees])
-        return _label_sums(self.trees, len(self.trees), rows)
+        """Every vertex's resistance row sum, ``_row_numerators`` over d."""
+        rows = _row_numerators([parents for _, parents in self.trees], self.d, self.core_rows)
+        sums = [Fraction(0)] * sum(map(len, rows))
+        for (labels, _), nums in zip(self.trees, rows):
+            for u, x in zip(labels, nums):
+                sums[u] = Fraction(x, self.d)
+        return sums
 
     def matrix(self) -> ResistanceMatrix:
-        return resistance_matrix_unicyclic(self.trees)
+        """All-pairs resistances, ``branch_matrix`` with the core
+        resistances of cross()."""
+        return branch_matrix(self.trees, self.cross())
 
 
-def route(g: Graph, trees: list[tuple[list[int], list[int]]]) -> CyclePeel | GroundedInverse:
+def _branch_terms(trees: list[tuple[list[int], list[int]]]) -> int:
+    """The ``branch_term``s of the peeled trees, summed."""
+    n = sum(len(labels) for labels, _ in trees)
+    return sum(branch_term(tree_summary(parents), n) for _, parents in trees)
+
+
+def cycle_route(trees: list[tuple[list[int], list[int]]]) -> Route:
+    """The closed forms on a ``peel`` whose core is one vertex or one cycle:
+    trees[i] hangs on the i-th vertex of C_k, where gap g has resistance
+    g(k - g)/k, so d = k and the rows are the ``cycle_cores``.  Pairs of
+    branches with the same gap share their resistances in the matrix."""
+    k = len(trees)
+    sizes = [len(labels) for labels, _ in trees]
+
+    def cross() -> Callable[[int], Sequence[list[Fraction]]]:
+        gaps = [[Fraction(g * (k - g), k)] for g in range(k)]
+        return lambda i: gaps[1 : k - i]
+
+    return Route(
+        trees, k, cycle_cores(sizes), _branch_terms(trees), lambda: cycle_terms(sizes)[1], cross
+    )
+
+
+def _inverse_route(core: Graph, trees: list[tuple[list[int], list[int]]], ground: int) -> Route:
+    """One elimination on a connected core graph carrying trees[v] on vertex
+    v: M = X / d, the inverse of its Laplacian with the ground vertex's row
+    and column dropped (zeros in X), d its number of spanning trees, and
+    R_core(u, v) = M_uu + M_vv - 2 M_uv.  The hop sum takes one BFS from
+    each core vertex."""
+    if not is_connected(core):
+        raise DisconnectedError("resistance of a disconnected graph")
+    idx, a = _grounded_laplacian(core, ground)
+    m = len(idx)
+    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
+    full = [[0] * core.n for _ in range(core.n)]
+    for u, row in zip(idx, x):
+        full[u] = row[:ground] + [0] + row[ground:]
+    # d sum_v s_v R(u, v) = n X_uu + sum_v s_v X_vv - 2 (X s)_u, n = sum_v s_v
+    sizes = [len(labels) for labels, _ in trees]
+    n = sum(sizes)
+    diag = [row[u] for u, row in enumerate(full)]
+    weighted = sum(map(mul, sizes, diag))
+    rows = [n * x_uu + weighted - 2 * sum(map(mul, sizes, row)) for row, x_uu in zip(full, diag)]
+
+    def hops() -> int:
+        dist = (bfs_distances(core, v) for v in range(core.n))
+        return sum(s * sum(map(mul, sizes, row)) for s, row in zip(sizes, dist)) // 2
+
+    def cross() -> Callable[[int], Sequence[list[Fraction]]]:
+        return lambda u: [
+            [Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)] for v in range(u + 1, core.n)
+        ]
+
+    return Route(trees, d, rows, _branch_terms(trees), hops, cross)
+
+
+def grounded_inverse(g: Graph, ground: int = 0) -> Route:
+    """The Laplacian route's one elimination, for any connected graph,
+    every vertex its own branch."""
+    return _inverse_route(g, [([v], [-1]) for v in range(g.n)], ground)
+
+
+def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
+    """``grounded_inverse`` of the 2-core of g, whose ``peel`` is trees, with
+    the trees on their roots: cubic in the core, linear in the branches."""
+    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
+    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
+    return _inverse_route(core, trees, 0)
+
+
+def route(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
     """The route of a connected graph g whose ``peel`` is trees: the closed
     forms for a core of one vertex or one cycle, else ``core_inverse``."""
-    return CyclePeel(trees) if trees and g.edge_count <= g.n else core_inverse(g, trees)
+    return cycle_route(trees) if trees and g.edge_count <= g.n else core_inverse(g, trees)
+
+
+def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
+    """All-pairs resistances by the Laplacian route."""
+    return grounded_inverse(g, ground).matrix()
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:

@@ -49,7 +49,6 @@ from .families import (
     make_unm,
     predicted_min,
     predicted_min_perfect,
-    unm_kf_closed_form,
 )
 from .graph import Graph, identify_vertices, peel
 from .matching import has_perfect_matching
@@ -361,12 +360,16 @@ def suite_tables_nm() -> VerificationReport:
     return report
 
 
-def suite_extremal_perfect(
-    m_max: int, identity_m: tuple[int, ...] = (8, 9, 10, 12, 25, 50)
-) -> VerificationReport:
+# the matching numbers and vertex counts of the closed-form identity
+# checks of extremal-perfect and extremal
+IDENTITY_M = (8, 9, 10, 12, 25, 50)
+IDENTITY_N = (15, 16, 17, 20, 33, 50, 100)
+
+
+def suite_extremal_perfect(m_max: int) -> VerificationReport:
     """Enumerated minimum of Kf over the perfect-matching classes versus
     the predicted minimizer, which must also be unique; closed-form
-    identity checks for the m of identity_m above m_max."""
+    identity checks for the m of ``IDENTITY_M`` above m_max."""
     report = VerificationReport("extremal-perfect", 0)
     for sweep in map(sweep_minima, range(WINDOWS["extremal-perfect"].floor, 2 * m_max + 1, 2)):
         m = sweep.n // 2
@@ -377,7 +380,7 @@ def suite_extremal_perfect(
             f"{pred.describe()} (unique)",
             *_argmin_cell(sweep.kf[m], pred.minimizers, pred.value),
         )
-    for m in (m for m in identity_m if m > m_max):  # the others are enumerated above
+    for m in (m for m in IDENTITY_M if m > m_max):  # the others are enumerated above
         pred = predicted_min_perfect(m)
         direct = kirchhoff_index(pred.minimizers[0].build())
         report.add(f"identity:m={m}", {"n": 2 * m, "m": m}, pred.value, direct)
@@ -385,12 +388,10 @@ def suite_extremal_perfect(
     return report
 
 
-def suite_extremal(
-    n_max: int, identity_n: tuple[int, ...] = (15, 16, 17, 20, 33, 50, 100)
-) -> VerificationReport:
+def suite_extremal(n_max: int) -> VerificationReport:
     """Enumerated minimum of Kf over every (n, m) cell in the window
     versus the predicted minimizer set, compared as isomorphism classes;
-    closed-form identity checks for the n of identity_n above it."""
+    closed-form identity checks for the n of ``IDENTITY_N`` above it."""
     report = VerificationReport("extremal", 0)
     for sweep in map(sweep_minima, range(WINDOWS["extremal"].floor, n_max + 1)):
         n = sweep.n
@@ -404,7 +405,7 @@ def suite_extremal(
                 pred.describe(),
                 *_argmin_cell(best, pred.minimizers, pred.value),
             )
-    for n in (n for n in identity_n if n > n_max):  # the others are enumerated above
+    for n in (n for n in IDENTITY_N if n > n_max):  # the others are enumerated above
         for m in range(2, n // 2 + 1):
             pred = predicted_min(n, m)
             ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)

@@ -15,29 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (
-    all_labeled_trees,
-    brute_force_matching_size,
-    labeled_unicyclic_classes,
-)
-from unikirch.enumeration import (
-    canonical_code,
-    enumerate_with_codes,
-    free_trees,
-    rooted_tree_code,
-)
-from unikirch.families import make_cycle, make_ukt
-from unikirch.graph import decompose_unicyclic, make_graph, wiener_index
+from oracles import brute_force_matching_size, labeled_unicyclic_classes
+from unikirch.enumeration import enumerate_with_codes, free_trees
+from unikirch.families import make_cycle
+from unikirch.graph import decompose_unicyclic, wiener_index
 from unikirch.matching import matching_number
-from unikirch.rational import parse_rational
 from unikirch.resistance import (
+    cycle_route,
     kf_cycle,
     kfv_cycle,
     kirchhoff_index_dense,
     kirchhoff_vertex_sum,
     resistance_forest,
     resistance_laplacian,
-    resistance_matrix_unicyclic,
 )
 from unikirch.verification import (
     suite_cycle_placements,
@@ -173,7 +163,7 @@ def test_criterion_09_cross_method_resistance():
     checked = 0
     for n in range(3, 9):
         for _, g in enumerate_with_codes(n):
-            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+            mat = cycle_route(decompose_unicyclic(g)).matrix()
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     r1 = resistance_laplacian(g, u, v)
@@ -183,7 +173,7 @@ def test_criterion_09_cross_method_resistance():
                     checked += 1
     for n in range(3, 51):
         g = make_cycle(n)
-        mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+        mat = cycle_route(decompose_unicyclic(g)).matrix()
         kf = sum((mat.r(u, v) for u in range(n) for v in range(u + 1, n)), Fraction(0))
         assert kf == kf_cycle(n) == Fraction(n**3 - n, 12)
         row = sum((mat.r(0, v) for v in range(n)), Fraction(0))

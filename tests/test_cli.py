@@ -3,7 +3,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from unikirch import cli, graph, resistance
-from unikirch.cli import CONSTRUCT_MAX_N, DENSE_MAX_N, MATRIX_MAX_N, main
+from unikirch.cli import CONSTRUCT_MAX_N, DENSE_MAX_N, MATRIX_MAX_N, TRIALS_MAX, main
 from unikirch.enumeration import canonical_code
 from unikirch.families import (
     family_label,
@@ -221,7 +220,7 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "build, cycle_route",
+    "build, closed_forms",
     [
         (lambda: Graph(30, frozenset((v // 2, v) for v in range(1, 30))), True),
         (lambda: make_ukt(6, 3, 2, 1), True),
@@ -229,30 +228,32 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
     ],
     ids=["tree", "unicyclic", "bicyclic"],
 )
-def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, build, cycle_route):
+def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, build, closed_forms):
     # Kf, W, the vertex sums and the matrix all read the one route that
-    # ``resistance.route`` picks for the peel the cli holds
+    # ``resistance.route`` picks for the peel the cli holds; the closed
+    # forms compute the cycle rows once, the elimination never, and
+    # neither runs the per-class kernel ``cycle_invariants``
     g = build()
     path = tmp_path / "input.graph"
     path.write_text(write_graph(g))
-    peel, kernel = graph.peel, resistance.cycle_invariants
     calls = []
 
-    def counting_peel(h):
-        calls.append("peel")
-        return peel(h)
+    def counting(name, fn):
+        def counted(arg):
+            calls.append(name)
+            return fn(arg)
 
-    def counting_kernel(branches):
-        calls.append("cycle_invariants")
-        return kernel(branches)
+        return counted
 
+    counting_peel = counting("peel", graph.peel)
     for module in (graph, cli, resistance):
         monkeypatch.setattr(module, "peel", counting_peel)
-    monkeypatch.setattr(resistance, "cycle_invariants", counting_kernel)
+    for name in ("cycle_cores", "cycle_invariants"):
+        monkeypatch.setattr(resistance, name, counting(name, getattr(resistance, name)))
     flags = ("--wiener", "--vertex-sums", "--resistance-matrix")
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), *flags)
     assert code == 0
-    assert calls == (["peel", "cycle_invariants"] if cycle_route else ["peel"])
+    assert calls == (["peel", "cycle_cores"] if closed_forms else ["peel"])
     lines = out.splitlines()
     dense = resistance.grounded_inverse(g)
     mat = dense.matrix()
@@ -343,6 +344,19 @@ def test_enumeration_ceiling(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: --"), argv
+
+
+def test_verify_refuses_trials_above_the_ceiling(capsys, monkeypatch):
+    # refused before any suite runs, for one suite and for all of them
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    for suite in ("merge-identity", "all"):
+        argv = ["verify", "--suite", suite, "--trials", str(TRIALS_MAX + 1)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", suite
+        assert err.startswith(f"error: --trials {TRIALS_MAX + 1}: ") and str(TRIALS_MAX) in err
 
 
 def test_verify_refuses_a_window_below_a_suite_floor(capsys):
@@ -631,25 +645,6 @@ def test_extremal_scan_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
-
-
-def test_run_verification_closed_pipe_exits_quietly(tmp_path):
-    # as above, for scripts/run_verification.py, with a reader that has
-    # gone before the first suite's line: its write finds the pipe closed
-    script = Path(__file__).parent.parent / "scripts" / "run_verification.py"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, str(script), "--out-dir", str(tmp_path)],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 141
-    assert proc.stderr == b""
 
 
 def test_extremal_scan_refuses_beyond_ceiling():

@@ -46,9 +46,9 @@ from unikirch.matching import matching_number
 from unikirch.resistance import (
     branch_row,
     branch_term,
+    cycle_route,
     graph_invariants,
     kirchhoff_index_dense,
-    resistance_matrix_unicyclic,
     tree_summary,
     vertex_sums,
 )
@@ -217,7 +217,7 @@ def test_invariants_from_code_match_graph_routes():
             assert inv.kf == kirchhoff_index_dense(g), code
             assert inv.wiener == wiener_index(g), code
             assert inv.matching == matching_number(g).size, code
-            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+            mat = cycle_route(decompose_unicyclic(g)).matrix()
             assert vertex_sums(g) == [mat.row_sum(u) for u in range(n)], code
 
 

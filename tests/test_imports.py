@@ -1,0 +1,46 @@
+"""Every name a module imports is used in it.
+
+No linter runs on this code, so an import left behind by a refactor
+would stay unnoticed; this test reads each module's syntax tree instead.
+The package's ``__init__.py`` is skipped: its imports are re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _modules() -> list[Path]:
+    paths = sorted((ROOT / "src" / "unikirch").glob("*.py"))
+    paths = [p for p in paths if p.name != "__init__.py"]
+    return paths + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that source binds by an import and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport os.path\nfrom a import b, c as d\nprint(os, d)\n"
+    assert unused_imports(source) == ["b (line 3)"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in _modules()
+        if (names := unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -30,6 +30,7 @@ from unikirch.resistance import (
     BranchSummary,
     core_inverse,
     cycle_invariants,
+    cycle_route,
     format_resistance_matrix,
     graph_invariants,
     grounded_inverse,
@@ -44,7 +45,7 @@ from unikirch.resistance import (
     resistance_laplacian,
     resistance_matrix,
     resistance_matrix_dense,
-    resistance_matrix_unicyclic,
+    route,
     separating_forest_count,
     spanning_tree_count,
     vertex_sums,
@@ -68,7 +69,7 @@ def test_triangle_adjacent_pair():
     assert separating_forest_count(g, 0, 1) == 2
     assert resistance_forest(g, 0, 1) == Fraction(2, 3)
     assert resistance_laplacian(g, 0, 1) == Fraction(2, 3)
-    assert resistance_matrix_unicyclic(decompose_unicyclic(g)).r(0, 1) == Fraction(2, 3)
+    assert cycle_route(decompose_unicyclic(g)).matrix().r(0, 1) == Fraction(2, 3)
 
 
 def test_path_resistance_is_hop_distance():
@@ -88,7 +89,7 @@ def test_c4_antipodal():
 def test_self_resistance_is_zero():
     g = make_cycle(5)
     assert resistance_laplacian(g, 2, 2) == 0
-    assert resistance_matrix_unicyclic(decompose_unicyclic(g)).r(2, 2) == 0
+    assert cycle_route(decompose_unicyclic(g)).matrix().r(2, 2) == 0
 
 
 def test_ground_independence():
@@ -103,7 +104,7 @@ def test_ground_independence():
 def test_three_way_agreement(unicyclic_corpus):
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
-            mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+            mat = cycle_route(decompose_unicyclic(g)).matrix()
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     r1 = resistance_laplacian(g, u, v)
@@ -307,9 +308,9 @@ def test_disconnected_errors():
         Graph(7, frozenset(make_cycle(3).edges | {(3, 4), (4, 5), (5, 6), (3, 6)})),
         Graph(7, frozenset(k4 | {(4, 5), (5, 6), (4, 6)})),
     ):
-        for route in (kirchhoff_index, vertex_sums, resistance_matrix):
+        for answer in (kirchhoff_index, vertex_sums, resistance_matrix):
             with pytest.raises(DisconnectedError):
-                route(g)
+                answer(g)
 
 
 def _graph_with_a_core(rng: random.Random, shape: str, chords: int) -> Graph:
@@ -369,6 +370,9 @@ def test_kernel_matches_dense_on_labelled_graphs(seed, n, tree):
     assert kirchhoff_index(g) == kirchhoff_index_dense(g)
     dense = resistance_matrix_dense(g)
     assert vertex_sums(g) == [dense.row_sum(u) for u in range(g.n)]
+    fast = route(g, peel(g))
+    assert fast.wiener() == wiener_index(g)
+    assert fast.matrix() == grounded_inverse(g).matrix()
     inv = graph_invariants(g)
     assert inv.wiener == wiener_index(g)
     assert inv.matching == matching_number(g).size
@@ -429,7 +433,7 @@ def test_cycle_terms_match_pairwise_formula():
                 edges.add((i, n))
                 n += 1
         g = Graph(n, frozenset(edges))
-        mat = resistance_matrix_unicyclic(decompose_unicyclic(g))
+        mat = cycle_route(decompose_unicyclic(g)).matrix()
         assert vertex_sums(g) == [mat.row_sum(u) for u in range(n)]
 
 

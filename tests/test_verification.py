@@ -81,16 +81,18 @@ def test_suite_tables_nm():
     assert report.passed == 2 * (35 + 55 + 36 + 4) + 4
 
 
-def test_suite_extremal_perfect_small():
-    report = suite_extremal_perfect(m_max=4, identity_m=(8, 9))
+def test_suite_extremal_perfect_small(monkeypatch):
+    monkeypatch.setattr(verification, "IDENTITY_M", (8, 9))
+    report = suite_extremal_perfect(m_max=4)
     assert_green(report)
     assert any(c.id == "perfect:m=4" for c in report.cases)
     assert any(c.id.startswith("identity:") for c in report.cases)
     assert report.notes
 
 
-def test_suite_extremal_small():
-    report = suite_extremal(n_max=8, identity_n=(15,))
+def test_suite_extremal_small(monkeypatch):
+    monkeypatch.setattr(verification, "IDENTITY_N", (15,))
+    report = suite_extremal(n_max=8)
     assert_green(report)
     ids = {c.id for c in report.cases}
     assert "cell:n=8,m=4" in ids
@@ -201,13 +203,15 @@ def test_report_failure_accounting():
     assert not any(c.id.startswith("cell:") for c in report.cases)
 
 
-def test_identity_cases_lie_above_the_enumerated_window():
+def test_identity_cases_lie_above_the_enumerated_window(monkeypatch):
     # an identity case inside the window would repeat an enumerated cell
-    report = suite_extremal_perfect(m_max=4, identity_m=(4, 8))
+    monkeypatch.setattr(verification, "IDENTITY_M", (4, 8))
+    monkeypatch.setattr(verification, "IDENTITY_N", (8, 15))
+    report = suite_extremal_perfect(m_max=4)
     assert_green(report)
     ids = {c.id for c in report.cases}
     assert {"perfect:m=4", "identity:m=8"} <= ids and "identity:m=4" not in ids
-    report = suite_extremal(n_max=8, identity_n=(8, 15))
+    report = suite_extremal(n_max=8)
     assert_green(report)
     ids = {c.id for c in report.cases}
     assert {"cell:n=8,m=4", "identity:n=15,m=2"} <= ids
