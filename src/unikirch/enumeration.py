@@ -7,39 +7,47 @@ symmetries.  Rooted trees use the classical bottom-up encoding
 code = "(" + sorted(children codes) + ")"; the class representative is
 the lexicographically minimal branch-code sequence.
 
-Every walk over classes goes one composition of the branch sizes at a
-time, in ascending cycle length (``_state_groups``), and puts one pool
-of rooted-tree codes on each position.  ``_orbit_compositions`` is the
-one source of the compositions: it yields each dihedral orbit's least
-composition together with the rotations and reflections that fix it,
-both decided by one scan, and no caller computes symmetries again.  The
-classes of a composition are the products of its pools, each kept once
-among its images under those symmetries (``_class_sequences``);
-``_classes`` turns them into dihedral-minimal codes in sorted order.
+Every pass over the classes folds over one walk (``_walk``).  Per
+dihedral orbit of the compositions of n into the branch sizes, in
+ascending cycle length, it gives the orbit's least composition and the
+rotations and reflections that fix it, both decided by one scan in
+``orbit_compositions``.  Per tuple of branch states on the positions of
+that composition, it gives the tuple and its matching number, which
+depends on the states alone and is computed there and nowhere else.  A
+branch's state is its matching number and the matching that leaves its
+root unmatched.  The classes of a state tuple are the products of its
+states' code pools, each kept once among its images under the
+composition's symmetries: ``_tuple_classes`` counts them, listing them
+only when a symmetry fixes the composition, and ``_classes`` turns them
+into dihedral-minimal codes in sorted order.
 
-The minima need no class at all, and no code is parsed for them.  Kf
-and W are a cycle term, fixed by the composition, plus one
-``branch_term`` per branch, and the matching number reads only each
-branch's state: its matching number and the matching that leaves its
-root unmatched.  A tree's state and term follow from its children's, so
-``_code_states`` generates the rooted trees grouped by state, and
-``_term_tables`` finds each state's least term and the trees with it by
-a knapsack over child states.  The same knapsack gives each state's
-least depth sum and least ``branch_row`` entry, the bounds of the row
-pass in ``verification``.  ``sweep_minima`` scores one value per
-composition and tuple of states, in integers, and expands into classes
-only the tuples that attain a cell's minimum; it caches the minima per
-n.  ``counts_by_matching`` takes the same walk over the pools: a tuple
-holds the product of its states' code counts, unless a rotation or
-reflection fixes the composition, and then ``_class_sequences`` lists
-its classes.  ``enumerate_codes`` lists every class of the walk: by
-matching number, over the state tuples of that number, and unfiltered
-over one pool of every rooted tree per size.  Graphs are built only for
+``_code_states`` generates the rooted trees already grouped by state,
+each tree's state carried up from its children's, so no code is parsed
+to group it.  Kf and W are a cycle term, fixed by the composition, plus
+one ``branch_term`` per branch, and ``_term_tables`` finds each state's
+least term and the trees with it by a knapsack over child states; the
+same knapsack gives each state's least depth sum and least
+``branch_row`` entry.  Four folds read the walk:
+
+- ``enumerate_codes`` lists the classes of every state tuple, or of the
+  tuples of one matching number;
+- ``counts_by_matching`` sums the tuples' class counts per matching
+  number;
+- ``sweep_minima`` scores one value per tuple of least-term states, in
+  integers, and expands into classes only the tuples that attain a
+  cell's minimum;
+- ``row_cells`` bounds each tuple's vertex sums from below by the least
+  depth sums and ``branch_row`` entries, and checks the vertex-sum and
+  pendant-deletion bounds class by class only where that bound does not
+  decide them.
+
+The last two cache their result per n.  Graphs are built only for
 consumers that need vertex-level data, one class at a time.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -51,8 +59,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .graph import Graph, decompose_unicyclic, is_connected
 from .resistance import (
     Invariants,
+    cycle_cores,
     cycle_invariants,
     cycle_matching,
+    cycle_row_numerators,
     cycle_terms,
     tree_summary,
 )
@@ -62,7 +72,8 @@ class _State(NamedTuple):
     """The rooted trees of one size in one branch state, all ``cycle_matching``
     reads of a branch: its matching number, and the same with its root left
     unmatched.  A pool holds every tree; a sweep table, the least-term ones,
-    with the state's minima over all its trees."""
+    with the state's minima over all its trees; the row pass's, every tree
+    with those minima."""
 
     matching: int
     root_free: int
@@ -190,7 +201,7 @@ class CanonicalCode(NamedTuple):
         return hashlib.sha256(str(self).encode()).hexdigest()[:16]
 
 
-def _dihedral_min(seq: tuple) -> tuple:
+def dihedral_min(seq: tuple) -> tuple:
     """The least of the rotations and reflections of seq; only those that
     start with its least entry can be."""
     head = min(seq)
@@ -210,7 +221,7 @@ def canonical_code(g: Graph) -> CanonicalCode:
     if trees is None or len(trees) == 1:
         raise ValueError("expected a connected unicyclic graph")
     seq = tuple(_parents_code(parents) for _, parents in trees)
-    return CanonicalCode(len(trees), _dihedral_min(seq))
+    return CanonicalCode(len(trees), dihedral_min(seq))
 
 
 def graph_from_code(code: CanonicalCode) -> Graph:
@@ -238,7 +249,7 @@ def invariants_from_code(code: CanonicalCode) -> Invariants:
     return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])
 
 
-def _orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
+def orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
     """Each dihedral orbit of the compositions of n into k >= 3 positive
     parts: its least composition, which starts with its least part, and
     the rotations and reflections other than the identity that fix it,
@@ -270,21 +281,54 @@ def _orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[
                 yield sizes, fixing
 
 
+def _walk(
+    n: int, tables: Sequence[Sequence[_State]]
+) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterable[tuple[tuple[_State, ...], int]]]]:
+    """The one walk over the classes on n vertices: each composition of n
+    over a cycle, one per dihedral orbit in ascending cycle length, with
+    the symmetries that fix it, and each tuple of its positions' states
+    in tables (tables[s] holds the branch states of the rooted trees on s
+    vertices) with its matching number."""
+    for k in range(3, n + 1):
+        for sizes, fixing in orbit_compositions(n, k):
+            groups = list(product(*[tables[size] for size in sizes]))
+            yield sizes, fixing, zip(groups, map(cycle_matching, groups))
+
+
+def _tuple_classes(
+    group: Sequence[_State], fixing: list[itemgetter]
+) -> tuple[int, Iterable[tuple[str, ...]]]:
+    """How many classes a state tuple holds, and one branch-code sequence
+    per class.  With no symmetry fixing the composition, every product of
+    the states' codes is a class, counted without listing; else a class
+    is an orbit of the symmetries on the products, and its least sequence
+    lies in one product of state pools, so the products least among their
+    images are listed."""
+    pools = [state.codes for state in group]
+    if not fixing:
+        return prod(map(len, pools)), product(*pools)
+    seqs = []
+    for seq in product(*pools):
+        for image in fixing:
+            if image(seq) < seq:
+                break
+        else:
+            seqs.append(seq)
+    return len(seqs), seqs
+
+
 def enumerate_codes(n: int, m: int | None = None) -> Iterator[CanonicalCode]:
     """Stream one code per isomorphism class, in ascending order;
-    optionally filter by matching number, dropping whole state tuples.
-    Unfiltered, no branch state is read."""
+    optionally filter by matching number, dropping whole state tuples."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    tables = [()] + [  # the triangle has the largest branches, of n - 2 vertices
-        (_State(None, None, rooted_tree_codes(size)),) if m is None else _code_states(size)
-        for size in range(1, n - 1)
-    ]
+    # the triangle has the largest branches, of n - 2 vertices
+    pools = [()] + [_code_states(size) for size in range(1, n - 1)]
     yield from _classes(
         (sizes, fixing, group)
-        for sizes, fixing, products in _state_groups(n, tables)
-        for group in products
-        if m is None or cycle_matching(group) == m
+        for sizes, fixing, tuples in _walk(n, pools)
+        for group, matching in tuples
+        if m is None or matching == m
     )
 
 
@@ -354,36 +398,6 @@ def _term_tables(n: int) -> list[tuple[_State, ...]]:
     return tables
 
 
-def _state_groups(
-    n: int, tables: Sequence[Sequence]
-) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterator[tuple]]]:
-    """Each composition of n vertices over a cycle, one per dihedral orbit,
-    with the symmetries that fix it and the tuples of its positions'
-    entries in tables, where tables[s] holds one entry per branch state of
-    the rooted trees on s vertices, or one for all of them; cycle lengths
-    ascend."""
-    for k in range(3, n + 1):
-        for sizes, fixing in _orbit_compositions(n, k):
-            yield sizes, fixing, product(*[tables[size] for size in sizes])
-
-
-def _class_sequences(
-    pools: Sequence[Iterable[str]], fixing: list[itemgetter]
-) -> Iterator[tuple[str, ...]]:
-    """One branch-code sequence per class among the products of the pools,
-    whose sizes the symmetries in `fixing` fix: every product when
-    there is none, else each that is least among its images.  A class of
-    a composition's orbit is an orbit of its symmetries on the sequences
-    of exactly its sizes, and that orbit's least sequence lies in one
-    product of state pools."""
-    for seq in product(*pools):
-        for image in fixing:
-            if image(seq) < seq:
-                break
-        else:
-            yield seq
-
-
 def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
     """Keep in best[key] the least num / den offered and the items that
     attain it, comparing by cross-multiplication."""
@@ -402,7 +416,7 @@ def _classes(groups: Iterable[tuple[tuple[int, ...], list, Sequence]]) -> Iterat
     for k, of_k in groupby(groups, key=lambda group: len(group[0])):
         seqs: list[tuple[str, ...]] = []
         for _, fixing, states in of_k:
-            seqs += map(_dihedral_min, _class_sequences([s.codes for s in states], fixing))
+            seqs += map(dihedral_min, _tuple_classes(states, fixing)[1])
         seqs.sort()
         for seq in seqs:
             yield CanonicalCode(k, seq)
@@ -437,12 +451,11 @@ def sweep_minima(n: int) -> SweepMinima:
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    for sizes, fixing, groups in _state_groups(n, tables):
+    for sizes, fixing, tuples in _walk(n, tables):
         k = len(sizes)
         cycle, hops = cycle_terms(sizes)
-        for group in groups:
+        for group, m in tuples:
             trees = sum(state.term for state in group)
-            m = cycle_matching(group)
             item = (sizes, fixing, group)
             _offer(kf, m, k * trees + cycle, k, item)
             _offer(wiener, m, trees + hops, 1, item)
@@ -452,22 +465,175 @@ def sweep_minima(n: int) -> SweepMinima:
 
 def counts_by_matching(n: int) -> dict[int, int]:
     """Class counts per matching number at fixed vertex count, in
-    ascending order, from tuples of branch states: a composition with no
-    symmetry holds the product of its states' code counts, and only the
-    others list their ``_class_sequences``."""
+    ascending order, from tuples of branch states (``_tuple_classes``)."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    tables = [()] + [_code_states(size) for size in range(1, n - 1)]
+    pools = [()] + [_code_states(size) for size in range(1, n - 1)]
     counts: Counter = Counter()
-    for _, fixing, groups in _state_groups(n, tables):
-        for group in groups:
-            m = cycle_matching(group)
-            pools = [state.codes for state in group]
-            if fixing:
-                counts[m] += sum(1 for _ in _class_sequences(pools, fixing))
-            else:
-                counts[m] += prod(map(len, pools))
+    for _, fixing, tuples in _walk(n, pools):
+        for group, m in tuples:
+            counts[m] += _tuple_classes(group, fixing)[0]
     return dict(sorted(counts.items()))
+
+
+def _branch_shape(code: str) -> tuple[list[int], list[int]]:
+    """(parents, degrees) of the vertices of a branch code, in the order of
+    ``code_parents``, with degrees as in the graph: the root also has its
+    two cycle edges."""
+    parents = code_parents(code)
+    degrees = [1] * len(parents)
+    degrees[0] = 2
+    for p in parents[1:]:
+        degrees[p] += 1
+    return parents, degrees
+
+
+def _pendant_differences(
+    shapes: list[tuple[list[int], list[int]]], rows: list[list[int]]
+) -> Iterator[tuple[int, int, int, int, int | None]]:
+    """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
+    None unless y has degree 2) for every pendant vertex x of the class
+    whose branches have the ``_branch_shape``s shapes and its neighbour
+    y, labelled as in ``graph_from_code``, from the rows k Kf_G(u) of
+    ``cycle_row_numerators``.
+
+    Deleting a pendant vertex or path leaves the other resistances as they
+    were (Klein and Randic 1993), so the differences come from G's row
+    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
+    """
+    k = len(shapes)
+    offset = k - 1  # the label of branch vertex v > 0 is offset + v
+    for i, ((parents, degrees), row) in enumerate(zip(shapes, rows)):
+        for v in range(1, len(parents)):
+            if degrees[v] == 1:
+                p = parents[v]
+                pair = row[v] + row[p] - k if degrees[p] == 2 else None
+                yield offset + v, offset + p if p else i, degrees[p], row[v], pair
+        offset += len(parents) - 1
+
+
+class RowCell:
+    """The classes on n vertices with matching number m >= 3 against the
+    vertex-sum bound and the pendant-deletion bounds: how many classes and
+    pendant vertices there are, how many vertices and how many pendant
+    deletions fall below a bound, and one entry per place where a bound
+    holds with equality: a vertex, as its class and whether it is the
+    unique vertex of largest degree; a pendant, as its class and whether
+    its neighbour has the largest degree; a pendant path, as its class.
+    ``_check_class`` keeps the entries sorted, so two walks that meet the
+    classes in different orders give equal cells."""
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.m = m
+        self.graphs = 0
+        self.pendants = 0
+        self.violations = 0
+        self.equalities: list[tuple[CanonicalCode, bool]] = []
+        self.deletion_violations = 0
+        self.eq_single: list[tuple[CanonicalCode, bool]] = []
+        self.eq_pair: list[CanonicalCode] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"RowCell({fields})"
+
+
+def _check_class(seq: tuple[str, ...], cell: RowCell) -> None:
+    """Add to the cell the violations and equalities of the class with
+    branch codes seq: its resistance row read as the integers k Kf_G(u),
+    compared with k times each bound.  Degrees come from the codes."""
+    n, m, k = cell.n, cell.m, len(seq)
+    shapes = [_branch_shape(c) for c in seq]
+    rows = cycle_row_numerators([parents for parents, _ in shapes])
+    degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
+    max_deg = max(degrees)
+    unique_max = degrees.count(max_deg) == 1
+    code = CanonicalCode(k, dihedral_min(seq))
+    bound = k * (n + m - 4)
+    for (_, branch_degrees), row in zip(shapes, rows):
+        for deg, num in zip(branch_degrees, row):
+            if num < bound:
+                cell.violations += 1
+            elif num == bound:
+                insort(cell.equalities, (code, deg == max_deg and unique_max))
+    bound1 = k * (2 * n + m - 6)
+    bound2 = k * (5 * n + 2 * m - 19)
+    for _, _, y_degree, diff1, diff2 in _pendant_differences(shapes, rows):
+        if diff1 < bound1:
+            cell.deletion_violations += 1
+        elif diff1 == bound1:
+            insort(cell.eq_single, (code, y_degree == max_deg))
+        if diff2 is not None:
+            if diff2 < bound2:
+                cell.deletion_violations += 1
+            elif diff2 == bound2:
+                insort(cell.eq_pair, code)
+
+
+@cache
+def row_cells(n: int) -> list[RowCell]:
+    """The ``RowCell`` of every matching number m >= 3 of the classes on
+    n vertices, in ascending m, from tuples of branch states, without
+    generating a class in general.  Cached per n for the life of the
+    process; cached cells are shared: do not modify them.
+
+    In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
+    with B the ``branch_row`` entry, D_j the depth sums and c_i the
+    ``cycle_cores`` of the composition.  Fix the composition and the state
+    of each position, and take per state the least D and the least B, which
+    ``_term_tables`` finds from the children's states without reading a
+    tree: the least row entry in branch i is then at least
+    k (B_i + sum_{j != i} D_j) + c_i.  That one bound decides the deletion
+    differences (``_pendant_differences``) too, by the series rule: a
+    pendant x on y has Kf_G(x) = Kf_G(y) + n - 2, and a pendant path x-y
+    on z has Kf_G(x) + Kf_G(y) - 1 = 2 Kf_G(z) + 3n - 11.  So in a group
+    whose least row entry exceeds k (n + m - 4), every pendant difference
+    exceeds k (2n + m - 6) and every pair difference k (5n + 2m - 19):
+    the group has no violation and no equality, and only the other groups
+    expand into classes, one ``_check_class`` each.  The class counts come
+    from ``_tuple_classes``; the pendant count of a composition with no
+    symmetry is a sum of products of its states' counts, and the others
+    count over their listed classes.  A code's pendant vertices are the
+    "()" inside its outer brackets, so no count parses a code."""
+    tables: list = [()]
+    pendants: dict[str, int] = {}  # of all a state's codes, keyed by its least code
+    for size, table in enumerate(_term_tables(n)[1:], 1):
+        minima = {(state.matching, state.root_free): state for state in table}
+        states = _code_states(size)
+        tables.append([minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states])
+        for state in states:
+            pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
+    cells: dict[int, RowCell] = {}
+    for sizes, fixing, tuples in _walk(n, tables):
+        k = len(sizes)
+        cores = cycle_cores(sizes)
+        for group, m in tuples:
+            if m < 3:
+                continue
+            if m not in cells:
+                cells[m] = RowCell(n, m)
+            cell = cells[m]
+            classes, seqs = _tuple_classes(group, fixing)
+            cell.graphs += classes
+            if fixing:
+                cell.pendants += sum(code[1:-1].count("()") for seq in seqs for code in seq)
+            else:
+                cell.pendants += sum(
+                    classes // len(state.codes) * pendants[state.codes[0]] for state in group
+                )
+            depth = sum(state.depth for state in group)
+            least = min(k * (s.vertex + depth - s.depth) + c for s, c in zip(group, cores))
+            if least > k * (n + m - 4):
+                continue
+            for seq in seqs:
+                _check_class(seq, cell)
+    return [cells[m] for m in sorted(cells)]
 
 
 _INVARIANTS = ("kirchhoff", "wiener")

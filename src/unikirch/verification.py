@@ -17,27 +17,20 @@ import csv
 import json
 import random
 import time
-from bisect import insort
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import accumulate
-from math import prod
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .enumeration import (
-    CanonicalCode,
     Minimum,
-    _class_sequences,
-    _code_states,
-    _dihedral_min,
-    _orbit_compositions,
-    _state_groups,
-    _term_tables,
     canonical_code,
-    code_parents,
+    dihedral_min,
     enumerate_with_codes,
     free_trees,
+    orbit_compositions,
+    row_cells,
     sweep_minima,
 )
 from .families import (
@@ -54,9 +47,6 @@ from .graph import Graph, identify_vertices, peel
 from .matching import has_perfect_matching
 from .rational import format_rational, parse_rational
 from .resistance import (
-    cycle_cores,
-    cycle_matching,
-    cycle_row_numerators,
     kf_identified,
     kirchhoff_index,
     kirchhoff_vertex_sum,
@@ -240,8 +230,8 @@ class Window(NamedTuple):
 # and 4.46 s for n = 17..20, in 17 MB (x86_64, 2 CPUs, Python 3.11.7).
 SWEEP_MAX_N = 20
 # The classes roughly triple with each vertex: at n = 16 (311,465) the
-# listing takes 1.7 s in 32 MB, and the counts (which extremal_scan.py reads
-# too) and the row suites generate all 53,272 rooted trees of up to 14
+# listing takes 2.4 s in 32 MB.  It, the counts (which extremal_scan.py
+# reads too) and the row suites walk all 53,272 rooted trees of up to 14
 # vertices, of which the row pass parses only the branches it expands.
 LISTING_MAX_N = 16
 
@@ -420,171 +410,6 @@ def suite_extremal(n_max: int) -> VerificationReport:
     return report
 
 
-def _branch_shape(code: str) -> tuple[list[int], list[int]]:
-    """(parents, degrees) of the vertices of a branch code, in the order of
-    ``code_parents``, with degrees as in the graph: the root also has its
-    two cycle edges."""
-    parents = code_parents(code)
-    degrees = [1] * len(parents)
-    degrees[0] = 2
-    for p in parents[1:]:
-        degrees[p] += 1
-    return parents, degrees
-
-
-def _pendant_differences(
-    shapes: list[tuple[list[int], list[int]]], rows: list[list[int]]
-) -> Iterator[tuple[int, int, int, int, int | None]]:
-    """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
-    None unless y has degree 2) for every pendant vertex x of the class
-    whose branches have the ``_branch_shape``s shapes and its neighbour
-    y, labelled as in ``graph_from_code``, from the rows k Kf_G(u) of
-    ``cycle_row_numerators``.
-
-    Deleting a pendant vertex or path leaves the other resistances as they
-    were (Klein and Randic 1993), so the differences come from G's row
-    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
-    """
-    k = len(shapes)
-    offset = k - 1  # the label of branch vertex v > 0 is offset + v
-    for i, ((parents, degrees), row) in enumerate(zip(shapes, rows)):
-        for v in range(1, len(parents)):
-            if degrees[v] == 1:
-                p = parents[v]
-                pair = row[v] + row[p] - k if degrees[p] == 2 else None
-                yield offset + v, offset + p if p else i, degrees[p], row[v], pair
-        offset += len(parents) - 1
-
-
-class RowCell:
-    """The classes on n vertices with matching number m >= 3 against the
-    vertex-sum bound and the pendant-deletion bounds: how many classes and
-    pendant vertices there are, how many vertices and how many pendant
-    deletions fall below a bound, and one entry per place where a bound
-    holds with equality: a vertex, as its class and whether it is the
-    unique vertex of largest degree; a pendant, as its class and whether
-    its neighbour has the largest degree; a pendant path, as its class.
-    ``_check_class`` keeps the entries sorted, so two walks that meet the
-    classes in different orders give equal cells."""
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self.graphs = 0
-        self.pendants = 0
-        self.violations = 0
-        self.equalities: list[tuple[CanonicalCode, bool]] = []
-        self.deletion_violations = 0
-        self.eq_single: list[tuple[CanonicalCode, bool]] = []
-        self.eq_pair: list[CanonicalCode] = []
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"RowCell({fields})"
-
-
-def _check_class(seq: tuple[str, ...], cell: RowCell) -> None:
-    """Add to the cell the violations and equalities of the class with
-    branch codes seq: its resistance row read as the integers k Kf_G(u),
-    compared with k times each bound.  Degrees come from the codes."""
-    n, m, k = cell.n, cell.m, len(seq)
-    shapes = [_branch_shape(c) for c in seq]
-    rows = cycle_row_numerators([parents for parents, _ in shapes])
-    degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
-    max_deg = max(degrees)
-    unique_max = degrees.count(max_deg) == 1
-    code = CanonicalCode(k, _dihedral_min(seq))
-    bound = k * (n + m - 4)
-    for (_, branch_degrees), row in zip(shapes, rows):
-        for deg, num in zip(branch_degrees, row):
-            if num < bound:
-                cell.violations += 1
-            elif num == bound:
-                insort(cell.equalities, (code, deg == max_deg and unique_max))
-    bound1 = k * (2 * n + m - 6)
-    bound2 = k * (5 * n + 2 * m - 19)
-    for _, _, y_degree, diff1, diff2 in _pendant_differences(shapes, rows):
-        if diff1 < bound1:
-            cell.deletion_violations += 1
-        elif diff1 == bound1:
-            insort(cell.eq_single, (code, y_degree == max_deg))
-        if diff2 is not None:
-            if diff2 < bound2:
-                cell.deletion_violations += 1
-            elif diff2 == bound2:
-                insort(cell.eq_pair, code)
-
-
-@cache
-def row_cells(n: int) -> list[RowCell]:
-    """The ``RowCell`` of every matching number m >= 3 of the classes on
-    n vertices, in ascending m, from tuples of branch states, without
-    generating a class in general.  Cached per n for the life of the
-    process; cached cells are shared: do not modify them.
-
-    In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
-    with B the ``branch_row`` entry, D_j the depth sums and c_i the
-    ``cycle_cores`` of the composition.  Fix the composition and the state
-    of each position, and take per state the least D and the least B, which
-    ``_term_tables`` finds from the children's states without reading a
-    tree: the least row entry in branch i is then at least
-    k (B_i + sum_{j != i} D_j) + c_i.  That one bound decides the deletion
-    differences (``_pendant_differences``) too, by the series rule: a
-    pendant x on y has Kf_G(x) = Kf_G(y) + n - 2, and a pendant path x-y
-    on z has Kf_G(x) + Kf_G(y) - 1 = 2 Kf_G(z) + 3n - 11.  So in a group
-    whose least row entry exceeds k (n + m - 4), every pendant difference
-    exceeds k (2n + m - 6) and every pair difference k (5n + 2m - 19):
-    the group has no violation and no equality, and only the other groups
-    expand into classes, one ``_check_class`` each.  The class and pendant
-    counts of a composition with no symmetry are products of its states'
-    counts; the others list their ``_class_sequences``.  A code's pendant
-    vertices are the "()" inside its outer brackets, so no count parses
-    a code."""
-    tables: list = [()]
-    pendants: dict[str, int] = {}  # of all a state's codes, keyed by its least code
-    for size, table in enumerate(_term_tables(n)[1:], 1):
-        minima = {(state.matching, state.root_free): state for state in table}
-        states = _code_states(size)
-        tables.append([minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states])
-        for state in states:
-            pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
-    cells: dict[int, RowCell] = {}
-    for sizes, fixing, groups in _state_groups(n, tables):
-        k = len(sizes)
-        cores = cycle_cores(sizes)
-        for group in groups:
-            m = cycle_matching(group)
-            if m < 3:
-                continue
-            if m not in cells:
-                cells[m] = RowCell(n, m)
-            cell = cells[m]
-            pools = [state.codes for state in group]
-            seqs = _class_sequences(pools, fixing)
-            if fixing:
-                seqs = list(seqs)
-                cell.graphs += len(seqs)
-                cell.pendants += sum(code[1:-1].count("()") for seq in seqs for code in seq)
-            else:
-                classes = prod(map(len, pools))
-                cell.graphs += classes
-                cell.pendants += sum(
-                    classes // len(state.codes) * pendants[state.codes[0]] for state in group
-                )
-            depth = sum(state.depth for state in group)
-            least = min(k * (s.vertex + depth - s.depth) + c for s, c in zip(group, cores))
-            if least > k * (n + m - 4):
-                continue
-            for seq in seqs:
-                _check_class(seq, cell)
-    return [cells[m] for m in sorted(cells)]
-
-
 def suite_vertex_sum_bound(n_max: int) -> VerificationReport:
     """Sweep Kf_G(u) >= n + m - 4 over every enumerated graph and vertex;
     equality must occur exactly at the maximum-degree vertex of Unm(n,m)."""
@@ -701,7 +526,7 @@ def _placement_canon(k: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     sorted image starts at 0 with the least image of the gaps."""
     ring = sorted(positions)
     gaps = tuple(b - a for a, b in zip(ring, ring[1:] + [ring[0] + k]))
-    return _gap_positions(_dihedral_min(gaps))
+    return _gap_positions(dihedral_min(gaps))
 
 
 def suite_cycle_placements() -> VerificationReport:
@@ -728,7 +553,7 @@ def suite_cycle_placements() -> VerificationReport:
         by_kt.setdefault((k, len(positions)), set()).add(_placement_canon(k, positions))
     for (k, t), expected_count in _PLACEMENT_CLASS_COUNTS.items():
         feasible = []
-        for gaps, _ in _orbit_compositions(k, t):
+        for gaps, _ in orbit_compositions(k, t):
             canon = _gap_positions(gaps)
             if has_perfect_matching(_pendant_placement_graph(k, canon)):
                 feasible.append(canon)

@@ -4,17 +4,24 @@ Everything here is exhaustive and exponential on purpose: distances by
 Floyd-Warshall, matchings by edge-subset search, isomorphism classes of
 labeled unicyclic graphs by orbit closure under all vertex permutations,
 trees by Prufer decoding.  The one exception, ``row_cells_by_class``,
-walks every class of the unfiltered listing through the library's
-per-class check, whose kernels other tests check against graphs, so that
-it checks what the fast pass adds: its counts and its pruning.
+takes every class from the library's unfiltered listing, which other
+tests check against brute force, reads its matching number from its
+codes, and runs it through the library's per-class check, whose kernels
+other tests check against graphs.  So it checks what the fast pass adds
+to the walk they share: its counts and its pruning.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from unikirch.enumeration import enumerate_codes, invariants_from_code
-from unikirch.verification import RowCell, _branch_shape, _check_class
+from unikirch.enumeration import (
+    RowCell,
+    _branch_shape,
+    _check_class,
+    enumerate_codes,
+    invariants_from_code,
+)
 
 
 def floyd_warshall(n: int, edges) -> list[list[float]]:
@@ -236,7 +243,7 @@ def placement_canon_by_marks(k: int, positions) -> tuple[int, ...]:
 
 
 def row_cells_by_class(n: int) -> list[RowCell]:
-    """``verification.row_cells`` by one ``_check_class`` for every class
+    """``enumeration.row_cells`` by one ``_check_class`` for every class
     on n vertices with m >= 3, counting each class and pendant vertex."""
     cells: dict[int, RowCell] = {}
     for code in enumerate_codes(n):

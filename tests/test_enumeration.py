@@ -17,8 +17,8 @@ from unikirch.enumeration import (
     CanonicalCode,
     _classes,
     _code_states,
-    _orbit_compositions,
     _term_tables,
+    _walk,
     canonical_code,
     code_parents,
     counts_by_matching,
@@ -29,6 +29,7 @@ from unikirch.enumeration import (
     free_trees,
     graph_from_code,
     invariants_from_code,
+    orbit_compositions,
     rooted_tree_code,
     rooted_tree_codes,
     sweep_minima,
@@ -188,9 +189,11 @@ def test_listing_matches_bruteforce():
 
 
 def assert_listing_filters_match(n):
-    # the listing by matching number, which drops whole state groups,
-    # against the unfiltered listing, which reads no state, filtered by
-    # each class's own matching number
+    # the listing by matching number, which drops whole state tuples,
+    # against the unfiltered listing filtered by each class's own matching
+    # number, read from its codes: the two walk the same state pools, so
+    # this checks the walk's matching numbers, and the brute-force tests
+    # of the listing and of the pools check the pools
     records = [(code, invariants_from_code(code).matching) for code in enumerate_codes(n)]
     for m in range(n // 2 + 2):
         expected = [code for code, matching in records if matching == m]
@@ -206,6 +209,13 @@ def test_listing_filters_match_invariants():
 def test_listing_filters_match_invariants_extended():
     for n in range(12, 15):
         assert_listing_filters_match(n)
+
+
+def test_listing_builds_no_table_of_every_rooted_tree(monkeypatch):
+    # the unfiltered listing walks the state pools that the counts and the
+    # filtered listing walk, and builds no second table of the same trees
+    monkeypatch.setattr(enumeration, "rooted_tree_codes", lambda *_: pytest.fail("second table"))
+    assert sum(1 for _ in enumerate_codes(9)) == 240
 
 
 def test_invariants_from_code_match_graph_routes():
@@ -344,7 +354,7 @@ def assert_orbits_match_bruteforce(n):
     for k in range(3, n + 1):
         got = [
             (sizes, sorted(image(tuple(range(k))) for image in fixing))
-            for sizes, fixing in _orbit_compositions(n, k)
+            for sizes, fixing in orbit_compositions(n, k)
         ]
         assert got == sorted(orbit_compositions_bruteforce(n, k).items()), (n, k)
 
@@ -367,9 +377,12 @@ def test_classes_merge_dihedral_images():
     (one,) = _code_states(1)
     path, star = _code_states(3)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
-    (fixing,) = [fixing for sizes, fixing in _orbit_compositions(8, 4) if sizes == (1, 3, 1, 3)]
+    orbits = _walk(8, [()] + [_code_states(size) for size in range(1, 7)])
+    ((sizes, fixing, tuples),) = [orbit for orbit in orbits if orbit[0] == (1, 3, 1, 3)]
     groups = [(one, path, one, star), (one, star, one, path)]
-    classes = _classes(((1, 3, 1, 3), fixing, group) for group in groups)
+    tuples = dict(tuples)
+    assert [tuples[group] for group in groups] == [3, 3]
+    classes = _classes((sizes, fixing, group) for group in groups)
     assert list(classes) == [CanonicalCode(4, ("((()))", "()", "(()())", "()"))]
 
 

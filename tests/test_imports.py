@@ -1,8 +1,10 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and no module of the
+package imports another's private names.
 
 No linter runs on this code, so an import left behind by a refactor
-would stay unnoticed; this test reads each module's syntax tree instead.
-The package's ``__init__.py`` is skipped: its imports are re-exports.
+would stay unnoticed; these tests read each module's syntax tree instead.
+The package's ``__init__.py`` is skipped for unused names: its imports
+are re-exports.
 """
 
 import ast
@@ -44,3 +46,30 @@ def test_no_module_imports_a_name_it_does_not_use():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore-prefixed names that source imports from a module of
+    the package, by a relative import or by the package's name."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "unikirch")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_are_found():
+    source = "from .a import _b, c\nfrom unikirch.d import _e\nfrom os import _exit\n"
+    assert private_imports(source) == ["_b (line 1)", "_e (line 2)"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "unikirch").glob("*.py"))
+        if (names := private_imports(path.read_text()))
+    }
+    assert private == {}

@@ -9,10 +9,13 @@ import pytest
 from oracles import placement_canon_by_marks, row_cells_by_class
 from unikirch import enumeration, verification
 from unikirch.enumeration import (
-    _dihedral_min,
-    _orbit_compositions,
+    _branch_shape,
+    _pendant_differences,
     code_parents,
+    dihedral_min,
     enumerate_with_codes,
+    orbit_compositions,
+    row_cells,
     sweep_minima,
 )
 from unikirch.graph import without_vertices
@@ -21,14 +24,11 @@ from unikirch.verification import (
     _PLACEMENT_CLASS_COUNTS,
     WINDOWS,
     VerificationReport,
-    _branch_shape,
     _gap_positions,
-    _pendant_differences,
     _placement_canon,
     candidate_rows,
     load_nm_tables,
     load_table_rows,
-    row_cells,
     run_suite,
     suite_cycle_placements,
     suite_deletion_bounds,
@@ -140,7 +140,7 @@ def test_placement_classes_are_orbit_compositions():
     # the classes the suite walks are exactly the canonical placements
     for k, t in _PLACEMENT_CLASS_COUNTS:
         canons = {placement_canon_by_marks(k, subset) for subset in combinations(range(k), t)}
-        listed = [_gap_positions(gaps) for gaps, _ in _orbit_compositions(k, t)]
+        listed = [_gap_positions(gaps) for gaps, _ in orbit_compositions(k, t)]
         assert sorted(listed) == sorted(canons), (k, t)
 
 
@@ -384,10 +384,9 @@ def test_row_pass_parses_only_the_classes_it_checks(monkeypatch):
         checked.append(seq)
         return check_class(seq, *args)
 
-    check_class = verification._check_class
+    check_class = enumeration._check_class
     monkeypatch.setattr(enumeration, "code_parents", parse)
-    monkeypatch.setattr(verification, "code_parents", parse)
-    monkeypatch.setattr(verification, "_check_class", check)
+    monkeypatch.setattr(enumeration, "_check_class", check)
     for n in range(3, 15):
         sweep_minima.__wrapped__(n)
     assert parsed == []
@@ -400,9 +399,9 @@ def expanded_classes(monkeypatch, n):
     """The cells of row_cells(n), and how many classes it checks one by
     one, each once."""
     checked = []
-    monkeypatch.setattr(verification, "_check_class", lambda seq, *_: checked.append(seq))
+    monkeypatch.setattr(enumeration, "_check_class", lambda seq, *_: checked.append(seq))
     cells = row_cells.__wrapped__(n)
-    assert len(checked) == len({_dihedral_min(seq) for seq in checked}), n
+    assert len(checked) == len({dihedral_min(seq) for seq in checked}), n
     return cells, len(checked)
 
 
