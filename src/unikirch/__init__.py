@@ -9,14 +9,12 @@ from .enumeration import (
     enumerate_with_codes,
     extremal_search,
     free_trees,
-    invariants_from_code,
     rooted_tree_code,
     rooted_tree_codes,
 )
 from .families import (
     ExtremalPrediction,
     FamilySpec,
-    arc_pair_resistance_sum,
     girth_min_kf,
     make_cycle,
     make_path,
@@ -38,7 +36,6 @@ from .graph import (
     decompose_unicyclic,
     identify_vertices,
     is_connected,
-    make_graph,
     read_graph,
     wiener_index,
     without_vertices,
@@ -49,20 +46,13 @@ from .matching import (
     has_perfect_matching,
     matching_number,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .resistance import (
-    Invariants,
     ResistanceMatrix,
-    graph_invariants,
     kf_cycle,
     kf_identified,
-    kfv_cycle,
     kirchhoff_index,
-    kirchhoff_index_dense,
     kirchhoff_vertex_sum,
-    r_cycle,
-    resistance_forest,
-    resistance_laplacian,
     resistance_matrix,
     vertex_sums,
 )

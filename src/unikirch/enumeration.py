@@ -57,15 +57,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
-from .resistance import (
-    Invariants,
-    cycle_cores,
-    cycle_invariants,
-    cycle_matching,
-    cycle_row_numerators,
-    cycle_terms,
-    tree_summary,
-)
+from .resistance import cycle_cores, cycle_matching, cycle_row_numerators, cycle_terms
 
 
 class _State(NamedTuple):
@@ -241,12 +233,6 @@ def graph_from_code(code: CanonicalCode) -> Graph:
             else:
                 stack.pop()
     return Graph(nxt, frozenset(edges))
-
-
-def invariants_from_code(code: CanonicalCode) -> Invariants:
-    """(k, m, Kf, W) of the class, read off its branch codes without
-    building a graph."""
-    return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])
 
 
 def orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:

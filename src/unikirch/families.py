@@ -80,14 +80,6 @@ def make_unm(n: int, m: int) -> Graph:
     return make_ukt(5, 1, n - 2 * m, m - 3)
 
 
-def arc_pair_resistance_sum(k: int, t: int) -> Fraction:
-    """Sum of pairwise cycle resistances over t consecutive vertices of
-    C_k: t(t-1)(t+1)(2k-t) / (12k)."""
-    if k < 3 or not 0 <= t <= k:
-        raise ValueError(f"invalid arc parameters k={k}, t={t}")
-    return Fraction(t * (t - 1) * (t + 1) * (2 * k - t), 12 * k)
-
-
 def ukt_central_vertex_sum(k: int, t: int) -> Fraction:
     """Resistance row sum at the central vertex of U(k,t) in closed form."""
     if k < 3 or not 1 <= t <= k:

@@ -87,18 +87,6 @@ class Graph:
         return sorted(self.edges)
 
 
-def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph, normalizing edge order and rejecting loops/duplicates."""
-    normalized = []
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        normalized.append((u, v) if u < v else (v, u))
-    if len(normalized) != len(set(normalized)):
-        raise ValueError("duplicate edge")
-    return Graph(n, frozenset(normalized))
-
-
 def _natural(token: str) -> int | None:
     """The value of a token of ASCII digits, else None.  ``str.isdigit``
     alone also accepts characters such as '²' that ``int`` rejects, and

@@ -1,15 +1,12 @@
 """Exact effective resistances and Kirchhoff indices.
 
 Three independent routes give the resistance between two vertices, and
-the test suite cross-checks them:
+the test suite cross-checks them.  This module holds the one the program
+runs; the other two live in ``tests/oracles.py`` as its oracles:
 
-* a grounded-Laplacian linear solve: one fraction-free (Bareiss)
-  Gauss-Jordan elimination over the integers, ``_fraction_free_solve``,
-  with a single division into a Fraction per output value,
-* spanning-tree / separating-forest counting via integer determinants,
-* the series closed form on the branch trees of a tree or unicyclic
-  graph (tree distance into the cycle, cycle resistance d(k-d)/k, tree
-  distance out), ``cycle_route``.
+* a grounded-Laplacian linear solve on the whole graph, by a
+  fraction-free integer elimination of its own,
+* spanning-tree / separating-forest counting via integer determinants.
 
 Every connected graph is peeled leaf by leaf once, by ``graph.peel``,
 into its 2-core and a branch tree on each core vertex; a resistance
@@ -20,13 +17,11 @@ plus a sum over the core weighted by the branch sizes, and one record,
 denominator, the weighted resistance row of each core vertex, the
 weighted hop sum and the core resistances.  ``route`` alone picks the
 constructor for a peel.  A core of one vertex or one cycle takes
-``cycle_route``, the closed forms: O(n + k) integer sums over the cycle,
-``cycle_cores`` for the rows and ``cycle_terms`` for the hops.  Any other
-core takes one elimination (``core_inverse``), cubic in the core and
-linear in the branches.  The whole-graph elimination,
-``grounded_inverse``, and the forest route serve as oracles, and
-``cycle_invariants`` gives Kf, W and the matching number of a tree or
-unicyclic graph from a short summary of each branch.
+``cycle_route``, the closed forms (tree distance into the cycle, cycle
+resistance d(k-d)/k, tree distance out): O(n + k) integer sums over the
+cycle, ``cycle_cores`` for the rows and ``cycle_terms`` for the hops.
+Any other core takes one fraction-free elimination (``core_inverse``),
+cubic in the core and linear in the branches.
 """
 
 from __future__ import annotations
@@ -39,27 +34,10 @@ from .graph import (
     DisconnectedError,
     Graph,
     bfs_distances,
-    decompose_unicyclic,
     is_connected,
     peel,
     without_vertices,
 )
-
-
-def r_cycle(n: int, d: int) -> Fraction:
-    """Resistance between cycle vertices d apart on C_n: d(n-d)/n."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    if not 0 <= d <= n:
-        raise ValueError(f"cycle gap {d} out of range for C_{n}")
-    return Fraction(d * (n - d), n)
-
-
-def kfv_cycle(n: int) -> Fraction:
-    """Resistance row sum at any vertex of C_n: (n^2 - 1)/6."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Fraction(n * n - 1, 6)
 
 
 def kf_cycle(n: int) -> Fraction:
@@ -67,137 +45,6 @@ def kf_cycle(n: int) -> Fraction:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     return Fraction(n**3 - n, 12)
-
-
-def _laplacian_int(g: Graph) -> list[list[int]]:
-    lap = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    return lap
-
-
-def _det_int(m: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _minor(m: list[list[int]], drop: set[int]) -> list[list[int]]:
-    keep = [i for i in range(len(m)) if i not in drop]
-    return [[m[i][j] for j in keep] for i in keep]
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees (0 when disconnected)."""
-    if g.n == 0:
-        return 0
-    if g.n == 1:
-        return 1
-    return _det_int(_minor(_laplacian_int(g), {0}))
-
-
-def separating_forest_count(g: Graph, u: int, v: int) -> int:
-    """Spanning 2-forests with u and v in different components."""
-    if u == v:
-        raise ValueError("endpoints must differ")
-    return _det_int(_minor(_laplacian_int(g), {u, v}))
-
-
-def resistance_forest(g: Graph, u: int, v: int) -> Fraction:
-    """Effective resistance as separating forests / spanning trees."""
-    if u == v:
-        return Fraction(0)
-    trees = spanning_tree_count(g)
-    if trees == 0:
-        raise DisconnectedError("resistance of a disconnected graph")
-    return Fraction(separating_forest_count(g, u, v), trees)
-
-
-def _fraction_free_solve(
-    a: list[list[int]], b: list[list[int]]
-) -> tuple[int, list[list[int]]]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of [A | B] over
-    the integers: (d, X) with A X = d B, where d, the last pivot, is
-    +-det A.  Raises on a singular A.
-
-    Step k replaces every row r other than the pivot row by
-    (p_k r - r_k row_k) / p_{k-1}, an exact division, so A becomes d I
-    and B becomes X; the eliminated columns are dropped as it goes.
-    """
-    m = len(a)
-    rows = [ra + rb for ra, rb in zip(a, b)]
-    prev = 1
-    for k in range(m):
-        pivot = next((r for r in range(k, m) if rows[r][0] != 0), None)
-        if pivot is None:
-            raise DisconnectedError("singular Laplacian system")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        p, *top = rows[k]
-        for r in range(m):
-            if r == k:
-                rows[r] = top
-                continue
-            f, *row = rows[r]
-            if f:
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            else:
-                rows[r] = [p * x // prev for x in row]
-        prev = p
-    return prev, rows
-
-
-def _grounded_laplacian(g: Graph, ground: int) -> tuple[list[int], list[list[int]]]:
-    """(the other vertices, the Laplacian with ground's row and column dropped)."""
-    idx = [w for w in range(g.n) if w != ground]
-    lap = _laplacian_int(g)
-    return idx, [[lap[r][c] for c in idx] for r in idx]
-
-
-def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
-    """Effective resistance by a grounded-Laplacian solve.
-
-    One vertex is grounded, a unit current is injected at u and drawn
-    at v, and the potential difference is the resistance.  The result
-    is independent of the grounding choice.
-    """
-    if not (0 <= u < g.n and 0 <= v < g.n and 0 <= ground < g.n):
-        raise ValueError("vertex out of range")
-    if u == v:
-        return Fraction(0)
-    if not is_connected(g):
-        raise DisconnectedError("resistance of a disconnected graph")
-    idx, a = _grounded_laplacian(g, ground)
-    b = [[0] for _ in idx]
-    pos = {w: i for i, w in enumerate(idx)}
-    if u != ground:
-        b[pos[u]][0] = 1
-    if v != ground:
-        b[pos[v]][0] = -1
-    d, x = _fraction_free_solve(a, b)
-    pot_u = x[pos[u]][0] if u != ground else 0
-    pot_v = x[pos[v]][0] if v != ground else 0
-    return Fraction(pot_u - pot_v, d)
 
 
 class ResistanceMatrix:
@@ -224,10 +71,6 @@ class ResistanceMatrix:
 
     def r(self, u: int, v: int) -> Fraction:
         return self.rows[u][v]
-
-    def row_sum(self, u: int) -> Fraction:
-        return sum(self.rows[u], Fraction(0))
-
 
 def format_resistance_matrix(mat: ResistanceMatrix) -> str:
     """n, then the row-major upper triangle as p/q tokens, one row per line.
@@ -304,13 +147,6 @@ class BranchSummary(NamedTuple):
     wiener: int  # hop distances over unordered vertex pairs, summed
     matching: int  # maximum matching of the branch tree
     root_free: int  # maximum matching that leaves the root unmatched
-
-
-class Invariants(NamedTuple):
-    cycle_length: int
-    matching: int
-    kf: Fraction
-    wiener: Fraction
 
 
 def _subtree_sizes(parents: Sequence[int]) -> list[int]:
@@ -417,38 +253,6 @@ def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
         b += j * s
         c += j * j * s
     return cycle, hops
-
-
-def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
-    """Exact (k, m, Kf, W) of the cycle C_k carrying branch i on its i-th
-    vertex; a single branch (k = 1) is a tree.
-
-    With branch sizes s_i, depth sums D_i, Wiener numbers W_i and n
-    vertices, the resistance of two vertices in branches i and j is
-    their depths plus d(k - d)/k for the cycle gap d (Klein and Randic,
-    "Resistance distance", J. Math. Chem. 12, 1993), so
-
-        Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
-
-    and W is the same sum with min(d, k - d) as the cycle term
-    (``branch_term`` and ``cycle_terms``).  Integer arithmetic
-    throughout, one Fraction at the end; O(n + k).
-    """
-    k = len(branches)
-    n = sum(b.size for b in branches)
-    trees = sum(branch_term(b, n) for b in branches)
-    cycle, hops = cycle_terms([b.size for b in branches])
-    return Invariants(
-        k, cycle_matching(branches), Fraction(k * trees + cycle, k), Fraction(trees + hops)
-    )
-
-
-def graph_invariants(g: Graph) -> Invariants:
-    """``cycle_invariants`` of a tree or a connected unicyclic graph."""
-    trees = decompose_unicyclic(g)
-    if trees is None:
-        raise ValueError("expected a tree or a connected unicyclic graph")
-    return cycle_invariants([tree_summary(parents) for _, parents in trees])
 
 
 def branch_row(parents: Sequence[int], n: int) -> list[int]:
@@ -578,20 +382,54 @@ def cycle_route(trees: list[tuple[list[int], list[int]]]) -> Route:
     )
 
 
-def _inverse_route(core: Graph, trees: list[tuple[list[int], list[int]]], ground: int) -> Route:
-    """One elimination on a connected core graph carrying trees[v] on vertex
-    v: M = X / d, the inverse of its Laplacian with the ground vertex's row
+def _grounded_laplacian(g: Graph) -> list[list[int]]:
+    """The Laplacian of g with vertex 0's row and column dropped."""
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    return [row[1:] for row in lap[1:]]
+
+
+def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
+    """One elimination on the 2-core of g, whose ``peel`` is trees, with the
+    trees on their roots: cubic in the core, linear in the branches.
+
+    M = X / d is the inverse of the core's Laplacian L with vertex 0's row
     and column dropped (zeros in X), d its number of spanning trees, and
-    R_core(u, v) = M_uu + M_vv - 2 M_uv.  The hop sum takes one BFS from
-    each core vertex."""
+    R_core(u, v) = M_uu + M_vv - 2 M_uv.  X comes from one fraction-free
+    (Bareiss) Gauss-Jordan elimination of [L | I] over the integers: step k
+    replaces every row r other than the pivot row by
+    (p_k r - r_k row_k) / p_{k-1}, an exact division, so L becomes d I, d
+    the last pivot, and I becomes X; the eliminated columns are dropped as
+    it goes.  The pivots are the leading principal minors of L, which is
+    positive definite on a connected core, so no pivot is 0 and no rows
+    swap.  The hop sum takes one BFS from each core vertex.
+    """
+    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
+    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
     if not is_connected(core):
         raise DisconnectedError("resistance of a disconnected graph")
-    idx, a = _grounded_laplacian(core, ground)
-    m = len(idx)
-    d, x = _fraction_free_solve(a, [[int(i == j) for j in range(m)] for i in range(m)])
+    m = core.n - 1
+    x = [row + [int(i == j) for j in range(m)] for i, row in enumerate(_grounded_laplacian(core))]
+    d = 1
+    for k in range(m):
+        p, *top = x[k]
+        for r in range(m):
+            if r == k:
+                x[r] = top
+                continue
+            f, *row = x[r]
+            if f:
+                x[r] = [(p * a - f * b) // d for a, b in zip(row, top)]
+            else:
+                x[r] = [p * a // d for a in row]
+        d = p
     full = [[0] * core.n for _ in range(core.n)]
-    for u, row in zip(idx, x):
-        full[u] = row[:ground] + [0] + row[ground:]
+    for u, row in enumerate(x, start=1):
+        full[u] = [0] + row
     # d sum_v s_v R(u, v) = n X_uu + sum_v s_v X_vv - 2 (X s)_u, n = sum_v s_v
     sizes = [len(labels) for labels, _ in trees]
     n = sum(sizes)
@@ -611,29 +449,10 @@ def _inverse_route(core: Graph, trees: list[tuple[list[int], list[int]]], ground
     return Route(trees, d, rows, _branch_terms(trees), hops, cross)
 
 
-def grounded_inverse(g: Graph, ground: int = 0) -> Route:
-    """The Laplacian route's one elimination, for any connected graph,
-    every vertex its own branch."""
-    return _inverse_route(g, [([v], [-1]) for v in range(g.n)], ground)
-
-
-def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
-    """``grounded_inverse`` of the 2-core of g, whose ``peel`` is trees, with
-    the trees on their roots: cubic in the core, linear in the branches."""
-    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
-    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
-    return _inverse_route(core, trees, 0)
-
-
 def route(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
     """The route of a connected graph g whose ``peel`` is trees: the closed
     forms for a core of one vertex or one cycle, else ``core_inverse``."""
     return cycle_route(trees) if trees and g.edge_count <= g.n else core_inverse(g, trees)
-
-
-def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
-    """All-pairs resistances by the Laplacian route."""
-    return grounded_inverse(g, ground).matrix()
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:
@@ -649,12 +468,6 @@ def resistance_matrix(g: Graph) -> ResistanceMatrix:
 def kirchhoff_index(g: Graph) -> Fraction:
     """Sum of effective resistances over unordered vertex pairs of a connected graph."""
     return route(g, peel(g)).kirchhoff_index()
-
-
-def kirchhoff_index_dense(g: Graph) -> Fraction:
-    """Kirchhoff index by the Laplacian route, for any graph (and as an
-    oracle)."""
-    return grounded_inverse(g).kirchhoff_index()
 
 
 def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:

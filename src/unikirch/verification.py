@@ -483,7 +483,8 @@ def suite_girth_minima(n_max: int) -> VerificationReport:
 
 
 # the tabulated resistance sums for pendant placements on C10, C11, C12
-# (positions are 1-based), together with the closed-form consecutive case
+# (positions are 1-based); the consecutive placements are rows of the
+# table too, not values of a closed form
 PLACEMENT_CASES: tuple[tuple[int, tuple[int, ...], str], ...] = (
     (10, (1, 2, 3, 4), "8"),
     (10, (1, 2, 3, 6), "52/5"),

@@ -1,27 +1,62 @@
-"""Brute-force oracles, kept independent of the library's own algorithms.
+"""Oracles for the tests, kept independent of the library's own algorithms.
 
-Everything here is exhaustive and exponential on purpose: distances by
-Floyd-Warshall, matchings by edge-subset search, isomorphism classes of
-labeled unicyclic graphs by orbit closure under all vertex permutations,
-trees by Prufer decoding.  The one exception, ``row_cells_by_class``,
-takes every class from the library's unfiltered listing, which other
-tests check against brute force, reads its matching number from its
-codes, and runs it through the library's per-class check, whose kernels
-other tests check against graphs.  So it checks what the fast pass adds
-to the walk they share: its counts and its pruning.
+Most are brute force, exhaustive and exponential on purpose: distances
+by Floyd-Warshall, matchings by edge-subset search, isomorphism classes
+of labeled unicyclic graphs by orbit closure under all vertex
+permutations, trees by Prufer decoding.
+
+The two resistance routes that the program does not run live here: the
+grounded-Laplacian solve on the whole graph, by an integer elimination
+of its own, with Kf and the vertex sums summed off its matrix, and
+spanning-forest counting by determinants.
+
+Two build on library kernels.  The per-class invariants
+(``cycle_invariants``) combine ``tree_summary``, ``cycle_matching``,
+``branch_term`` and ``cycle_terms``, kernels that the sweep and the
+closed-form route run, so that tests can check them against graphs.
+``row_cells_by_class`` takes every class from the library's unfiltered
+listing, which other tests check against brute force, reads its matching
+number from its codes, and runs it through the library's per-class
+check, whose kernels other tests check against graphs.  So it checks
+what the fast pass adds to the walk they share: its counts and its
+pruning.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterable, NamedTuple, Sequence
 
 from unikirch.enumeration import (
+    CanonicalCode,
     RowCell,
     _branch_shape,
     _check_class,
+    code_parents,
     enumerate_codes,
-    invariants_from_code,
 )
+from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic
+from unikirch.resistance import (
+    BranchSummary,
+    ResistanceMatrix,
+    branch_term,
+    cycle_matching,
+    cycle_terms,
+    tree_summary,
+)
+
+
+def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """A Graph from edges in any orientation, rejecting loops and duplicates."""
+    normalized = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        normalized.append((u, v) if u < v else (v, u))
+    if len(normalized) != len(set(normalized)):
+        raise ValueError("duplicate edge")
+    return Graph(n, frozenset(normalized))
 
 
 def floyd_warshall(n: int, edges) -> list[list[float]]:
@@ -247,7 +282,7 @@ def row_cells_by_class(n: int) -> list[RowCell]:
     on n vertices with m >= 3, counting each class and pendant vertex."""
     cells: dict[int, RowCell] = {}
     for code in enumerate_codes(n):
-        m = invariants_from_code(code).matching
+        m = cycle_matching([tree_summary(code_parents(c)) for c in code.branch_codes])
         if m < 3:
             continue
         cell = cells.setdefault(m, RowCell(n, m))
@@ -256,3 +291,206 @@ def row_cells_by_class(n: int) -> list[RowCell]:
             cell.pendants += _branch_shape(c)[1].count(1)  # a root has degree 2 or more
         _check_class(code.branch_codes, cell)
     return [cells[m] for m in sorted(cells)]
+
+
+# ---------------------------------------------------------------------------
+# closed forms on cycles
+
+
+def r_cycle(k: int, d: int) -> Fraction:
+    """Resistance between vertices d apart on C_k: d(k - d)/k."""
+    return Fraction(d * (k - d), k)
+
+
+def kfv_cycle(k: int) -> Fraction:
+    """Resistance row sum at any vertex of C_k: (k^2 - 1)/6."""
+    return Fraction(k * k - 1, 6)
+
+
+def arc_pair_resistance_sum(k: int, t: int) -> Fraction:
+    """Sum of pairwise cycle resistances over t consecutive vertices of
+    C_k: t(t - 1)(t + 1)(2k - t) / (12k)."""
+    return Fraction(t * (t - 1) * (t + 1) * (2 * k - t), 12 * k)
+
+
+# ---------------------------------------------------------------------------
+# the two resistance routes the program does not run
+
+
+def laplacian(g: Graph) -> list[list[int]]:
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    return lap
+
+
+def _det_int(m: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant of an integer matrix."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _minor(m: list[list[int]], drop: set[int]) -> list[list[int]]:
+    keep = [i for i in range(len(m)) if i not in drop]
+    return [[m[i][j] for j in keep] for i in keep]
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees (0 when disconnected)."""
+    if g.n == 0:
+        return 0
+    return _det_int(_minor(laplacian(g), {0}))
+
+
+def separating_forest_count(g: Graph, u: int, v: int) -> int:
+    """Spanning 2-forests with u and v in different components."""
+    return _det_int(_minor(laplacian(g), {u, v}))
+
+
+def resistance_forest(g: Graph, u: int, v: int) -> Fraction:
+    """Effective resistance as separating forests over spanning trees."""
+    if u == v:
+        return Fraction(0)
+    trees = spanning_tree_count(g)
+    if trees == 0:
+        raise DisconnectedError("resistance of a disconnected graph")
+    return Fraction(separating_forest_count(g, u, v), trees)
+
+
+def _gauss_jordan(a: list[list[int]], b: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(d, X) with A X = d B over the integers, by fraction-free Gauss-Jordan
+    elimination of [A | B] that keeps every column: each step k brings every
+    other row to (p_k row - row[k] pivot row) / p_{k-1}, an exact division,
+    so A ends as d I with d the last pivot.  A singular A is a disconnected
+    graph's grounded Laplacian."""
+    m = len(a)
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if aug[r][k]), None)
+        if pivot is None:
+            raise DisconnectedError("singular grounded Laplacian")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        p = aug[k][k]
+        for r in range(m):
+            if r != k:
+                f = aug[r][k]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], aug[k])]
+        prev = p
+    return prev, [row[m:] for row in aug]
+
+
+def _grounded(g: Graph, ground: int) -> tuple[list[int], list[list[int]]]:
+    """(the other vertices, g's Laplacian with ground's row and column dropped)."""
+    keep = [w for w in range(g.n) if w != ground]
+    lap = laplacian(g)
+    return keep, [[lap[r][c] for c in keep] for r in keep]
+
+
+def resistance_laplacian(g: Graph, u: int, v: int, ground: int = 0) -> Fraction:
+    """Effective resistance by one solve of the grounded Laplacian: a unit
+    current enters at u and leaves at v, and the resistance is the
+    potential difference.  Any vertex can be the ground."""
+    if u == v:
+        return Fraction(0)
+    keep, a = _grounded(g, ground)
+    current = [[(w == u) - (w == v)] for w in keep]
+    d, x = _gauss_jordan(a, current)
+    potential = dict(zip(keep, (row[0] for row in x)))
+    return Fraction(potential.get(u, 0) - potential.get(v, 0), d)
+
+
+def resistance_matrix_dense(g: Graph, ground: int = 0) -> ResistanceMatrix:
+    """All-pairs resistances R(u, v) = (X_uu + X_vv - 2 X_uv) / d, where X / d
+    inverts g's Laplacian with ground's row and column dropped, and X has
+    zeros in them."""
+    keep, a = _grounded(g, ground)
+    d, inverse = _gauss_jordan(a, [[int(i == j) for j in keep] for i in keep])
+    x = [[0] * g.n for _ in range(g.n)]
+    for u, row in zip(keep, inverse):
+        for v, value in zip(keep, row):
+            x[u][v] = value
+    rows = tuple(
+        tuple(Fraction(x[u][u] + x[v][v] - 2 * x[u][v], d) for v in range(g.n))
+        for u in range(g.n)
+    )
+    return ResistanceMatrix(g.n, rows, tuple(r for row in rows for r in row))
+
+
+def triangle_sum(mat: ResistanceMatrix) -> Fraction:
+    """Kf read off a resistance matrix: its upper triangle, summed."""
+    return sum((r for u, row in enumerate(mat.rows) for r in row[u + 1 :]), Fraction(0))
+
+
+def row_sums(mat: ResistanceMatrix) -> list[Fraction]:
+    """The vertex sums read off a resistance matrix."""
+    return [sum(row, Fraction(0)) for row in mat.rows]
+
+
+def kirchhoff_index_dense(g: Graph, ground: int = 0) -> Fraction:
+    """Kf by the whole-graph Laplacian route."""
+    return triangle_sum(resistance_matrix_dense(g, ground))
+
+
+# ---------------------------------------------------------------------------
+# the per-class invariants, from the library's kernels
+
+
+class Invariants(NamedTuple):
+    cycle_length: int
+    matching: int
+    kf: Fraction
+    wiener: Fraction
+
+
+def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
+    """Exact (k, m, Kf, W) of the cycle C_k carrying branch i on its i-th
+    vertex; a single branch (k = 1) is a tree.
+
+    With branch sizes s_i, depth sums D_i, Wiener numbers W_i and n
+    vertices, the resistance of two vertices in branches i and j is their
+    depths plus d(k - d)/k for the cycle gap d (Klein and Randic,
+    "Resistance distance", J. Math. Chem. 12, 1993), so
+
+        Kf = sum W_i + sum D_i (n - s_i) + (1/k) sum_{i<j} s_i s_j d(k - d),
+
+    and W is the same sum with min(d, k - d) as the cycle term.
+    """
+    k = len(branches)
+    n = sum(b.size for b in branches)
+    trees = sum(branch_term(b, n) for b in branches)
+    cycle, hops = cycle_terms([b.size for b in branches])
+    return Invariants(
+        k, cycle_matching(branches), Fraction(k * trees + cycle, k), Fraction(trees + hops)
+    )
+
+
+def graph_invariants(g: Graph) -> Invariants:
+    """``cycle_invariants`` of a tree or a connected unicyclic graph."""
+    return cycle_invariants([tree_summary(parents) for _, parents in decompose_unicyclic(g)])
+
+
+def invariants_from_code(code: CanonicalCode) -> Invariants:
+    """``cycle_invariants`` of a class, read off its branch codes."""
+    return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])

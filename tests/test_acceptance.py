@@ -15,20 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_matching_size, labeled_unicyclic_classes
+from oracles import (
+    brute_force_matching_size,
+    kfv_cycle,
+    kirchhoff_index_dense,
+    labeled_unicyclic_classes,
+    resistance_forest,
+    resistance_laplacian,
+)
 from unikirch.enumeration import enumerate_with_codes, free_trees
 from unikirch.families import make_cycle
 from unikirch.graph import decompose_unicyclic, wiener_index
 from unikirch.matching import matching_number
-from unikirch.resistance import (
-    cycle_route,
-    kf_cycle,
-    kfv_cycle,
-    kirchhoff_index_dense,
-    kirchhoff_vertex_sum,
-    resistance_forest,
-    resistance_laplacian,
-)
+from unikirch.resistance import cycle_route, kf_cycle, kirchhoff_vertex_sum
 from unikirch.verification import (
     suite_cycle_placements,
     suite_deletion_bounds,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+from oracles import kirchhoff_index_dense, resistance_matrix_dense, row_sums, triangle_sum
 from unikirch import cli, graph, resistance
 from unikirch.cli import CONSTRUCT_MAX_N, DENSE_MAX_N, MATRIX_MAX_N, TRIALS_MAX, main
 from unikirch.enumeration import canonical_code
@@ -28,7 +29,6 @@ from unikirch.families import (
     unm_kf_closed_form,
 )
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
-from unikirch.resistance import kirchhoff_index_dense
 from unikirch.rational import format_rational
 from unikirch.verification import CEILINGS, WINDOWS
 
@@ -180,7 +180,7 @@ def test_compute_tree_matrix_is_the_closed_form(tmp_path, capsys, monkeypatch):
     def no_elimination(*_):
         raise AssertionError("compute --resistance-matrix ran the Laplacian route")
 
-    monkeypatch.setattr(resistance, "_fraction_free_solve", no_elimination)
+    monkeypatch.setattr(resistance, "core_inverse", no_elimination)
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
     assert code == 0
     assert out.splitlines()[1:] == expected
@@ -193,19 +193,21 @@ def _bicyclic_path() -> Graph:
 
 
 def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypatch):
-    # vertices 0..20 form the 2-core, so one elimination of 20 rows serves
-    # Kf, the vertex sums and the matrix
+    # vertices 0..20 form the 2-core, so one elimination of 20 rows, the
+    # core's Laplacian with one vertex grounded, serves Kf, the vertex sums
+    # and the matrix
     n = 80
     path = tmp_path / "bicyclic.graph"
     path.write_text(write_graph(_bicyclic_path()))
-    solve = resistance._fraction_free_solve
+    grounded = resistance._grounded_laplacian
     calls = []
 
-    def counting_solve(a, b):
-        calls.append(len(a))
-        return solve(a, b)
+    def counting_laplacian(core):
+        rows = grounded(core)
+        calls.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(resistance, "_fraction_free_solve", counting_solve)
+    monkeypatch.setattr(resistance, "_grounded_laplacian", counting_laplacian)
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--vertex-sums")
     assert code == 0 and calls == [20]
     lines = out.splitlines()
@@ -231,8 +233,7 @@ def test_compute_eliminates_the_dense_laplacian_once(tmp_path, capsys, monkeypat
 def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, build, closed_forms):
     # Kf, W, the vertex sums and the matrix all read the one route that
     # ``resistance.route`` picks for the peel the cli holds; the closed
-    # forms compute the cycle rows once, the elimination never, and
-    # neither runs the per-class kernel ``cycle_invariants``
+    # forms compute the cycle rows once and the elimination never
     g = build()
     path = tmp_path / "input.graph"
     path.write_text(write_graph(g))
@@ -248,17 +249,15 @@ def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, bui
     counting_peel = counting("peel", graph.peel)
     for module in (graph, cli, resistance):
         monkeypatch.setattr(module, "peel", counting_peel)
-    for name in ("cycle_cores", "cycle_invariants"):
-        monkeypatch.setattr(resistance, name, counting(name, getattr(resistance, name)))
+    monkeypatch.setattr(resistance, "cycle_cores", counting("cycle_cores", resistance.cycle_cores))
     flags = ("--wiener", "--vertex-sums", "--resistance-matrix")
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), *flags)
     assert code == 0
     assert calls == (["peel", "cycle_cores"] if closed_forms else ["peel"])
     lines = out.splitlines()
-    dense = resistance.grounded_inverse(g)
-    mat = dense.matrix()
-    assert lines[:2] == [f"Kf = {dense.kirchhoff_index()}", f"W = {wiener_index(g)}"]
-    assert lines[2 : g.n + 2] == [f"Kf[{v}] = {mat.row_sum(v)}" for v in range(g.n)]
+    mat = resistance_matrix_dense(g)
+    assert lines[:2] == [f"Kf = {triangle_sum(mat)}", f"W = {wiener_index(g)}"]
+    assert lines[2 : g.n + 2] == [f"Kf[{v}] = {x}" for v, x in enumerate(row_sums(mat))]
     assert "\n".join(lines[g.n + 2 :]) + "\n" == resistance.format_resistance_matrix(mat)
 
 

@@ -7,12 +7,17 @@ import pytest
 from oracles import (
     all_labeled_trees,
     argmin_by_cell,
+    graph_invariants,
+    invariants_from_code,
+    kirchhoff_index_dense,
     labeled_unicyclic_classes,
+    make_graph,
     orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
+    row_sums,
     unicyclic_codes_bruteforce,
 )
-from unikirch import enumeration
+from unikirch import enumeration, resistance
 from unikirch.enumeration import (
     CanonicalCode,
     _classes,
@@ -28,7 +33,6 @@ from unikirch.enumeration import (
     free_tree_codes,
     free_trees,
     graph_from_code,
-    invariants_from_code,
     orbit_compositions,
     rooted_tree_code,
     rooted_tree_codes,
@@ -40,7 +44,6 @@ from unikirch.graph import (
     Graph,
     decompose_unicyclic,
     identify_vertices,
-    make_graph,
     wiener_index,
 )
 from unikirch.matching import matching_number
@@ -48,8 +51,6 @@ from unikirch.resistance import (
     branch_row,
     branch_term,
     cycle_route,
-    graph_invariants,
-    kirchhoff_index_dense,
     tree_summary,
     vertex_sums,
 )
@@ -228,7 +229,7 @@ def test_invariants_from_code_match_graph_routes():
             assert inv.wiener == wiener_index(g), code
             assert inv.matching == matching_number(g).size, code
             mat = cycle_route(decompose_unicyclic(g)).matrix()
-            assert vertex_sums(g) == [mat.row_sum(u) for u in range(n)], code
+            assert vertex_sums(g) == row_sums(mat), code
 
 
 def test_invariants_from_code_deep_branch():
@@ -401,8 +402,12 @@ def test_sweep_and_pools_parse_no_code(monkeypatch):
     # the sweep's tables and the pools carry each tree's state and term
     # from its children's, so neither lists nor parses a code to find them
     monkeypatch.setattr(enumeration, "_pools", {})
-    for name in ("rooted_tree_codes", "code_parents", "tree_summary"):
-        monkeypatch.setattr(enumeration, name, lambda *args, name=name: pytest.fail(name))
+    for module, name in (
+        (enumeration, "rooted_tree_codes"),
+        (enumeration, "code_parents"),
+        (resistance, "tree_summary"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(name))
     sweep_minima.__wrapped__(14)
     assert not enumeration._pools
     for size in range(1, 13):

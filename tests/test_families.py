@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import arc_pair_resistance_sum, make_graph
 from unikirch.enumeration import canonical_code
 from unikirch.families import (
     FamilySpec,
-    arc_pair_resistance_sum,
     central_vertex,
     girth_min_kf,
     make_cycle,
@@ -266,7 +266,5 @@ def test_recognize_family():
     got = recognize_family(make_ukt(6, 2, 3, 0))
     assert got is not None and got.build().n == 11
     assert canonical_code(got.build()) == canonical_code(make_ukt(6, 2, 3, 0))
-    from unikirch.graph import make_graph
-
     # a double star is no named family
     assert recognize_family(make_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])) is None

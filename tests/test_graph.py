@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from oracles import floyd_warshall
+from oracles import floyd_warshall, kirchhoff_index_dense, make_graph
 from unikirch import graph
 from unikirch.cli import main
 from unikirch.families import make_cycle, make_path, make_ukt, make_unm
@@ -17,13 +17,11 @@ from unikirch.graph import (
     decompose_unicyclic,
     identify_vertices,
     is_connected,
-    make_graph,
     read_graph,
     wiener_index,
     without_vertices,
     write_graph,
 )
-from unikirch.resistance import kirchhoff_index_dense
 
 
 def test_read_triangle():

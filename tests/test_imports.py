@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, and no module of the
-package imports another's private names.
+"""Every name a module imports is used in it, no module of the package
+imports another's private names, and every name the package exports has
+a caller outside the tests.
 
 No linter runs on this code, so an import left behind by a refactor
 would stay unnoticed; these tests read each module's syntax tree instead.
@@ -8,6 +9,7 @@ are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +75,58 @@ def test_no_module_imports_a_private_name_of_another():
         if (names := private_imports(path.read_text()))
     }
     assert private == {}
+
+
+def _definitions(source: str) -> dict[str, tuple[int, int]]:
+    """{name: (first line, last line)} of every top-level function, class
+    and assignment of source."""
+    spans = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            spans[name] = (first, node.end_lineno)
+    return spans
+
+
+def uncalled_exports(exports: list[str], sources: list[str]) -> list[str]:
+    """The names of exports that no source mentions as a word outside the
+    name's own definition."""
+    uncalled = []
+    for name in exports:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        for source in sources:
+            lines = source.splitlines()
+            if name in (spans := _definitions(source)):
+                first, last = spans[name]
+                lines = lines[: first - 1] + lines[last:]
+            if word.search("\n".join(lines)):
+                break
+        else:
+            uncalled.append(name)
+    return uncalled
+
+
+def test_uncalled_exports_are_found():
+    sources = ["def a():\n    return a\n\n\ndef b():\n    return c\n\n\nd = 1\n", "print(b)\n"]
+    assert uncalled_exports(["a", "b", "c", "d"], sources) == ["a", "d"]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name that only tests read belongs in the tests; the benchmark's
+    # traced names and output checks count as callers
+    init = ast.parse((ROOT / "src" / "unikirch" / "__init__.py").read_text())
+    exports = [
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    paths = [p for p in _modules() if p.parent.name != "tests"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    assert uncalled_exports(exports, [p.read_text() for p in paths]) == []

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from conftest import random_tree_edges
-from oracles import brute_force_matching_size
+from oracles import brute_force_matching_size, make_graph
 from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
-from unikirch.graph import Graph, make_graph, without_vertices
+from unikirch.graph import Graph, without_vertices
 from unikirch.matching import has_perfect_matching, matching_number
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
