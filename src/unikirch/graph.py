@@ -10,8 +10,11 @@ cycle.  ``peel`` finds that structure in one leaf-peeling pass, and it
 is the only routine that does: the resistance kernels and the canonical
 codes read its branch trees (``decompose_unicyclic`` gives them in cycle
 order), and ``matching.matching_number`` splits a unicyclic graph on the
-cycle edge between its first two roots.  ``without_vertices`` is the one
-delete-and-relabel.
+cycle edge between its first two roots.  The pass keeps each vertex's
+count and XOR of the neighbours not yet peeled, so a leaf's parent is
+its XOR and a cycle core is walked vertex by vertex from the XORs: a
+tree or a unicyclic graph never builds ``Graph.adjacency``.
+``without_vertices`` is the one delete-and-relabel.
 """
 
 from __future__ import annotations
@@ -206,42 +209,59 @@ def peel(g: Graph) -> list[tuple[list[int], list[int]]]:
     parent -1.  A tree's core is one vertex.  Raises ``DisconnectedError``.
 
     A vertex is peeled once at most one neighbour is left, its parent, so
-    children go first.  A tree peels completely and its last vertex is
-    the root.  Otherwise the 2-core remains, ordered depth first from its
-    lowest vertex, lowest neighbour first: a cycle is walked from its
-    lowest vertex toward the lower of its two neighbours.  A second root,
-    or a core the walk does not cover, is a second component.
+    children go first.  Each vertex keeps the count and the XOR of its
+    neighbours not yet peeled, so the parent of a peeled vertex is its
+    XOR and no adjacency lists are built.  A tree peels completely and
+    its last vertex is the root.  Otherwise the 2-core remains, ordered
+    depth first from its lowest vertex, lowest neighbour first.  When
+    every core vertex has two neighbours left, the core is a cycle: it is
+    walked from its lowest vertex toward the lower of its two neighbours,
+    each next vertex the XOR of the current one without the previous
+    one.  Any other core takes a depth-first search of ``adjacency``.  A
+    second root, or a core the walk does not cover, is a second component.
     """
     n = g.n
     # fewer than n - 1 edges cannot connect n vertices; checking that first
     # keeps a huge vertex count from allocating anything of size n
     if g.edge_count < n - 1:
         raise DisconnectedError("expected a connected graph")
-    adj = g.adjacency
-    left = [len(a) for a in adj]  # neighbours not yet peeled
+    left = [0] * n  # neighbours not yet peeled: at least 2 on the core
+    xor = [0] * n  # the XOR of those neighbours
+    for u, v in g.edges:
+        left[u] += 1
+        left[v] += 1
+        xor[u] ^= v
+        xor[v] ^= u
     parent = [-1] * n
-    alive = [True] * n
     order = [v for v in range(n) if left[v] <= 1]
     for u in order:  # order grows while it is scanned
-        alive[u] = False
-        for w in adj[u]:
-            if alive[w]:
-                parent[u] = w
-                left[w] -= 1
-                if left[w] == 1:
-                    order.append(w)
-                break
+        if left[u]:
+            w = parent[u] = xor[u]
+            xor[w] ^= u
+            left[w] -= 1
+            if left[w] == 1:
+                order.append(w)
     if len(order) == n:
         core = [order.pop()] if n else []
+    elif max(left) == 2:
+        first = left.index(2)
+        # first is the lowest core vertex, so its core neighbours are above it
+        a = next(v for u, v in g.edges if u == first and left[v] == 2)
+        prev, cur = first, min(a, xor[first] ^ a)
+        core = [first]
+        while cur != first:
+            core.append(cur)
+            prev, cur = cur, xor[cur] ^ prev
     else:
+        adj = g.adjacency
         core = []
-        stack = [alive.index(True)]
+        stack = [next(v for v in range(n) if left[v] >= 2)]
         while stack:
             c = stack.pop()
-            if alive[c]:
-                alive[c] = False
+            if left[c] >= 2:
+                left[c] = 0  # walked
                 core.append(c)
-                stack.extend(w for w in reversed(adj[c]) if alive[w])
+                stack.extend(w for w in reversed(adj[c]) if left[w] >= 2)
     # a second root, or a core vertex the walk missed, has no parent either
     if parent.count(-1) > len(core):
         raise DisconnectedError("expected a connected graph")

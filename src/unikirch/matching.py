@@ -22,10 +22,6 @@ class MatchingResult(NamedTuple):
     edges: frozenset[tuple[int, int]]
     saturated: tuple[bool, ...]
 
-    def edge_lines(self) -> list[str]:
-        """The witness in the graph file format's edge syntax."""
-        return [f"{u} {v}" for u, v in sorted(self.edges)]
-
 
 def _forest_matching(adj: dict[int, set[int]]) -> set[tuple[int, int]]:
     """Greedy leaf matching on a forest given as an adjacency dict, which

@@ -192,32 +192,29 @@ def tree_summary(parents: Sequence[int]) -> BranchSummary:
 
 def cycle_matching(branches: Sequence[BranchSummary]) -> int:
     """Matching number of the cycle carrying branch i on its i-th vertex:
-    the branch matchings plus what the cycle edges gain."""
-    gain = _cycle_matching_gain([b.matching == b.root_free for b in branches])
-    return sum(b.matching for b in branches) + gain
+    the branch matchings plus what the cycle edges gain, in one pass.
 
-
-def _cycle_matching_gain(free_roots: list[bool]) -> int:
-    """Maximum matching of the cycle restricted to roots that can be left
-    unmatched at no loss in their branch.
-
-    A cycle edge adds one to the matching exactly when both of its roots
-    are such, so this is the gain the cycle edges bring: k // 2 on a
-    fully free cycle, otherwise half of each free run, rounded down.
-    A single root (k = 1, a tree) gains nothing.
+    A root is free when its branch loses nothing by leaving it unmatched,
+    and a cycle edge adds one to the matching exactly when both of its
+    roots are free.  So the gain is k // 2 on a fully free cycle, else
+    half of each maximal run of free roots, rounded down, where the run
+    before the first root that is not free wraps round onto the last
+    run.  A single root (k = 1, a tree) gains nothing.
     """
-    k = len(free_roots)
-    if all(free_roots):
-        return k // 2
-    start = free_roots.index(False)
-    gain = run = 0
-    for i in range(start + 1, start + k + 1):
-        if free_roots[i % k]:
+    total = gain = run = 0
+    lead = -1  # the length of the run before the first root that is not free
+    for b in branches:
+        total += b.matching
+        if b.matching == b.root_free:
             run += 1
+        elif lead < 0:
+            lead, run = run, 0
         else:
             gain += run // 2
             run = 0
-    return gain
+    if lead < 0:
+        return total + run // 2
+    return total + gain + (lead + run) // 2
 
 
 def branch_term(b: BranchSummary, n: int) -> int:
@@ -330,7 +327,10 @@ class Route(NamedTuple):
     trees: list[tuple[list[int], list[int]]]
     d: int
     core_rows: list[int]
-    branches: int  # the ``branch_term``s, summed
+    # the ``branch_term``s, summed: the Wiener edge-cut sum over the branch
+    # edges, sub(v)(n - sub(v)) for each non-root v, whose parent edge
+    # separates its sub(v) subtree vertices from the other n - sub(v)
+    branches: int
     hops: Callable[[], int]
     cross: Callable[[], Callable[[int], Sequence[list[Fraction]]]]
 
@@ -360,9 +360,20 @@ class Route(NamedTuple):
 
 
 def _branch_terms(trees: list[tuple[list[int], list[int]]]) -> int:
-    """The ``branch_term``s of the peeled trees, summed."""
+    """The ``branch_term``s of the peeled trees, summed as the edge cuts of
+    ``Route.branches``: n sum sub(v) - sum sub(v)^2 over the non-root
+    vertices v, from each tree's subtree sizes in one pass."""
     n = sum(len(labels) for labels, _ in trees)
-    return sum(branch_term(tree_summary(parents), n) for _, parents in trees)
+    linear = squares = 0
+    for _, parents in trees:
+        if len(parents) > 1:
+            sub = [1] * len(parents)
+            for v in range(len(parents) - 1, 0, -1):
+                x = sub[v]
+                sub[parents[v]] += x
+                linear += x
+                squares += x * x
+    return n * linear - squares
 
 
 def cycle_route(trees: list[tuple[list[int], list[int]]]) -> Route:

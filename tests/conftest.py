@@ -44,3 +44,12 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int):
     rng.shuffle(candidates)
     edges.update(candidates[:extra_edges])
     return Graph(n, frozenset(edges))
+
+
+def relabelled(rng: random.Random, g):
+    """g with its vertices renamed by a random permutation."""
+    from unikirch.graph import Graph
+
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))

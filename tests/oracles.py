@@ -3,7 +3,9 @@
 Most are brute force, exhaustive and exponential on purpose: distances
 by Floyd-Warshall, matchings by edge-subset search, isomorphism classes
 of labeled unicyclic graphs by orbit closure under all vertex
-permutations, trees by Prufer decoding.
+permutations, trees by Prufer decoding.  ``peel_by_adjacency`` peels a
+graph by its adjacency lists, where ``graph.peel`` keeps only neighbour
+counts and XORs.
 
 The two resistance routes that the program does not run live here: the
 grounded-Laplacian solve on the whole graph, by an integer elimination
@@ -76,6 +78,56 @@ def floyd_warshall(n: int, edges) -> list[list[float]]:
                 if alt < di[j]:
                     di[j] = alt
     return dist
+
+
+def peel_by_adjacency(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """``graph.peel`` by the sorted adjacency lists: each peeled vertex
+    scans its neighbours for the one still there, and the core is walked
+    depth first with a stack, lowest neighbour first."""
+    n = g.n
+    if g.edge_count < n - 1:
+        raise DisconnectedError("expected a connected graph")
+    adj = g.adjacency
+    left = [len(a) for a in adj]  # neighbours not yet peeled
+    parent = [-1] * n
+    alive = [True] * n
+    order = [v for v in range(n) if left[v] <= 1]
+    for u in order:  # order grows while it is scanned
+        alive[u] = False
+        for w in adj[u]:
+            if alive[w]:
+                parent[u] = w
+                left[w] -= 1
+                if left[w] == 1:
+                    order.append(w)
+                break
+    if len(order) == n:
+        core = [order.pop()] if n else []
+    else:
+        core = []
+        stack = [alive.index(True)]
+        while stack:
+            c = stack.pop()
+            if alive[c]:
+                alive[c] = False
+                core.append(c)
+                stack.extend(w for w in reversed(adj[c]) if alive[w])
+    # a second root, or a core vertex the walk missed, has no parent either
+    if parent.count(-1) > len(core):
+        raise DisconnectedError("expected a connected graph")
+    trees = [([c], [-1]) for c in core]
+    branch = [0] * n
+    pos = [0] * n
+    for i, c in enumerate(core):
+        branch[c] = i
+    for u in reversed(order):
+        p = parent[u]
+        labels, parents = trees[branch[p]]
+        branch[u] = branch[p]
+        pos[u] = len(labels)
+        labels.append(u)
+        parents.append(pos[p])
+    return trees
 
 
 def brute_force_matching_size(edges) -> int:
@@ -484,6 +536,25 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
     return Invariants(
         k, cycle_matching(branches), Fraction(k * trees + cycle, k), Fraction(trees + hops)
     )
+
+
+def cycle_matching_gain_by_runs(free_roots: list[bool]) -> int:
+    """What the cycle edges add to the branch matchings of a cycle whose
+    roots are free (unmatched at no loss in their branch) as listed: k // 2
+    on a fully free cycle, else half of each free run, rounded down, the
+    runs read round the cycle from the first root that is not free."""
+    k = len(free_roots)
+    if all(free_roots):
+        return k // 2
+    start = free_roots.index(False)
+    gain = run = 0
+    for i in range(start + 1, start + k + 1):
+        if free_roots[i % k]:
+            run += 1
+        else:
+            gain += run // 2
+            run = 0
+    return gain
 
 
 def graph_invariants(g: Graph) -> Invariants:

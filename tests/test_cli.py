@@ -70,6 +70,17 @@ def test_compute_resistance_matrix(tmp_path, capsys):
     assert out == "Kf = 2\n3\n2/3 2/3\n2/3\n"
 
 
+def test_compute_writes_a_long_matrix_whole(tmp_path, capsys):
+    # the matrix text goes out in slices; one longer than a slice arrives whole
+    g = make_cycle(150)
+    path = tmp_path / "c150.graph"
+    path.write_text(write_graph(g))
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
+    text = resistance.format_resistance_matrix(resistance.resistance_matrix(g))
+    assert code == 0 and len(text) > 1 << 16
+    assert out == f"Kf = {resistance.kf_cycle(150)}\n" + text
+
+
 def test_compute_decimal(tmp_path, capsys):
     path = tmp_path / "u82.graph"
     path.write_text(write_graph(make_ukt(8, 2, 0, 0)))

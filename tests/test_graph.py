@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
-from oracles import floyd_warshall, kirchhoff_index_dense, make_graph
+from conftest import random_connected_graph, relabelled
+from oracles import floyd_warshall, kirchhoff_index_dense, make_graph, peel_by_adjacency
 from unikirch import graph
 from unikirch.cli import main
+from unikirch.enumeration import enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt, make_unm
 from unikirch.graph import (
     DisconnectedError,
@@ -17,6 +18,7 @@ from unikirch.graph import (
     decompose_unicyclic,
     identify_vertices,
     is_connected,
+    peel,
     read_graph,
     wiener_index,
     without_vertices,
@@ -200,6 +202,60 @@ def test_decompose_reassembly(unicyclic_corpus):
                     edges.add(tuple(sorted((labels[parents[v]], labels[v]))))
             assert edges == g.edges
             assert sorted(u for labels, _ in trees for u in labels) == list(range(g.n))
+
+
+def _disconnected(rng: random.Random) -> Graph:
+    """Two or three random connected components and perhaps an isolated
+    vertex, with enough chords for n - 1 edges or more, so that only the
+    peel itself can tell that the graph is not connected."""
+    parts = rng.randint(2, 3)
+    isolated = rng.randint(0, 1)
+    extras = [rng.randint(0, 2) for _ in range(parts)]
+    extras[0] += max(0, parts - 1 + isolated - sum(extras))
+    edges, n = set(), 0
+    for extra in extras:
+        part = random_connected_graph(rng, rng.randint(4, 8), extra)
+        edges |= {(u + n, v + n) for u, v in part.edges}
+        n += part.n
+    return Graph(n + isolated, frozenset(edges))
+
+
+def _same_peel(g: Graph) -> None:
+    """``peel`` gives the trees of ``peel_by_adjacency``, or both raise."""
+    try:
+        expected = peel_by_adjacency(Graph(g.n, g.edges))
+    except DisconnectedError:
+        with pytest.raises(DisconnectedError):
+            peel(g)
+    else:
+        assert peel(g) == expected, g
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(("tree", "unicyclic", "chords", "disconnected")),
+)
+def test_peel_matches_the_adjacency_peel(seed, shape):
+    rng = random.Random(seed)
+    n = rng.randint(1 if shape == "tree" else 3, 30)
+    if shape == "disconnected":
+        g = _disconnected(rng)
+        assert g.edge_count >= g.n - 1
+    elif shape == "chords":  # a cycle and one to three chords
+        g = random_connected_graph(rng, n, rng.randint(2, 4))
+    else:
+        g = random_connected_graph(rng, n, 0 if shape == "tree" else 1)
+    _same_peel(relabelled(rng, g))
+
+
+def test_peel_matches_the_adjacency_peel_on_small_classes():
+    rng = random.Random(9)
+    for n in range(3, 10):
+        for _, g in enumerate_with_codes(n):
+            _same_peel(g)
+            _same_peel(relabelled(rng, g))
+    # two disjoint cycles and a vertex: as many edges as a connected graph
+    _same_peel(Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})))
 
 
 def test_identify_paths():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_tree_edges
+from conftest import random_tree_edges, relabelled
 from oracles import brute_force_matching_size, make_graph
 from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
@@ -27,10 +27,15 @@ def check_result(g, res):
     assert res.saturated == tuple(v in used for v in range(g.n))
 
 
+def edge_lines(g: Graph) -> list[str]:
+    """The matching witness of g in the graph file format's edge syntax."""
+    return [f"{u} {v}" for u, v in sorted(matching_number(g).edges)]
+
+
 def test_tree_examples():
     assert matching_number(make_path(4)).size == 2
     assert matching_number(star(5)).size == 1
-    assert matching_number(make_path(4)).edge_lines() == ["0 1", "2 3"]
+    assert edge_lines(make_path(4)) == ["0 1", "2 3"]
 
 
 def test_trees_against_oracle():
@@ -53,11 +58,11 @@ def test_unicyclic_examples():
 def test_unicyclic_witnesses_are_pinned():
     # the split edge is the lowest cycle vertex and its lower cycle
     # neighbour, and each forest side is matched leaf by leaf, lowest first
-    assert matching_number(make_ukt(5, 1, 0, 5)).edge_lines() == [
+    assert edge_lines(make_ukt(5, 1, 0, 5)) == [
         "0 5", "1 2", "3 4", "6 7", "8 9", "10 11", "12 13", "14 15",
     ]
-    assert matching_number(make_cycle(7)).edge_lines() == ["0 6", "1 2", "3 4"]
-    assert matching_number(make_ukt(8, 2, 0, 0)).edge_lines() == [
+    assert edge_lines(make_cycle(7)) == ["0 6", "1 2", "3 4"]
+    assert edge_lines(make_ukt(8, 2, 0, 0)) == [
         "0 8", "1 9", "2 3", "4 5", "6 7",
     ]
 
@@ -81,12 +86,6 @@ def test_perfect_matching_examples():
     assert has_perfect_matching(make_cycle(8))
     assert not has_perfect_matching(make_cycle(7))
     assert has_perfect_matching(make_ukt(8, 2, 0, 0))
-
-
-def _relabel(rng: random.Random, g: Graph) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def _brute_force_size(g: Graph) -> int:
@@ -147,7 +146,7 @@ def _check_reduction(orders, size) -> None:
     rng = random.Random(11)
     for n in orders:
         for _, g in enumerate_with_codes(n):
-            h = _relabel(rng, g)
+            h = relabelled(rng, g)
             m = size(h)
             g0, removed = _reference_g0(h, size)
             if all(h.degree(v) == 2 for v in range(n)):
@@ -176,7 +175,7 @@ def test_reduce_matches_reference_on_relabelled_classes():
     rng = random.Random(11)
     for n in range(3, 10):
         for _, g in enumerate_with_codes(n):
-            h = _relabel(rng, g)
+            h = relabelled(rng, g)
             assert _reference_g0(h, _library_size) == _reference_g0(h)
 
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph, random_tree_edges
 from oracles import (
     cycle_invariants,
+    cycle_matching_gain_by_runs,
     cycle_terms_pairwise,
     graph_invariants,
     kfv_cycle,
@@ -22,6 +24,7 @@ from oracles import (
     spanning_tree_count,
     triangle_sum,
 )
+from unikirch.enumeration import enumerate_with_codes
 from unikirch.families import (
     central_vertex,
     make_cycle,
@@ -42,7 +45,9 @@ from unikirch.graph import (
 from unikirch.matching import matching_number
 from unikirch.resistance import (
     BranchSummary,
+    branch_term,
     core_inverse,
+    cycle_matching,
     cycle_route,
     format_resistance_matrix,
     kf_cycle,
@@ -51,6 +56,7 @@ from unikirch.resistance import (
     kirchhoff_vertex_sum,
     resistance_matrix,
     route,
+    tree_summary,
     vertex_sums,
 )
 
@@ -222,7 +228,6 @@ def test_matrix_holds_its_table_once():
     # the rows are built as lists and each becomes a tuple in place, so
     # the peak stays near the result's own size, not twice it
     for g in (make_cycle(300), make_ukt(150, 150, 0, 0)):
-        g.adjacency  # cached on g: outside the measurement
         tracemalloc.start()
         try:
             mat = resistance_matrix(g)
@@ -446,3 +451,38 @@ def test_long_cycles_match_closed_forms():
         assert kirchhoff_index(g) == ukt_kf_closed_form(k, t)
         if t:
             assert vertex_sums(g)[central_vertex(k, t)] == ukt_central_vertex_sum(k, t)
+
+
+def test_tree_and_cycle_routes_build_no_adjacency():
+    # peel finds a tree's and a cycle's structure from neighbour counts
+    # and XORs alone; only a core with a chord needs the adjacency lists
+    rng = random.Random(11)
+    graphs = [Graph(n, frozenset(random_tree_edges(rng, n))) for n in (1, 2, 5, 40)]
+    graphs += [random_connected_graph(rng, n, 1) for n in (3, 8, 40)]
+    graphs += [make_cycle(9), make_ukt(12, 3, 2, 1)]
+    for g in graphs:
+        kirchhoff_index(g)
+        assert "adjacency" not in vars(g), g
+    g = random_connected_graph(rng, 12, 2)  # a core with a chord: the check can fail
+    kirchhoff_index(g)
+    assert "adjacency" in vars(g)
+
+
+def test_branch_terms_are_edge_cuts():
+    rng = random.Random(5)
+    graphs = [g for n in range(3, 11) for _, g in enumerate_with_codes(n)]
+    graphs += [Graph(n, frozenset(random_tree_edges(rng, n))) for n in range(1, 60)]
+    for g in graphs:
+        trees = peel(g)
+        expected = sum(branch_term(tree_summary(parents), g.n) for _, parents in trees)
+        assert route(g, trees).branches == expected, g
+
+
+def test_cycle_matching_matches_the_gain_by_runs():
+    # a free root's branch loses nothing by leaving it unmatched
+    free, tied = BranchSummary(1, 0, 0, 0, 0), BranchSummary(2, 1, 1, 1, 0)
+    for k in range(1, 13):
+        for pattern in product((False, True), repeat=k):
+            branches = [free if f else tied for f in pattern]
+            expected = pattern.count(False) + cycle_matching_gain_by_runs(list(pattern))
+            assert cycle_matching(branches) == expected, pattern
