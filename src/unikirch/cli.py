@@ -79,10 +79,7 @@ def _cmd_compute(args) -> int:
         sums = enumerate(resist.vertex_sums())
         sys.stdout.write("".join(f"Kf[{v}] = {_shown(s, args.decimal)}\n" for v, s in sums))
     if args.resistance_matrix:
-        text = format_resistance_matrix(resist.matrix())
-        # in slices: writing the whole text at once encodes a copy of all of it
-        for i in range(0, len(text), 1 << 16):
-            sys.stdout.write(text[i : i + (1 << 16)])
+        format_resistance_matrix(resist.matrix(), sys.stdout.write)
     return 0
 
 

@@ -24,9 +24,10 @@ into dihedral-minimal codes in sorted order.
 ``_code_states`` generates the rooted trees already grouped by state,
 each tree's state carried up from its children's, so no code is parsed
 to group it.  Kf and W are a cycle term, fixed by the composition, plus
-one ``branch_term`` per branch, and ``_term_tables`` finds each state's
-least term and the trees with it by a knapsack over child states; the
-same knapsack gives each state's least depth sum and least
+one branch term per branch, W_b + D_b (n - s_b): its own hop sum and
+its depth sum once per vertex outside it.  ``_term_tables`` finds each
+state's least term and the trees with it by a knapsack over child
+states; the same knapsack gives each state's least depth sum and least
 ``branch_row`` entry.  Four folds read the walk:
 
 - ``enumerate_codes`` lists the classes of every state tuple, or of the
@@ -57,20 +58,22 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
-from .resistance import cycle_cores, cycle_matching, cycle_row_numerators, cycle_terms
+from .matching import cycle_matching
+from .resistance import cycle_cores, cycle_row_numerators, cycle_terms
 
 
 class _State(NamedTuple):
-    """The rooted trees of one size in one branch state, all ``cycle_matching``
-    reads of a branch: its matching number, and the same with its root left
-    unmatched.  A pool holds every tree; a sweep table, the least-term ones,
-    with the state's minima over all its trees; the row pass's, every tree
-    with those minima."""
+    """The rooted trees of one size in one branch state, all
+    ``matching.cycle_matching`` reads of a branch: its matching number, and
+    the same with its root left unmatched, equal when the root is free.  A
+    pool holds every tree; a sweep table, the least-term ones, with the
+    state's minima over all its trees; the row pass's, every tree with
+    those minima."""
 
     matching: int
     root_free: int
     codes: tuple[str, ...]  # sorted
-    term: int = 0  # in a sweep table, the least ``branch_term``
+    term: int = 0  # in a sweep table, the least branch term
     depth: int = 0  # the least depth sum D
     vertex: int = 0  # the least ``branch_row`` entry
 
@@ -82,9 +85,10 @@ def _code_states(size: int) -> tuple[_State, ...]:
     """The rooted trees on `size` vertices by branch state, states in the
     order of their least codes; cached.  A tree is a multiset of smaller
     ones under a root, each listed once by taking children in
-    non-increasing position, and its state follows from theirs as in
-    ``tree_summary``: a root left unmatched keeps the sum of their
-    matchings, and gains one when some child's root is free at no loss."""
+    non-increasing position, and its state follows from theirs by the
+    leaf-up rule of ``matching.matching_number``: a root left unmatched
+    keeps the sum of their matchings, and gains one, matched to a child,
+    when some child's root is free."""
     if size < 1:
         raise ValueError("tree size must be positive")
     for s in range(len(_pools) + 1, size + 1):
@@ -344,7 +348,7 @@ class SweepMinima(NamedTuple):
 
 def _term_tables(n: int) -> list[tuple[_State, ...]]:
     """Indexed by s <= n - 2, each branch state of the rooted trees on s
-    vertices with its least ``branch_term`` in an n-vertex graph and the
+    vertices with its least branch term in an n-vertex graph and the
     codes that attain it, and its least depth sum D and least
     ``branch_row`` entry.  The term sums a (n - a) over a tree's edges, a
     the vertices below, so a tree is least in its state exactly when its
@@ -424,7 +428,7 @@ def sweep_minima(n: int) -> SweepMinima:
     branch states, without generating a class.  Cached per n.
 
     Kf = (k T + C) / k and W = T + H, with C and H the ``cycle_terms`` of
-    the branch sizes and T the sum of their ``branch_term``s.  Fix the
+    the branch sizes and T the sum of their branch terms.  Fix the
     composition and each position's state: the matching number follows,
     and T is least, and exactly so, where every branch has the least term
     of its state (``_term_tables``).  So each composition, one per orbit,

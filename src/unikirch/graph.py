@@ -9,11 +9,12 @@ vertex; the core of a tree is one vertex, that of a unicyclic graph its
 cycle.  ``peel`` finds that structure in one leaf-peeling pass, and it
 is the only routine that does: the resistance kernels and the canonical
 codes read its branch trees (``decompose_unicyclic`` gives them in cycle
-order), and ``matching.matching_number`` splits a unicyclic graph on the
-cycle edge between its first two roots.  The pass keeps each vertex's
-count and XOR of the neighbours not yet peeled, so a leaf's parent is
-its XOR and a cycle core is walked vertex by vertex from the XORs: a
-tree or a unicyclic graph never builds ``Graph.adjacency``.
+order), and ``matching.matching_number`` matches each branch from its
+leaves up and then pairs the free roots round the cycle.  The pass
+keeps each vertex's count and XOR of the neighbours not yet peeled, so
+a leaf's parent is its XOR and a cycle core is walked vertex by vertex
+from the XORs: a tree or a unicyclic graph never builds
+``Graph.adjacency``.
 ``without_vertices`` is the one delete-and-relabel.
 """
 
@@ -82,9 +83,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def adjacency_dict(self) -> dict[int, set[int]]:
-        return {v: set(self.adjacency[v]) for v in range(self.n)}
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

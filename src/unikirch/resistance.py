@@ -72,15 +72,15 @@ class ResistanceMatrix:
     def r(self, u: int, v: int) -> Fraction:
         return self.rows[u][v]
 
-def format_resistance_matrix(mat: ResistanceMatrix) -> str:
-    """n, then the row-major upper triangle as p/q tokens, one row per line.
-    Each of the matrix's distinct values is formatted once."""
+
+def format_resistance_matrix(mat: ResistanceMatrix, write: Callable[[str], object]) -> None:
+    """Write n, then the row-major upper triangle as p/q tokens, one row per
+    line, each row as it is formatted.  Each of the matrix's distinct values
+    is formatted once."""
     text = {id(x): str(x) for x in mat.values}.__getitem__
-    lines = [str(mat.n)]
+    write(f"{mat.n}\n")
     for u, row in enumerate(mat.rows[:-1]):
-        lines.append(" ".join(map(text, map(id, row[u + 1 :]))))
-    lines.append("")  # the last newline, without a second copy of the text
-    return "\n".join(lines)
+        write(" ".join(map(text, map(id, row[u + 1 :]))) + "\n")
 
 
 def branch_matrix(
@@ -138,17 +138,6 @@ def branch_matrix(
     return ResistanceMatrix(n, tuple(rows), shared)
 
 
-class BranchSummary(NamedTuple):
-    """What the invariant kernel needs of one branch tree, rooted at its
-    cycle vertex."""
-
-    size: int
-    depth_sum: int  # hop distances to the root, summed
-    wiener: int  # hop distances over unordered vertex pairs, summed
-    matching: int  # maximum matching of the branch tree
-    root_free: int  # maximum matching that leaves the root unmatched
-
-
 def _subtree_sizes(parents: Sequence[int]) -> list[int]:
     """Subtree sizes of a rooted tree given as parent positions, where
     every vertex comes after its parent and the root (position 0) has
@@ -157,71 +146,6 @@ def _subtree_sizes(parents: Sequence[int]) -> list[int]:
     for v in range(len(parents) - 1, 0, -1):
         sub[parents[v]] += sub[v]
     return sub
-
-
-_ONE_VERTEX = BranchSummary(1, 0, 0, 0, 0)
-
-
-def tree_summary(parents: Sequence[int]) -> BranchSummary:
-    """Summary of a rooted tree in the parent form of ``_subtree_sizes``,
-    in one pass from the leaves up.
-
-    Every non-root vertex v adds its subtree size to the depth sum and
-    sub(v)(s - sub(v)) to the Wiener number, the pairs its parent edge
-    separates.  The matching comes from the leaf-up recurrence
-    best(v) = free(v) + [some child c has best(c) = free(c)], where
-    free(v), the best with v unmatched, is the sum of best(c).
-    """
-    s = len(parents)
-    if s == 1:
-        return _ONE_VERTEX
-    sub = [1] * s
-    free = [0] * s
-    spare = [0] * s  # best(v) - free(v)
-    depth_sum = wiener = 0
-    for v in range(s - 1, 0, -1):  # v's subtree is complete when v is reached
-        p, x = parents[v], sub[v]
-        sub[p] += x
-        depth_sum += x
-        wiener += x * (s - x)
-        free[p] += free[v] + spare[v]
-        if not spare[v]:
-            spare[p] = 1
-    return BranchSummary(s, depth_sum, wiener, free[0] + spare[0], free[0])
-
-
-def cycle_matching(branches: Sequence[BranchSummary]) -> int:
-    """Matching number of the cycle carrying branch i on its i-th vertex:
-    the branch matchings plus what the cycle edges gain, in one pass.
-
-    A root is free when its branch loses nothing by leaving it unmatched,
-    and a cycle edge adds one to the matching exactly when both of its
-    roots are free.  So the gain is k // 2 on a fully free cycle, else
-    half of each maximal run of free roots, rounded down, where the run
-    before the first root that is not free wraps round onto the last
-    run.  A single root (k = 1, a tree) gains nothing.
-    """
-    total = gain = run = 0
-    lead = -1  # the length of the run before the first root that is not free
-    for b in branches:
-        total += b.matching
-        if b.matching == b.root_free:
-            run += 1
-        elif lead < 0:
-            lead, run = run, 0
-        else:
-            gain += run // 2
-            run = 0
-    if lead < 0:
-        return total + run // 2
-    return total + gain + (lead + run) // 2
-
-
-def branch_term(b: BranchSummary, n: int) -> int:
-    """What branch b adds to Kf and to W, besides the cycle terms, in an
-    n-vertex graph: its own pairs, W_b, and the depth of each of its
-    vertices once per vertex outside it, D_b (n - s_b)."""
-    return b.wiener + b.depth_sum * (n - b.size)
 
 
 def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
@@ -327,9 +251,11 @@ class Route(NamedTuple):
     trees: list[tuple[list[int], list[int]]]
     d: int
     core_rows: list[int]
-    # the ``branch_term``s, summed: the Wiener edge-cut sum over the branch
-    # edges, sub(v)(n - sub(v)) for each non-root v, whose parent edge
-    # separates its sub(v) subtree vertices from the other n - sub(v)
+    # the branch terms, summed: each branch's own hop sum W_b plus its depth
+    # sum D_b once per vertex outside it, (n - s_b) D_b, which is the Wiener
+    # edge-cut sum over the branch edges, sub(v)(n - sub(v)) for each
+    # non-root v, whose parent edge separates its sub(v) subtree vertices
+    # from the other n - sub(v)
     branches: int
     hops: Callable[[], int]
     cross: Callable[[], Callable[[int], Sequence[list[Fraction]]]]
@@ -360,7 +286,7 @@ class Route(NamedTuple):
 
 
 def _branch_terms(trees: list[tuple[list[int], list[int]]]) -> int:
-    """The ``branch_term``s of the peeled trees, summed as the edge cuts of
+    """The branch terms of the peeled trees, summed as the edge cuts of
     ``Route.branches``: n sum sub(v) - sum sub(v)^2 over the non-root
     vertices v, from each tree's subtree sizes in one pass."""
     n = sum(len(labels) for labels, _ in trees)

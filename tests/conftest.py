@@ -53,3 +53,12 @@ def relabelled(rng: random.Random, g):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
+def matrix_text(mat) -> str:
+    """The text that ``resistance.format_resistance_matrix`` writes for mat."""
+    from unikirch.resistance import format_resistance_matrix
+
+    parts = []
+    format_resistance_matrix(mat, parts.append)
+    return "".join(parts)

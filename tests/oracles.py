@@ -13,8 +13,10 @@ of its own, with Kf and the vertex sums summed off its matrix, and
 spanning-forest counting by determinants.
 
 Two build on library kernels.  The per-class invariants
-(``cycle_invariants``) combine ``tree_summary``, ``cycle_matching``,
-``branch_term`` and ``cycle_terms``, kernels that the sweep and the
+(``cycle_invariants``) combine a summary of each branch, ``tree_summary``
+with ``branch_term``, which the library sums as edge cuts and carries
+up as branch states instead, with ``matching.cycle_matching`` and
+``resistance.cycle_terms``, the cycle kernels that the sweep and the
 closed-form route run, so that tests can check them against graphs.
 ``row_cells_by_class`` takes every class from the library's unfiltered
 listing, which other tests check against brute force, reads its matching
@@ -39,14 +41,8 @@ from unikirch.enumeration import (
     enumerate_codes,
 )
 from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic
-from unikirch.resistance import (
-    BranchSummary,
-    ResistanceMatrix,
-    branch_term,
-    cycle_matching,
-    cycle_terms,
-    tree_summary,
-)
+from unikirch.matching import cycle_matching
+from unikirch.resistance import ResistanceMatrix, cycle_terms
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -506,7 +502,58 @@ def kirchhoff_index_dense(g: Graph, ground: int = 0) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the per-class invariants, from the library's kernels
+# the per-class invariants, from a summary of each branch and the library's
+# cycle kernels
+
+
+class BranchSummary(NamedTuple):
+    """What the invariant kernel needs of one branch tree, rooted at its
+    cycle vertex."""
+
+    size: int
+    depth_sum: int  # hop distances to the root, summed
+    wiener: int  # hop distances over unordered vertex pairs, summed
+    matching: int  # maximum matching of the branch tree
+    root_free: int  # maximum matching that leaves the root unmatched
+
+
+_ONE_VERTEX = BranchSummary(1, 0, 0, 0, 0)
+
+
+def tree_summary(parents: Sequence[int]) -> BranchSummary:
+    """Summary of a rooted tree given as parent positions, every vertex
+    after its parent and the root's parent -1, in one pass from the leaves
+    up.
+
+    Every non-root vertex v adds its subtree size to the depth sum and
+    sub(v)(s - sub(v)) to the Wiener number, the pairs its parent edge
+    separates.  The matching comes from the leaf-up recurrence
+    best(v) = free(v) + [some child c has best(c) = free(c)], where
+    free(v), the best with v unmatched, is the sum of best(c).
+    """
+    s = len(parents)
+    if s == 1:
+        return _ONE_VERTEX
+    sub = [1] * s
+    free = [0] * s
+    spare = [0] * s  # best(v) - free(v)
+    depth_sum = wiener = 0
+    for v in range(s - 1, 0, -1):  # v's subtree is complete when v is reached
+        p, x = parents[v], sub[v]
+        sub[p] += x
+        depth_sum += x
+        wiener += x * (s - x)
+        free[p] += free[v] + spare[v]
+        if not spare[v]:
+            spare[p] = 1
+    return BranchSummary(s, depth_sum, wiener, free[0] + spare[0], free[0])
+
+
+def branch_term(b: BranchSummary, n: int) -> int:
+    """What branch b adds to Kf and to W, besides the cycle terms, in an
+    n-vertex graph: its own pairs, W_b, and the depth of each of its
+    vertices once per vertex outside it, D_b (n - s_b)."""
+    return b.wiener + b.depth_sum * (n - b.size)
 
 
 class Invariants(NamedTuple):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
+from conftest import matrix_text
 from oracles import kirchhoff_index_dense, resistance_matrix_dense, row_sums, triangle_sum
 from unikirch import cli, graph, resistance
 from unikirch.cli import CONSTRUCT_MAX_N, DENSE_MAX_N, MATRIX_MAX_N, TRIALS_MAX, main
@@ -71,12 +72,12 @@ def test_compute_resistance_matrix(tmp_path, capsys):
 
 
 def test_compute_writes_a_long_matrix_whole(tmp_path, capsys):
-    # the matrix text goes out in slices; one longer than a slice arrives whole
+    # the matrix text goes out a row at a time; a text of many rows arrives whole
     g = make_cycle(150)
     path = tmp_path / "c150.graph"
     path.write_text(write_graph(g))
     code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--resistance-matrix")
-    text = resistance.format_resistance_matrix(resistance.resistance_matrix(g))
+    text = matrix_text(resistance.resistance_matrix(g))
     assert code == 0 and len(text) > 1 << 16
     assert out == f"Kf = {resistance.kf_cycle(150)}\n" + text
 
@@ -269,7 +270,7 @@ def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, bui
     mat = resistance_matrix_dense(g)
     assert lines[:2] == [f"Kf = {triangle_sum(mat)}", f"W = {wiener_index(g)}"]
     assert lines[2 : g.n + 2] == [f"Kf[{v}] = {x}" for v, x in enumerate(row_sums(mat))]
-    assert "\n".join(lines[g.n + 2 :]) + "\n" == resistance.format_resistance_matrix(mat)
+    assert "\n".join(lines[g.n + 2 :]) + "\n" == matrix_text(mat)
 
 
 def _compute_all(g: Graph) -> tuple[list[str], list[str], dict[tuple[int, int], str]]:

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     all_labeled_trees,
     argmin_by_cell,
+    branch_term,
     graph_invariants,
     invariants_from_code,
     kirchhoff_index_dense,
@@ -15,9 +16,10 @@ from oracles import (
     orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
     row_sums,
+    tree_summary,
     unicyclic_codes_bruteforce,
 )
-from unikirch import enumeration, resistance
+from unikirch import enumeration
 from unikirch.enumeration import (
     CanonicalCode,
     _classes,
@@ -47,13 +49,7 @@ from unikirch.graph import (
     wiener_index,
 )
 from unikirch.matching import matching_number
-from unikirch.resistance import (
-    branch_row,
-    branch_term,
-    cycle_route,
-    tree_summary,
-    vertex_sums,
-)
+from unikirch.resistance import branch_row, cycle_route, vertex_sums
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
@@ -402,12 +398,8 @@ def test_sweep_and_pools_parse_no_code(monkeypatch):
     # the sweep's tables and the pools carry each tree's state and term
     # from its children's, so neither lists nor parses a code to find them
     monkeypatch.setattr(enumeration, "_pools", {})
-    for module, name in (
-        (enumeration, "rooted_tree_codes"),
-        (enumeration, "code_parents"),
-        (resistance, "tree_summary"),
-    ):
-        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(name))
+    for name in ("rooted_tree_codes", "code_parents"):
+        monkeypatch.setattr(enumeration, name, lambda *args, name=name: pytest.fail(name))
     sweep_minima.__wrapped__(14)
     assert not enumeration._pools
     for size in range(1, 13):

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, no module of the package
-imports another's private names, and every name the package exports has
-a caller outside the tests.
+imports another's private names, every name the package exports has a
+caller outside the tests, and every public function and class of the
+package is read by code outside the tests, not only named in docstrings.
 
 No linter runs on this code, so an import left behind by a refactor
 would stay unnoticed; these tests read each module's syntax tree instead.
@@ -130,3 +131,63 @@ def test_every_export_has_a_caller_outside_the_tests():
     paths = [p for p in _modules() if p.parent.name != "tests"]
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     assert uncalled_exports(exports, [p.read_text() for p in paths]) == []
+
+
+def _references(source: str) -> dict[str, list[int]]:
+    """{name: lines} of every name that the code of source reads: a
+    variable, an attribute, an imported name, or a string constant, which
+    is how the benchmark's ``TRACED`` list names a function.  A docstring
+    is a string constant too, but never a bare name."""
+    refs: dict[str, list[int]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        for name in names:
+            refs.setdefault(name, []).append(node.lineno)
+    return refs
+
+
+def unreferenced_definitions(defining: list[str], readers: list[str]) -> list[str]:
+    """The public top-level functions and classes of the defining sources
+    that no code of these or of the readers reads outside the name's own
+    definition."""
+    refs = [_references(source) for source in defining + readers]
+    unread = []
+    for i, source in enumerate(defining):
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elsewhere = any(node.name in found for j, found in enumerate(refs) if j != i)
+            inside = refs[i].get(node.name, [])
+            if not elsewhere and all(first <= line <= node.end_lineno for line in inside):
+                unread.append(node.name)
+    return unread
+
+
+def test_unreferenced_definitions_are_found():
+    # a reads only itself; planted is named in its own docstring alone
+    defining = [
+        "def a():\n    return a\n\n\ndef b():\n    pass\n\n\nclass C:\n    pass\n",
+        'def _private():\n    pass\n\n\n@b\ndef planted():\n    """planted, f and g"""\n',
+        "def f():\n    pass\n\n\ndef g():\n    pass\n\n\nh = 1\n",
+    ]
+    readers = ["x.C\n", 'TRACED = (("m", "f"),)\n', "from m import g\n"]
+    assert unreferenced_definitions(defining, readers) == ["a", "planted"]
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # a function or class that only tests and docstrings name belongs in
+    # the tests; the package's __init__ only re-exports, so it reads nothing
+    package = [p for p in _modules() if p.parent.name == "unikirch"]
+    readers = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    sources = [[p.read_text() for p in paths] for paths in (package, readers)]
+    assert unreferenced_definitions(*sources) == []

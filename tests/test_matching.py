@@ -1,14 +1,21 @@
 import os
 import random
+from itertools import product
 
 import pytest
 
 from conftest import random_tree_edges, relabelled
-from oracles import brute_force_matching_size, make_graph
+from oracles import (
+    BranchSummary,
+    brute_force_matching_size,
+    cycle_matching_gain_by_runs,
+    graph_invariants,
+    make_graph,
+)
 from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
 from unikirch.graph import Graph, without_vertices
-from unikirch.matching import has_perfect_matching, matching_number
+from unikirch.matching import cycle_matching, has_perfect_matching, matching_number
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
@@ -24,7 +31,6 @@ def check_result(g, res):
         assert (u, v) in g.edges
         assert u not in used and v not in used
         used.update((u, v))
-    assert res.saturated == tuple(v in used for v in range(g.n))
 
 
 def edge_lines(g: Graph) -> list[str]:
@@ -56,8 +62,11 @@ def test_unicyclic_examples():
 
 
 def test_unicyclic_witnesses_are_pinned():
-    # the split edge is the lowest cycle vertex and its lower cycle
-    # neighbour, and each forest side is matched leaf by leaf, lowest first
+    # each branch is matched from its leaves up; the cycle walk, in the
+    # order of decompose_unicyclic from the lowest cycle vertex toward its
+    # lower neighbour, starts at the first root its branch matched (0 in
+    # both U graphs) or, on a bare cycle, at the last root, 6, which pairs
+    # with 0, and pairs each two consecutive unmatched roots
     assert edge_lines(make_ukt(5, 1, 0, 5)) == [
         "0 5", "1 2", "3 4", "6 7", "8 9", "10 11", "12 13", "14 15",
     ]
@@ -68,18 +77,44 @@ def test_unicyclic_witnesses_are_pinned():
 
 
 def test_forest_input():
-    g = make_graph(5, [(0, 1), (2, 3)])
-    assert matching_number(g).size == 2
+    # only a tree or a connected unicyclic graph has a peel to match
+    with pytest.raises(ValueError):
+        matching_number(make_graph(5, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         matching_number(make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]))
 
 
-def test_unicyclic_against_oracle(unicyclic_corpus):
-    for n, pairs in unicyclic_corpus.items():
-        for _, g in pairs:
-            res = matching_number(g)
-            check_result(g, res)
-            assert res.size == brute_force_matching_size(g.edges)
+def _check_classes(orders) -> None:
+    """The witness of every class of each order, as built and relabelled at
+    random, is a matching of the brute force's size and of the size that
+    ``cycle_matching`` counts from the branch summaries of its peel."""
+    rng = random.Random(29)
+    for n in orders:
+        for _, g in enumerate_with_codes(n):
+            for h in (g, relabelled(rng, g)):
+                res = matching_number(h)
+                check_result(h, res)
+                assert res.size == brute_force_matching_size(h.edges), h
+                assert res.size == graph_invariants(h).matching, h
+
+
+def test_unicyclic_against_oracle():
+    _check_classes(range(3, 12))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_unicyclic_against_oracle_extended():
+    _check_classes(range(12, 14))
+
+
+def test_cycle_matching_matches_the_gain_by_runs():
+    # a free root's branch loses nothing by leaving it unmatched
+    free, tied = BranchSummary(1, 0, 0, 0, 0), BranchSummary(2, 1, 1, 1, 0)
+    for k in range(1, 13):
+        for pattern in product((False, True), repeat=k):
+            branches = [free if f else tied for f in pattern]
+            expected = pattern.count(False) + cycle_matching_gain_by_runs(list(pattern))
+            assert cycle_matching(branches) == expected, pattern
 
 
 def test_perfect_matching_examples():

@@ -1,16 +1,16 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_tree_edges
+from conftest import matrix_text, random_connected_graph, random_tree_edges
 from oracles import (
+    BranchSummary,
+    branch_term,
     cycle_invariants,
-    cycle_matching_gain_by_runs,
     cycle_terms_pairwise,
     graph_invariants,
     kfv_cycle,
@@ -22,6 +22,7 @@ from oracles import (
     row_sums,
     separating_forest_count,
     spanning_tree_count,
+    tree_summary,
     triangle_sum,
 )
 from unikirch.enumeration import enumerate_with_codes
@@ -44,19 +45,14 @@ from unikirch.graph import (
 )
 from unikirch.matching import matching_number
 from unikirch.resistance import (
-    BranchSummary,
-    branch_term,
     core_inverse,
-    cycle_matching,
     cycle_route,
-    format_resistance_matrix,
     kf_cycle,
     kf_identified,
     kirchhoff_index,
     kirchhoff_vertex_sum,
     resistance_matrix,
     route,
-    tree_summary,
     vertex_sums,
 )
 
@@ -239,9 +235,9 @@ def test_matrix_holds_its_table_once():
 
 
 def test_matrix_serialization():
-    text = format_resistance_matrix(resistance_matrix_dense(make_path(3)))
+    text = matrix_text(resistance_matrix_dense(make_path(3)))
     assert text == "3\n1 2\n1\n"
-    text = format_resistance_matrix(resistance_matrix(make_cycle(3)))
+    text = matrix_text(resistance_matrix(make_cycle(3)))
     assert text == "3\n2/3 2/3\n2/3\n"
 
 
@@ -263,7 +259,7 @@ def test_matrix_text_formats_each_entry():
         resistance_matrix(make_ukt(60, 60, 0, 0)),
         core_inverse(bicyclic, peel(bicyclic)).matrix(),
     ):
-        assert format_resistance_matrix(mat) == _entrywise_text(mat)
+        assert matrix_text(mat) == _entrywise_text(mat)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 12), st.integers(0, 6))
@@ -477,12 +473,3 @@ def test_branch_terms_are_edge_cuts():
         expected = sum(branch_term(tree_summary(parents), g.n) for _, parents in trees)
         assert route(g, trees).branches == expected, g
 
-
-def test_cycle_matching_matches_the_gain_by_runs():
-    # a free root's branch loses nothing by leaving it unmatched
-    free, tied = BranchSummary(1, 0, 0, 0, 0), BranchSummary(2, 1, 1, 1, 0)
-    for k in range(1, 13):
-        for pattern in product((False, True), repeat=k):
-            branches = [free if f else tied for f in pattern]
-            expected = pattern.count(False) + cycle_matching_gain_by_runs(list(pattern))
-            assert cycle_matching(branches) == expected, pattern
