@@ -21,10 +21,9 @@ from .verification import SUITE_NAMES, WINDOWS, refusal, run_suite
 # with its spanning-tree count, and linear in n: a path with two chords
 # (c = 21) 0.004 s at n = 100 and 0.008 s at n = 1000, K_100 1.5 s.
 DENSE_MAX_N = 100
-# --resistance-matrix holds and prints n^2 entries: at n = 1000 the whole
-# process takes 5 MB of output, 0.37 s and 32 MB for U(500,500,0,0) and
-# 0.61 s and 34 MB for C_1000 (scripts/bench_scaling.py, 2-vCPU VM,
-# Python 3.11.7), and all but the interpreter's share grows as n^2.
+# --resistance-matrix holds and prints n^2 entries, 5 MB of output at n = 1000: a
+# whole process takes 0.34 s and 24 MB for U(500,500,0,0), 0.48 s and 24 MB for C_1000
+# (scripts/bench_scaling.py, 2-vCPU VM, Python 3.11.7); all but 16 MB grows as n^2.
 MATRIX_MAX_N = 1000
 # construct holds the edge set, its sorted copy and the output text, all
 # linear in n: C1000000 takes 3.6 s and 274 MB (x86_64 with 2 CPUs,
@@ -53,13 +52,13 @@ def _cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        trees = peel(g)
+        peeled = peel(g)
     except DisconnectedError:
         print("error: input graph is disconnected", file=sys.stderr)
         return 1
-    if g.edge_count > g.n and len(trees) > DENSE_MAX_N:
+    if g.edge_count > g.n and len(peeled.core) > DENSE_MAX_N:
         print(
-            f"error: {g.n} vertices and {g.edge_count} edges, {len(trees)} in the 2-core: "
+            f"error: {g.n} vertices and {g.edge_count} edges, {len(peeled.core)} in the 2-core: "
             f"graphs that are neither trees nor unicyclic are limited to {DENSE_MAX_N} there",
             file=sys.stderr,
         )
@@ -71,7 +70,7 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
-    resist = route(g, trees)  # Kf, W, the sums and the matrix all read it
+    resist = route(g, peeled)  # Kf, W, the sums and the matrix all read it
     print(f"Kf = {_shown(resist.kirchhoff_index(), args.decimal)}")
     if args.wiener:
         print(f"W = {_shown(resist.wiener(), args.decimal)}")

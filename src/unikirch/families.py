@@ -14,6 +14,9 @@ is reproducible byte for byte:
 * the i pendants are k+t .. k+t+i-1; each two-vertex path contributes
   (near, far) = (k+t+i+2p, k+t+i+2p+1) with the near vertex on the
   central vertex.
+
+``FamilySpec.code`` reads a member's canonical code off its parameters,
+so ``family_label`` names a class by comparing codes, building no graph.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .enumeration import CanonicalCode, canonical_code, graph_from_code
+from .enumeration import CanonicalCode, canonical_code, dihedral_min
 from .graph import Graph
 from .rational import format_rational
 from .resistance import kf_cycle
@@ -32,10 +35,7 @@ from .resistance import kf_cycle
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    edges = frozenset(
-        ((i, i + 1) if i + 1 < n else (0, n - 1)) for i in range(n)
-    )
-    return Graph(n, edges)
+    return Graph(n, frozenset([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]))
 
 
 def make_path(n: int) -> Graph:
@@ -49,35 +49,36 @@ def central_vertex(k: int, t: int) -> int:
     return (t - 1) // 2 if t >= 1 else 0
 
 
-def make_ukt(k: int, t: int, i: int, j: int) -> Graph:
-    """Build U(k,t,i,j) on k+t+i+2j vertices with the canonical labels."""
+def _check_ukt(k: int, t: int, i: int, j: int) -> None:
     if k < 3:
         raise ValueError("cycle length must be at least 3")
     if not 0 <= t <= k:
         raise ValueError(f"pendant arc length t={t} must satisfy 0 <= t <= k")
     if i < 0 or j < 0:
         raise ValueError("pendant and path counts must be non-negative")
-    edges = set(make_cycle(k).edges)
-    for c in range(t):
-        edges.add((c, k + c))
+
+
+def make_ukt(k: int, t: int, i: int, j: int) -> Graph:
+    """Build U(k,t,i,j) on k+t+i+2j vertices with the canonical labels."""
+    _check_ukt(k, t, i, j)
     hub = central_vertex(k, t)
-    nxt = k + t
-    for _ in range(i):
-        edges.add((hub, nxt))
-        nxt += 1
-    for _ in range(j):
-        near, far = nxt, nxt + 1
-        edges.add((hub, near))
-        edges.add((near, far))
-        nxt += 2
+    paths = range(k + t + i, k + t + i + 2 * j, 2)
+    edges = [(c, c + 1) for c in range(k - 1)] + [(0, k - 1)]
+    edges += [(c, k + c) for c in range(t)] + [(hub, v) for v in range(k + t, k + t + i)]
+    edges += [(hub, near) for near in paths] + [(near, near + 1) for near in paths]
     return Graph(k + t + i + 2 * j, frozenset(edges))
+
+
+def _unm_ukt(n: int, m: int) -> tuple[int, int, int, int]:
+    """The U(k,t,i,j) parameters of Unm(n,m): (5, 1, n-2m, m-3)."""
+    if m < 3 or n < 2 * m:
+        raise ValueError(f"Unm needs 3 <= m <= n/2, got n={n}, m={m}")
+    return 5, 1, n - 2 * m, m - 3
 
 
 def make_unm(n: int, m: int) -> Graph:
     """Build Unm(n,m) = U(5, 1, n-2m, m-3)."""
-    if m < 3 or n < 2 * m:
-        raise ValueError(f"Unm needs 3 <= m <= n/2, got n={n}, m={m}")
-    return make_ukt(5, 1, n - 2 * m, m - 3)
+    return make_ukt(*_unm_ukt(n, m))
 
 
 def ukt_central_vertex_sum(k: int, t: int) -> Fraction:
@@ -93,15 +94,7 @@ def ukt_kf_closed_form(k: int, t: int) -> Fraction:
     """Kirchhoff index of U(k,t) = U(k,t,0,0) in closed form."""
     if k < 3 or not 0 <= t <= k:
         raise ValueError(f"invalid parameters k={k}, t={t}")
-    poly = (
-        k**3
-        + 2 * k * k * t
-        + 12 * k * t
-        - k
-        + 2 * t**3
-        + 12 * t * t
-        - 16 * t
-    )
+    poly = k**3 + 2 * k * k * t + 12 * k * t - k + 2 * t**3 + 12 * t * t - 16 * t
     return Fraction(poly, 12) + Fraction(t * t - t**4, 12 * k)
 
 
@@ -116,8 +109,7 @@ def girth_min_kf(n: int, k: int) -> Fraction:
 
 def unm_kf_closed_form(n: int, m: int) -> Fraction:
     """Kirchhoff index of Unm(n,m): n^2 + nm - 5n - 3m + 4."""
-    if m < 3 or n < 2 * m:
-        raise ValueError(f"Unm needs 3 <= m <= n/2, got n={n}, m={m}")
+    _unm_ukt(n, m)
     return Fraction(n * n + n * m - 5 * n - 3 * m + 4)
 
 
@@ -164,6 +156,22 @@ class FamilySpec(NamedTuple):
         if self.kind == "Unm":
             return make_unm(*self.params)
         raise ValueError(f"unknown family kind {self.kind!r}")
+
+    def code(self) -> CanonicalCode:
+        """The canonical code of ``build()``, from the parameters alone: in
+        U(k,t,i,j) each chosen cycle vertex carries a pendant, "(())", the
+        hub its children's sorted codes, paths first, and any other cycle
+        vertex none, "()".  C_n is U(n,0,0,0)."""
+        if self.kind in ("C", "Unm"):
+            params = (*self.params, 0, 0, 0) if self.kind == "C" else _unm_ukt(*self.params)
+            return FamilySpec("U", params).code()
+        if self.kind != "U":
+            raise ValueError(f"{self.text()} is not unicyclic")
+        k, t, i, j = self.params
+        _check_ukt(k, t, i, j)
+        seq = ["(())"] * t + ["()"] * (k - t)
+        seq[central_vertex(k, t)] = "(" + "(())" * j + "()" * (i + (t >= 1)) + ")"
+        return CanonicalCode(k, dihedral_min(tuple(seq)))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -267,36 +275,40 @@ def predicted_min(n: int, m: int) -> ExtremalPrediction:
 def family_label(code: CanonicalCode) -> str:
     """The family name of a class given by its canonical code, or the code
     itself when no family fits; memoized, as reports repeat classes."""
-    fam = recognize_family(graph_from_code(code))
+    fam = _family_of(code)
     return fam.text() if fam is not None else str(code)
 
 
-def recognize_family(g: Graph) -> FamilySpec | None:
-    """Match a graph against the named families (up to isomorphism).
-
-    Candidates are tried in deterministic order: cycle, path, then
-    U(k,t,i,j) for ascending (k, t, j).  Returns None when nothing fits.
-    Only U(k,t,i,j) with the graph's cycle length and leaf count are
-    built: it has t + i + j leaves on k + t + i + 2j vertices.
-    """
-    n = g.n
-    degs = [g.degree(v) for v in range(n)]
-    if g.edge_count == n - 1:
-        if n == 1 or (sorted(degs)[:2] == [1, 1] and all(d <= 2 for d in degs)):
-            return FamilySpec("P", (n,))
-        return None
-    if g.edge_count != n:
-        return None
-    if all(d == 2 for d in degs):
-        return FamilySpec("C", (n,))
-    code = canonical_code(g)
+def _family_of(code: CanonicalCode) -> FamilySpec | None:
+    """The cycle, or the first U(k,t,i,j) in ascending t, t = 0 last, whose
+    ``FamilySpec.code`` is code; else None.  U(k,t,i,j) has t + i + j
+    leaves, each a "()" inside a branch code's outer brackets, on
+    k + t + i + 2j vertices, two characters of code each."""
     k = code.cycle_length
-    j = n - k - degs.count(1)
+    n = sum(map(len, code.branch_codes)) // 2
+    if n == k:
+        return FamilySpec("C", (n,))
+    j = n - k - sum(c[1:-1].count("()") for c in code.branch_codes)
     # t = 0 goes last: U(k,0,i,j) with i >= 1 duplicates U(k,1,i-1,j),
     # and the t >= 1 form is the conventional one
     for t in (*range(1, min(k, n - k) + 1), 0):
         i = n - k - t - 2 * j
         cand = FamilySpec("U", (k, t, i, j))
-        if i >= 0 and canonical_code(cand.build()) == code:
+        if i >= 0 and cand.code() == code:
             return cand
     return None
+
+
+def recognize_family(g: Graph) -> FamilySpec | None:
+    """The named family of a graph up to isomorphism, a path, a cycle or
+    ``family_label``'s U(k,t,i,j) for its canonical code; else None."""
+    n = g.n
+    degs = [g.degree(v) for v in range(n)]
+    if g.edge_count == n - 1:
+        path = n == 1 or (sorted(degs)[:2] == [1, 1] and all(d <= 2 for d in degs))
+        return FamilySpec("P", (n,)) if path else None
+    if g.edge_count != n:
+        return None
+    if all(d == 2 for d in degs):
+        return FamilySpec("C", (n,))
+    return _family_of(canonical_code(g))

@@ -6,15 +6,12 @@ instances can be shared freely.
 
 A connected graph is its 2-core with a rooted branch tree on each core
 vertex; the core of a tree is one vertex, that of a unicyclic graph its
-cycle.  ``peel`` finds that structure in one leaf-peeling pass, and it
-is the only routine that does: the resistance kernels and the canonical
-codes read its branch trees (``decompose_unicyclic`` gives them in cycle
-order), and ``matching.matching_number`` matches each branch from its
-leaves up and then pairs the free roots round the cycle.  The pass
-keeps each vertex's count and XOR of the neighbours not yet peeled, so
-a leaf's parent is its XOR and a cycle core is walked vertex by vertex
-from the XORs: a tree or a unicyclic graph never builds
-``Graph.adjacency``.
+cycle.  ``peel`` alone finds that structure, in one leaf-peeling pass
+that also sums the branch sizes and the Wiener edge cuts: all that Kf
+and W of a tree or a unicyclic graph read.  ``Peel.trees`` builds the
+branch trees for the vertex sums, the matrix, the canonical codes and
+``matching.matching_number`` (``decompose_unicyclic`` in cycle order).
+A tree or a unicyclic graph never builds ``Graph.adjacency``.
 ``without_vertices`` is the one delete-and-relabel.
 """
 
@@ -25,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from operator import lt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -200,23 +197,49 @@ def wiener_index(g: Graph) -> Fraction:
     return Fraction(total)
 
 
-def peel(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """The branch tree on each vertex of the 2-core of a connected graph,
-    as (labels, parents): its vertices, the core vertex first, and the
-    parent position of each, every vertex after its parent and the root's
-    parent -1.  A tree's core is one vertex.  Raises ``DisconnectedError``.
+class Peel(NamedTuple):
+    """A connected graph as its 2-core, core (a cycle in cycle order), with
+    sizes[i] vertices in the branch tree on core[i]; cuts sums sub (n - sub)
+    over the branch edges, sub the vertices below the edge.  order lists the
+    vertices off the core, children first, and parent gives their parents."""
 
-    A vertex is peeled once at most one neighbour is left, its parent, so
-    children go first.  Each vertex keeps the count and the XOR of its
-    neighbours not yet peeled, so the parent of a peeled vertex is its
-    XOR and no adjacency lists are built.  A tree peels completely and
-    its last vertex is the root.  Otherwise the 2-core remains, ordered
-    depth first from its lowest vertex, lowest neighbour first.  When
-    every core vertex has two neighbours left, the core is a cycle: it is
-    walked from its lowest vertex toward the lower of its two neighbours,
-    each next vertex the XOR of the current one without the previous
-    one.  Any other core takes a depth-first search of ``adjacency``.  A
-    second root, or a core the walk does not cover, is a second component.
+    core: list[int]
+    sizes: list[int]
+    cuts: int
+    order: list[int]
+    parent: list[int]
+
+    def trees(self) -> list[tuple[list[int], list[int]]]:
+        """The branch tree on each core vertex as (labels, parents): its
+        vertices, the core vertex first and each after its parent, and
+        their parent positions, the root's -1."""
+        trees = [([c], [-1]) for c in self.core]
+        branch, pos = [0] * len(self.parent), [0] * len(self.parent)
+        for i, c in enumerate(self.core):
+            branch[c] = i
+        for u in reversed(self.order):
+            p = self.parent[u]
+            labels, parents = trees[branch[p]]
+            branch[u] = branch[p]
+            pos[u] = len(labels)
+            labels.append(u)
+            parents.append(pos[p])
+        return trees
+
+
+def peel(g: Graph) -> Peel:
+    """The ``Peel`` of a connected graph.  Raises ``DisconnectedError``.
+
+    A vertex is peeled once at most one neighbour is left, its parent,
+    which is the XOR of its neighbours not yet peeled.  So children go
+    first: a vertex's subtree size is complete when it is peeled, and goes
+    to its parent's, and its edge cut to the sum.  A tree peels completely
+    and its last vertex is the root.  A core whose vertices all have two
+    neighbours left is a cycle, walked from its lowest vertex toward the
+    lower of its two neighbours, each next vertex the XOR of the current
+    one without the previous one; any other is ordered depth first from
+    its lowest vertex, lowest neighbour first, by ``adjacency``.  A second
+    root, or a core the walk does not cover, is a second component.
     """
     n = g.n
     # fewer than n - 1 edges cannot connect n vertices; checking that first
@@ -231,21 +254,27 @@ def peel(g: Graph) -> list[tuple[list[int], list[int]]]:
         xor[u] ^= v
         xor[v] ^= u
     parent = [-1] * n
+    sub = [1] * n
+    cuts = 0
     order = [v for v in range(n) if left[v] <= 1]
     for u in order:  # order grows while it is scanned
         if left[u]:
             w = parent[u] = xor[u]
             xor[w] ^= u
             left[w] -= 1
+            s = sub[u]
+            sub[w] += s
+            cuts += s * (n - s)
             if left[w] == 1:
                 order.append(w)
     if len(order) == n:
         core = [order.pop()] if n else []
     elif max(left) == 2:
-        first = left.index(2)
-        # first is the lowest core vertex, so its core neighbours are above it
-        a = next(v for u, v in g.edges if u == first and left[v] == 2)
-        prev, cur = first, min(a, xor[first] ^ a)
+        prev = first = left.index(2)
+        # first is the lowest core vertex; cur, the first one above it joined to it
+        cur = left.index(2, first + 1)
+        while (first, cur) not in g.edges:
+            cur = left.index(2, cur + 1)
         core = [first]
         while cur != first:
             core.append(cur)
@@ -263,28 +292,16 @@ def peel(g: Graph) -> list[tuple[list[int], list[int]]]:
     # a second root, or a core vertex the walk missed, has no parent either
     if parent.count(-1) > len(core):
         raise DisconnectedError("expected a connected graph")
-    trees = [([c], [-1]) for c in core]
-    branch = [0] * n
-    pos = [0] * n
-    for i, c in enumerate(core):
-        branch[c] = i
-    for u in reversed(order):
-        p = parent[u]
-        labels, parents = trees[branch[p]]
-        branch[u] = branch[p]
-        pos[u] = len(labels)
-        labels.append(u)
-        parents.append(pos[p])
-    return trees
+    return Peel(core, [sub[c] for c in core], cuts, order, parent)
 
 
 def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:
-    """The ``peel`` of a tree or a connected unicyclic graph, in cycle order
-    (a tree is one branch, k = 1); None for any other graph."""
+    """The ``Peel.trees`` of a tree or a connected unicyclic graph, in cycle
+    order (a tree is one branch, k = 1); None for any other graph."""
     if g.n == 0 or g.edge_count not in (g.n - 1, g.n):
         return None
     try:
-        return peel(g)
+        return peel(g).trees()
     except DisconnectedError:
         return None
 

@@ -8,20 +8,19 @@ runs; the other two live in ``tests/oracles.py`` as its oracles:
   fraction-free integer elimination of its own,
 * spanning-tree / separating-forest counting via integer determinants.
 
-Every connected graph is peeled leaf by leaf once, by ``graph.peel``,
-into its 2-core and a branch tree on each core vertex; a resistance
-across branches is two depths plus a core resistance (Klein and Randic
-1993).  So Kf, W, the vertex sums and the matrix are the branch terms
-plus a sum over the core weighted by the branch sizes, and one record,
-``Route``, writes each of them once from what its core gives: a common
-denominator, the weighted resistance row of each core vertex, the
-weighted hop sum and the core resistances.  ``route`` alone picks the
-constructor for a peel.  A core of one vertex or one cycle takes
-``cycle_route``, the closed forms (tree distance into the cycle, cycle
-resistance d(k-d)/k, tree distance out): O(n + k) integer sums over the
-cycle, ``cycle_cores`` for the rows and ``cycle_terms`` for the hops.
-Any other core takes one fraction-free elimination (``core_inverse``),
-cubic in the core and linear in the branches.
+Every connected graph is peeled once, by ``graph.peel``, into its 2-core
+and a branch tree on each core vertex; a resistance across branches is
+two depths plus a core resistance (Klein and Randic 1993).  So Kf, W,
+the vertex sums and the matrix are the branch terms, the peel's edge
+cuts, plus a sum over the core weighted by the branch sizes, and one
+record, ``Route``, writes each of them from what its core gives.
+``route`` alone picks its constructor.  A core of one vertex or one
+cycle takes ``cycle_route``, the closed forms (tree distance into the
+cycle, cycle resistance d(k-d)/k, tree distance out): Kf and W read the
+sizes and the cuts alone, in O(k) integer sums (``cycle_terms``), and
+only the vertex sums and the matrix build the trees.  Any other core
+takes one fraction-free elimination (``core_inverse``), cubic in the
+core and linear in the branches.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 from .graph import (
     DisconnectedError,
     Graph,
+    Peel,
     bfs_distances,
     is_connected,
     peel,
@@ -138,16 +138,6 @@ def branch_matrix(
     return ResistanceMatrix(n, tuple(rows), shared)
 
 
-def _subtree_sizes(parents: Sequence[int]) -> list[int]:
-    """Subtree sizes of a rooted tree given as parent positions, where
-    every vertex comes after its parent and the root (position 0) has
-    parent -1."""
-    sub = [1] * len(parents)
-    for v in range(len(parents) - 1, 0, -1):
-        sub[parents[v]] += sub[v]
-    return sub
-
-
 def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
     """The cycle terms of branches of the given sizes on C_k, with d the
     cycle gap of branches i and j: sum_{i<j} s_i s_j d(k - d), which is k
@@ -178,12 +168,15 @@ def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
 
 def branch_row(parents: Sequence[int], n: int) -> list[int]:
     """S(u) + h(u) (n - s) for every vertex u of a rooted tree on s vertices
-    in parent form (``_subtree_sizes``), hung in an n-vertex graph: u's
-    distance sum inside the tree plus its depth h once per vertex outside
-    it.  The root's entry is the tree's depth sum.  S reroots as
-    S(child) = S(parent) + s - 2 sub(child), so an entry is its parent's
-    plus n - 2 sub(child).  O(s)."""
-    sub = _subtree_sizes(parents)
+    in parent form (each vertex's parent position, every vertex after its
+    parent and the root's -1), hung in an n-vertex graph: u's distance sum
+    inside the tree plus its depth h once per vertex outside it.  The
+    root's entry is the tree's depth sum.  S reroots as S(child) =
+    S(parent) + s - 2 sub(child), so an entry is its parent's plus
+    n - 2 sub(child).  O(s)."""
+    sub = [1] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        sub[parents[v]] += sub[v]
     row = [sum(sub) - len(sub)] * len(sub)
     for v in range(1, len(sub)):
         row[v] = row[parents[v]] + n - 2 * sub[v]
@@ -194,7 +187,7 @@ def _row_numerators(
     trees: Sequence[Sequence[int]], denom: int, core_rows: Sequence[int]
 ) -> list[list[int]]:
     """denom Kf_G(u) for every vertex u of the graph that carries tree i,
-    in parent form (``_subtree_sizes``), on vertex i of a core, tree by
+    in parent form (``branch_row``), on vertex i of a core, tree by
     tree, where core_rows[i] = denom sum_j s_j R_core(i, j).  O(n).  In
     tree i, Kf_G(u) is its ``branch_row`` entry plus (D - D_i) +
     core_rows[i] / denom, D the total depth sum."""
@@ -237,44 +230,36 @@ def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 class Route(NamedTuple):
-    """A connected graph as the trees of ``graph.peel`` hung on the vertices
-    of a core graph: trees[i] on core vertex i, as (labels, parents in the
-    form of ``_subtree_sizes``).  A resistance across branches is two depths
-    plus the core resistance between their roots (Klein and Randic 1993),
-    so each answer is the branch terms plus a sum over the core that weights
-    vertex i by s_i = |trees[i]|.  The core enters only through d, the
-    common denominator of its resistances; core_rows[i] = d sum_j s_j
-    R_core(i, j); hops(), sum_{i<j} s_i s_j dist_core(i, j); and cross(),
-    the core resistances that ``branch_matrix`` takes.  The last two run
-    only when called."""
+    """A connected graph as its ``graph.Peel``, tree i on vertex i of a core
+    graph: each answer is the branch terms, the peel's cuts, plus a sum
+    over the core weighted by the branch sizes s_i (Klein and Randic 1993).
+    The core enters only through d, the common denominator of its
+    resistances; pairs(), d sum_{i<j} s_i s_j R_core(i, j); core_rows(),
+    d sum_j s_j R_core(i, j) for each i; hops(), sum_{i<j} s_i s_j
+    dist_core(i, j); and cross(), the core resistances of
+    ``branch_matrix``.  Each runs only when called."""
 
-    trees: list[tuple[list[int], list[int]]]
+    peel: Peel
     d: int
-    core_rows: list[int]
-    # the branch terms, summed: each branch's own hop sum W_b plus its depth
-    # sum D_b once per vertex outside it, (n - s_b) D_b, which is the Wiener
-    # edge-cut sum over the branch edges, sub(v)(n - sub(v)) for each
-    # non-root v, whose parent edge separates its sub(v) subtree vertices
-    # from the other n - sub(v)
-    branches: int
+    pairs: Callable[[], int]
+    core_rows: Callable[[], list[int]]
     hops: Callable[[], int]
     cross: Callable[[], Callable[[int], Sequence[list[Fraction]]]]
 
     def kirchhoff_index(self) -> Fraction:
-        """The branch terms plus sum_{i<j} s_i s_j R_core(i, j), half of
-        sum_i s_i core_rows[i] over d."""
-        core = sum(len(labels) * r for (labels, _), r in zip(self.trees, self.core_rows))
-        return Fraction(self.d * self.branches + core // 2, self.d)
+        """The branch terms plus sum_{i<j} s_i s_j R_core(i, j)."""
+        return Fraction(self.d * self.peel.cuts + self.pairs(), self.d)
 
     def wiener(self) -> Fraction:
         """The branch terms plus the core's weighted hop sum."""
-        return Fraction(self.branches + self.hops())
+        return Fraction(self.peel.cuts + self.hops())
 
     def vertex_sums(self) -> list[Fraction]:
         """Every vertex's resistance row sum, ``_row_numerators`` over d."""
-        rows = _row_numerators([parents for _, parents in self.trees], self.d, self.core_rows)
-        sums = [Fraction(0)] * sum(map(len, rows))
-        for (labels, _), nums in zip(self.trees, rows):
+        trees = self.peel.trees()
+        rows = _row_numerators([parents for _, parents in trees], self.d, self.core_rows())
+        sums = [Fraction(0)] * sum(self.peel.sizes)
+        for (labels, _), nums in zip(trees, rows):
             for u, x in zip(labels, nums):
                 sums[u] = Fraction(x, self.d)
         return sums
@@ -282,40 +267,27 @@ class Route(NamedTuple):
     def matrix(self) -> ResistanceMatrix:
         """All-pairs resistances, ``branch_matrix`` with the core
         resistances of cross()."""
-        return branch_matrix(self.trees, self.cross())
+        return branch_matrix(self.peel.trees(), self.cross())
 
 
-def _branch_terms(trees: list[tuple[list[int], list[int]]]) -> int:
-    """The branch terms of the peeled trees, summed as the edge cuts of
-    ``Route.branches``: n sum sub(v) - sum sub(v)^2 over the non-root
-    vertices v, from each tree's subtree sizes in one pass."""
-    n = sum(len(labels) for labels, _ in trees)
-    linear = squares = 0
-    for _, parents in trees:
-        if len(parents) > 1:
-            sub = [1] * len(parents)
-            for v in range(len(parents) - 1, 0, -1):
-                x = sub[v]
-                sub[parents[v]] += x
-                linear += x
-                squares += x * x
-    return n * linear - squares
-
-
-def cycle_route(trees: list[tuple[list[int], list[int]]]) -> Route:
-    """The closed forms on a ``peel`` whose core is one vertex or one cycle:
-    trees[i] hangs on the i-th vertex of C_k, where gap g has resistance
-    g(k - g)/k, so d = k and the rows are the ``cycle_cores``.  Pairs of
-    branches with the same gap share their resistances in the matrix."""
-    k = len(trees)
-    sizes = [len(labels) for labels, _ in trees]
+def cycle_route(p: Peel) -> Route:
+    """The closed forms on a peel whose core is one vertex or C_k: gap g has
+    resistance g(k - g)/k, so d = k, pairs() and hops() are the
+    ``cycle_terms`` of the sizes and the rows their ``cycle_cores``.  Pairs
+    of branches with the same gap share their resistances in the matrix."""
+    k, sizes = len(p.core), p.sizes
 
     def cross() -> Callable[[int], Sequence[list[Fraction]]]:
         gaps = [[Fraction(g * (k - g), k)] for g in range(k)]
         return lambda i: gaps[1 : k - i]
 
     return Route(
-        trees, k, cycle_cores(sizes), _branch_terms(trees), lambda: cycle_terms(sizes)[1], cross
+        p,
+        k,
+        lambda: cycle_terms(sizes)[0],
+        lambda: cycle_cores(sizes),
+        lambda: cycle_terms(sizes)[1],
+        cross,
     )
 
 
@@ -330,9 +302,9 @@ def _grounded_laplacian(g: Graph) -> list[list[int]]:
     return [row[1:] for row in lap[1:]]
 
 
-def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
-    """One elimination on the 2-core of g, whose ``peel`` is trees, with the
-    trees on their roots: cubic in the core, linear in the branches.
+def core_inverse(g: Graph, peeled: Peel) -> Route:
+    """One elimination on the 2-core of g, whose ``graph.peel`` is peeled,
+    with the branches on their roots: cubic in the core, linear in the branches.
 
     M = X / d is the inverse of the core's Laplacian L with vertex 0's row
     and column dropped (zeros in X), d its number of spanning trees, and
@@ -345,8 +317,10 @@ def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
     positive definite on a connected core, so no pivot is 0 and no rows
     swap.  The hop sum takes one BFS from each core vertex.
     """
-    trees = sorted(trees)  # by root, the order in which without_vertices keeps them
-    core = without_vertices(g, (u for labels, _ in trees for u in labels[1:]))
+    # the core by label, the order in which without_vertices keeps it
+    by_label = sorted(zip(peeled.core, peeled.sizes))
+    peeled = peeled._replace(core=[c for c, _ in by_label], sizes=[s for _, s in by_label])
+    core = without_vertices(g, peeled.order)
     if not is_connected(core):
         raise DisconnectedError("resistance of a disconnected graph")
     m = core.n - 1
@@ -368,7 +342,7 @@ def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
     for u, row in enumerate(x, start=1):
         full[u] = [0] + row
     # d sum_v s_v R(u, v) = n X_uu + sum_v s_v X_vv - 2 (X s)_u, n = sum_v s_v
-    sizes = [len(labels) for labels, _ in trees]
+    sizes = peeled.sizes
     n = sum(sizes)
     diag = [row[u] for u, row in enumerate(full)]
     weighted = sum(map(mul, sizes, diag))
@@ -383,13 +357,13 @@ def core_inverse(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
             [Fraction(full[u][u] + full[v][v] - 2 * full[u][v], d)] for v in range(u + 1, core.n)
         ]
 
-    return Route(trees, d, rows, _branch_terms(trees), hops, cross)
+    return Route(peeled, d, lambda: sum(map(mul, sizes, rows)) // 2, lambda: rows, hops, cross)
 
 
-def route(g: Graph, trees: list[tuple[list[int], list[int]]]) -> Route:
-    """The route of a connected graph g whose ``peel`` is trees: the closed
+def route(g: Graph, p: Peel) -> Route:
+    """The route of a connected graph g whose ``graph.peel`` is p: the closed
     forms for a core of one vertex or one cycle, else ``core_inverse``."""
-    return cycle_route(trees) if trees and g.edge_count <= g.n else core_inverse(g, trees)
+    return cycle_route(p) if p.core and g.edge_count <= g.n else core_inverse(g, p)
 
 
 def vertex_sums(g: Graph) -> list[Fraction]:

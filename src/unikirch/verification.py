@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .enumeration import (
     Minimum,
-    canonical_code,
     dihedral_min,
     enumerate_with_codes,
     free_trees,
@@ -167,7 +166,7 @@ def _argmin_cell(best: Minimum, specs: tuple[FamilySpec, ...], value) -> tuple[s
     attained at exactly the classes of specs."""
     codes = frozenset(best.codes)
     computed = f"{_pretty_codes(codes)} = {format_rational(best.value)}"
-    expected = frozenset(canonical_code(s.build()) for s in specs)
+    expected = frozenset(s.code() for s in specs)
     return computed, codes == expected and best.value == value
 
 
@@ -417,7 +416,7 @@ def suite_vertex_sum_bound(n_max: int) -> VerificationReport:
     for cells in map(row_cells, range(WINDOWS["vertex-sum-bound"].floor, n_max + 1)):
         for cell in cells:
             n, m = cell.n, cell.m
-            unm_code = canonical_code(make_unm(n, m))
+            unm_code = FamilySpec("Unm", (n, m)).code()
             ok = cell.violations == 0 and cell.equalities == [(unm_code, True)]
             flag = " (boundary cell)" if (n, m) == (6, 3) else ""
             report.add(
@@ -444,7 +443,7 @@ def suite_deletion_bounds(n_max: int) -> VerificationReport:
     for cells in map(row_cells, range(WINDOWS["deletion-bounds"].floor, n_max + 1)):
         for cell in cells:
             n, m = cell.n, cell.m
-            unm_code = canonical_code(make_unm(n, m))
+            unm_code = FamilySpec("Unm", (n, m)).code()
             ok = (
                 cell.deletion_violations == 0
                 and cell.eq_single == [(unm_code, True)] * (n - 2 * m + 1)
@@ -509,9 +508,8 @@ _PLACEMENT_CLASS_COUNTS = {(10, 4): 4, (11, 5): 5, (12, 4): 8}
 
 
 def _pendant_placement_graph(k: int, positions: tuple[int, ...]) -> Graph:
-    edges = set(make_cycle(k).edges)
-    for idx, pos in enumerate(sorted(positions)):
-        edges.add((pos, k + idx))
+    edges = [(v, v + 1) for v in range(k - 1)] + [(0, k - 1)]
+    edges += [(pos, k + idx) for idx, pos in enumerate(sorted(positions))]
     return Graph(k + len(positions), frozenset(edges))
 
 

@@ -12,10 +12,11 @@ grounded-Laplacian solve on the whole graph, by an integer elimination
 of its own, with Kf and the vertex sums summed off its matrix, and
 spanning-forest counting by determinants.
 
-Two build on library kernels.  The per-class invariants
-(``cycle_invariants``) combine a summary of each branch, ``tree_summary``
-with ``branch_term``, which the library sums as edge cuts and carries
-up as branch states instead, with ``matching.cycle_matching`` and
+Three build on library kernels.  The per-class invariants
+(``cycle_invariants``) combine a summary of each branch of the built
+trees, ``tree_summary`` with ``branch_term``, which the library sums as
+edge cuts while it peels and carries up as branch states in the sweep,
+with ``matching.cycle_matching`` and
 ``resistance.cycle_terms``, the cycle kernels that the sweep and the
 closed-form route run, so that tests can check them against graphs.
 ``row_cells_by_class`` takes every class from the library's unfiltered
@@ -23,7 +24,9 @@ listing, which other tests check against brute force, reads its matching
 number from its codes, and runs it through the library's per-class
 check, whose kernels other tests check against graphs.  So it checks
 what the fast pass adds to the walk they share: its counts and its
-pruning.
+pruning.  ``recognize_family_by_build`` names a graph's family by
+building every candidate and comparing canonical codes, where the
+library reads the candidates' codes off their parameters.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ from unikirch.enumeration import (
     RowCell,
     _branch_shape,
     _check_class,
+    canonical_code,
     code_parents,
     enumerate_codes,
+    graph_from_code,
 )
+from unikirch.families import FamilySpec
 from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic
 from unikirch.matching import cycle_matching
 from unikirch.resistance import ResistanceMatrix, cycle_terms
@@ -612,3 +618,40 @@ def graph_invariants(g: Graph) -> Invariants:
 def invariants_from_code(code: CanonicalCode) -> Invariants:
     """``cycle_invariants`` of a class, read off its branch codes."""
     return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])
+
+
+# ---------------------------------------------------------------------------
+# family recognition by building every candidate
+
+
+def recognize_family_by_build(g: Graph) -> FamilySpec | None:
+    """``families.recognize_family`` by graphs: a path or a cycle by its
+    degrees, else the first U(k,t,i,j) with the graph's cycle length and
+    leaf count, in ascending t with t = 0 last, whose built graph has the
+    graph's canonical code."""
+    n = g.n
+    degs = [g.degree(v) for v in range(n)]
+    if g.edge_count == n - 1:
+        if n == 1 or (sorted(degs)[:2] == [1, 1] and all(d <= 2 for d in degs)):
+            return FamilySpec("P", (n,))
+        return None
+    if g.edge_count != n:
+        return None
+    if all(d == 2 for d in degs):
+        return FamilySpec("C", (n,))
+    code = canonical_code(g)
+    k = code.cycle_length
+    j = n - k - degs.count(1)
+    for t in (*range(1, min(k, n - k) + 1), 0):
+        i = n - k - t - 2 * j
+        cand = FamilySpec("U", (k, t, i, j))
+        if i >= 0 and canonical_code(cand.build()) == code:
+            return cand
+    return None
+
+
+def family_label_by_build(code: CanonicalCode) -> str:
+    """``families.family_label`` by ``recognize_family_by_build`` on the
+    class's built graph."""
+    fam = recognize_family_by_build(graph_from_code(code))
+    return fam.text() if fam is not None else str(code)

@@ -44,8 +44,8 @@ from unikirch.enumeration import (
 from unikirch.families import make_cycle, make_path, make_ukt, recognize_family
 from unikirch.graph import (
     Graph,
-    decompose_unicyclic,
     identify_vertices,
+    peel,
     wiener_index,
 )
 from unikirch.matching import matching_number
@@ -224,7 +224,7 @@ def test_invariants_from_code_match_graph_routes():
             assert inv.kf == kirchhoff_index_dense(g), code
             assert inv.wiener == wiener_index(g), code
             assert inv.matching == matching_number(g).size, code
-            mat = cycle_route(decompose_unicyclic(g)).matrix()
+            mat = cycle_route(peel(g)).matrix()
             assert vertex_sums(g) == row_sums(mat), code
 
 

@@ -1,12 +1,21 @@
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import arc_pair_resistance_sum, make_graph
-from unikirch.enumeration import canonical_code
+from conftest import relabelled
+from oracles import (
+    arc_pair_resistance_sum,
+    family_label_by_build,
+    make_graph,
+    recognize_family_by_build,
+)
+from unikirch.enumeration import canonical_code, enumerate_codes, enumerate_with_codes
 from unikirch.families import (
     FamilySpec,
     central_vertex,
+    family_label,
     girth_min_kf,
     make_cycle,
     make_path,
@@ -23,6 +32,8 @@ from unikirch.families import (
 from unikirch.matching import matching_number
 from unikirch.graph import Graph
 from unikirch.resistance import kirchhoff_index, kirchhoff_vertex_sum, vertex_sums
+
+EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
 
 def test_basic_constructors():
@@ -268,3 +279,49 @@ def test_recognize_family():
     assert canonical_code(got.build()) == canonical_code(make_ukt(6, 2, 3, 0))
     # a double star is no named family
     assert recognize_family(make_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])) is None
+
+
+def test_code_is_the_canonical_code_of_the_built_graph():
+    specs = [
+        FamilySpec("U", (k, t, i, j))
+        for k in range(3, 13)
+        for t in range(k + 1)
+        for i in range(7)
+        for j in range(5)
+    ]
+    specs += [FamilySpec("Unm", (n, m)) for n in range(6, 31) for m in range(3, n // 2 + 1)]
+    specs += [FamilySpec("C", (n,)) for n in range(3, 31)]
+    for spec in specs:
+        assert spec.code() == canonical_code(spec.build()), spec
+    # the parameters build() refuses, code() refuses too; a path has no code
+    bad = [("C", (2,)), ("U", (2, 0, 0, 0)), ("U", (4, 5, 0, 0)), ("U", (4, 1, -1, 0))]
+    bad += [("U", (4, 1, 0, -1)), ("Unm", (5, 3)), ("Unm", (8, 2))]
+    for kind, params in bad:
+        for method in (FamilySpec.build, FamilySpec.code):
+            with pytest.raises(ValueError):
+                method(FamilySpec(kind, params))
+    with pytest.raises(ValueError):
+        FamilySpec("P", (5,)).code()
+
+
+def _labels_match_the_build_oracle(sizes) -> None:
+    for n in sizes:
+        for code in enumerate_codes(n):
+            assert family_label(code) == family_label_by_build(code), code
+
+
+def test_family_label_matches_the_build_oracle():
+    # every class with n <= 11, 2,846 of them; the oracle builds each
+    # candidate, the library reads its code off the parameters
+    _labels_match_the_build_oracle(range(3, 12))
+    rng = random.Random(3)
+    for n in range(3, 10):
+        for _, g in enumerate_with_codes(n):
+            h = relabelled(rng, g)
+            assert recognize_family(h) == recognize_family_by_build(h), h
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_family_label_matches_the_build_oracle_extended():
+    # the 19,549 classes with n = 12 and 13
+    _labels_match_the_build_oracle((12, 13))

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, relabelled
-from oracles import floyd_warshall, kirchhoff_index_dense, make_graph, peel_by_adjacency
+from oracles import (
+    branch_term,
+    floyd_warshall,
+    kirchhoff_index_dense,
+    make_graph,
+    peel_by_adjacency,
+    tree_summary,
+)
 from unikirch import graph
 from unikirch.cli import main
 from unikirch.enumeration import enumerate_with_codes
@@ -221,14 +228,19 @@ def _disconnected(rng: random.Random) -> Graph:
 
 
 def _same_peel(g: Graph) -> None:
-    """``peel`` gives the trees of ``peel_by_adjacency``, or both raise."""
+    """``peel`` gives the trees of ``peel_by_adjacency``, their sizes and
+    their edge cuts, or both raise."""
     try:
         expected = peel_by_adjacency(Graph(g.n, g.edges))
     except DisconnectedError:
         with pytest.raises(DisconnectedError):
             peel(g)
     else:
-        assert peel(g) == expected, g
+        peeled = peel(g)
+        assert peeled.trees() == expected, g
+        assert peeled.sizes == [len(labels) for labels, _ in expected], g
+        cuts = sum(branch_term(tree_summary(parents), g.n) for _, parents in expected)
+        assert peeled.cuts == cuts, g
 
 
 @given(

@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, no module of the package
-imports another's private names, every name the package exports has a
-caller outside the tests, and every public function and class of the
-package is read by code outside the tests, not only named in docstrings.
+imports another's private names, every public function and class of the
+package is read by code outside the tests, not only named in docstrings,
+and every name the package exports is one of them.
 
 No linter runs on this code, so an import left behind by a refactor
 would stay unnoticed; these tests read each module's syntax tree instead.
@@ -10,7 +10,6 @@ are re-exports.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,61 +77,6 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == {}
 
 
-def _definitions(source: str) -> dict[str, tuple[int, int]]:
-    """{name: (first line, last line)} of every top-level function, class
-    and assignment of source."""
-    spans = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-        for name in names:
-            spans[name] = (first, node.end_lineno)
-    return spans
-
-
-def uncalled_exports(exports: list[str], sources: list[str]) -> list[str]:
-    """The names of exports that no source mentions as a word outside the
-    name's own definition."""
-    uncalled = []
-    for name in exports:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        for source in sources:
-            lines = source.splitlines()
-            if name in (spans := _definitions(source)):
-                first, last = spans[name]
-                lines = lines[: first - 1] + lines[last:]
-            if word.search("\n".join(lines)):
-                break
-        else:
-            uncalled.append(name)
-    return uncalled
-
-
-def test_uncalled_exports_are_found():
-    sources = ["def a():\n    return a\n\n\ndef b():\n    return c\n\n\nd = 1\n", "print(b)\n"]
-    assert uncalled_exports(["a", "b", "c", "d"], sources) == ["a", "d"]
-
-
-def test_every_export_has_a_caller_outside_the_tests():
-    # a name that only tests read belongs in the tests; the benchmark's
-    # traced names and output checks count as callers
-    init = ast.parse((ROOT / "src" / "unikirch" / "__init__.py").read_text())
-    exports = [
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    paths = [p for p in _modules() if p.parent.name != "tests"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
-    assert uncalled_exports(exports, [p.read_text() for p in paths]) == []
-
-
 def _references(source: str) -> dict[str, list[int]]:
     """{name: lines} of every name that the code of source reads: a
     variable, an attribute, an imported name, or a string constant, which
@@ -184,10 +128,40 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced_definitions(defining, readers) == ["a", "planted"]
 
 
+def _public_definitions(source: str) -> set[str]:
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
+    }
+
+
+def stray_exports(init: str, modules: dict[str, str]) -> list[str]:
+    """The names that init imports from a package module, ``from .m import
+    x``, that are not a public top-level function or class of module m,
+    whose source is modules[m]."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(init))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in _public_definitions(modules.get(node.module, ""))
+    ]
+
+
+def test_stray_exports_are_found():
+    init = "from .a import f, C, _g, h\nfrom .b import x\n"
+    modules = {"a": "def f():\n    pass\n\n\nclass C:\n    pass\n\n\nh = 1\n"}
+    assert stray_exports(init, modules) == ["a._g", "a.h", "b.x"]
+
+
 def test_every_public_definition_is_read_outside_the_tests():
     # a function or class that only tests and docstrings name belongs in
-    # the tests; the package's __init__ only re-exports, so it reads nothing
+    # the tests, and every name the package exports must be one of them;
+    # the package's __init__ only re-exports, so it reads nothing
     package = [p for p in _modules() if p.parent.name == "unikirch"]
     readers = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     sources = [[p.read_text() for p in paths] for paths in (package, readers)]
     assert unreferenced_definitions(*sources) == []
+    init = (ROOT / "src" / "unikirch" / "__init__.py").read_text()
+    assert stray_exports(init, {p.stem: text for p, text in zip(package, sources[0])}) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import matrix_text, random_connected_graph, random_tree_edges
+from conftest import matrix_text, random_connected_graph, random_tree_edges, relabelled
 from oracles import (
     BranchSummary,
     branch_term,
@@ -37,6 +37,7 @@ from unikirch.families import (
 from unikirch.graph import (
     DisconnectedError,
     Graph,
+    Peel,
     bfs_distances,
     decompose_unicyclic,
     identify_vertices,
@@ -74,7 +75,7 @@ def test_triangle_adjacent_pair():
     assert separating_forest_count(g, 0, 1) == 2
     assert resistance_forest(g, 0, 1) == Fraction(2, 3)
     assert resistance_laplacian(g, 0, 1) == Fraction(2, 3)
-    assert cycle_route(decompose_unicyclic(g)).matrix().r(0, 1) == Fraction(2, 3)
+    assert cycle_route(peel(g)).matrix().r(0, 1) == Fraction(2, 3)
 
 
 def test_path_resistance_is_hop_distance():
@@ -94,7 +95,7 @@ def test_c4_antipodal():
 def test_self_resistance_is_zero():
     g = make_cycle(5)
     assert resistance_laplacian(g, 2, 2) == 0
-    assert cycle_route(decompose_unicyclic(g)).matrix().r(2, 2) == 0
+    assert cycle_route(peel(g)).matrix().r(2, 2) == 0
 
 
 def test_ground_independence():
@@ -109,7 +110,7 @@ def test_ground_independence():
 def test_three_way_agreement(unicyclic_corpus):
     for n, pairs in unicyclic_corpus.items():
         for _, g in pairs:
-            mat = cycle_route(decompose_unicyclic(g)).matrix()
+            mat = cycle_route(peel(g)).matrix()
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     r1 = resistance_laplacian(g, u, v)
@@ -350,7 +351,8 @@ def test_core_route_matches_laplacian_route(seed, shape, chords):
     rng = random.Random(seed)
     g = _graph_with_a_core(rng, shape, chords)
     assert g.edge_count - g.n + 1 == (chords if shape == "chords" else 2)
-    trees = peel(g)
+    peeled = peel(g)
+    trees = peeled.trees()
     # the roots are the 2-core: what deleting vertices of degree <= 1 leaves
     core = set(range(g.n))
     while leaves := {v for v in core if len(core.intersection(g.adjacency[v])) <= 1}:
@@ -361,7 +363,7 @@ def test_core_route_matches_laplacian_route(seed, shape, chords):
     assert kirchhoff_index(g) == triangle_sum(dense)
     assert vertex_sums(g) == row_sums(dense)
     assert resistance_matrix(g) == dense
-    assert core_inverse(g, trees).wiener() == wiener_index(g)
+    assert core_inverse(g, peeled).wiener() == wiener_index(g)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 40), st.booleans())
@@ -436,7 +438,7 @@ def test_cycle_terms_match_pairwise_formula():
                 edges.add((i, n))
                 n += 1
         g = Graph(n, frozenset(edges))
-        mat = cycle_route(decompose_unicyclic(g)).matrix()
+        mat = cycle_route(peel(g)).matrix()
         assert vertex_sums(g) == row_sums(mat)
 
 
@@ -464,12 +466,36 @@ def test_tree_and_cycle_routes_build_no_adjacency():
     assert "adjacency" in vars(g)
 
 
-def test_branch_terms_are_edge_cuts():
-    rng = random.Random(5)
-    graphs = [g for n in range(3, 11) for _, g in enumerate_with_codes(n)]
-    graphs += [Graph(n, frozenset(random_tree_edges(rng, n))) for n in range(1, 60)]
-    for g in graphs:
-        trees = peel(g)
-        expected = sum(branch_term(tree_summary(parents), g.n) for _, parents in trees)
-        assert route(g, trees).branches == expected, g
+def test_kf_and_w_build_no_branch_trees(monkeypatch):
+    g = make_ukt(7, 3, 2, 1)
+    tree = Graph(40, frozenset(random_tree_edges(random.Random(2), 40)))
+    expected = [(kirchhoff_index_dense(h), wiener_index(h)) for h in (g, tree)]
 
+    def no_trees(self):
+        raise AssertionError("Kf or W built the branch trees")
+
+    monkeypatch.setattr(Peel, "trees", no_trees)
+    for h, (kf, w) in zip((g, tree), expected):
+        assert kirchhoff_index(h) == kf
+        assert route(h, peel(h)).wiener() == w
+    with pytest.raises(AssertionError):
+        vertex_sums(g)
+
+
+def test_branch_terms_are_edge_cuts():
+    # the peel sums the branch sizes and the edge cuts as it goes, and Kf and
+    # W read them alone; the oracle sums the same terms over the built trees
+    rng = random.Random(13)
+    graphs = [g for n in range(3, 11) for _, g in enumerate_with_codes(n)]
+    graphs += [relabelled(rng, g) for g in graphs]
+    graphs += [Graph(n, frozenset(random_tree_edges(rng, n))) for n in range(1, 61)]
+    graphs += [random_connected_graph(rng, n, 1) for n in range(3, 61)]
+    for g in graphs:
+        peeled = peel(g)
+        trees = peeled.trees()
+        assert peeled.sizes == [len(labels) for labels, _ in trees], g
+        expected = sum(branch_term(tree_summary(parents), g.n) for _, parents in trees)
+        assert peeled.cuts == expected, g
+        inv = graph_invariants(g)
+        assert kirchhoff_index(g) == inv.kf, g
+        assert route(g, peeled).wiener() == inv.wiener, g
