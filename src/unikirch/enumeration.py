@@ -7,19 +7,19 @@ symmetries.  Rooted trees use the classical bottom-up encoding
 code = "(" + sorted(children codes) + ")"; the class representative is
 the lexicographically minimal branch-code sequence.
 
-Every pass over the classes folds over one walk (``_walk``).  Per
-dihedral orbit of the compositions of n into the branch sizes, in
-ascending cycle length, it gives the orbit's least composition and the
-rotations and reflections that fix it, both decided by one scan in
-``orbit_compositions``.  Per tuple of branch states on the positions of
-that composition, it gives the tuple and its matching number, which
-depends on the states alone and is computed there and nowhere else.  A
-branch's state is its matching number and the matching that leaves its
-root unmatched.  The classes of a state tuple are the products of its
-states' code pools, each kept once among its images under the
-composition's symmetries: ``_tuple_classes`` counts them, listing them
-only when a symmetry fixes the composition, and ``_classes`` turns them
-into dihedral-minimal codes in sorted order.
+Every pass over the classes reads the dihedral orbits of the
+compositions of n into the branch sizes from ``orbit_compositions``, in
+ascending cycle length: each orbit's least composition and the
+rotations and reflections that fix it.  A branch's state is its
+matching number and the matching that leaves its root unmatched; a
+tuple of states on the positions of a composition fixes the matching
+number (``matching.cycle_matching``).  The classes of a state tuple are
+the products of its states' code pools, each kept once among its images
+under the composition's symmetries: ``_tuple_classes`` counts them,
+listing them only when a symmetry fixes the composition, and
+``_classes`` turns them into dihedral-minimal codes in sorted order.
+``_walk`` gives an orbit's state tuples one by one; ``_transfer`` folds
+them instead, a cycle position at a time, per matching number.
 
 ``_code_states`` generates the rooted trees already grouped by state,
 each tree's state carried up from its children's, so no code is parsed
@@ -28,15 +28,15 @@ one branch term per branch, W_b + D_b (n - s_b): its own hop sum and
 its depth sum once per vertex outside it.  ``_term_tables`` finds each
 state's least term and the trees with it by a knapsack over child
 states; the same knapsack gives each state's least depth sum and least
-``branch_row`` entry.  Four folds read the walk:
+``branch_row`` entry.  Four folds read the orbits:
 
 - ``enumerate_codes`` lists the classes of every state tuple, or of the
   tuples of one matching number;
 - ``counts_by_matching`` sums the tuples' class counts per matching
-  number;
-- ``sweep_minima`` scores one value per tuple of least-term states, in
-  integers, and expands into classes only the tuples that attain a
-  cell's minimum;
+  number, by the transfer where no symmetry fixes the composition;
+- ``sweep_minima`` finds by the transfer each composition's least term
+  sum per matching number, in integers, and expands into classes only
+  the compositions and tuples that attain a cell's minimum;
 - ``row_cells`` bounds each tuple's vertex sums from below by the least
   depth sums and ``branch_row`` entries, and checks the vertex-sum and
   pendant-deletion bounds class by class only where that bound does not
@@ -52,9 +52,9 @@ from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby, pairwise, product
+from itertools import groupby, product
 from math import inf, prod
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Graph, decompose_unicyclic, is_connected
@@ -241,48 +241,127 @@ def graph_from_code(code: CanonicalCode) -> Graph:
 
 def orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
     """Each dihedral orbit of the compositions of n into k >= 3 positive
-    parts: its least composition, which starts with its least part, and
-    the rotations and reflections other than the identity that fix it,
-    each as the getter of a sequence's image.  Only the images that start
-    with the least part can be smaller than or equal to the composition,
-    so one scan of them decides both.  Most compositions have no symmetry."""
+    parts, in ascending order: its least composition, which starts with
+    its least part, and the rotations and reflections other than the
+    identity that fix it, each as the getter of a sequence's image.
+
+    The least rotations come from the FKM recursion (Ruskey, Savage and
+    Wang, "Generating necklaces", J. Algorithms 13, 1992; ``_necklaces``),
+    and a scan of their reflections keeps those least in their orbit
+    (``_fixing``).  Most compositions have no symmetry."""
     for head in range(1, n // k + 1):
-        # every later part is at least head: less head - 1 each, they are
-        # k - 1 positive parts of rest, cut at k - 2 points
-        lift = head - 1
-        rest = n - head - lift * (k - 1)
-        for cuts in combinations(range(1, rest), k - 2):
-            sizes = (head, *[b - a + lift for a, b in pairwise((0, *cuts, rest))])
-            fixing = []
-            for r, size in enumerate(sizes):
-                if size == head:
-                    if r:
-                        turn = sizes[r:] + sizes[:r]
-                        if turn <= sizes:
-                            if turn < sizes:
-                                break
-                            fixing.append(itemgetter(*range(r, k), *range(r)))
-                    flip = sizes[r::-1] + sizes[:r:-1]
-                    if flip <= sizes:
-                        if flip < sizes:
-                            break
-                        fixing.append(itemgetter(*range(r, -1, -1), *range(k - 1, r, -1)))
-            else:
-                yield sizes, fixing
+        yield from _necklaces([head] * k, 1, 1, n - head)
+
+
+def _necklaces(
+    sizes: list[int], t: int, period: int, rest: int
+) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
+    """In ascending order, each sequence least in its orbit that extends
+    sizes[:t] by parts that sum to rest, none below the head sizes[0],
+    with the symmetries that fix it (``_fixing``).  sizes[:t] is least
+    among the rotations' prefixes, with the given period: it extends by
+    its part one period back, keeping the period, or by a larger part,
+    which makes the whole prefix its period.  A full sequence is least
+    among its rotations exactly when its period divides its length."""
+    k = len(sizes)
+    low = sizes[t - period]
+    if t == k - 1:
+        if rest > low:
+            period = k
+        elif rest < low or k % period:
+            return
+        sizes[t] = rest
+        seq = tuple(sizes)
+        fixing = _fixing(seq, period)
+        if fixing is not None:
+            yield seq, fixing
+        return
+    for size in range(low, rest - sizes[0] * (k - 1 - t) + 1):
+        sizes[t] = size
+        yield from _necklaces(sizes, t + 1, period if size == low else t + 1, rest - size)
+
+
+def _fixing(seq: tuple[int, ...], period: int) -> list[itemgetter] | None:
+    """The rotations and reflections other than the identity that fix
+    seq, a sequence least among its rotations with the given period, or
+    None when a reflection of it is smaller.  The rotations that fix it
+    are those by multiples of the period; of the reflections, only the
+    images that start with the head can be smaller than or equal to seq,
+    so one scan of them decides."""
+    k = len(seq)
+    head = seq[0]
+    fixing = []
+    for r, size in enumerate(seq):
+        if size == head:
+            if r and not r % period:
+                fixing.append(itemgetter(*range(r, k), *range(r)))
+            flip = seq[r::-1] + seq[:r:-1]
+            if flip <= seq:
+                if flip < seq:
+                    return None
+                fixing.append(itemgetter(*range(r, -1, -1), *range(k - 1, r, -1)))
+    return fixing
 
 
 def _walk(
     n: int, tables: Sequence[Sequence[_State]]
-) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterable[tuple[tuple[_State, ...], int]]]]:
-    """The one walk over the classes on n vertices: each composition of n
-    over a cycle, one per dihedral orbit in ascending cycle length, with
-    the symmetries that fix it, and each tuple of its positions' states
-    in tables (tables[s] holds the branch states of the rooted trees on s
-    vertices) with its matching number."""
+) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterable[tuple[_State, ...]]]]:
+    """The product walk over the classes on n vertices: each composition
+    of n over a cycle, one per dihedral orbit in ascending cycle length,
+    with the symmetries that fix it, and the tuples of its positions'
+    states in tables (tables[s] holds the branch states of the rooted
+    trees on s vertices)."""
     for k in range(3, n + 1):
         for sizes, fixing in orbit_compositions(n, k):
-            groups = list(product(*[tables[size] for size in sizes]))
-            yield sizes, fixing, zip(groups, map(cycle_matching, groups))
+            yield sizes, fixing, product(*[tables[size] for size in sizes])
+
+
+# The transfer reads a cycle's roots in order and keeps, per key, the least
+# branch-term sum or the number of state tuples that reach it.  A key is
+# carry + 8 * (the branch matchings so far, plus one for each run of free
+# roots that has reached an even length).  The carry's bits: 1, the
+# current run of free roots is odd; 2, the run before the first root that
+# is not free was odd; 4, a root that is not free was seen.  Those two odd
+# runs meet round the cycle, so a final carry of 7 gains one more.
+def _steps(table: Sequence[_State], weight) -> list[list[tuple[int, int]]]:
+    """Per carry, the key step and the weight of placing each state of
+    table on the next root."""
+    steps = []
+    for carry in range(8):
+        odd = carry & 1
+        moves = []
+        for state in table:
+            if state.matching == state.root_free:
+                step = 7 if odd else 1  # the run turns even and gains, or turns odd
+            elif carry & 4:
+                step = -odd
+            else:
+                step = 4 + odd  # the first run ends: 4 is set, its parity moves to 2
+            moves.append((step + 8 * state.matching, weight(state)))
+        steps.append(moves)
+    return steps
+
+
+def _transfer(sizes: Sequence[int], steps, unit, times, plus) -> dict[int, int]:
+    """Per matching number of the cycle with branch sizes sizes, the
+    plus-sum over its state tuples of the times-products of their weights:
+    the least term sum with (min, +), the tuple count with (+, *).  steps[s]
+    is ``_steps`` of the states on s vertices."""
+    front = {0: unit}
+    for size in sizes:
+        moves = steps[size]
+        after: dict[int, int] = {}
+        for key, acc in front.items():
+            for step, weight in moves[key & 7]:
+                value = times(acc, weight)
+                key2 = key + step
+                after[key2] = plus(after[key2], value) if key2 in after else value
+        front = after
+    by_matching: dict[int, int] = {}
+    for key, acc in front.items():
+        m = (key >> 3) + (key & 7 == 7)
+        by_matching[m] = plus(by_matching[m], acc) if m in by_matching else acc
+    return by_matching
 
 
 def _tuple_classes(
@@ -316,9 +395,9 @@ def enumerate_codes(n: int, m: int | None = None) -> Iterator[CanonicalCode]:
     pools = [()] + [_code_states(size) for size in range(1, n - 1)]
     yield from _classes(
         (sizes, fixing, group)
-        for sizes, fixing, tuples in _walk(n, pools)
-        for group, matching in tuples
-        if m is None or matching == m
+        for sizes, fixing, groups in _walk(n, pools)
+        for group in groups
+        if m is None or cycle_matching(group) == m
     )
 
 
@@ -431,38 +510,59 @@ def sweep_minima(n: int) -> SweepMinima:
     the branch sizes and T the sum of their branch terms.  Fix the
     composition and each position's state: the matching number follows,
     and T is least, and exactly so, where every branch has the least term
-    of its state (``_term_tables``).  So each composition, one per orbit,
-    offers one value per tuple of states, and only the tuples that attain
-    a cell's minimum expand into classes.  Keys stay integers until each
-    cell's minimum is known."""
+    of its state (``_term_tables``).  So per composition, one per orbit,
+    the (min, +) ``_transfer`` gives the least T per matching number, and
+    the least of those is its least T for its cycle length's cell.  Only
+    the compositions that attain a cell's minimum expand into state
+    tuples, those of the cell's matching number and least T.  Keys stay
+    integers until each cell's minimum is known."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
     tables = _term_tables(n)
+    steps = [_steps(table, attrgetter("term")) for table in tables]
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    for sizes, fixing, tuples in _walk(n, tables):
-        k = len(sizes)
-        cycle, hops = cycle_terms(sizes)
-        for group, m in tuples:
-            trees = sum(state.term for state in group)
-            item = (sizes, fixing, group)
-            _offer(kf, m, k * trees + cycle, k, item)
-            _offer(wiener, m, trees + hops, 1, item)
-            _offer(girth, k, k * trees + cycle, k, item)
-    return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
+    for k in range(3, n + 1):
+        for sizes, fixing in orbit_compositions(n, k):
+            cycle, hops = cycle_terms(sizes)
+            least = _transfer(sizes, steps, 0, add, min)
+            for m, trees in least.items():
+                item = (sizes, fixing, m, trees)
+                _offer(kf, m, k * trees + cycle, k, item)
+                _offer(wiener, m, trees + hops, 1, item)
+            trees = min(least.values())
+            _offer(girth, k, k * trees + cycle, k, (sizes, fixing, None, trees))
+    cells = (kf, wiener, girth)
+    for best in cells:
+        for key, (num, den, offers) in best.items():
+            best[key] = num, den, [
+                (sizes, fixing, group)
+                for sizes, fixing, m, trees in offers
+                for group in product(*[tables[size] for size in sizes])
+                if sum(state.term for state in group) == trees
+                and (m is None or cycle_matching(group) == m)
+            ]
+    return SweepMinima(n, *map(_minima, cells))
 
 
 def counts_by_matching(n: int) -> dict[int, int]:
     """Class counts per matching number at fixed vertex count, in
-    ascending order, from tuples of branch states (``_tuple_classes``)."""
+    ascending order.  A composition that no symmetry fixes holds the
+    product of its states' code counts per state tuple, summed per
+    matching number by the (+, *) ``_transfer``; the others count their
+    state tuples' classes (``_tuple_classes``)."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
     pools = [()] + [_code_states(size) for size in range(1, n - 1)]
+    steps = [_steps(pool, lambda state: len(state.codes)) for pool in pools]
     counts: Counter = Counter()
-    for _, fixing, tuples in _walk(n, pools):
-        for group, m in tuples:
-            counts[m] += _tuple_classes(group, fixing)[0]
+    for sizes, fixing, groups in _walk(n, pools):
+        if not fixing:
+            counts.update(_transfer(sizes, steps, 1, mul, add))
+            continue
+        for group in groups:
+            counts[cycle_matching(group)] += _tuple_classes(group, fixing)[0]
     return dict(sorted(counts.items()))
 
 
@@ -600,10 +700,11 @@ def row_cells(n: int) -> list[RowCell]:
         for state in states:
             pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
     cells: dict[int, RowCell] = {}
-    for sizes, fixing, tuples in _walk(n, tables):
+    for sizes, fixing, groups in _walk(n, tables):
         k = len(sizes)
         cores = cycle_cores(sizes)
-        for group, m in tuples:
+        for group in groups:
+            m = cycle_matching(group)
             if m < 3:
                 continue
             if m not in cells:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .enumeration import CanonicalCode, canonical_code, dihedral_min
-from .graph import Graph
+from .graph import Graph, is_connected
 from .rational import format_rational
 from .resistance import kf_cycle
 
@@ -301,14 +301,15 @@ def _family_of(code: CanonicalCode) -> FamilySpec | None:
 
 def recognize_family(g: Graph) -> FamilySpec | None:
     """The named family of a graph up to isomorphism, a path, a cycle or
-    ``family_label``'s U(k,t,i,j) for its canonical code; else None."""
+    ``family_label``'s U(k,t,i,j) for its canonical code; else None, as for
+    every disconnected graph."""
     n = g.n
+    if g.edge_count not in (n - 1, n) or not is_connected(g):
+        return None
     degs = [g.degree(v) for v in range(n)]
     if g.edge_count == n - 1:
         path = n == 1 or (sorted(degs)[:2] == [1, 1] and all(d <= 2 for d in degs))
         return FamilySpec("P", (n,)) if path else None
-    if g.edge_count != n:
-        return None
     if all(d == 2 for d in degs):
         return FamilySpec("C", (n,))
     return _family_of(canonical_code(g))

@@ -225,8 +225,9 @@ class Window(NamedTuple):
     ceiling: int
 
 
-# The sweep reads no rooted tree: sweep_minima(n) takes 0.64, 1.08, 2.33
-# and 4.46 s for n = 17..20, in 17 MB (x86_64, 2 CPUs, Python 3.11.7).
+# The sweep reads no rooted tree and lists only the state tuples that
+# attain a minimum: sweep_minima(n) takes 0.16, 0.19, 0.36 and 0.73 s for
+# n = 17..20 (best of 3), in 17 MB (x86_64, 2 CPUs, Python 3.11.7).
 SWEEP_MAX_N = 20
 # The classes roughly triple with each vertex: at n = 16 (311,465) the
 # listing takes 2.4 s in 32 MB.  It, the counts (which extremal_scan.py

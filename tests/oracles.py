@@ -12,7 +12,7 @@ grounded-Laplacian solve on the whole graph, by an integer elimination
 of its own, with Kf and the vertex sums summed off its matrix, and
 spanning-forest counting by determinants.
 
-Three build on library kernels.  The per-class invariants
+Four build on library kernels.  The per-class invariants
 (``cycle_invariants``) combine a summary of each branch of the built
 trees, ``tree_summary`` with ``branch_term``, which the library sums as
 edge cuts while it peels and carries up as branch states in the sweep,
@@ -24,7 +24,9 @@ listing, which other tests check against brute force, reads its matching
 number from its codes, and runs it through the library's per-class
 check, whose kernels other tests check against graphs.  So it checks
 what the fast pass adds to the walk they share: its counts and its
-pruning.  ``recognize_family_by_build`` names a graph's family by
+pruning.  ``sweep_minima_by_product`` scores every state tuple of the
+sweep's compositions, where the sweep folds them by a transfer over the
+cycle positions.  ``recognize_family_by_build`` names a graph's family by
 building every candidate and comparing canonical codes, where the
 library reads the candidates' codes off their parameters.
 """
@@ -38,12 +40,17 @@ from typing import Iterable, NamedTuple, Sequence
 from unikirch.enumeration import (
     CanonicalCode,
     RowCell,
+    SweepMinima,
     _branch_shape,
     _check_class,
+    _minima,
+    _offer,
+    _term_tables,
     canonical_code,
     code_parents,
     enumerate_codes,
     graph_from_code,
+    orbit_compositions,
 )
 from unikirch.families import FamilySpec
 from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic
@@ -319,6 +326,32 @@ def orbit_compositions_bruteforce(n: int, k: int) -> dict[tuple[int, ...], list[
         if min(images) == sizes:
             out[sizes] = sorted(p for p, image in zip(perms[1:], images[1:]) if image == sizes)
     return out
+
+
+def sweep_minima_by_product(n: int) -> SweepMinima:
+    """``enumeration.sweep_minima`` by the product walk: every tuple of
+    least-term branch states on every orbit's least composition offers its
+    own Kf and W to its cells, its matching number by ``cycle_matching``.
+    It shares ``_term_tables`` and ``orbit_compositions`` with the code it
+    checks, and the offer and the expansion into classes (``_offer``,
+    ``_minima``), so it checks the sweep's transfer and its choice of the
+    state tuples that attain each minimum.  Other tests check the tables
+    and the orbits against brute force."""
+    tables = _term_tables(n)
+    kf: dict = {}
+    wiener: dict = {}
+    girth: dict = {}
+    for k in range(3, n + 1):
+        for sizes, fixing in orbit_compositions(n, k):
+            cycle, hops = cycle_terms(sizes)
+            for group in product(*[tables[size] for size in sizes]):
+                m = cycle_matching(group)
+                trees = sum(state.term for state in group)
+                item = (sizes, fixing, group)
+                _offer(kf, m, k * trees + cycle, k, item)
+                _offer(wiener, m, trees + hops, 1, item)
+                _offer(girth, k, k * trees + cycle, k, item)
+    return SweepMinima(n, _minima(kf), _minima(wiener), _minima(girth))
 
 
 def placement_canon_by_marks(k: int, positions) -> tuple[int, ...]:

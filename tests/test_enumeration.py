@@ -1,6 +1,8 @@
 import os
 import random
 from fractions import Fraction
+from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -16,6 +18,7 @@ from oracles import (
     orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
     row_sums,
+    sweep_minima_by_product,
     tree_summary,
     unicyclic_codes_bruteforce,
 )
@@ -24,7 +27,10 @@ from unikirch.enumeration import (
     CanonicalCode,
     _classes,
     _code_states,
+    _State,
+    _steps,
     _term_tables,
+    _transfer,
     _walk,
     canonical_code,
     code_parents,
@@ -48,7 +54,7 @@ from unikirch.graph import (
     peel,
     wiener_index,
 )
-from unikirch.matching import matching_number
+from unikirch.matching import cycle_matching, matching_number
 from unikirch.resistance import branch_row, cycle_route, vertex_sums
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
@@ -375,10 +381,10 @@ def test_classes_merge_dihedral_images():
     path, star = _code_states(3)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
     orbits = _walk(8, [()] + [_code_states(size) for size in range(1, 7)])
-    ((sizes, fixing, tuples),) = [orbit for orbit in orbits if orbit[0] == (1, 3, 1, 3)]
+    ((sizes, fixing, walked),) = [orbit for orbit in orbits if orbit[0] == (1, 3, 1, 3)]
     groups = [(one, path, one, star), (one, star, one, path)]
-    tuples = dict(tuples)
-    assert [tuples[group] for group in groups] == [3, 3]
+    assert set(groups) <= set(walked)
+    assert [cycle_matching(group) for group in groups] == [3, 3]
     classes = _classes((sizes, fixing, group) for group in groups)
     assert list(classes) == [CanonicalCode(4, ("((()))", "()", "(()())", "()"))]
 
@@ -392,6 +398,33 @@ def test_sweep_minima_matches_bruteforce_argmin():
 def test_sweep_minima_matches_bruteforce_argmin_extended():
     for n in range(14, 17):
         assert_sweep_matches_bruteforce(n)
+
+
+def test_sweep_minima_matches_product_walk():
+    # values and argmin codes of every cell against every state tuple
+    for n in range(3, 15):
+        assert sweep_minima(n) == sweep_minima_by_product(n), n
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_sweep_minima_matches_product_walk_extended():
+    # the sweep's ceiling, verification.SWEEP_MAX_N
+    for n in range(15, 21):
+        assert sweep_minima(n) == sweep_minima_by_product(n), n
+
+
+def test_transfer_matching_matches_cycle_matching():
+    # one state per root, free or not, with branch matchings mixed round
+    # the cycle: the (+, *) transfer with unit weights puts each pattern's
+    # one tuple on the matching number that cycle_matching counts
+    states = [(_State(1 + i % 3, i % 3, ()), _State(i % 3, i % 3, ())) for i in range(12)]
+    steps = [[_steps((state,), lambda _: 1) for state in pair] for pair in states]
+    for k in range(1, 13):
+        for pattern in product((0, 1), repeat=k):
+            group = [states[i][free] for i, free in enumerate(pattern)]
+            cycle = [steps[i][free] for i, free in enumerate(pattern)]
+            got = _transfer(range(k), cycle, 1, mul, add)
+            assert got == {cycle_matching(group): 1}, pattern
 
 
 def test_sweep_and_pools_parse_no_code(monkeypatch):

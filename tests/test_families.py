@@ -279,6 +279,13 @@ def test_recognize_family():
     assert canonical_code(got.build()) == canonical_code(make_ukt(6, 2, 3, 0))
     # a double star is no named family
     assert recognize_family(make_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])) is None
+    # nor is a disconnected graph: two triangles (2-regular), a P2 and a
+    # triangle (the degrees of P5), and a triangle with a pendant beside a
+    # triangle (n edges, no canonical code)
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    assert recognize_family(make_graph(6, triangles)) is None
+    assert recognize_family(make_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) is None
+    assert recognize_family(make_graph(7, [*triangles, (0, 6)])) is None
 
 
 def test_code_is_the_canonical_code_of_the_built_graph():
