@@ -9,7 +9,6 @@ from .enumeration import (
     enumerate_with_codes,
     extremal_search,
     free_trees,
-    rooted_tree_code,
     rooted_tree_codes,
 )
 from .families import (

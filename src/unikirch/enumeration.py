@@ -42,7 +42,8 @@ states; the same knapsack gives each state's least depth sum and least
   pendant-deletion bounds class by class only where that bound does not
   decide them.
 
-The last two cache their result per n.  Graphs are built only for
+The last two cache their result per n, and read the state tables of
+each n, which are cached too.  Graphs are built only for
 consumers that need vertex-level data, one class at a time.
 """
 
@@ -57,7 +58,7 @@ from math import inf, prod
 from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Graph, decompose_unicyclic, is_connected
+from .graph import Graph, decompose_unicyclic
 from .matching import cycle_matching
 from .resistance import cycle_cores, cycle_row_numerators, cycle_terms
 
@@ -149,13 +150,6 @@ def _tree_code(adj, root: int) -> str:
                 order.append(w)
                 parents.append(pos)
     return _parents_code(parents)
-
-
-def rooted_tree_code(g: Graph, root: int) -> str:
-    """Canonical code of a tree rooted at the given vertex."""
-    if g.edge_count != g.n - 1 or not is_connected(g):
-        raise ValueError("expected a tree")
-    return _tree_code(g.adjacency, root)
 
 
 def code_parents(code: str) -> list[int]:
@@ -425,11 +419,13 @@ class SweepMinima(NamedTuple):
     kf_by_cycle: dict[int, Minimum]
 
 
-def _term_tables(n: int) -> list[tuple[_State, ...]]:
+@cache
+def _term_tables(n: int) -> tuple[tuple[_State, ...], ...]:
     """Indexed by s <= n - 2, each branch state of the rooted trees on s
     vertices with its least branch term in an n-vertex graph and the
     codes that attain it, and its least depth sum D and least
-    ``branch_row`` entry.  The term sums a (n - a) over a tree's edges, a
+    ``branch_row`` entry.  Cached per n, for the sweep and the row pass
+    of one n alike.  The term sums a (n - a) over a tree's edges, a
     the vertices below, so a tree is least in its state exactly when its
     children form a least multiset of (size, state) items, each weighing
     its term plus s (n - s): an unbounded knapsack.  D sums D + s over the
@@ -464,7 +460,7 @@ def _term_tables(n: int) -> list[tuple[_State, ...]]:
                         cur[1].update(tuple(sorted((*f, c))) for f in kids for c in state.codes)
                     cur[2] = min(cur[2], depth + lift)
                     cur[3] = min(cur[3], vertex + lift, depth + hung)
-    return tables
+    return tuple(tables)
 
 
 def _offer(best: dict, key: int, num: int, den: int, item: tuple) -> None:
@@ -751,8 +747,8 @@ def free_tree_codes(n: int) -> tuple[str, ...]:
         raise ValueError("tree size must be positive")
     seen: set[str] = set()
     for code in rooted_tree_codes(n):
-        g = tree_from_code(code)
-        seen.add(min(rooted_tree_code(g, r) for r in range(n)))
+        adj = tree_from_code(code).adjacency
+        seen.add(min(_tree_code(adj, r) for r in range(n)))
     return tuple(sorted(seen))
 
 

@@ -8,9 +8,10 @@ A connected graph is its 2-core with a rooted branch tree on each core
 vertex; the core of a tree is one vertex, that of a unicyclic graph its
 cycle.  ``peel`` alone finds that structure, in one leaf-peeling pass
 that also sums the branch sizes and the Wiener edge cuts: all that Kf
-and W of a tree or a unicyclic graph read.  ``Peel.trees`` builds the
-branch trees for the vertex sums, the matrix, the canonical codes and
-``matching.matching_number`` (``decompose_unicyclic`` in cycle order).
+and W of a tree or a unicyclic graph read.  The vertex sums read its
+order, parents and subtree sizes.  ``Peel.trees`` builds the branch
+trees for the matrix and, through ``decompose_unicyclic`` in cycle
+order, for the canonical codes and ``matching.matching_number``.
 A tree or a unicyclic graph never builds ``Graph.adjacency``.
 ``without_vertices`` is the one delete-and-relabel.
 """
@@ -201,13 +202,16 @@ class Peel(NamedTuple):
     """A connected graph as its 2-core, core (a cycle in cycle order), with
     sizes[i] vertices in the branch tree on core[i]; cuts sums sub (n - sub)
     over the branch edges, sub the vertices below the edge.  order lists the
-    vertices off the core, children first, and parent gives their parents."""
+    vertices off the core, children first, and parent gives their parents;
+    sub[v] counts the vertices in v's subtree, v included, and is
+    sizes[i] at v = core[i]."""
 
     core: list[int]
     sizes: list[int]
     cuts: int
     order: list[int]
     parent: list[int]
+    sub: list[int]
 
     def trees(self) -> list[tuple[list[int], list[int]]]:
         """The branch tree on each core vertex as (labels, parents): its
@@ -292,7 +296,7 @@ def peel(g: Graph) -> Peel:
     # a second root, or a core vertex the walk missed, has no parent either
     if parent.count(-1) > len(core):
         raise DisconnectedError("expected a connected graph")
-    return Peel(core, [sub[c] for c in core], cuts, order, parent)
+    return Peel(core, [sub[c] for c in core], cuts, order, parent, sub)
 
 
 def decompose_unicyclic(g: Graph) -> list[tuple[list[int], list[int]]] | None:

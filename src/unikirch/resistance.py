@@ -17,10 +17,11 @@ record, ``Route``, writes each of them from what its core gives.
 ``route`` alone picks its constructor.  A core of one vertex or one
 cycle takes ``cycle_route``, the closed forms (tree distance into the
 cycle, cycle resistance d(k-d)/k, tree distance out): Kf and W read the
-sizes and the cuts alone, in O(k) integer sums (``cycle_terms``), and
-only the vertex sums and the matrix build the trees.  Any other core
-takes one fraction-free elimination (``core_inverse``), cubic in the
-core and linear in the branches.
+sizes and the cuts alone, in O(k) integer sums (``cycle_terms``), the
+vertex sums read the peel's order, parents and subtree sizes, and only
+the matrix builds the trees.  Any other core takes one fraction-free
+elimination (``core_inverse``), cubic in the core and linear in the
+branches.
 """
 
 from __future__ import annotations
@@ -183,28 +184,10 @@ def branch_row(parents: Sequence[int], n: int) -> list[int]:
     return row
 
 
-def _row_numerators(
-    trees: Sequence[Sequence[int]], denom: int, core_rows: Sequence[int]
-) -> list[list[int]]:
-    """denom Kf_G(u) for every vertex u of the graph that carries tree i,
-    in parent form (``branch_row``), on vertex i of a core, tree by
-    tree, where core_rows[i] = denom sum_j s_j R_core(i, j).  O(n).  In
-    tree i, Kf_G(u) is its ``branch_row`` entry plus (D - D_i) +
-    core_rows[i] / denom, D the total depth sum."""
-    n = sum(map(len, trees))
-    local = [branch_row(parents, n) for parents in trees]
-    depth_total = sum(row[0] for row in local)
-    rows = []
-    for row, core in zip(local, core_rows):
-        base = denom * (depth_total - row[0]) + core
-        rows.append([denom * x + base for x in row])
-    return rows
-
-
 def cycle_cores(sizes: Sequence[int]) -> list[int]:
     """sum_j s_j d(k - d) for each position i of C_k carrying branches of
-    the given sizes, d the gap |i - j|: ``_row_numerators``' core rows over
-    k, since R(i, j) = d(k - d)/k.  O(k).  With running sums a and b of
+    the given sizes, d the gap |i - j|: the core rows of C_k over k, since
+    R(i, j) = d(k - d)/k.  O(k).  With running sums a and b of
     s_j and j s_j over j < i, sum_j s_j |i - j| is 2(i a - b) +
     sum_j j s_j - i n."""
     k = len(sizes)
@@ -223,10 +206,20 @@ def cycle_cores(sizes: Sequence[int]) -> list[int]:
 
 
 def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``_row_numerators`` of the graph C_k that carries tree i on its
-    i-th vertex, over k, with the ``cycle_cores`` of its branch sizes; one
-    tree (k = 1) is a tree graph.  O(n + k)."""
-    return _row_numerators(trees, len(trees), cycle_cores([len(parents) for parents in trees]))
+    """k Kf_G(u) for every vertex u of the graph C_k that carries tree i, in
+    parent form (``branch_row``), on its i-th vertex, tree by tree; one tree
+    (k = 1) is a tree graph.  O(n + k).  In tree i, Kf_G(u) is its
+    ``branch_row`` entry plus (D - D_i) + c_i / k, with D the total depth
+    sum and c the ``cycle_cores`` of the branch sizes."""
+    k = len(trees)
+    n = sum(map(len, trees))
+    local = [branch_row(parents, n) for parents in trees]
+    depth_total = sum(row[0] for row in local)
+    rows = []
+    for row, core in zip(local, cycle_cores(list(map(len, trees)))):
+        base = k * (depth_total - row[0]) + core
+        rows.append([k * x + base for x in row])
+    return rows
 
 
 class Route(NamedTuple):
@@ -254,15 +247,32 @@ class Route(NamedTuple):
         """The branch terms plus the core's weighted hop sum."""
         return Fraction(self.peel.cuts + self.hops())
 
+    def vertex_numerators(self) -> list[int]:
+        """d Kf_G(u) for every vertex u, by label, from the peel's arrays in
+        two linear passes.  A core vertex c_i has d D + core_rows()[i], D
+        the depth sum of all branches, which is the sum of sub(u) over the
+        vertices u off the core; moving from a parent to its child u brings
+        the n - sub(u) vertices outside u's subtree one step further and the
+        sub(u) inside one step nearer, so u has its parent's value plus
+        d (n - 2 sub(u)).  reversed(order) reaches every parent first."""
+        p, d = self.peel, self.d
+        sub, parent = p.sub, p.parent
+        n = len(sub)
+        nums = [0] * n
+        base = d * sum(map(sub.__getitem__, p.order))
+        for c, x in zip(p.core, self.core_rows()):
+            nums[c] = base + x
+        step, twice = d * n, 2 * d
+        for u in reversed(p.order):
+            nums[u] = nums[parent[u]] + step - twice * sub[u]
+        return nums
+
     def vertex_sums(self) -> list[Fraction]:
-        """Every vertex's resistance row sum, ``_row_numerators`` over d."""
-        trees = self.peel.trees()
-        rows = _row_numerators([parents for _, parents in trees], self.d, self.core_rows())
-        sums = [Fraction(0)] * sum(self.peel.sizes)
-        for (labels, _), nums in zip(trees, rows):
-            for u, x in zip(labels, nums):
-                sums[u] = Fraction(x, self.d)
-        return sums
+        """Every vertex's resistance row sum, ``vertex_numerators`` over d.
+        Equal sums share one Fraction, as the pendants on one vertex do."""
+        d, nums = self.d, self.vertex_numerators()
+        shared = {x: Fraction(x, d) for x in set(nums)}
+        return list(map(shared.__getitem__, nums))
 
     def matrix(self) -> ResistanceMatrix:
         """All-pairs resistances, ``branch_matrix`` with the core
@@ -385,7 +395,8 @@ def kirchhoff_vertex_sum(g: Graph, u: int) -> Fraction:
     """Sum of resistances from u to every vertex."""
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
-    return vertex_sums(g)[u]
+    resist = route(g, peel(g))
+    return Fraction(resist.vertex_numerators()[u], resist.d)
 
 
 def kf_identified(

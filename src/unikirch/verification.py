@@ -604,11 +604,11 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
     tree_pool = [t for n in range(1, 7) for t in free_trees(n)]
 
     @cache
-    def kf_and_sums(g: Graph) -> tuple[Fraction, list[Fraction]]:
-        """Kf and the vertex-sum row of a pool graph from one route, once
-        per graph."""
+    def kf_and_sums(g: Graph) -> tuple[Fraction, list[int], int]:
+        """Kf of a pool graph and its vertex sums as integers over d, from
+        one route, once per graph."""
         resist = route(g, peel(g))
-        return resist.kirchhoff_index(), resist.vertex_sums()
+        return resist.kirchhoff_index(), resist.vertex_numerators(), resist.d
 
     for i in range(trials):
         g = rng.choice(unicyclic_pool)
@@ -617,8 +617,10 @@ def suite_merge_identity(trials: int = 200, seed: int = 0) -> VerificationReport
         w = rng.randrange(h.n)
         merged = identify_vertices(g, u, h, w)
         direct = kirchhoff_index(merged)
-        (kf_g, sums_g), (kf_h, sums_h) = kf_and_sums(g), kf_and_sums(h)
-        closed = kf_identified(kf_g, kf_h, sums_g[u], sums_h[w], g.n, h.n)
+        (kf_g, sums_g, d_g), (kf_h, sums_h, d_h) = kf_and_sums(g), kf_and_sums(h)
+        closed = kf_identified(
+            kf_g, kf_h, Fraction(sums_g[u], d_g), Fraction(sums_h[w], d_h), g.n, h.n
+        )
         report.add(
             f"trial:{i}",
             {"g_n": g.n, "h_n": h.n, "u": u, "w": w},

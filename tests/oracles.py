@@ -12,11 +12,14 @@ grounded-Laplacian solve on the whole graph, by an integer elimination
 of its own, with Kf and the vertex sums summed off its matrix, and
 spanning-forest counting by determinants.
 
-Four build on library kernels.  The per-class invariants
-(``cycle_invariants``) combine a summary of each branch of the built
-trees, ``tree_summary`` with ``branch_term``, which the library sums as
-edge cuts while it peels and carries up as branch states in the sweep,
-with ``matching.cycle_matching`` and
+Five build on library kernels.  ``rooted_tree_code`` encodes a tree of
+any labels from any root by the library's BFS encoding, which
+``enumeration.free_tree_codes`` runs on its own trees, so that tests can
+hold that encoding to the rooted classes of all labeled trees.  The
+per-class invariants (``cycle_invariants``) combine a summary of each
+branch of the built trees, ``tree_summary`` with ``branch_term``, which
+the library sums as edge cuts while it peels and carries up as branch
+states in the sweep, with ``matching.cycle_matching`` and
 ``resistance.cycle_terms``, the cycle kernels that the sweep and the
 closed-form route run, so that tests can check them against graphs.
 ``row_cells_by_class`` takes every class from the library's unfiltered
@@ -46,6 +49,7 @@ from unikirch.enumeration import (
     _minima,
     _offer,
     _term_tables,
+    _tree_code,
     canonical_code,
     code_parents,
     enumerate_codes,
@@ -53,7 +57,7 @@ from unikirch.enumeration import (
     orbit_compositions,
 )
 from unikirch.families import FamilySpec
-from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic
+from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic, is_connected
 from unikirch.matching import cycle_matching
 from unikirch.resistance import ResistanceMatrix, cycle_terms
 
@@ -242,6 +246,15 @@ def all_labeled_trees(n: int):
 
     for seq in product(range(n), repeat=n - 2):
         yield prufer_decode(seq)
+
+
+def rooted_tree_code(g: Graph, root: int) -> str:
+    """Canonical code of a tree rooted at the given vertex: the library's
+    code of the BFS parent positions from the root, taken on a tree that
+    may carry any labels, after checking that g is one."""
+    if g.edge_count != g.n - 1 or not is_connected(g):
+        raise ValueError("expected a tree")
+    return _tree_code(g.adjacency, root)
 
 
 def rooted_tree_classes_bruteforce(n: int) -> int:

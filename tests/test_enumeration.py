@@ -17,6 +17,7 @@ from oracles import (
     make_graph,
     orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
+    rooted_tree_code,
     row_sums,
     sweep_minima_by_product,
     tree_summary,
@@ -42,7 +43,6 @@ from unikirch.enumeration import (
     free_trees,
     graph_from_code,
     orbit_compositions,
-    rooted_tree_code,
     rooted_tree_codes,
     sweep_minima,
     tree_from_code,

@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +28,7 @@ from oracles import (
 )
 from unikirch.enumeration import enumerate_with_codes
 from unikirch.families import (
+    FamilySpec,
     central_vertex,
     make_cycle,
     make_path,
@@ -56,6 +58,8 @@ from unikirch.resistance import (
     route,
     vertex_sums,
 )
+
+EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
 
 def test_cycle_closed_forms():
@@ -139,6 +143,14 @@ def test_matrix_shares_fractions_across_branches():
     # the matrix records those shared objects, each once, for its text
     assert {id(x) for row in mat.rows for x in row} <= {id(x) for x in mat.values}
     assert len(mat.values) <= 8 * k
+
+
+def test_equal_vertex_sums_share_one_fraction():
+    # Unm(60, 10): the pendants on one vertex have one sum, and so one object
+    g = FamilySpec("Unm", (60, 10)).build()
+    sums = vertex_sums(g)
+    assert sums == row_sums(resistance_matrix_dense(g))
+    assert len({id(s) for s in sums}) == len(set(sums)) < 10
 
 
 def test_resistance_is_a_metric(unicyclic_corpus):
@@ -466,30 +478,32 @@ def test_tree_and_cycle_routes_build_no_adjacency():
     assert "adjacency" in vars(g)
 
 
-def test_kf_and_w_build_no_branch_trees(monkeypatch):
+def test_only_the_matrix_builds_branch_trees(monkeypatch):
     g = make_ukt(7, 3, 2, 1)
     tree = Graph(40, frozenset(random_tree_edges(random.Random(2), 40)))
-    expected = [(kirchhoff_index_dense(h), wiener_index(h)) for h in (g, tree)]
+    bicyclic = random_connected_graph(random.Random(3), 30, 1)
+    expected = {}
+    for h in (g, tree, bicyclic):
+        dense = resistance_matrix_dense(h)
+        expected[h] = triangle_sum(dense), wiener_index(h), row_sums(dense)
 
     def no_trees(self):
-        raise AssertionError("Kf or W built the branch trees")
+        raise AssertionError("Kf, W or the vertex sums built the branch trees")
 
     monkeypatch.setattr(Peel, "trees", no_trees)
-    for h, (kf, w) in zip((g, tree), expected):
+    for h, (kf, w, sums) in expected.items():
         assert kirchhoff_index(h) == kf
         assert route(h, peel(h)).wiener() == w
+        assert vertex_sums(h) == sums
     with pytest.raises(AssertionError):
-        vertex_sums(g)
+        route(g, peel(g)).matrix()
 
 
-def test_branch_terms_are_edge_cuts():
+def assert_peel_terms_match_oracles(graphs):
     # the peel sums the branch sizes and the edge cuts as it goes, and Kf and
-    # W read them alone; the oracle sums the same terms over the built trees
-    rng = random.Random(13)
-    graphs = [g for n in range(3, 11) for _, g in enumerate_with_codes(n)]
-    graphs += [relabelled(rng, g) for g in graphs]
-    graphs += [Graph(n, frozenset(random_tree_edges(rng, n))) for n in range(1, 61)]
-    graphs += [random_connected_graph(rng, n, 1) for n in range(3, 61)]
+    # W read them alone; the oracle sums the same terms over the built trees.
+    # The vertex sums read the peel's subtree sizes, and the dense Laplacian
+    # route sums its matrix's rows
     for g in graphs:
         peeled = peel(g)
         trees = peeled.trees()
@@ -499,3 +513,20 @@ def test_branch_terms_are_edge_cuts():
         inv = graph_invariants(g)
         assert kirchhoff_index(g) == inv.kf, g
         assert route(g, peeled).wiener() == inv.wiener, g
+        assert vertex_sums(g) == row_sums(resistance_matrix_dense(g)), g
+
+
+def test_branch_terms_are_edge_cuts():
+    rng = random.Random(13)
+    graphs = [g for n in range(3, 11) for _, g in enumerate_with_codes(n)]
+    graphs += [relabelled(rng, g) for g in graphs]
+    graphs += [Graph(n, frozenset(random_tree_edges(rng, n))) for n in range(1, 61)]
+    graphs += [random_connected_graph(rng, n, 1) for n in range(3, 61)]
+    assert_peel_terms_match_oracles(graphs)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_branch_terms_are_edge_cuts_extended():
+    rng = random.Random(14)
+    graphs = [g for n in (11, 12) for _, g in enumerate_with_codes(n)]
+    assert_peel_terms_match_oracles(graphs + [relabelled(rng, g) for g in graphs])
