@@ -17,6 +17,11 @@ is reproducible byte for byte:
 
 ``FamilySpec.code`` reads a member's canonical code off its parameters,
 so ``family_label`` names a class by comparing codes, building no graph.
+
+Above n = ``LAST_SPECIAL_N`` each prediction is one family member with a
+value polynomial in the family's parameters.  ``BRANCH_FORMS`` states
+those branches, and ``GIRTH_FORM`` the girth bound, as ``ClosedForm``s,
+which ``verification`` proves on a few small members each.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import product
+from operator import add
+from typing import Callable, NamedTuple
 
 from .enumeration import CanonicalCode, canonical_code, dihedral_min
 from .graph import Graph, is_connected
@@ -208,6 +215,11 @@ def _u(k, t, i, j) -> FamilySpec:
     return FamilySpec("U", (k, t, i, j))
 
 
+# The last n at which predicted_min or predicted_min_perfect has a special
+# case: above it every cell lies on one of the BRANCH_FORMS.
+LAST_SPECIAL_N = 14
+
+
 def predicted_min_perfect(m: int) -> ExtremalPrediction:
     """Minimum Kirchhoff index over unicyclic graphs on 2m vertices with
     a perfect matching, with its unique minimizer."""
@@ -269,6 +281,87 @@ def predicted_min(n: int, m: int) -> ExtremalPrediction:
             return _pred([unm, _u(6, 2, 2, 2), _u(7, 3, 2, 1)], Fraction(196))
         return _pred([unm], unm_kf_closed_form(n, 6))
     return _pred([unm], unm_kf_closed_form(n, m))
+
+
+class ClosedForm(NamedTuple):
+    """A closed form that holds for every point p of its range.  There
+    ``predict(*p)`` names ``family(*p)`` alone, with a value that, like Kf
+    of that member, is a polynomial of at most ``degree`` in p.  Two such
+    polynomials that agree on the principal lattice of that degree, the
+    points ``origin`` + a with a >= 0 and sum(a) <= degree, agree
+    everywhere, since the lattice is unisolvent (Chung and Yao 1977);
+    ``guard`` is one more point, off the lattice.  ``case`` names the range
+    and ``claim`` the identity, in the ``variables`` of p."""
+
+    case: str
+    claim: str
+    variables: str
+    family: Callable[..., FamilySpec]
+    predict: Callable[..., ExtremalPrediction]
+    degree: int
+    origin: tuple[int, ...]
+    guard: tuple[int, ...]
+
+    def points(self) -> list[tuple[int, ...]]:
+        """The lattice points, in ascending order, then the guard."""
+        steps = product(range(self.degree + 1), repeat=len(self.origin))
+        lattice = [tuple(map(add, self.origin, a)) for a in steps if sum(a) <= self.degree]
+        return lattice + [self.guard]
+
+
+def _unm_member(i: int, j: int) -> FamilySpec:
+    """Unm(n,m) = U(5,1,i,j): n = 2m + i and m = j + 3."""
+    return FamilySpec("Unm", (i + 2 * j + 6, j + 3))
+
+
+# The closed forms call the functions they state by their global names, so
+# that a test or a tracer may swap them for mutated or wrapped copies.
+# BRANCH_FORMS are the three branches of predicted_min above
+# LAST_SPECIAL_N, U(3,1,n-4,0) for m = 2, Unm(n,m) for n > 2m and
+# Unm(2m,m), which is predicted_min_perfect's, for n = 2m.
+PERFECT_FORM = ClosedForm(
+    "closed-form:n=2m>=16",
+    "Kf(Unm(2m,m)) = predicted_min_perfect(m)",
+    "m",
+    lambda m: FamilySpec("Unm", (2 * m, m)),
+    lambda m: predicted_min_perfect(m),
+    2,
+    (8,),
+    (11,),
+)
+BRANCH_FORMS = (
+    ClosedForm(
+        "closed-form:n>=13,m=2",
+        "Kf(U(3,1,n-4,0)) = predicted_min(n, 2)",
+        "n",
+        lambda n: _u(3, 1, n - 4, 0),
+        lambda n: predicted_min(n, 2),
+        2,
+        (13,),
+        (16,),
+    ),
+    ClosedForm(
+        "closed-form:n>=2m>=6",
+        "Kf(U(5,1,i,j)) = unm_kf_closed_form(2j+i+6, j+3)",
+        "(i,j)",
+        _unm_member,
+        lambda i, j: _pred([_unm_member(i, j)], unm_kf_closed_form(i + 2 * j + 6, j + 3)),
+        2,
+        (0, 0),
+        (3, 3),
+    ),
+    PERFECT_FORM,
+)
+GIRTH_FORM = ClosedForm(
+    "closed-form:n>k>=3",
+    "Kf(U(k,1,i,0)) = girth_min_kf(k+i+1, k)",
+    "(k,i)",
+    lambda k, i: _u(k, 1, i, 0),
+    lambda k, i: _pred([_u(k, 1, i, 0)], girth_min_kf(k + i + 1, k)),
+    3,
+    (3, 0),
+    (7, 1),
+)
 
 
 @lru_cache(maxsize=4096)

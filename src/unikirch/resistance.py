@@ -283,9 +283,18 @@ class Route(NamedTuple):
 def cycle_route(p: Peel) -> Route:
     """The closed forms on a peel whose core is one vertex or C_k: gap g has
     resistance g(k - g)/k, so d = k, pairs() and hops() are the
-    ``cycle_terms`` of the sizes and the rows their ``cycle_cores``.  Pairs
-    of branches with the same gap share their resistances in the matrix."""
+    ``cycle_terms`` of the sizes, computed once for both, and the rows
+    their ``cycle_cores``.  Pairs of branches with the same gap share their
+    resistances in the matrix."""
     k, sizes = len(p.core), p.sizes
+    # a list, not functools.cache, whose wrapper, built per route, would
+    # slow Kf on small graphs by a fifth or more
+    memo: list[tuple[int, int]] = []
+
+    def terms() -> tuple[int, int]:
+        if not memo:
+            memo.append(cycle_terms(sizes))
+        return memo[0]
 
     def cross() -> Callable[[int], Sequence[list[Fraction]]]:
         gaps = [[Fraction(g * (k - g), k)] for g in range(k)]
@@ -294,9 +303,9 @@ def cycle_route(p: Peel) -> Route:
     return Route(
         p,
         k,
-        lambda: cycle_terms(sizes)[0],
+        lambda: terms()[0],
         lambda: cycle_cores(sizes),
-        lambda: cycle_terms(sizes)[1],
+        lambda: terms()[1],
         cross,
     )
 

@@ -4,11 +4,13 @@ and reported case by case.
 
 The suites that enumerate classes sweep the vertex counts of their
 window in ``WINDOWS``: from its least n with a cell to its default n,
-or to its ceiling under ``--extended``.  Claims whose parameter ranges
-exceed the enumerated window are covered by closed-form identity checks
-(predicted value vs. direct computation on the constructed minimizer,
-up to n = 100); reports state that these are identity checks, not
-minimality searches.
+or to its ceiling under ``--extended``.  Above the window, the extremal
+suites compare each remaining cell up to n = 14, the last special case
+of the prediction, with a direct computation on its predicted
+minimizers, and prove each closed form that the prediction takes above
+it, as girth-minima proves its own, from a few small members of its
+family (``families.ClosedForm``).  Reports state that these certify the
+formulas, not minimality over the class.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from .enumeration import (
     sweep_minima,
 )
 from .families import (
+    BRANCH_FORMS,
+    GIRTH_FORM,
+    LAST_SPECIAL_N,
+    PERFECT_FORM,
+    ClosedForm,
     FamilySpec,
     family_label,
     girth_min_kf,
@@ -53,10 +60,22 @@ from .resistance import (
     route,
 )
 
+PROOF_NOTE = (
+    "Cases marked closed-form:* prove an identity on the whole range they "
+    "name: there the prediction of families.py is one family member, and "
+    "its value and Kf of that member are polynomials of at most the stated "
+    "degree in the family's parameters (resistances depend only on vertex "
+    "types and the cycle length), so agreement on a unisolvent lattice of "
+    "points proves them equal; a guard point off the lattice checks the "
+    "degree. This certifies the formula, not minimality over the class, "
+    "which is only enumerated inside the window."
+)
 IDENTITY_NOTE = (
-    "Cases marked identity:* compare a closed-form prediction against direct "
-    "computation on the constructed graph; they certify the formula, not "
-    "minimality over the class, which is only enumerated inside the window."
+    "Cases marked identity:* compare the predicted value of each cell "
+    f"between the window and n = {LAST_SPECIAL_N}, the last special case of "
+    "the prediction, with Kf computed on its predicted minimizers; above "
+    f"n = {LAST_SPECIAL_N} the closed-form:* cases cover every branch of the "
+    "prediction."
 )
 
 
@@ -98,12 +117,17 @@ class VerificationReport:
     def add(self, cid: str, parameters: dict, expected, computed, ok: bool | None = None):
         """Record a case, timed since the previous case or since the report
         was created; it passes when ok, or, if ok is None, when expected ==
-        computed."""
+        computed.  A computed value of expected's type that equals it shows
+        as expected's text, formatted once."""
         if ok is None:
             ok = expected == computed
         ms = round((time.perf_counter() - self._t0) * 1000.0, 3)
         status = "pass" if ok else "fail"
-        self.cases.append(CaseResult(cid, parameters, _fmt(expected), _fmt(computed), status, ms))
+        shown = _fmt(expected)
+        same = type(computed) is type(expected) and computed == expected
+        self.cases.append(
+            CaseResult(cid, parameters, shown, shown if same else _fmt(computed), status, ms)
+        )
         self._t0 = time.perf_counter()
 
     @property
@@ -350,16 +374,66 @@ def suite_tables_nm() -> VerificationReport:
     return report
 
 
-# the matching numbers and vertex counts of the closed-form identity
-# checks of extremal-perfect and extremal
-IDENTITY_M = (8, 9, 10, 12, 25, 50)
-IDENTITY_N = (15, 16, 17, 20, 33, 50, 100)
+# The closed forms that each suite proves past its window.
+CLOSED_FORMS = {
+    "extremal-perfect": (PERFECT_FORM,),
+    "extremal": BRANCH_FORMS,
+    "girth-minima": (GIRTH_FORM,),
+}
+
+
+def _prove(report: VerificationReport, form: ClosedForm) -> None:
+    """Add the case of a closed form to report: it passes when, at every
+    point, the prediction names the family's member alone and Kf of that
+    member, computed, is the predicted value."""
+    points = form.points()
+    *lattice, guard = map(_point, points)
+    expected = (
+        f"{form.claim} at {form.variables} = {', '.join(lattice)}, "
+        f"the degree-{form.degree} lattice, and at {guard}"
+    )
+    computed = expected
+    for p in points:
+        pred, spec = form.predict(*p), form.family(*p)
+        kf = kirchhoff_index(spec.build())
+        if pred.minimizers != (spec,) or kf != pred.value:
+            computed = (
+                f"at {form.variables} = {_point(p)}: Kf({spec.text()}) = "
+                f"{format_rational(kf)}, predicted {pred.describe()}"
+            )
+            break
+    parameters = {"degree": form.degree, "origin": list(form.origin), "guard": list(form.guard)}
+    report.add(form.case, parameters, expected, computed, computed == expected)
+
+
+def _point(p: tuple[int, ...]) -> str:
+    return str(p[0]) if len(p) == 1 else "(" + ",".join(map(str, p)) + ")"
+
+
+def _past_window(report: VerificationReport, n_max: int, cells=()) -> None:
+    """The cases of a suite past its enumerated window, n <= n_max: an
+    identity:* case for each of the cells, (id, parameters, prediction),
+    whose predicted minimizers must all have the predicted Kf, then the
+    suite's closed-form:* cases, with a note for each kind of case.  A
+    window below the suite's floor, which ``refusal`` refuses, checks
+    nothing."""
+    if n_max < WINDOWS[report.suite].floor:
+        return
+    for cid, parameters, pred in cells:
+        ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)
+        report.add(cid, parameters, pred.value, pred.value if ok else "mismatch", ok)
+    if any(c.id.startswith("identity:") for c in report.cases):
+        report.notes.append(IDENTITY_NOTE)
+    for form in CLOSED_FORMS[report.suite]:
+        _prove(report, form)
+    report.notes.append(PROOF_NOTE)
 
 
 def suite_extremal_perfect(m_max: int) -> VerificationReport:
     """Enumerated minimum of Kf over the perfect-matching classes versus
-    the predicted minimizer, which must also be unique; closed-form
-    identity checks for the m of ``IDENTITY_M`` above m_max."""
+    the predicted minimizer, which must also be unique; above m_max, the
+    prediction checked directly up to n = ``LAST_SPECIAL_N`` and proved
+    above it."""
     report = VerificationReport("extremal-perfect", 0)
     for sweep in map(sweep_minima, range(WINDOWS["extremal-perfect"].floor, 2 * m_max + 1, 2)):
         m = sweep.n // 2
@@ -370,18 +444,19 @@ def suite_extremal_perfect(m_max: int) -> VerificationReport:
             f"{pred.describe()} (unique)",
             *_argmin_cell(sweep.kf[m], pred.minimizers, pred.value),
         )
-    for m in (m for m in IDENTITY_M if m > m_max):  # the others are enumerated above
-        pred = predicted_min_perfect(m)
-        direct = kirchhoff_index(pred.minimizers[0].build())
-        report.add(f"identity:m={m}", {"n": 2 * m, "m": m}, pred.value, direct)
-    report.notes.append(IDENTITY_NOTE)
+    cells = (
+        (f"identity:m={m}", {"n": 2 * m, "m": m}, predicted_min_perfect(m))
+        for m in range(m_max + 1, LAST_SPECIAL_N // 2 + 1)
+    )
+    _past_window(report, 2 * m_max, cells)
     return report
 
 
 def suite_extremal(n_max: int) -> VerificationReport:
     """Enumerated minimum of Kf over every (n, m) cell in the window
     versus the predicted minimizer set, compared as isomorphism classes;
-    closed-form identity checks for the n of ``IDENTITY_N`` above it."""
+    above n_max, the prediction checked directly up to n =
+    ``LAST_SPECIAL_N`` and proved above it."""
     report = VerificationReport("extremal", 0)
     for sweep in map(sweep_minima, range(WINDOWS["extremal"].floor, n_max + 1)):
         n = sweep.n
@@ -395,18 +470,12 @@ def suite_extremal(n_max: int) -> VerificationReport:
                 pred.describe(),
                 *_argmin_cell(best, pred.minimizers, pred.value),
             )
-    for n in (n for n in IDENTITY_N if n > n_max):  # the others are enumerated above
-        for m in range(2, n // 2 + 1):
-            pred = predicted_min(n, m)
-            ok = all(kirchhoff_index(s.build()) == pred.value for s in pred.minimizers)
-            report.add(
-                f"identity:n={n},m={m}",
-                {"n": n, "m": m},
-                pred.value,
-                pred.value if ok else "mismatch",
-                ok,
-            )
-    report.notes.append(IDENTITY_NOTE)
+    cells = (
+        (f"identity:n={n},m={m}", {"n": n, "m": m}, predicted_min(n, m))
+        for n in range(n_max + 1, LAST_SPECIAL_N + 1)
+        for m in range(2, n // 2 + 1)
+    )
+    _past_window(report, n_max, cells)
     return report
 
 
@@ -465,7 +534,8 @@ def suite_deletion_bounds(n_max: int) -> VerificationReport:
 def suite_girth_minima(n_max: int) -> VerificationReport:
     """Per (n, k): the minimum Kf over n-vertex unicyclic graphs with
     cycle length k must be the closed-form bound, attained uniquely at
-    U(k,1,n-k-1,0)."""
+    U(k,1,n-k-1,0); the bound is proved to be Kf of U(k,1,n-k-1,0) for
+    every n > k >= 3."""
     report = VerificationReport("girth-minima", 0)
     for sweep in map(sweep_minima, range(WINDOWS["girth-minima"].floor, n_max + 1)):
         n = sweep.n
@@ -479,6 +549,7 @@ def suite_girth_minima(n_max: int) -> VerificationReport:
                 f"{spec.text()} = {format_rational(value)} (unique)",
                 *_argmin_cell(best, (spec,), value),
             )
+    _past_window(report, n_max)
     return report
 
 

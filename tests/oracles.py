@@ -3,9 +3,11 @@
 Most are brute force, exhaustive and exponential on purpose: distances
 by Floyd-Warshall, matchings by edge-subset search, isomorphism classes
 of labeled unicyclic graphs by orbit closure under all vertex
-permutations, trees by Prufer decoding.  ``peel_by_adjacency`` peels a
-graph by its adjacency lists, where ``graph.peel`` keeps only neighbour
-counts and XORs.
+permutations, with the size of each orbit, trees by Prufer decoding.
+``automorphism_count`` reads the symmetries of a class off its canonical
+code, so that n!/|Aut| summed over the listing can be held to the count
+of labeled graphs.  ``peel_by_adjacency`` peels a graph by its adjacency
+lists, where ``graph.peel`` keeps only neighbour counts and XORs.
 
 The two resistance routes that the program does not run live here: the
 grounded-Laplacian solve on the whole graph, by an integer elimination
@@ -37,7 +39,9 @@ library reads the candidates' codes off their parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
+from math import factorial, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from unikirch.enumeration import (
@@ -183,6 +187,12 @@ def _connected_subset(n: int, edge_list) -> bool:
 def labeled_unicyclic_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
     """One labeled representative per isomorphism class of connected
     graphs with n vertices and n edges, by permutation orbit closure."""
+    return [edges for edges, _ in labeled_unicyclic_orbits(n)]
+
+
+def labeled_unicyclic_orbits(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """``labeled_unicyclic_classes`` with the size of each class's orbit:
+    how many labeled graphs on n vertices it has."""
     pairs = list(combinations(range(n), 2))
     pair_index = {p: i for i, p in enumerate(pairs)}
     perms = list(permutations(range(n)))
@@ -204,13 +214,43 @@ def labeled_unicyclic_classes(n: int) -> list[tuple[tuple[int, int], ...]]:
         edge_list = [pairs[i] for i in subset]
         if not _connected_subset(n, edge_list):
             continue
-        reps.append(tuple(edge_list))
+        orbit = set()
         for table in perm_edge_maps:
             pm = 0
             for i in subset:
                 pm |= 1 << table[i]
-            seen.add(pm)
+            orbit.add(pm)
+        reps.append((tuple(edge_list), len(orbit)))
+        seen |= orbit
     return reps
+
+
+def automorphism_count(code: CanonicalCode) -> int:
+    """|Aut| of the class with this code: the elements of the dihedral
+    group of its cycle that fix the branch-code sequence, times the
+    automorphisms of each branch as a rooted tree.  Then n!/|Aut| is the
+    number of labeled graphs in the class (orbit-stabiliser)."""
+    seq = code.branch_codes
+    rotations = [seq[r:] + seq[:r] for r in range(len(seq))]
+    fixing = sum(image == seq for rot in rotations for image in (rot, rot[::-1]))
+    return fixing * prod(map(_rooted_automorphisms, seq))
+
+
+@cache
+def _rooted_automorphisms(code: str) -> int:
+    """|Aut| of a rooted tree by its code "(" + sorted child codes + ")":
+    at the root, each multiset of c equal children contributes c! ways to
+    permute them and each child's own automorphisms."""
+    children, depth, start = [], 0, 1
+    for at, bracket in enumerate(code[1:-1], start=1):
+        depth += 1 if bracket == "(" else -1
+        if depth == 0:
+            children.append(code[start : at + 1])
+            start = at + 1
+    return prod(
+        factorial(children.count(child)) * _rooted_automorphisms(child) ** children.count(child)
+        for child in set(children)
+    )
 
 
 def prufer_decode(seq: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -113,7 +113,11 @@ def test_criterion_04_all_cells_extremal():
     assert computed["cell:n=12,m=2"] == "{U(3,1,8,0), U(4,1,7,0)} = 113"
     assert computed["cell:n=9,m=4"] == "{C9, U(7,1,1,0)} = 60"
     assert computed["cell:n=11,m=4"] == "{U(6,2,3,0), U(7,1,3,0)} = 100"
-    assert any(c.id.startswith("identity:n=100") for c in report.cases)
+    # n = 13 and 14 checked cell by cell, every larger n proved
+    identities = [c.id for c in report.cases if c.id.startswith("identity:")]
+    assert identities == [f"identity:n={n},m={m}" for n in (13, 14) for m in range(2, n // 2 + 1)]
+    proofs = [c.id for c in report.cases if c.id.startswith("closed-form:")]
+    assert proofs == ["closed-form:n>=13,m=2", "closed-form:n>=2m>=6", "closed-form:n=2m>=16"]
     assert report.notes
     finish("4 every (n,m) cell, n<=12", t0, 600)
 
@@ -141,7 +145,10 @@ def test_criterion_07_girth_minima():
     t0 = time.time()
     report = suite_girth_minima(n_max=9)
     assert_green(report)
-    assert len(report.cases) == sum(n - 3 for n in range(4, 10))
+    cells = [c.id for c in report.cases if c.id.startswith("cell:")]
+    assert len(cells) == sum(n - 3 for n in range(4, 10))
+    # the closed form itself is proved for every n > k >= 3
+    assert [c.id for c in report.cases] == cells + ["closed-form:n>k>=3"]
     finish("7 per-girth minima n<=9", t0, 120)
 
 
@@ -218,7 +225,9 @@ def test_extended_window_extremal():
     for m, value in zip(range(3, 9), (219, 232, 245, 258, 271, 284)):
         hub = f"U(5,1,{16 - 2 * m},{m - 3})"
         assert computed[f"cell:n=16,m={m}"] == f"{{{hub}}} = {value}"
-    # the enumerated n = 15 and 16 need no identity checks
-    assert not any(c.id.startswith(("identity:n=15,", "identity:n=16,")) for c in report.cases)
-    assert any(c.id.startswith("identity:n=17,") for c in report.cases)
+    # every cell to n = 16 is enumerated, none checked cell by cell, and
+    # every larger n proved
+    assert not any(c.id.startswith("identity:") for c in report.cases)
+    proofs = [c.id for c in report.cases if c.id.startswith("closed-form:")]
+    assert proofs == ["closed-form:n>=13,m=2", "closed-form:n>=2m>=6", "closed-form:n=2m>=16"]
     finish("4x every (n,m) cell, n<=16 (extended)", t0, 3600)

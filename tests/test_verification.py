@@ -1,13 +1,16 @@
 import json
 import os
 import time
+import types
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from oracles import placement_canon_by_marks, row_cells_by_class
-from unikirch import enumeration, verification
+from unikirch import enumeration, families, verification
 from unikirch.enumeration import (
     _branch_shape,
     _pendant_differences,
@@ -18,10 +21,19 @@ from unikirch.enumeration import (
     row_cells,
     sweep_minima,
 )
+from unikirch.families import (
+    LAST_SPECIAL_N,
+    FamilySpec,
+    predicted_min,
+    predicted_min_perfect,
+)
 from unikirch.graph import without_vertices
 from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
 from unikirch.verification import (
     _PLACEMENT_CLASS_COUNTS,
+    CLOSED_FORMS,
+    IDENTITY_NOTE,
+    PROOF_NOTE,
     WINDOWS,
     VerificationReport,
     _gap_positions,
@@ -81,22 +93,32 @@ def test_suite_tables_nm():
     assert report.passed == 2 * (35 + 55 + 36 + 4) + 4
 
 
-def test_suite_extremal_perfect_small(monkeypatch):
-    monkeypatch.setattr(verification, "IDENTITY_M", (8, 9))
+def test_suite_extremal_perfect_small():
+    # m = 2..4 enumerated, m = 5..7 checked one by one, m >= 8 proved
     report = suite_extremal_perfect(m_max=4)
     assert_green(report)
-    assert any(c.id == "perfect:m=4" for c in report.cases)
-    assert any(c.id.startswith("identity:") for c in report.cases)
-    assert report.notes
+    assert [c.id for c in report.cases] == [
+        "perfect:m=2",
+        "perfect:m=3",
+        "perfect:m=4",
+        "identity:m=5",
+        "identity:m=6",
+        "identity:m=7",
+        "closed-form:n=2m>=16",
+    ]
+    assert report.notes == [IDENTITY_NOTE, PROOF_NOTE]
 
 
-def test_suite_extremal_small(monkeypatch):
-    monkeypatch.setattr(verification, "IDENTITY_N", (15,))
+def test_suite_extremal_small():
     report = suite_extremal(n_max=8)
     assert_green(report)
-    ids = {c.id for c in report.cases}
+    ids = [c.id for c in report.cases]
     assert "cell:n=8,m=4" in ids
-    assert "identity:n=15,m=2" in ids
+    identities = [i for i in ids if i.startswith("identity:")]
+    cells = [f"n={n},m={m}" for n in range(9, 15) for m in range(2, n // 2 + 1)]
+    assert identities == ["identity:" + cell for cell in cells]
+    assert ids[-3:] == ["closed-form:n>=13,m=2", "closed-form:n>=2m>=6", "closed-form:n=2m>=16"]
+    assert report.notes == [IDENTITY_NOTE, PROOF_NOTE]
 
 
 def test_suite_vertex_sum_bound_small():
@@ -114,6 +136,8 @@ def test_suite_girth_minima_small():
     report = suite_girth_minima(n_max=7)
     assert_green(report)
     assert any(c.id == "cell:n=5,k=3" for c in report.cases)
+    assert report.cases[-1].id == "closed-form:n>k>=3"
+    assert report.notes == [PROOF_NOTE]
 
 
 def test_suite_cycle_placements():
@@ -203,19 +227,171 @@ def test_report_failure_accounting():
     assert not any(c.id.startswith("cell:") for c in report.cases)
 
 
-def test_identity_cases_lie_above_the_enumerated_window(monkeypatch):
-    # an identity case inside the window would repeat an enumerated cell
-    monkeypatch.setattr(verification, "IDENTITY_M", (4, 8))
-    monkeypatch.setattr(verification, "IDENTITY_N", (8, 15))
+def test_identity_cases_lie_above_the_enumerated_window():
+    # whatever the window, its cells and the identity cells are every cell
+    # up to n = 14 once, in order, and the closed forms follow them
+    def split(report, enumerated):
+        ids = [c.id for c in report.cases]
+        assert_green(report)
+        cells = [i.partition(":")[2] for i in ids if i.startswith((enumerated, "identity:"))]
+        proofs = [i for i in ids if i.startswith("closed-form:")]
+        return cells, [i for i in ids if i.startswith("identity:")], proofs
+
+    for n_max in (4, 8, 13, 14, 15):
+        cells, identities, proofs = split(suite_extremal(n_max=n_max), "cell:")
+        top = max(n_max, LAST_SPECIAL_N)
+        assert cells == [f"n={n},m={m}" for n in range(4, top + 1) for m in range(2, n // 2 + 1)]
+        assert all(int(i[len("identity:n=") :].partition(",")[0]) > n_max for i in identities)
+        assert proofs == [form.case for form in CLOSED_FORMS["extremal"]]
+    for m_max in (2, 4, 7, 8):
+        cells, identities, proofs = split(suite_extremal_perfect(m_max=m_max), "perfect:")
+        assert cells == [f"m={m}" for m in range(2, max(m_max, LAST_SPECIAL_N // 2) + 1)]
+        assert identities == [f"identity:m={m}" for m in range(m_max + 1, 8)]
+        assert proofs == ["closed-form:n=2m>=16"]
+
+
+def test_an_identity_case_fails_on_a_wrong_prediction(monkeypatch):
+    def predict(m):
+        pred = predicted_min_perfect(m)
+        return pred._replace(value=pred.value + 1) if m == 7 else pred
+
+    monkeypatch.setattr(verification, "predicted_min_perfect", predict)
     report = suite_extremal_perfect(m_max=4)
-    assert_green(report)
-    ids = {c.id for c in report.cases}
-    assert {"perfect:m=4", "identity:m=8"} <= ids and "identity:m=4" not in ids
-    report = suite_extremal(n_max=8)
-    assert_green(report)
-    ids = {c.id for c in report.cases}
-    assert {"cell:n=8,m=4", "identity:n=15,m=2"} <= ids
-    assert not any(i.startswith("identity:n=8,") for i in ids)
+    assert [c.id for c in report.cases if c.status == "fail"] == ["identity:m=7"]
+
+
+def test_a_closed_form_fails_where_the_prediction_names_another_member():
+    # a point proves the branch only where the family's member is the
+    # whole prediction, even when the member's Kf is the predicted value
+    m2 = CLOSED_FORMS["extremal"][0]
+
+    def predict(n):
+        pred = m2.predict(n)
+        return pred._replace(minimizers=pred.minimizers + (FamilySpec("C", (n,)),))
+
+    report = VerificationReport("closed-forms", 0)
+    verification._prove(report, m2._replace(predict=predict))
+    assert [c.status for c in report.cases] == ["fail"]
+    assert report.cases[0].computed.startswith("at n = 13: Kf(U(3,1,9,0)) = ")
+
+
+# The closed forms of families.py whose coefficients the mutation test
+# changes, one at a time, and the case that each must then fail.
+UNM = "n * n + n * m - 5 * n - 3 * m + 4"
+M2 = "3 * n * n - 8 * n + 3, 3"
+PERFECT = "6 * m * m - 13 * m + 4"
+GIRTH = "-(k**3) + 2 * n * k * k - (12 * n - 13) * k + 12 * n * n - 14 * n"
+MUTATIONS = [
+    (UNM, "n * n +", "2 * n * n +", "closed-form:n>=2m>=6"),
+    (UNM, "+ n * m", "+ 2 * n * m", "closed-form:n>=2m>=6"),
+    (UNM, "- 5 * n", "- 4 * n", "closed-form:n>=2m>=6"),
+    (UNM, "- 3 * m", "- 2 * m", "closed-form:n>=2m>=6"),
+    (UNM, "+ 4", "+ 5", "closed-form:n>=2m>=6"),
+    (M2, "3 * n * n", "4 * n * n", "closed-form:n>=13,m=2"),
+    (M2, "- 8 * n", "- 7 * n", "closed-form:n>=13,m=2"),
+    (M2, "+ 3,", "+ 4,", "closed-form:n>=13,m=2"),
+    (PERFECT, "6 * m * m", "7 * m * m", "closed-form:n=2m>=16"),
+    (PERFECT, "- 13 * m", "- 12 * m", "closed-form:n=2m>=16"),
+    (PERFECT, "+ 4", "+ 5", "closed-form:n=2m>=16"),
+    (GIRTH, "-(k**3)", "-(2 * k**3)", "closed-form:n>k>=3"),
+    (GIRTH, "+ 2 * n * k * k", "+ 3 * n * k * k", "closed-form:n>k>=3"),
+    (GIRTH, "(12 * n -", "(11 * n -", "closed-form:n>k>=3"),
+    (GIRTH, "- 13)", "- 12)", "closed-form:n>k>=3"),
+    (GIRTH, "+ 12 * n * n", "+ 11 * n * n", "closed-form:n>k>=3"),
+    (GIRTH, "- 14 * n", "- 13 * n", "closed-form:n>k>=3"),
+]
+
+
+def use_mutated_families(monkeypatch, form: str, mutated: str) -> None:
+    """Point the closed forms at the functions of a copy of families.py in
+    which the expression form reads mutated."""
+    source = Path(families.__file__).read_text()
+    assert source.count(form) == 1, form
+    module = types.ModuleType(families.__name__)
+    module.__package__ = families.__package__
+    exec(compile(source.replace(form, mutated), families.__file__, "exec"), vars(module))
+    for name in ("predicted_min", "predicted_min_perfect", "unm_kf_closed_form", "girth_min_kf"):
+        monkeypatch.setattr(families, name, getattr(module, name))
+
+
+def failed_closed_forms() -> set[str]:
+    report = VerificationReport("closed-forms", 0)
+    for form in dict.fromkeys(f for forms in CLOSED_FORMS.values() for f in forms):
+        verification._prove(report, form)
+    assert [c.id for c in report.cases] == [
+        "closed-form:n=2m>=16",
+        "closed-form:n>=13,m=2",
+        "closed-form:n>=2m>=6",
+        "closed-form:n>k>=3",
+    ]
+    return {c.id for c in report.cases if c.status == "fail"}
+
+
+def test_closed_forms_pass_on_an_unchanged_copy(monkeypatch):
+    use_mutated_families(monkeypatch, UNM, UNM)
+    assert failed_closed_forms() == set()
+
+
+@pytest.mark.parametrize("form, coefficient, changed, case", MUTATIONS)
+def test_a_changed_coefficient_fails_its_closed_form(monkeypatch, form, coefficient, changed, case):
+    assert form.count(coefficient) == 1
+    use_mutated_families(monkeypatch, form, form.replace(coefficient, changed))
+    assert failed_closed_forms() == {case}
+
+
+def test_closed_form_lattices_are_unisolvent():
+    # the monomials of degree <= d take linearly independent values on the
+    # lattice, one point per monomial, so a polynomial of degree <= d is
+    # fixed by its values there; the guard lies off the lattice
+    for form in dict.fromkeys(f for forms in CLOSED_FORMS.values() for f in forms):
+        *lattice, guard = form.points()
+        steps = product(range(form.degree + 1), repeat=len(form.origin))
+        exponents = [a for a in steps if sum(a) <= form.degree]
+        rows = [[Fraction(prod(map(pow, p, a))) for a in exponents] for p in lattice]
+        assert len(rows) == len(exponents) and rank(rows) == len(exponents), form.case
+        assert guard not in lattice
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """The rank of a matrix, by Gaussian elimination over the rationals."""
+    rows = [row[:] for row in rows]
+    found = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(found + 1, len(rows)):
+            factor = rows[r][col] / rows[found][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
+def test_the_prediction_above_n_14_is_the_closed_forms():
+    # the branch structure that makes the closed-form cases proofs: above
+    # LAST_SPECIAL_N every cell's prediction is the member and value of
+    # one closed form, and the values along the one-parameter branches
+    # have degree 2; at n = 14 some cell is still special
+    m2, unm, perfect = CLOSED_FORMS["extremal"]
+
+    def on_branch(n, m):
+        if n == 2 * m:
+            form, p = perfect, (m,)
+        else:
+            form, p = (m2, (n,)) if m == 2 else (unm, (n - 2 * m, m - 3))
+        pred = predicted_min(n, m)
+        return pred == form.predict(*p) and pred.minimizers == (form.family(*p),)
+
+    cells = [(n, m) for n in range(LAST_SPECIAL_N, 101) for m in range(2, n // 2 + 1)]
+    assert all(on_branch(n, m) for n, m in cells if n > LAST_SPECIAL_N)
+    assert not all(on_branch(n, m) for n, m in cells if n == LAST_SPECIAL_N)
+    for values in (
+        [predicted_min(n, 2).value for n in range(13, 101)],
+        [predicted_min_perfect(m).value for m in range(8, 51)],
+    ):
+        quads = zip(values, values[1:], values[2:], values[3:])
+        assert {a - 3 * b + 3 * c - d for a, b, c, d in quads} == {0}
 
 
 def test_run_suite_reads_windows_from_the_table(monkeypatch):
@@ -243,23 +419,23 @@ def test_run_suite_reads_windows_from_the_table(monkeypatch):
 @pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
 def test_sweep_suites_reach_their_ceiling_extended():
     # --extended runs the sweep-backed windows to n = 20: every (n, m) cell
-    # is enumerated, and the identity checks lie above the window
+    # is enumerated, so no cell is checked one by one, and the closed forms
+    # are proved past the window
     report = suite_extremal(n_max=20)
     assert_green(report)
     cells = [f"cell:n={n},m={m}" for n in range(4, 21) for m in range(2, n // 2 + 1)]
-    assert [c.id for c in report.cases if c.id.startswith("cell:")] == cells
+    proofs = [form.case for form in CLOSED_FORMS["extremal"]]
+    assert [c.id for c in report.cases] == cells + proofs
     assert len(cells) == 81
-    identities = [c.id for c in report.cases if c.id.startswith("identity:")]
-    assert len(identities) == 88  # m = 2..n // 2 for n = 33, 50 and 100
-    assert not any(i.startswith(("identity:n=17,", "identity:n=20,")) for i in identities)
+    assert report.notes == [PROOF_NOTE]
     report = suite_extremal_perfect(m_max=10)
     assert_green(report)
-    ids = [c.id for c in report.cases]
-    assert {"perfect:m=9", "perfect:m=10"} <= set(ids)
-    identities = [i for i in ids if i.startswith("identity:")]
-    assert identities == [f"identity:m={m}" for m in (12, 25, 50)]
+    perfect = [f"perfect:m={m}" for m in range(2, 11)]
+    assert [c.id for c in report.cases] == perfect + ["closed-form:n=2m>=16"]
     # the girth and Wiener suites read the same sweeps
-    assert_green(suite_girth_minima(n_max=20))
+    report = suite_girth_minima(n_max=20)
+    assert_green(report)
+    assert report.cases[-1].id == "closed-form:n>k>=3"
     assert_green(suite_wiener_divergence(n_max=20))
 
 
