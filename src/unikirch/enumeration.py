@@ -13,13 +13,16 @@ ascending cycle length: each orbit's least composition and the
 rotations and reflections that fix it.  A branch's state is its
 matching number and the matching that leaves its root unmatched; a
 tuple of states on the positions of a composition fixes the matching
-number (``matching.cycle_matching``).  The classes of a state tuple are
-the products of its states' code pools, each kept once among its images
-under the composition's symmetries: ``_tuple_classes`` counts them,
-listing them only when a symmetry fixes the composition, and
-``_classes`` turns them into dihedral-minimal codes in sorted order.
-``_walk`` gives an orbit's state tuples one by one; ``_transfer`` folds
-them instead, a cycle position at a time, per matching number.
+number, which one rule counts: ``_steps`` moves a key over the cycle's
+roots in order, carrying the parity of the current and of the first run
+of free roots.  ``_transfer`` folds the tuples by those moves, a cycle
+position at a time, per matching number; ``_walk`` lists them by the
+same moves, each with the matching number its final key gives.  The
+classes of a state tuple are the products of its states' code pools,
+each kept once among its images under the composition's symmetries:
+``_tuple_classes`` counts them, listing them only when a symmetry fixes
+the composition, and ``_classes`` turns them into dihedral-minimal codes
+in sorted order.
 
 ``_code_states`` generates the rooted trees already grouped by state,
 each tree's state carried up from its children's, so no code is parsed
@@ -28,7 +31,8 @@ one branch term per branch, W_b + D_b (n - s_b): its own hop sum and
 its depth sum once per vertex outside it.  ``_term_tables`` finds each
 state's least term and the trees with it by a knapsack over child
 states; the same knapsack gives each state's least depth sum and least
-``branch_row`` entry.  Four folds read the orbits:
+branch entry, a vertex's distance sum inside its branch plus its depth
+once per vertex outside it.  Four folds read the orbits:
 
 - ``enumerate_codes`` lists the classes of every state tuple, or of the
   tuples of one matching number;
@@ -38,9 +42,9 @@ states; the same knapsack gives each state's least depth sum and least
   sum per matching number, in integers, and expands into classes only
   the compositions and tuples that attain a cell's minimum;
 - ``row_cells`` bounds each tuple's vertex sums from below by the least
-  depth sums and ``branch_row`` entries, and checks the vertex-sum and
+  depth sums and branch entries, and checks the vertex-sum and
   pendant-deletion bounds class by class only where that bound does not
-  decide them.
+  decide them, on the vertex sums of the class's ``resistance.Route``.
 
 The last two cache their result per n, and read the state tables of
 each n, which are cached too.  Graphs are built only for
@@ -56,30 +60,31 @@ from functools import cache
 from itertools import groupby, product
 from math import inf, prod
 from operator import add, attrgetter, itemgetter, mul
+from sys import maxsize
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Graph, decompose_unicyclic
-from .matching import cycle_matching
-from .resistance import cycle_cores, cycle_row_numerators, cycle_terms
+from .graph import Graph, Peel, decompose_unicyclic
+from .resistance import cycle_cores, cycle_route, cycle_terms
 
 
 class _State(NamedTuple):
-    """The rooted trees of one size in one branch state, all
-    ``matching.cycle_matching`` reads of a branch: its matching number, and
-    the same with its root left unmatched, equal when the root is free.  A
-    pool holds every tree; a sweep table, the least-term ones, with the
-    state's minima over all its trees; the row pass's, every tree with
-    those minima."""
+    """The rooted trees of one size in one branch state, all that the
+    matching number of a cycle reads of a branch (``_steps``): its matching
+    number, and the same with its root left unmatched, equal when the root
+    is free.  A pool holds every tree; a sweep table, the least-term ones,
+    with the state's minima over all its trees; the row pass's, every tree
+    with those minima."""
 
     matching: int
     root_free: int
     codes: tuple[str, ...]  # sorted
     term: int = 0  # in a sweep table, the least branch term
     depth: int = 0  # the least depth sum D
-    vertex: int = 0  # the least ``branch_row`` entry
+    vertex: int = 0  # the least branch entry, S(u) + depth(u) (n - s)
 
 
 _pools: dict[int, tuple[_State, ...]] = {}
+_pool_steps: dict[int, list] = {}  # the ``_walk`` steps of each pool
 
 
 def _code_states(size: int) -> tuple[_State, ...]:
@@ -118,7 +123,15 @@ def _code_states(size: int) -> tuple[_State, ...]:
         emit(s - 1, len(items) - 1, [], 0, False)
         states = (_State(*state, tuple(sorted(codes))) for state, codes in by_state.items())
         _pools[s] = tuple(sorted(states, key=lambda state: state.codes[0]))
+        _pool_steps[s] = _steps(_pools[s], _itself)
     return _pools[size]
+
+
+def _walk_pools(n: int) -> list:
+    """The ``_walk`` steps of the pools of every branch size on n vertices,
+    indexed by size: the triangle has the largest branches, of n - 2."""
+    _code_states(n - 2)
+    return [()] + [_pool_steps[size] for size in range(1, n - 1)]
 
 
 def rooted_tree_codes(size: int) -> tuple[str, ...]:
@@ -152,24 +165,26 @@ def _tree_code(adj, root: int) -> str:
     return _parents_code(parents)
 
 
-def code_parents(code: str) -> list[int]:
-    """Parent of every vertex of a rooted code, vertices numbered in
-    depth-first order from the root 0, whose parent is -1."""
-    parents = [-1]
-    top = 0  # the vertex whose children are being read
-    for ch in code[1:-1]:
-        if ch == "(":
-            parents.append(top)
-            top = len(parents) - 1
-        else:
-            top = parents[top]
+def code_parents(codes: Sequence[str]) -> list[int]:
+    """Parent of every vertex of the rooted trees of codes: root i is
+    vertex i, with parent -1, and the other vertices follow in depth-first
+    order, tree by tree, each after its parent."""
+    parents = [-1] * len(codes)
+    for root, code in enumerate(codes):
+        top = root  # the vertex whose children are being read
+        for ch in code[1:-1]:
+            if ch == "(":
+                parents.append(top)
+                top = len(parents) - 1
+            else:
+                top = parents[top]
     return parents
 
 
 def tree_from_code(code: str) -> Graph:
     """Rebuild a tree from a rooted code; the root gets label 0 and the
     remaining vertices are numbered in depth-first order."""
-    parents = code_parents(code)
+    parents = code_parents([code])
     return Graph(len(parents), frozenset((p, v) for v, p in enumerate(parents) if v))
 
 
@@ -214,23 +229,34 @@ def canonical_code(g: Graph) -> CanonicalCode:
     return CanonicalCode(len(trees), dihedral_min(seq))
 
 
+def _code_peel(branch_codes: Sequence[str]) -> Peel:
+    """The ``graph.Peel`` of the cycle that carries the rooted tree of
+    branch_codes[i] on its i-th vertex, labelled as ``graph_from_code``
+    labels it, from one walk over the codes (``code_parents``).  Every
+    vertex comes after its parent, so the labels in descending order put
+    children first, and in that order each subtree is complete when its
+    size goes to its parent's and its edge cut to the sum."""
+    parent = code_parents(branch_codes)
+    k, n = len(branch_codes), len(parent)
+    sub = [1] * n
+    cuts = 0
+    order = list(range(n - 1, k - 1, -1))
+    for v in order:
+        s = sub[v]
+        sub[parent[v]] += s
+        cuts += s * (n - s)
+    return Peel(list(range(k)), sub[:k], cuts, order, parent, sub)
+
+
 def graph_from_code(code: CanonicalCode) -> Graph:
     """Build the canonical representative: cycle vertices 0..k-1, branch
-    vertices appended in depth-first order per cycle position."""
+    vertices appended in depth-first order per cycle position, each
+    joined to its parent (``code_parents``), as ``_code_peel`` labels it."""
     k = code.cycle_length
+    parent = code_parents(code.branch_codes)
     edges = [((i, i + 1) if i + 1 < k else (0, k - 1)) for i in range(k)]
-    nxt = k
-    for i, bc in enumerate(code.branch_codes):
-        stack = [i]
-        for ch in bc[1:-1]:
-            if ch == "(":
-                a, b = stack[-1], nxt
-                edges.append((a, b) if a < b else (b, a))
-                stack.append(nxt)
-                nxt += 1
-            else:
-                stack.pop()
-    return Graph(nxt, frozenset(edges))
+    edges += zip(parent[k:], range(k, len(parent)))
+    return Graph(len(parent), frozenset(edges))
 
 
 def orbit_compositions(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
@@ -297,43 +323,41 @@ def _fixing(seq: tuple[int, ...], period: int) -> list[itemgetter] | None:
     return fixing
 
 
-def _walk(
-    n: int, tables: Sequence[Sequence[_State]]
-) -> Iterator[tuple[tuple[int, ...], list[itemgetter], Iterable[tuple[_State, ...]]]]:
-    """The product walk over the classes on n vertices: each composition
-    of n over a cycle, one per dihedral orbit in ascending cycle length,
-    with the symmetries that fix it, and the tuples of its positions'
-    states in tables (tables[s] holds the branch states of the rooted
-    trees on s vertices)."""
+def _orbits(n: int) -> Iterator[tuple[tuple[int, ...], list[itemgetter]]]:
+    """``orbit_compositions`` of n over every cycle length, ascending."""
     for k in range(3, n + 1):
-        for sizes, fixing in orbit_compositions(n, k):
-            yield sizes, fixing, product(*[tables[size] for size in sizes])
+        yield from orbit_compositions(n, k)
 
 
-# The transfer reads a cycle's roots in order and keeps, per key, the least
-# branch-term sum or the number of state tuples that reach it.  A key is
+# The matching number of a cycle is read off its roots in order, by a key:
 # carry + 8 * (the branch matchings so far, plus one for each run of free
-# roots that has reached an even length).  The carry's bits: 1, the
-# current run of free roots is odd; 2, the run before the first root that
-# is not free was odd; 4, a root that is not free was seen.  Those two odd
-# runs meet round the cycle, so a final carry of 7 gains one more.
-def _steps(table: Sequence[_State], weight) -> list[list[tuple[int, int]]]:
+# roots that has reached an even length).  A root is free when its branch
+# loses nothing by leaving it unmatched, and a cycle edge gains one exactly
+# when both of its roots are free.  The carry's bits: 1, the current run of
+# free roots is odd; 2, the run before the first root that is not free was
+# odd; 4, a root that is not free was seen.  Those two odd runs meet round
+# the cycle, so a final carry of 7 gains one more: the matching number is
+# (key >> 3) + (key & 7 == 7).  The matching part key >> 3 never falls.
+def _steps(table: Sequence[_State], weight) -> list[list[tuple[int, object]]]:
     """Per carry, the key step and the weight of placing each state of
-    table on the next root."""
-    steps = []
-    for carry in range(8):
-        odd = carry & 1
-        moves = []
-        for state in table:
-            if state.matching == state.root_free:
-                step = 7 if odd else 1  # the run turns even and gains, or turns odd
-            elif carry & 4:
-                step = -odd
-            else:
-                step = 4 + odd  # the first run ends: 4 is set, its parity moves to 2
-            moves.append((step + 8 * state.matching, weight(state)))
-        steps.append(moves)
-    return steps
+    table on the next root.  A step reads only the carry's bits 1 and 4,
+    so the carries that differ in bit 2 share one list."""
+    lists: tuple[list, ...] = ([], [], [], [])  # carries 0, 1, 4 and 5
+    for state in table:
+        matched, value = 8 * state.matching, weight(state)
+        if state.matching == state.root_free:
+            steps = (1, 7, 1, 7)  # the run turns odd, or turns even and gains one
+        else:
+            steps = (4, 5, 0, -1)  # the first run ends (4 set, its parity into 2); a later one
+        for moves, step in zip(lists, steps):
+            moves.append((matched + step, value))
+    even, odd, even_seen, odd_seen = lists
+    return [even, odd, even, odd, even_seen, odd_seen, even_seen, odd_seen]
+
+
+def _itself(state: _State) -> _State:
+    """The weight of a state in the ``_walk`` steps: the state itself."""
+    return state
 
 
 def _transfer(sizes: Sequence[int], steps, unit, times, plus) -> dict[int, int]:
@@ -356,6 +380,27 @@ def _transfer(sizes: Sequence[int], steps, unit, times, plus) -> dict[int, int]:
         m = (key >> 3) + (key & 7 == 7)
         by_matching[m] = plus(by_matching[m], acc) if m in by_matching else acc
     return by_matching
+
+
+def _walk(sizes: Sequence[int], steps, m: int | None = None) -> list[tuple[int, tuple]]:
+    """Each tuple of states on the positions of a cycle with branch sizes
+    sizes, in the order of their product, with its matching number; with
+    m, only the tuples of matching number m.  steps[s] is ``_steps`` of
+    the states on s vertices with each state as its own weight.  The
+    tuples grow a position at a time by the transfer's key steps, and a
+    prefix is dropped once its matching part exceeds m."""
+    limit = maxsize if m is None else m
+    front = [(0, ())]
+    for size in sizes:
+        moves = steps[size]
+        front = [
+            (after, group + (state,))
+            for key, group in front
+            for step, state in moves[key & 7]
+            if (after := key + step) >> 3 <= limit
+        ]
+    walked = [((key >> 3) + (key & 7 == 7), group) for key, group in front]
+    return walked if m is None else [item for item in walked if item[0] == m]
 
 
 def _tuple_classes(
@@ -382,16 +427,15 @@ def _tuple_classes(
 
 def enumerate_codes(n: int, m: int | None = None) -> Iterator[CanonicalCode]:
     """Stream one code per isomorphism class, in ascending order;
-    optionally filter by matching number, dropping whole state tuples."""
+    optionally filter by matching number, which ``_walk`` applies to
+    whole state tuples as it builds them."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
-    # the triangle has the largest branches, of n - 2 vertices
-    pools = [()] + [_code_states(size) for size in range(1, n - 1)]
+    steps = _walk_pools(n)
     yield from _classes(
         (sizes, fixing, group)
-        for sizes, fixing, groups in _walk(n, pools)
-        for group in groups
-        if m is None or cycle_matching(group) == m
+        for sizes, fixing in _orbits(n)
+        for _, group in _walk(sizes, steps, m)
     )
 
 
@@ -423,8 +467,8 @@ class SweepMinima(NamedTuple):
 def _term_tables(n: int) -> tuple[tuple[_State, ...], ...]:
     """Indexed by s <= n - 2, each branch state of the rooted trees on s
     vertices with its least branch term in an n-vertex graph and the
-    codes that attain it, and its least depth sum D and least
-    ``branch_row`` entry.  Cached per n, for the sweep and the row pass
+    codes that attain it, and its least depth sum D and least branch
+    entry (``_State``).  Cached per n, for the sweep and the row pass
     of one n alike.  The term sums a (n - a) over a tree's edges, a
     the vertices below, so a tree is least in its state exactly when its
     children form a least multiset of (size, state) items, each weighing
@@ -519,25 +563,25 @@ def sweep_minima(n: int) -> SweepMinima:
     kf: dict = {}
     wiener: dict = {}
     girth: dict = {}
-    for k in range(3, n + 1):
-        for sizes, fixing in orbit_compositions(n, k):
-            cycle, hops = cycle_terms(sizes)
-            least = _transfer(sizes, steps, 0, add, min)
-            for m, trees in least.items():
-                item = (sizes, fixing, m, trees)
-                _offer(kf, m, k * trees + cycle, k, item)
-                _offer(wiener, m, trees + hops, 1, item)
-            trees = min(least.values())
-            _offer(girth, k, k * trees + cycle, k, (sizes, fixing, None, trees))
+    for sizes, fixing in _orbits(n):
+        k = len(sizes)
+        cycle, hops = cycle_terms(sizes)
+        least = _transfer(sizes, steps, 0, add, min)
+        for m, trees in least.items():
+            item = (sizes, fixing, m, trees)
+            _offer(kf, m, k * trees + cycle, k, item)
+            _offer(wiener, m, trees + hops, 1, item)
+        trees = min(least.values())
+        _offer(girth, k, k * trees + cycle, k, (sizes, fixing, None, trees))
     cells = (kf, wiener, girth)
+    walk = [_steps(table, _itself) for table in tables]
     for best in cells:
         for key, (num, den, offers) in best.items():
             best[key] = num, den, [
                 (sizes, fixing, group)
                 for sizes, fixing, m, trees in offers
-                for group in product(*[tables[size] for size in sizes])
+                for _, group in _walk(sizes, walk, m)
                 if sum(state.term for state in group) == trees
-                and (m is None or cycle_matching(group) == m)
             ]
     return SweepMinima(n, *map(_minima, cells))
 
@@ -550,52 +594,17 @@ def counts_by_matching(n: int) -> dict[int, int]:
     state tuples' classes (``_tuple_classes``)."""
     if n < 3:
         raise ValueError("unicyclic graphs need at least 3 vertices")
+    walk = _walk_pools(n)
     pools = [()] + [_code_states(size) for size in range(1, n - 1)]
     steps = [_steps(pool, lambda state: len(state.codes)) for pool in pools]
     counts: Counter = Counter()
-    for sizes, fixing, groups in _walk(n, pools):
+    for sizes, fixing in _orbits(n):
         if not fixing:
             counts.update(_transfer(sizes, steps, 1, mul, add))
             continue
-        for group in groups:
-            counts[cycle_matching(group)] += _tuple_classes(group, fixing)[0]
+        for m, group in _walk(sizes, walk):
+            counts[m] += _tuple_classes(group, fixing)[0]
     return dict(sorted(counts.items()))
-
-
-def _branch_shape(code: str) -> tuple[list[int], list[int]]:
-    """(parents, degrees) of the vertices of a branch code, in the order of
-    ``code_parents``, with degrees as in the graph: the root also has its
-    two cycle edges."""
-    parents = code_parents(code)
-    degrees = [1] * len(parents)
-    degrees[0] = 2
-    for p in parents[1:]:
-        degrees[p] += 1
-    return parents, degrees
-
-
-def _pendant_differences(
-    shapes: list[tuple[list[int], list[int]]], rows: list[list[int]]
-) -> Iterator[tuple[int, int, int, int, int | None]]:
-    """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
-    None unless y has degree 2) for every pendant vertex x of the class
-    whose branches have the ``_branch_shape``s shapes and its neighbour
-    y, labelled as in ``graph_from_code``, from the rows k Kf_G(u) of
-    ``cycle_row_numerators``.
-
-    Deleting a pendant vertex or path leaves the other resistances as they
-    were (Klein and Randic 1993), so the differences come from G's row
-    sums: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y) with r(x, y) = 1.
-    """
-    k = len(shapes)
-    offset = k - 1  # the label of branch vertex v > 0 is offset + v
-    for i, ((parents, degrees), row) in enumerate(zip(shapes, rows)):
-        for v in range(1, len(parents)):
-            if degrees[v] == 1:
-                p = parents[v]
-                pair = row[v] + row[p] - k if degrees[p] == 2 else None
-                yield offset + v, offset + p if p else i, degrees[p], row[v], pair
-        offset += len(parents) - 1
 
 
 class RowCell:
@@ -630,35 +639,55 @@ class RowCell:
         return f"RowCell({fields})"
 
 
+def _class_rows(seq: Sequence[str]) -> tuple[Peel, list[int], list[int]]:
+    """The ``_code_peel`` of the class with branch codes seq, and k Kf_G(u)
+    and the degree of every vertex u, by label as in ``graph_from_code``:
+    the numerators of its ``resistance.cycle_route``, and one more than
+    the children of a branch vertex, two more of a cycle vertex."""
+    p = _code_peel(seq)
+    k = len(seq)
+    degrees = [2] * k + [1] * (len(p.parent) - k)
+    for v in p.order:
+        degrees[p.parent[v]] += 1
+    return p, cycle_route(p).vertex_numerators(), degrees
+
+
 def _check_class(seq: tuple[str, ...], cell: RowCell) -> None:
     """Add to the cell the violations and equalities of the class with
-    branch codes seq: its resistance row read as the integers k Kf_G(u),
-    compared with k times each bound.  Degrees come from the codes."""
+    branch codes seq: its resistance row read as the integers k Kf_G(u)
+    (``_class_rows``), compared with k times each bound.
+
+    Deleting a pendant vertex x, or a pendant path x-y with y of degree
+    2, leaves the other resistances as they were (Klein and Randic 1993),
+    so the differences come from G's row sums: k (Kf(G) - Kf(G-x)) is
+    k Kf_G(x), and k (Kf(G) - Kf(G-x-y)) is k (Kf_G(x) + Kf_G(y) - 1),
+    since r(x, y) = 1."""
     n, m, k = cell.n, cell.m, len(seq)
-    shapes = [_branch_shape(c) for c in seq]
-    rows = cycle_row_numerators([parents for parents, _ in shapes])
-    degrees = [d for _, branch_degrees in shapes for d in branch_degrees]
+    p, nums, degrees = _class_rows(seq)
     max_deg = max(degrees)
     unique_max = degrees.count(max_deg) == 1
     code = CanonicalCode(k, dihedral_min(seq))
     bound = k * (n + m - 4)
-    for (_, branch_degrees), row in zip(shapes, rows):
-        for deg, num in zip(branch_degrees, row):
-            if num < bound:
-                cell.violations += 1
-            elif num == bound:
-                insort(cell.equalities, (code, deg == max_deg and unique_max))
+    for deg, num in zip(degrees, nums):
+        if num < bound:
+            cell.violations += 1
+        elif num == bound:
+            insort(cell.equalities, (code, deg == max_deg and unique_max))
     bound1 = k * (2 * n + m - 6)
     bound2 = k * (5 * n + 2 * m - 19)
-    for _, _, y_degree, diff1, diff2 in _pendant_differences(shapes, rows):
-        if diff1 < bound1:
+    for x in p.order:
+        if degrees[x] > 1:
+            continue
+        y = p.parent[x]
+        if nums[x] < bound1:
             cell.deletion_violations += 1
-        elif diff1 == bound1:
-            insort(cell.eq_single, (code, y_degree == max_deg))
-        if diff2 is not None:
-            if diff2 < bound2:
+        elif nums[x] == bound1:
+            insort(cell.eq_single, (code, degrees[y] == max_deg))
+        if degrees[y] == 2:
+            pair = nums[x] + nums[y] - k
+            if pair < bound2:
                 cell.deletion_violations += 1
-            elif diff2 == bound2:
+            elif pair == bound2:
                 insort(cell.eq_pair, code)
 
 
@@ -670,13 +699,13 @@ def row_cells(n: int) -> list[RowCell]:
     process; cached cells are shared: do not modify them.
 
     In branch i of C_k, k Kf_G(u) = k (B(u) + sum_{j != i} D_j) + c_i,
-    with B the ``branch_row`` entry, D_j the depth sums and c_i the
+    with B the branch entry (``_State``), D_j the depth sums and c_i the
     ``cycle_cores`` of the composition.  Fix the composition and the state
     of each position, and take per state the least D and the least B, which
     ``_term_tables`` finds from the children's states without reading a
     tree: the least row entry in branch i is then at least
     k (B_i + sum_{j != i} D_j) + c_i.  That one bound decides the deletion
-    differences (``_pendant_differences``) too, by the series rule: a
+    differences (``_check_class``) too, by the series rule: a
     pendant x on y has Kf_G(x) = Kf_G(y) + n - 2, and a pendant path x-y
     on z has Kf_G(x) + Kf_G(y) - 1 = 2 Kf_G(z) + 3n - 11.  So in a group
     whose least row entry exceeds k (n + m - 4), every pendant difference
@@ -687,20 +716,20 @@ def row_cells(n: int) -> list[RowCell]:
     symmetry is a sum of products of its states' counts, and the others
     count over their listed classes.  A code's pendant vertices are the
     "()" inside its outer brackets, so no count parses a code."""
-    tables: list = [()]
+    steps: list = [()]
     pendants: dict[str, int] = {}  # of all a state's codes, keyed by its least code
     for size, table in enumerate(_term_tables(n)[1:], 1):
         minima = {(state.matching, state.root_free): state for state in table}
         states = _code_states(size)
-        tables.append([minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states])
+        rows = [minima[s.matching, s.root_free]._replace(codes=s.codes) for s in states]
+        steps.append(_steps(rows, _itself))
         for state in states:
             pendants[state.codes[0]] = sum(code[1:-1].count("()") for code in state.codes)
     cells: dict[int, RowCell] = {}
-    for sizes, fixing, groups in _walk(n, tables):
+    for sizes, fixing in _orbits(n):
         k = len(sizes)
         cores = cycle_cores(sizes)
-        for group in groups:
-            m = cycle_matching(group)
+        for m, group in _walk(sizes, steps):
             if m < 3:
                 continue
             if m not in cells:

@@ -5,13 +5,14 @@ when both are unmatched.  That is maximum, and it leaves the root
 unmatched exactly when the root is free: when the branch loses nothing
 by it.  A cycle edge gains one exactly when both of its roots are free,
 so on the cycle consecutive free roots pair up.  ``matching_number``
-builds a witness so from ``graph.decompose_unicyclic``;
-``cycle_matching`` counts it from branch states alone.
+builds a witness so from ``graph.decompose_unicyclic``; the class walks
+of ``enumeration`` count the same number from branch states alone, by
+the carry of ``enumeration._steps``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import Graph, decompose_unicyclic
 
@@ -52,35 +53,6 @@ def matching_number(g: Graph) -> MatchingResult:
             edges.append((pending, r) if pending < r else (r, pending))
             pending = None
     return MatchingResult(len(edges), frozenset(edges))
-
-
-def cycle_matching(branches: Sequence) -> int:
-    """Matching number of the cycle carrying branch i on its i-th vertex:
-    the branch matchings plus what the cycle edges gain, in one pass.
-    Each branch has the fields ``matching``, its matching number, and
-    ``root_free``, the same with its root left unmatched.
-
-    A root is free when its branch loses nothing by leaving it unmatched,
-    and a cycle edge adds one to the matching exactly when both of its
-    roots are free.  So the gain is k // 2 on a fully free cycle, else
-    half of each maximal run of free roots, rounded down, where the run
-    before the first root that is not free wraps round onto the last
-    run.  A single root (k = 1, a tree) gains nothing.
-    """
-    total = gain = run = 0
-    lead = -1  # the length of the run before the first root that is not free
-    for b in branches:
-        total += b.matching
-        if b.matching == b.root_free:
-            run += 1
-        elif lead < 0:
-            lead, run = run, 0
-        else:
-            gain += run // 2
-            run = 0
-    if lead < 0:
-        return total + run // 2
-    return total + gain + (lead + run) // 2
 
 
 def has_perfect_matching(g: Graph) -> bool:

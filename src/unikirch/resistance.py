@@ -167,23 +167,6 @@ def cycle_terms(sizes: Sequence[int]) -> tuple[int, int]:
     return cycle, hops
 
 
-def branch_row(parents: Sequence[int], n: int) -> list[int]:
-    """S(u) + h(u) (n - s) for every vertex u of a rooted tree on s vertices
-    in parent form (each vertex's parent position, every vertex after its
-    parent and the root's -1), hung in an n-vertex graph: u's distance sum
-    inside the tree plus its depth h once per vertex outside it.  The
-    root's entry is the tree's depth sum.  S reroots as S(child) =
-    S(parent) + s - 2 sub(child), so an entry is its parent's plus
-    n - 2 sub(child).  O(s)."""
-    sub = [1] * len(parents)
-    for v in range(len(parents) - 1, 0, -1):
-        sub[parents[v]] += sub[v]
-    row = [sum(sub) - len(sub)] * len(sub)
-    for v in range(1, len(sub)):
-        row[v] = row[parents[v]] + n - 2 * sub[v]
-    return row
-
-
 def cycle_cores(sizes: Sequence[int]) -> list[int]:
     """sum_j s_j d(k - d) for each position i of C_k carrying branches of
     the given sizes, d the gap |i - j|: the core rows of C_k over k, since
@@ -203,23 +186,6 @@ def cycle_cores(sizes: Sequence[int]) -> list[int]:
         a += s
         b += i * s
     return core
-
-
-def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
-    """k Kf_G(u) for every vertex u of the graph C_k that carries tree i, in
-    parent form (``branch_row``), on its i-th vertex, tree by tree; one tree
-    (k = 1) is a tree graph.  O(n + k).  In tree i, Kf_G(u) is its
-    ``branch_row`` entry plus (D - D_i) + c_i / k, with D the total depth
-    sum and c the ``cycle_cores`` of the branch sizes."""
-    k = len(trees)
-    n = sum(map(len, trees))
-    local = [branch_row(parents, n) for parents in trees]
-    depth_total = sum(row[0] for row in local)
-    rows = []
-    for row, core in zip(local, cycle_cores(list(map(len, trees)))):
-        base = k * (depth_total - row[0]) + core
-        rows.append([k * x + base for x in row])
-    return rows
 
 
 class Route(NamedTuple):

@@ -21,8 +21,9 @@ hold that encoding to the rooted classes of all labeled trees.  The
 per-class invariants (``cycle_invariants``) combine a summary of each
 branch of the built trees, ``tree_summary`` with ``branch_term``, which
 the library sums as edge cuts while it peels and carries up as branch
-states in the sweep, with ``matching.cycle_matching`` and
-``resistance.cycle_terms``, the cycle kernels that the sweep and the
+states in the sweep, with ``cycle_matching``, which counts the cycle's
+matching number run by run where the library carries it as a key, and
+``resistance.cycle_terms``, the cycle kernel that the sweep and the
 closed-form route run, so that tests can check them against graphs.
 ``row_cells_by_class`` takes every class from the library's unfiltered
 listing, which other tests check against brute force, reads its matching
@@ -34,6 +35,13 @@ sweep's compositions, where the sweep folds them by a transfer over the
 cycle positions.  ``recognize_family_by_build`` names a graph's family by
 building every candidate and comparing canonical codes, where the
 library reads the candidates' codes off their parameters.
+
+The vertex rows branch by branch (``branch_row``,
+``cycle_row_numerators``), with the degrees and pendant differences read
+off each branch's parsed code (``branch_shape``,
+``pendant_differences``), are the row pass's former kernel; the library
+now reads the rows of a class off one peel of its codes, by
+``resistance.Route.vertex_numerators``.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from unikirch.enumeration import (
     CanonicalCode,
     RowCell,
     SweepMinima,
-    _branch_shape,
     _check_class,
     _minima,
     _offer,
@@ -62,8 +69,7 @@ from unikirch.enumeration import (
 )
 from unikirch.families import FamilySpec
 from unikirch.graph import DisconnectedError, Graph, decompose_unicyclic, is_connected
-from unikirch.matching import cycle_matching
-from unikirch.resistance import ResistanceMatrix, cycle_terms
+from unikirch.resistance import ResistanceMatrix, cycle_cores, cycle_terms
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -422,13 +428,13 @@ def row_cells_by_class(n: int) -> list[RowCell]:
     on n vertices with m >= 3, counting each class and pendant vertex."""
     cells: dict[int, RowCell] = {}
     for code in enumerate_codes(n):
-        m = cycle_matching([tree_summary(code_parents(c)) for c in code.branch_codes])
+        m = cycle_matching([tree_summary(code_parents([c])) for c in code.branch_codes])
         if m < 3:
             continue
         cell = cells.setdefault(m, RowCell(n, m))
         cell.graphs += 1
         for c in code.branch_codes:
-            cell.pendants += _branch_shape(c)[1].count(1)  # a root has degree 2 or more
+            cell.pendants += branch_shape(c)[1].count(1)  # a root has degree 2 or more
         _check_class(code.branch_codes, cell)
     return [cells[m] for m in sorted(cells)]
 
@@ -677,6 +683,37 @@ def cycle_invariants(branches: Sequence[BranchSummary]) -> Invariants:
     )
 
 
+def cycle_matching(branches: Sequence) -> int:
+    """Matching number of the cycle carrying branch i on its i-th vertex:
+    the branch matchings plus what the cycle edges gain, in one pass over
+    the roots, where the library carries the same count as a key
+    (``enumeration._steps``).  Each branch has the fields ``matching``, its
+    matching number, and ``root_free``, the same with its root left
+    unmatched.
+
+    A root is free when its branch loses nothing by leaving it unmatched,
+    and a cycle edge adds one to the matching exactly when both of its
+    roots are free.  So the gain is k // 2 on a fully free cycle, else
+    half of each maximal run of free roots, rounded down, where the run
+    before the first root that is not free wraps round onto the last
+    run.  A single root (k = 1, a tree) gains nothing.
+    """
+    total = gain = run = 0
+    lead = -1  # the length of the run before the first root that is not free
+    for b in branches:
+        total += b.matching
+        if b.matching == b.root_free:
+            run += 1
+        elif lead < 0:
+            lead, run = run, 0
+        else:
+            gain += run // 2
+            run = 0
+    if lead < 0:
+        return total + run // 2
+    return total + gain + (lead + run) // 2
+
+
 def cycle_matching_gain_by_runs(free_roots: list[bool]) -> int:
     """What the cycle edges add to the branch matchings of a cycle whose
     roots are free (unmatched at no loss in their branch) as listed: k // 2
@@ -703,7 +740,77 @@ def graph_invariants(g: Graph) -> Invariants:
 
 def invariants_from_code(code: CanonicalCode) -> Invariants:
     """``cycle_invariants`` of a class, read off its branch codes."""
-    return cycle_invariants([tree_summary(code_parents(c)) for c in code.branch_codes])
+    return cycle_invariants([tree_summary(code_parents([c])) for c in code.branch_codes])
+
+
+# ---------------------------------------------------------------------------
+# vertex rows branch by branch, where the library reads them off one peel
+
+
+def branch_row(parents: Sequence[int], n: int) -> list[int]:
+    """S(u) + h(u) (n - s) for every vertex u of a rooted tree on s vertices
+    in parent form (each vertex's parent position, every vertex after its
+    parent and the root's -1), hung in an n-vertex graph: u's distance sum
+    inside the tree plus its depth h once per vertex outside it.  The
+    root's entry is the tree's depth sum.  S reroots as S(child) =
+    S(parent) + s - 2 sub(child), so an entry is its parent's plus
+    n - 2 sub(child).  O(s)."""
+    sub = [1] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        sub[parents[v]] += sub[v]
+    row = [sum(sub) - len(sub)] * len(sub)
+    for v in range(1, len(sub)):
+        row[v] = row[parents[v]] + n - 2 * sub[v]
+    return row
+
+
+def cycle_row_numerators(trees: Sequence[Sequence[int]]) -> list[list[int]]:
+    """k Kf_G(u) for every vertex u of the graph C_k that carries tree i, in
+    parent form (``branch_row``), on its i-th vertex, tree by tree; one tree
+    (k = 1) is a tree graph.  O(n + k).  In tree i, Kf_G(u) is its
+    ``branch_row`` entry plus (D - D_i) + c_i / k, with D the total depth
+    sum and c the ``cycle_cores`` of the branch sizes."""
+    k = len(trees)
+    n = sum(map(len, trees))
+    local = [branch_row(parents, n) for parents in trees]
+    depth_total = sum(row[0] for row in local)
+    rows = []
+    for row, core in zip(local, cycle_cores(list(map(len, trees)))):
+        base = k * (depth_total - row[0]) + core
+        rows.append([k * x + base for x in row])
+    return rows
+
+
+def branch_shape(code: str) -> tuple[list[int], list[int]]:
+    """(parents, degrees) of the vertices of a branch code, in the order of
+    ``code_parents``, with degrees as in the graph: the root also has its
+    two cycle edges."""
+    parents = code_parents([code])
+    degrees = [1] * len(parents)
+    degrees[0] = 2
+    for p in parents[1:]:
+        degrees[p] += 1
+    return parents, degrees
+
+
+def pendant_differences(
+    shapes: list[tuple[list[int], list[int]]], rows: list[list[int]]
+) -> Iterable[tuple[int, int, int, int, int | None]]:
+    """(x, y, degree of y, k (Kf(G) - Kf(G-x)), k (Kf(G) - Kf(G-x-y)) or
+    None unless y has degree 2) for every pendant vertex x of the class
+    whose branches have the ``branch_shape``s shapes and its neighbour
+    y, labelled as in ``graph_from_code``, from the rows k Kf_G(u) of
+    ``cycle_row_numerators``: Kf_G(x), and Kf_G(x) + Kf_G(y) - r(x, y)
+    with r(x, y) = 1."""
+    k = len(shapes)
+    offset = k - 1  # the label of branch vertex v > 0 is offset + v
+    for i, ((parents, degrees), row) in enumerate(zip(shapes, rows)):
+        for v in range(1, len(parents)):
+            if degrees[v] == 1:
+                p = parents[v]
+                pair = row[v] + row[p] - k if degrees[p] == 2 else None
+                yield offset + v, offset + p if p else i, degrees[p], row[v], pair
+        offset += len(parents) - 1
 
 
 # ---------------------------------------------------------------------------

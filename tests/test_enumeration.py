@@ -10,7 +10,9 @@ import pytest
 from oracles import (
     all_labeled_trees,
     argmin_by_cell,
+    branch_row,
     branch_term,
+    cycle_matching,
     graph_invariants,
     invariants_from_code,
     kirchhoff_index_dense,
@@ -30,12 +32,15 @@ from unikirch import enumeration
 from unikirch.enumeration import (
     CanonicalCode,
     _classes,
+    _code_peel,
     _code_states,
+    _itself,
     _State,
     _steps,
     _term_tables,
     _transfer,
     _walk,
+    _walk_pools,
     canonical_code,
     code_parents,
     counts_by_matching,
@@ -57,8 +62,8 @@ from unikirch.graph import (
     peel,
     wiener_index,
 )
-from unikirch.matching import cycle_matching, matching_number
-from unikirch.resistance import branch_row, cycle_route, vertex_sums
+from unikirch.matching import matching_number
+from unikirch.resistance import cycle_route, vertex_sums
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 
@@ -141,6 +146,24 @@ def test_graph_from_code_round_trip(unicyclic_corpus):
         for code, g in pairs:
             assert canonical_code(g) == code
             assert graph_from_code(code) == g
+
+
+def test_code_peel_matches_graph_peel():
+    # the peel walked off a class's codes against graph.peel of its built
+    # graph, which finds the cycle and the branches by peeling leaves: the
+    # same core, sizes, cuts, parents and subtree sizes, an order that puts
+    # every vertex before its parent, and the same vertex sums by label
+    for n in range(3, 11):
+        for code, g in enumerate_with_codes(n):
+            walked, peeled = _code_peel(code.branch_codes), peel(g)
+            for field in ("core", "sizes", "cuts", "parent", "sub"):
+                assert getattr(walked, field) == getattr(peeled, field), (code, field)
+            assert sorted(walked.order) == sorted(peeled.order), code
+            place = {v: i for i, v in enumerate(walked.order)}
+            k = code.cycle_length
+            assert all(walked.parent[v] < k or place[walked.parent[v]] > place[v] for v in place)
+            nums = cycle_route(walked).vertex_numerators()
+            assert nums == cycle_route(peeled).vertex_numerators(), code
 
 
 def test_enumerate_smallest():
@@ -286,7 +309,7 @@ def test_invariants_from_code_deep_branch():
     assert inv.kf == 2 + kf_path + (s - 1) * Fraction(4, 3) + s * (s - 1)
     assert inv.wiener == 3 + w_path + (s - 1) * 2 + s * (s - 1)
     assert inv.matching == (s + 2) // 2
-    assert code_parents(path) == [-1] + list(range(s - 1))
+    assert code_parents([path]) == [-1] + list(range(s - 1))
 
 
 def test_codes_of_a_deep_branch():
@@ -328,7 +351,7 @@ def parsed_states(size):
     # states in the order of their least codes
     states: dict = {}
     for code in rooted_tree_codes(size):
-        b = tree_summary(code_parents(code))
+        b = tree_summary(code_parents([code]))
         states.setdefault((b.matching, b.root_free), []).append((b, code))
     return states
 
@@ -345,7 +368,7 @@ def assert_state_tables_match_bruteforce(ns):
             expected = {}
             for state, trees in parsed_states(size).items():
                 least = min(branch_term(b, n) for b, _ in trees)
-                rows = [branch_row(code_parents(c), n) for _, c in trees]
+                rows = [branch_row(code_parents([c]), n) for _, c in trees]
                 expected[state] = (
                     least,
                     tuple(c for b, c in trees if branch_term(b, n) == least),
@@ -422,11 +445,11 @@ def test_classes_merge_dihedral_images():
     (one,) = _code_states(1)
     path, star = _code_states(3)
     assert (path.codes, star.codes) == (("((()))",), ("(()())",))
-    orbits = _walk(8, [()] + [_code_states(size) for size in range(1, 7)])
-    ((sizes, fixing, walked),) = [orbit for orbit in orbits if orbit[0] == (1, 3, 1, 3)]
+    sizes = (1, 3, 1, 3)
+    fixing = dict(orbit_compositions(8, 4))[sizes]
     groups = [(one, path, one, star), (one, star, one, path)]
-    assert set(groups) <= set(walked)
-    assert [cycle_matching(group) for group in groups] == [3, 3]
+    walked = _walk(sizes, _walk_pools(8))
+    assert [item for item in walked if item[1] in groups] == [(3, group) for group in groups]
     classes = _classes((sizes, fixing, group) for group in groups)
     assert list(classes) == [CanonicalCode(4, ("((()))", "()", "(()())", "()"))]
 
@@ -458,15 +481,47 @@ def test_sweep_minima_matches_product_walk_extended():
 def test_transfer_matching_matches_cycle_matching():
     # one state per root, free or not, with branch matchings mixed round
     # the cycle: the (+, *) transfer with unit weights puts each pattern's
-    # one tuple on the matching number that cycle_matching counts
+    # one tuple on the matching number that the oracle cycle_matching
+    # counts, and the walker gives that tuple with that number, and with
+    # a target m gives it exactly when m is that number
     states = [(_State(1 + i % 3, i % 3, ()), _State(i % 3, i % 3, ())) for i in range(12)]
     steps = [[_steps((state,), lambda _: 1) for state in pair] for pair in states]
+    walks = [[_steps((state,), _itself) for state in pair] for pair in states]
     for k in range(1, 13):
         for pattern in product((0, 1), repeat=k):
-            group = [states[i][free] for i, free in enumerate(pattern)]
+            group = tuple(states[i][free] for i, free in enumerate(pattern))
+            m = cycle_matching(group)
             cycle = [steps[i][free] for i, free in enumerate(pattern)]
-            got = _transfer(range(k), cycle, 1, mul, add)
-            assert got == {cycle_matching(group): 1}, pattern
+            assert _transfer(range(k), cycle, 1, mul, add) == {m: 1}, pattern
+            walk = [walks[i][free] for i, free in enumerate(pattern)]
+            assert _walk(range(k), walk) == [(m, group)], pattern
+            assert _walk(range(k), walk, m) == [(m, group)], pattern
+            assert _walk(range(k), walk, m - 1) == _walk(range(k), walk, m + 1) == [], pattern
+
+
+def assert_walk_matches_filtered_product(n):
+    # every orbit's state tuples in the order of their product, each with
+    # the matching number the oracle cycle_matching counts, and with a
+    # target m exactly that m's tuples
+    steps = _walk_pools(n)
+    pools = [()] + [_code_states(size) for size in range(1, n - 1)]
+    for k in range(3, n + 1):
+        for sizes, _ in orbit_compositions(n, k):
+            walked = [(cycle_matching(g), g) for g in product(*[pools[s] for s in sizes])]
+            assert _walk(sizes, steps) == walked, sizes
+            for m in range(n // 2 + 2):
+                assert _walk(sizes, steps, m) == [item for item in walked if item[0] == m], m
+
+
+def test_walk_matches_filtered_product():
+    for n in range(3, 11):
+        assert_walk_matches_filtered_product(n)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended window; set UNIKIRCH_EXTENDED=1")
+def test_walk_matches_filtered_product_extended():
+    for n in range(11, 15):
+        assert_walk_matches_filtered_product(n)
 
 
 def test_sweep_and_pools_parse_no_code(monkeypatch):

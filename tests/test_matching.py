@@ -8,6 +8,7 @@ from conftest import random_tree_edges, relabelled
 from oracles import (
     BranchSummary,
     brute_force_matching_size,
+    cycle_matching,
     cycle_matching_gain_by_runs,
     graph_invariants,
     make_graph,
@@ -15,7 +16,7 @@ from oracles import (
 from unikirch.enumeration import canonical_code, enumerate_with_codes
 from unikirch.families import make_cycle, make_path, make_ukt
 from unikirch.graph import Graph, without_vertices
-from unikirch.matching import cycle_matching, has_perfect_matching, matching_number
+from unikirch.matching import has_perfect_matching, matching_number
 
 EXTENDED = bool(os.environ.get("UNIKIRCH_EXTENDED"))
 

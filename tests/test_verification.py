@@ -9,11 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from oracles import placement_canon_by_marks, row_cells_by_class
+from oracles import (
+    branch_shape,
+    cycle_row_numerators,
+    pendant_differences,
+    placement_canon_by_marks,
+    row_cells_by_class,
+)
 from unikirch import enumeration, families, verification
 from unikirch.enumeration import (
-    _branch_shape,
-    _pendant_differences,
+    RowCell,
+    _check_class,
+    _class_rows,
     code_parents,
     dihedral_min,
     enumerate_with_codes,
@@ -28,7 +35,8 @@ from unikirch.families import (
     predicted_min_perfect,
 )
 from unikirch.graph import without_vertices
-from unikirch.resistance import cycle_row_numerators, kirchhoff_index, vertex_sums
+from unikirch.matching import matching_number
+from unikirch.resistance import kirchhoff_index, vertex_sums
 from unikirch.verification import (
     _PLACEMENT_CLASS_COUNTS,
     CLOSED_FORMS,
@@ -475,24 +483,63 @@ def test_run_all_contains_every_suite():
     ]
 
 
+def cell_by_deletions(code, g, m: int) -> RowCell:
+    """``enumeration._check_class`` of one class on its graph: the vertex
+    sums of its route, its degrees, and each deletion difference as Kf(G)
+    less Kf of the graph with the pendant vertex or path deleted."""
+    n = g.n
+    cell = RowCell(n, m)
+    kf, sums = kirchhoff_index(g), vertex_sums(g)
+    degrees = [g.degree(v) for v in range(n)]
+    max_deg = max(degrees)
+    unique_max = degrees.count(max_deg) == 1
+    for deg, x in zip(degrees, sums):
+        if x < n + m - 4:
+            cell.violations += 1
+        elif x == n + m - 4:
+            cell.equalities.append((code, deg == max_deg and unique_max))
+    for x in range(n):
+        if degrees[x] > 1:
+            continue
+        (y,) = g.adjacency[x]
+        single = kf - kirchhoff_index(without_vertices(g, [x]))
+        if single < 2 * n + m - 6:
+            cell.deletion_violations += 1
+        elif single == 2 * n + m - 6:
+            cell.eq_single.append((code, degrees[y] == max_deg))
+        if degrees[y] == 2:
+            pair = kf - kirchhoff_index(without_vertices(g, [x, y]))
+            if pair < 5 * n + 2 * m - 19:
+                cell.deletion_violations += 1
+            elif pair == 5 * n + 2 * m - 19:
+                cell.eq_pair.append(code)
+    for entries in (cell.equalities, cell.eq_single, cell.eq_pair):
+        entries.sort()
+    return cell
+
+
 def test_pendant_differences_match_deletions():
     # every pendant vertex and every pendant path of every class, n <= 10;
     # by the series rule the differences are Kf_G(y) + n - 2 and
     # 2 Kf_G(z) + 3n - 11, z the other neighbour of y, which is why
-    # row_cells' vertex bound decides both deletion bounds
+    # row_cells' vertex bound decides both deletion bounds.  The oracle
+    # reads them branch by branch, the row pass off the class's peel, and
+    # the row pass's check of the class equals the check on its graph
     for n in range(3, 11):
         for code, g in enumerate_with_codes(n):
             kf = kirchhoff_index(g)
             sums = vertex_sums(g)
             k = code.cycle_length
-            shapes = [_branch_shape(c) for c in code.branch_codes]
+            shapes = [branch_shape(c) for c in code.branch_codes]
             rows = cycle_row_numerators([parents for parents, _ in shapes])
+            peeled, nums, degrees = _class_rows(code.branch_codes)
             found = []
-            for x, y, y_degree, single, pair in _pendant_differences(shapes, rows):
+            for x, y, y_degree, single, pair in pendant_differences(shapes, rows):
                 found.append(x)
                 assert g.adjacency[x] == (y,) and y_degree == g.degree(y), code
+                assert peeled.parent[x] == y and degrees[y] == y_degree, code
                 assert Fraction(single, k) == kf - kirchhoff_index(without_vertices(g, [x])), code
-                assert single == k * (sums[y] + n - 2), code
+                assert single == nums[x] == k * (sums[y] + n - 2), code
                 if g.degree(y) == 2:
                     deleted = kirchhoff_index(without_vertices(g, [x, y]))
                     assert Fraction(pair, k) == kf - deleted, code
@@ -501,6 +548,13 @@ def test_pendant_differences_match_deletions():
                 else:
                     assert pair is None
             assert found == [v for v in range(n) if g.degree(v) == 1]
+            assert sorted(x for x in peeled.order if degrees[x] == 1) == found, code
+            # at the class's own m no bound fails up to n = 10; two more
+            # makes some fail, so both kinds of entry are compared
+            for m in (matching_number(g).size, matching_number(g).size + 2):
+                cell = RowCell(n, m)
+                _check_class(code.branch_codes, cell)
+                assert cell == cell_by_deletions(code, g, m), (code, m)
 
 
 def _in_label_order(per_branch):
@@ -510,15 +564,17 @@ def _in_label_order(per_branch):
 
 
 def test_code_rows_and_degrees_match_graphs():
-    # every class for n <= 11: the integer rows over k are the vertex sums
-    # of the class's graph, and the degrees read from the codes its degrees
+    # every class for n <= 11: the integer rows read off the class's peel
+    # are k times the vertex sums of its graph and the oracle's rows, read
+    # branch by branch, and its degrees are the graph's and the oracle's
     for n in range(3, 12):
         for code, g in enumerate_with_codes(n):
-            shapes = [_branch_shape(c) for c in code.branch_codes]
+            _, nums, degrees = _class_rows(code.branch_codes)
+            shapes = [branch_shape(c) for c in code.branch_codes]
             rows = cycle_row_numerators([parents for parents, _ in shapes])
-            sums = [Fraction(x, code.cycle_length) for x in _in_label_order(rows)]
-            assert sums == vertex_sums(g), code
-            degrees = _in_label_order([d for _, d in shapes])
+            assert nums == _in_label_order(rows), code
+            assert [Fraction(x, code.cycle_length) for x in nums] == vertex_sums(g), code
+            assert degrees == _in_label_order([d for _, d in shapes]), code
             assert degrees == [g.degree(v) for v in range(n)], code
 
 
@@ -547,14 +603,14 @@ def test_row_cells_match_class_walk_extended():
 
 def test_row_pass_parses_only_the_classes_it_checks(monkeypatch):
     # the sweeps parse no code, and the row pass takes its per-state minima
-    # from the sweep's knapsack, so it parses only the branch codes of the
-    # classes it checks one by one, each once
+    # from the sweep's knapsack, so it walks only the branch codes of the
+    # classes it checks one by one, each class's once
     monkeypatch.setattr(enumeration, "_pools", {})
     parsed, checked = [], []
 
-    def parse(code):
-        parsed.append(code)
-        return code_parents(code)
+    def parse(codes):
+        parsed.append(tuple(codes))
+        return code_parents(codes)
 
     def check(seq, *args):
         checked.append(seq)
@@ -568,7 +624,7 @@ def test_row_pass_parses_only_the_classes_it_checks(monkeypatch):
     assert parsed == []
     row_cells.__wrapped__(12)
     assert len(checked) == 77
-    assert sorted(parsed) == sorted(code for seq in checked for code in seq)
+    assert parsed == checked
 
 
 def expanded_classes(monkeypatch, n):
